@@ -123,9 +123,9 @@ def _cmd_merge(args) -> int:
     finetuned.require_aligned(pretrained, "merge")
 
     if args.strategy == "dare":
-        delta = finetuned.zip_data(pretrained, lambda a, b: a - b, "merge")
+        delta = finetuned.with_flat(finetuned.as_flat() - pretrained.as_flat())
         kept = dare_mask_and_rescale(delta, args.drop_p, args.seed)
-        merged = pretrained.zip_data(kept, lambda a, b: a + b, "merge")
+        merged = pretrained.with_flat(pretrained.as_flat() + kept.flat)
     else:
         if not args.grads:
             args.parser.error(f"--grads is required for strategy {args.strategy}")

@@ -7,6 +7,7 @@ error so typos fail loudly instead of silently using a default.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,7 +54,13 @@ def _require_int(value, key: str) -> int:
 def _require_number(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return number
 
 
 def _parse_task(obj, where: str) -> TaskSpec:

@@ -25,6 +25,10 @@ class StaleCacheError(SpiderftError):
     """A backward pass was requested with a cache from a different forward."""
 
 
+class DivergenceError(SpiderftError):
+    """Training produced a non-finite loss, gradient or weight."""
+
+
 class ConfigError(SpiderftError):
     """Invalid or inconsistent configuration."""
 

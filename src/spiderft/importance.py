@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UninitializedError
-from .tensors import FlatTensor, TensorMap, cosine_similarity, sigmoid_array, zscore_map
+from .tensors import TensorMap, aligned_arrays, cosine_array, sigmoid_array, zscore_map
 
 GENERALIZATION = "generalization"
 SPECIALIZATION = "specialization"
@@ -62,7 +62,7 @@ class GradAccumulator:
     def empty(cls, like: TensorMap, beta: float = 0.9) -> "GradAccumulator":
         if not 0.0 <= beta < 1.0:
             raise ValueError(f"beta must be in [0, 1), got {beta}")
-        zeros = like.map_data(np.zeros_like)
+        zeros = like.with_flat(np.zeros(like.total_size))
         return cls(acc=zeros, beta=beta, initialized=False)
 
 
@@ -70,22 +70,31 @@ def accumulate_gradient(state: GradAccumulator, grad: TensorMap) -> GradAccumula
     """Fold one gradient observation into the accumulator (in place)."""
     state.acc.require_aligned(grad, "accumulate_gradient")
     b = state.beta
-    for acc_t, grad_t in zip(state.acc, grad):
+    for acc, g in aligned_arrays(state.acc, grad):
         if not state.initialized:
-            np.copyto(acc_t.data, np.abs(grad_t.data))
+            np.abs(g, out=acc)
         else:
-            np.copyto(acc_t.data, b * acc_t.data + (1.0 - b) * np.abs(grad_t.data))
+            # b * acc + (1 - b) * |g|, each product rounded before the sum
+            fresh = np.abs(g)
+            fresh *= 1.0 - b
+            acc *= b
+            acc += fresh
     state.initialized = True
     return state
+
+
+def _sigmoid_of_zscore(tm: TensorMap, scope: str) -> TensorMap:
+    scores = zscore_map(tm, scope)
+    sigmoid_array(scores.flat, out=scores.flat)
+    return scores
 
 
 def generalization_importance(
     pretrained: TensorMap, scope: str = "per_tensor"
 ) -> ImportanceScores:
     """sigmoid(zscore(|w_pre|)) per tensor (or with global stats)."""
-    magnitudes = pretrained.map_data(np.abs)
-    normalized = zscore_map(magnitudes, scope)
-    return ImportanceScores(normalized.map_data(sigmoid_array), GENERALIZATION)
+    magnitudes = pretrained.with_flat(np.abs(pretrained.as_flat()))
+    return ImportanceScores(_sigmoid_of_zscore(magnitudes, scope), GENERALIZATION)
 
 
 def specialization_importance(
@@ -96,8 +105,7 @@ def specialization_importance(
         raise UninitializedError(
             "specialization importance requested before any gradient was accumulated"
         )
-    normalized = zscore_map(state.acc, scope)
-    return ImportanceScores(normalized.map_data(sigmoid_array), SPECIALIZATION)
+    return ImportanceScores(_sigmoid_of_zscore(state.acc, scope), SPECIALIZATION)
 
 
 def _pid_from_cos(c: float) -> float:
@@ -107,17 +115,17 @@ def _pid_from_cos(c: float) -> float:
 def pid(pretrained: TensorMap, grad: TensorMap) -> float:
     """Importance-profile divergence over the concatenated trainable set."""
     pretrained.require_aligned(grad, "pid")
-    w = FlatTensor.of("weight_magnitude", np.abs(pretrained.concat()))
-    g = FlatTensor.of("gradient_magnitude", np.abs(grad.concat()))
-    return _pid_from_cos(cosine_similarity(w, g))
+    w = np.abs(pretrained.as_flat())
+    g = np.abs(grad.as_flat())
+    return _pid_from_cos(cosine_array(w, g, "weight_magnitude", "gradient_magnitude"))
 
 
 def pid_per_tensor(pretrained: TensorMap, grad: TensorMap) -> dict[str, float]:
     """Same diagnostic, one value per named tensor."""
     pretrained.require_aligned(grad, "pid")
-    out: dict[str, float] = {}
-    for wt, gt in zip(pretrained, grad):
-        w = wt.with_data(np.abs(wt.data))
-        g = gt.with_data(np.abs(gt.data))
-        out[wt.name] = _pid_from_cos(cosine_similarity(w, g))
-    return out
+    return {
+        wt.name: _pid_from_cos(
+            cosine_array(np.abs(wt.data), np.abs(gt.data), wt.name, gt.name)
+        )
+        for wt, gt in zip(pretrained, grad)
+    }

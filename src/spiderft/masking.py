@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError
 from .importance import GENERALIZATION, SPECIALIZATION, ImportanceScores
-from .tensors import FlatTensor, TensorMap, masked_mean
+from .tensors import NORMALIZATION_SCOPES, TensorMap, aligned_arrays, masked_mean_array
 
 logger = logging.getLogger(__name__)
 
@@ -62,68 +61,84 @@ def _check_kinds(g: ImportanceScores, i: ImportanceScores) -> None:
 def binary_mask(g: ImportanceScores, i: ImportanceScores) -> UpdateMask:
     """1 where G > I (strict), else 0."""
     _check_kinds(g, i)
-    mask = g.scores.zip_data(
-        i.scores, lambda gv, iv: (gv > iv).astype(np.float64), "binary_mask"
-    )
+    g.scores.require_aligned(i.scores, "binary_mask")
+    mask = g.scores.with_flat(np.empty(g.scores.total_size))
+    for gv, iv, m in aligned_arrays(g.scores, i.scores, mask):
+        np.greater(gv, iv, out=m)
     return UpdateMask(mask, "binary")
 
 
 def weighted_mask(g: ImportanceScores, i: ImportanceScores) -> UpdateMask:
     """G / (G + I) where G > I, else 0; nonzero entries land in (0.5, 1)."""
     _check_kinds(g, i)
-    mask = g.scores.zip_data(
-        i.scores,
-        lambda gv, iv: np.where(gv > iv, gv / (gv + iv), 0.0),
-        "weighted_mask",
-    )
+    g.scores.require_aligned(i.scores, "weighted_mask")
+    mask = g.scores.with_flat(np.empty(g.scores.total_size))
+    for gv, iv, m in aligned_arrays(g.scores, i.scores, mask):
+        np.add(gv, iv, out=m)
+        np.divide(gv, m, out=m)
+        # scores lie in (0, 1), so the ratio is finite and x * 0.0 == 0.0
+        m *= gv > iv
     return UpdateMask(mask, "weighted")
 
 
-def rescale_mask(m: UpdateMask, scope: str = "per_tensor") -> UpdateMask:
+def rescale_mask(
+    m: UpdateMask, scope: str = "per_tensor", *, out: TensorMap | None = None
+) -> UpdateMask:
     """Divide selected entries by their mean and cap at 1.
 
     The mean is taken over the nonzero entries, per tensor by default or
     over the whole map with scope="global".  A mask with no selected
     entries is returned unchanged (flagged, and logged as a warning).
+    The result goes to a fresh map, or into `out` (which may be m.mask).
     """
     if m.variant != "weighted":
         raise ValueError(f"rescale_mask expects a weighted mask, got {m.variant!r}")
+    if scope not in NORMALIZATION_SCOPES:
+        raise ValueError(f"unknown normalization scope {scope!r}")
+    if out is None:
+        out = m.mask.with_flat(np.empty(m.mask.total_size))
+    else:
+        m.mask.require_aligned(out, "rescale_mask")
 
     if scope == "global":
-        mean, empty = masked_mean(FlatTensor.of("mask_concat", m.mask.concat()))
-        if empty:
-            logger.warning("rescale_mask: empty selection, mask left all-zero")
-            return UpdateMask(m.mask.copy(), "rescaled", empty_selection=True)
-        rescaled = m.mask.map_data(
-            lambda d: np.where(d != 0.0, np.minimum(1.0, d / mean), 0.0)
-        )
-        return UpdateMask(rescaled, "rescaled")
-
-    if scope != "per_tensor":
-        raise ValueError(f"unknown normalization scope {scope!r}")
-
-    out = []
+        whole = masked_mean_array(m.mask.as_flat())
+        work = [(whole, values, dest) for values, dest in aligned_arrays(m.mask, out)]
+    else:
+        work = [(masked_mean_array(t.data), t.data, o.data) for t, o in zip(m.mask, out)]
     any_selected = False
-    for t in m.mask:
-        mean, empty = masked_mean(t)
+    for (mean, empty), values, dest in work:
         if empty:
-            out.append(t.copy())
+            np.copyto(dest, values)
             continue
         any_selected = True
-        out.append(t.with_data(np.where(t.data != 0.0, np.minimum(1.0, t.data / mean), 0.0)))
+        # zeros stay zero: the mean of positive weights is positive
+        np.divide(values, mean, out=dest)
+        np.minimum(dest, 1.0, out=dest)
     if not any_selected:
         logger.warning("rescale_mask: empty selection, mask left all-zero")
-    return UpdateMask(TensorMap.from_tensors(out), "rescaled", empty_selection=not any_selected)
+    return UpdateMask(out, "rescaled", empty_selection=not any_selected)
 
 
-def merge(current: TensorMap, pretrained: TensorMap, m: UpdateMask) -> TensorMap:
-    """w * M + w_pre * (1 - M), elementwise."""
+def merge(
+    current: TensorMap, pretrained: TensorMap, m: UpdateMask, *, out: TensorMap | None = None
+) -> TensorMap:
+    """w * M + w_pre * (1 - M), elementwise.
+
+    The result goes to a fresh map, or into `out` (which may be `current`).
+    """
     current.require_aligned(pretrained, "merge")
     current.require_aligned(m.mask, "merge")
-    merged = []
-    for w, w_pre, mt in zip(current, pretrained, m.mask):
-        merged.append(w.with_data(w.data * mt.data + w_pre.data * (1.0 - mt.data)))
-    return TensorMap.from_tensors(merged)
+    if out is None:
+        out = current.with_flat(np.empty(current.total_size))
+    else:
+        current.require_aligned(out, "merge")
+    for w, w_pre, mt, o in aligned_arrays(current, pretrained, m.mask, out):
+        # both products rounded as written, then one sum
+        kept = 1.0 - mt
+        kept *= w_pre
+        np.multiply(w, mt, out=o)
+        o += kept
+    return out
 
 
 def random_half_mask(shape_of: TensorMap, rng_seed: int) -> UpdateMask:
@@ -133,13 +148,12 @@ def random_half_mask(shape_of: TensorMap, rng_seed: int) -> UpdateMask:
     per-layer parameter blocks that half fine-tuning draws from).
     """
     rng = np.random.default_rng(rng_seed)
-    names = shape_of.names
-    chosen = set(rng.choice(len(names), size=len(names) // 2, replace=False).tolist())
-    tensors = [
-        t.with_data(np.ones(t.size) if idx in chosen else np.zeros(t.size))
-        for idx, t in enumerate(shape_of)
-    ]
-    return UpdateMask(TensorMap.from_tensors(tensors), "random_half")
+    chosen = rng.choice(len(shape_of), size=len(shape_of) // 2, replace=False)
+    mask = shape_of.with_flat(np.zeros(shape_of.total_size))
+    tensors = list(mask)
+    for idx in chosen.tolist():
+        tensors[idx].data.fill(1.0)
+    return UpdateMask(mask, "random_half")
 
 
 def dare_mask_and_rescale(delta: TensorMap, drop_p: float, rng_seed: int) -> TensorMap:
@@ -150,12 +164,12 @@ def dare_mask_and_rescale(delta: TensorMap, drop_p: float, rng_seed: int) -> Ten
     """
     if not 0.0 <= drop_p < 1.0:
         raise ValueError(f"drop_p must be in [0, 1), got {drop_p}")
+    kept = delta.copy()
     if drop_p == 0.0:
-        return delta.copy()
+        return kept
     rng = np.random.default_rng(rng_seed)
-    keep = UpdateMask(
-        delta.map_data(lambda d: (rng.random(d.size) >= drop_p).astype(np.float64)),
-        "random_dare",
-    )
     scale = 1.0 / (1.0 - drop_p)
-    return delta.zip_data(keep.mask, lambda d, k: d * k * scale, "dare_mask_and_rescale")
+    for t in kept:  # one draw per tensor, in order
+        t.data *= rng.random(t.size) >= drop_p
+        t.data *= scale
+    return kept

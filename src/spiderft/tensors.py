@@ -3,15 +3,22 @@
 A FlatTensor is a named, contiguous float64 vector plus the shape it was
 flattened from.  A TensorMap is an insertion-ordered collection of uniquely
 named FlatTensors; it stands in for a model's trainable-parameter set, its
-gradients, importance scores, and update masks.  All transforms here are
-pure: inputs are never mutated, outputs are fresh arrays.
+gradients, importance scores, and update masks.
+
+A packed TensorMap keeps every payload in one contiguous float64 buffer
+(``flat``) and each tensor is a view of its segment, in order.  Elementwise
+work on aligned packed maps then runs as one numpy op over the whole buffer
+(see ``aligned_arrays``); per-tensor statistics are taken on the segment
+views.  Maps of separate tensors go through the same code segment by
+segment, so both give bitwise-identical results.  All transforms here are
+pure unless they take an ``out`` argument: inputs are never mutated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 from scipy.special import expit
@@ -60,6 +67,17 @@ class FlatTensor:
         """The data reshaped to `shape` (no copy)."""
         return self.data.reshape(self.shape)
 
+    @classmethod
+    def _wrap(cls, name: str, shape: tuple[int, ...], data: np.ndarray) -> "FlatTensor":
+        """A tensor over an existing float64 vector, neither copied nor scanned.
+
+        Only for buffers this package allocates itself; training checks
+        their values once per step instead (see trainer).
+        """
+        t = cls.__new__(cls)
+        t.name, t.shape, t.data = name, shape, data
+        return t
+
     def copy(self) -> "FlatTensor":
         return FlatTensor(self.name, self.shape, self.data.copy())
 
@@ -68,11 +86,17 @@ class FlatTensor:
         return FlatTensor(self.name, self.shape, data)
 
 
+Layout = tuple[tuple[str, tuple[int, ...]], ...]
+
+
 @dataclass
 class TensorMap:
     """Insertion-ordered, uniquely named collection of FlatTensors."""
 
     _entries: dict[str, FlatTensor] = field(default_factory=dict)
+    # the buffer every entry views, in order, when the map is packed
+    _flat: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _layout: Layout | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_tensors(cls, tensors: Iterable[FlatTensor]) -> "TensorMap":
@@ -81,10 +105,30 @@ class TensorMap:
             tm.add(t)
         return tm
 
+    @classmethod
+    def over(cls, layout: Iterable[tuple[str, tuple[int, ...]]], flat: np.ndarray) -> "TensorMap":
+        """A packed map of views into `flat`, one consecutive segment per (name, shape).
+
+        Nothing is copied and the values are not scanned.
+        """
+        layout = tuple(layout)
+        tm = cls()
+        offset = 0
+        for name, shape in layout:
+            size = math.prod(shape)
+            tm.add(FlatTensor._wrap(name, shape, flat[offset : offset + size]))
+            offset += size
+        if offset != flat.size:
+            raise ValueError(f"layout covers {offset} entries, buffer has {flat.size}")
+        tm._flat, tm._layout = flat, layout
+        return tm
+
     def add(self, t: FlatTensor) -> None:
         if t.name in self._entries:
             raise ValueError(f"duplicate tensor name {t.name!r}")
         self._entries[t.name] = t
+        self._flat = None
+        self._layout = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -106,11 +150,21 @@ class TensorMap:
     def total_size(self) -> int:
         return sum(t.size for t in self)
 
+    @property
+    def flat(self) -> np.ndarray | None:
+        """The contiguous buffer the tensors view, or None when not packed."""
+        return self._flat
+
+    def layout(self) -> Layout:
+        if self._layout is None:
+            self._layout = tuple((t.name, t.shape) for t in self)
+        return self._layout
+
     def signature(self) -> list[tuple[str, tuple[int, ...]]]:
-        return [(t.name, t.shape) for t in self]
+        return list(self.layout())
 
     def aligned_with(self, other: "TensorMap") -> bool:
-        return self.signature() == other.signature()
+        return self.layout() == other.layout()
 
     def require_aligned(self, other: "TensorMap", op: str) -> None:
         if not self.aligned_with(other):
@@ -120,24 +174,50 @@ class TensorMap:
             )
 
     def concat(self) -> np.ndarray:
-        """All entries concatenated in iteration order."""
+        """All entries concatenated in iteration order (a fresh array)."""
+        if self._flat is not None:
+            return self._flat.copy()
         if not self._entries:
             return np.empty(0, dtype=np.float64)
         return np.concatenate([t.data for t in self])
 
+    def as_flat(self) -> np.ndarray:
+        """All entries as one vector: the packed buffer itself, else a concatenation."""
+        return self._flat if self._flat is not None else self.concat()
+
+    def with_flat(self, flat: np.ndarray) -> "TensorMap":
+        """Same names and shapes, packed over the given buffer."""
+        return TensorMap.over(self.layout(), flat)
+
     def copy(self) -> "TensorMap":
-        return TensorMap.from_tensors(t.copy() for t in self)
+        """An independent packed copy."""
+        return self.with_flat(self.concat())
 
-    def map_data(self, fn: Callable[[np.ndarray], np.ndarray]) -> "TensorMap":
-        return TensorMap.from_tensors(t.with_data(fn(t.data)) for t in self)
+    def pack(self) -> "TensorMap":
+        """Move the payloads into one new buffer, in place.
 
-    def zip_data(
-        self, other: "TensorMap", fn: Callable[[np.ndarray, np.ndarray], np.ndarray], op: str
-    ) -> "TensorMap":
-        self.require_aligned(other, op)
-        return TensorMap.from_tensors(
-            a.with_data(fn(a.data, b.data)) for a, b in zip(self, other)
-        )
+        Each tensor object is kept and rebound to its segment, so whoever
+        shares the tensors (a model's layers) sees the packed views.  A map that
+        packed the same tensors earlier keeps a buffer they no longer view.
+        """
+        flat = self.concat()
+        offset = 0
+        for t in self:
+            t.data = flat[offset : offset + t.size]
+            offset += t.size
+        self._flat = flat
+        return self
+
+
+def aligned_arrays(*maps: TensorMap) -> Iterator[tuple[np.ndarray, ...]]:
+    """Matching payload arrays of aligned maps, for elementwise work.
+
+    One tuple of whole buffers when every map is packed, else one tuple per
+    tensor.  Callers check alignment first.
+    """
+    if all(m.flat is not None for m in maps):
+        return iter([tuple(m.flat for m in maps)])
+    return zip(*[[t.data for t in m] for m in maps])
 
 
 # ---------------------------------------------------------------------------
@@ -154,21 +234,27 @@ def zscore(t: FlatTensor) -> FlatTensor:
     return t.with_data(zscore_array(t.data))
 
 
-def zscore_array(values: np.ndarray) -> np.ndarray:
+def zscore_array(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    if out is None:
+        out = np.empty_like(values)
     std = float(np.std(values))
     if std < STD_EPS:
-        return np.zeros_like(values)
-    return (values - np.mean(values)) / std
+        out.fill(0.0)
+        return out
+    np.subtract(values, np.mean(values), out=out)
+    out /= std
+    return out
 
 
 def sigmoid(t: FlatTensor) -> FlatTensor:
     return t.with_data(sigmoid_array(t.data))
 
 
-def sigmoid_array(values: np.ndarray) -> np.ndarray:
+def sigmoid_array(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # expit saturates to exactly 0.0/1.0 in float64 past |x| ~ 37; clamp to
     # the nearest interior representable so outputs stay strictly in (0, 1).
-    return np.clip(expit(values), _SIG_LO, _SIG_HI)
+    out = expit(values, out=out)
+    return np.clip(out, _SIG_LO, _SIG_HI, out=out)
 
 
 def cosine_similarity(a: FlatTensor, b: FlatTensor) -> float:
@@ -176,19 +262,28 @@ def cosine_similarity(a: FlatTensor, b: FlatTensor) -> float:
         raise AlignmentError(
             f"cosine_similarity: shapes differ ({a.shape} vs {b.shape})"
         )
-    na = float(np.linalg.norm(a.data))
-    nb = float(np.linalg.norm(b.data))
+    return cosine_array(a.data, b.data, a.name, b.name)
+
+
+def cosine_array(a: np.ndarray, b: np.ndarray, a_name: str = "a", b_name: str = "b") -> float:
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
     if na < NORM_EPS or nb < NORM_EPS:
         raise ZeroNormError(
-            f"cosine_similarity: zero-norm input ({a.name!r}: {na:g}, {b.name!r}: {nb:g})"
+            f"cosine_similarity: zero-norm input ({a_name!r}: {na:g}, {b_name!r}: {nb:g})"
         )
-    c = float(np.dot(a.data, b.data)) / (na * nb)
+    c = float(np.dot(a, b)) / (na * nb)
     return min(1.0, max(-1.0, c))
 
 
 def masked_mean(t: FlatTensor) -> tuple[float, bool]:
     """Mean over nonzero entries; (0.0, True) when nothing is nonzero."""
-    nz = t.data[t.data != 0.0]
+    return masked_mean_array(t.data)
+
+
+def masked_mean_array(values: np.ndarray) -> tuple[float, bool]:
+    # compress picks the same entries as values[values != 0.0], in order, faster
+    nz = np.compress(values != 0.0, values)
     if nz.size == 0:
         return 0.0, True
     return float(np.mean(nz)), False
@@ -202,14 +297,22 @@ NORMALIZATION_SCOPES = ("per_tensor", "global")
 
 
 def zscore_map(tm: TensorMap, scope: str = "per_tensor") -> TensorMap:
-    """Z-normalize each tensor, either on its own stats or on global ones."""
+    """Z-normalize each tensor, either on its own stats or on global ones.
+
+    The result is a fresh packed map.
+    """
+    if scope not in NORMALIZATION_SCOPES:
+        raise ValueError(f"unknown normalization scope {scope!r}")
+    out = tm.with_flat(np.empty(tm.total_size))
     if scope == "per_tensor":
-        return tm.map_data(zscore_array)
-    if scope == "global":
-        flat = tm.concat()
-        std = float(np.std(flat)) if flat.size else 0.0
-        if std < STD_EPS:
-            return tm.map_data(np.zeros_like)
-        mean = float(np.mean(flat))
-        return tm.map_data(lambda d: (d - mean) / std)
-    raise ValueError(f"unknown normalization scope {scope!r}")
+        for t, o in zip(tm, out):
+            zscore_array(t.data, o.data)
+        return out
+    flat, dest = tm.as_flat(), out.flat
+    std = float(np.std(flat)) if flat.size else 0.0
+    if std < STD_EPS:
+        dest.fill(0.0)
+        return out
+    np.subtract(flat, float(np.mean(flat)), out=dest)
+    dest /= std
+    return out

@@ -15,6 +15,12 @@ Two drivers share the loop skeleton:
   L2/L1 pull-back regularizers, random half-block gating, and post-hoc
   drop-and-rescale on the final delta.
 
+Each run first packs the model's trainable tensors into one contiguous
+buffer (the layers keep views of it), so the per-iteration chain is a few
+numpy ops over whole buffers and the merge writes straight into the model.
+Every step checks the loss, the gradient and the updated weights once and
+raises DivergenceError on the first non-finite value.
+
 Runs are deterministic: all randomness flows from the config seed.
 """
 
@@ -22,12 +28,18 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError, DimensionError, StaleCacheError
+from .errors import (
+    AlignmentError,
+    ConfigError,
+    DimensionError,
+    DivergenceError,
+    StaleCacheError,
+)
 from .importance import (
     GradAccumulator,
     ImportanceScores,
@@ -136,7 +148,8 @@ class ToyModel:
             target = own.get(t.name)
             if target is None or target.shape != t.shape:
                 raise AlignmentError(f"load_values: no matching tensor for {t.name!r}")
-            np.copyto(target.data, t.data)
+            if target is not t:  # a tensor loaded onto itself is already in place
+                np.copyto(target.data, t.data)
         self.version += 1
 
     def copy(self) -> "ToyModel":
@@ -252,22 +265,21 @@ def backward(model: ToyModel, cache: ForwardCache) -> TensorMap:
     dz[np.arange(n), cache.batch.labels] -= 1.0
     dz /= n
 
-    grads: dict[str, np.ndarray] = {}
+    # one packed buffer; the driver checks its values once per step
+    layout = [(t.name, t.shape) for t in model.tensors() if model.trainable[t.name]]
+    grads = TensorMap.over(layout, np.empty(sum(math.prod(s) for _, s in layout)))
     for k in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[k]
         a_in = cache.layer_inputs[k]
-        grads[layer.weight.name] = dz.T @ a_in
-        grads[layer.bias.name] = dz.sum(axis=0)
+        if layer.weight.name in grads:
+            np.matmul(dz.T, a_in, out=grads[layer.weight.name].view())
+        if layer.bias.name in grads:
+            np.sum(dz, axis=0, out=grads[layer.bias.name].data)
         if k > 0:
             da = dz @ layer.weight.view()
             below = model.layers[k - 1]
             dz = da * (1.0 - a_in**2) if below.activation == "tanh" else da
-
-    out = TensorMap()
-    for t in model.tensors():
-        if model.trainable[t.name]:
-            out.add(t.with_data(grads[t.name].reshape(-1)))
-    return out
+    return grads
 
 
 def sgd_step(
@@ -375,30 +387,60 @@ def _gamma_count(size: int, gamma: float) -> int:
 
 def _topk_mask(tm: TensorMap, gamma: float, largest: bool) -> UpdateMask:
     """Binary mask on the gamma fraction of entries per tensor, by value."""
-    tensors = []
-    for t in tm:
+    mask = tm.with_flat(np.zeros(tm.total_size))
+    for t, m in zip(tm, mask):
         k = _gamma_count(t.size, gamma)
-        data = np.zeros(t.size)
-        order = np.argsort(t.data, kind="stable")
-        idx = order[-k:] if largest else order[:k]
         if k:
-            data[idx] = 1.0
-        tensors.append(t.with_data(data))
-    return UpdateMask(TensorMap.from_tensors(tensors), "binary")
+            order = np.argsort(t.data, kind="stable")
+            m.data[order[-k:] if largest else order[:k]] = 1.0
+    return UpdateMask(mask, "binary")
 
 
 def _random_gamma_mask(tm: TensorMap, gamma: float, rng_seed: int) -> UpdateMask:
     rng = np.random.default_rng(rng_seed)
-    tensors = []
-    for t in tm:
-        k = _gamma_count(t.size, gamma)
-        data = np.zeros(t.size)
+    mask = tm.with_flat(np.zeros(tm.total_size))
+    for m in mask:
+        k = _gamma_count(m.size, gamma)
         if k:
-            data[rng.choice(t.size, size=k, replace=False)] = 1.0
-        tensors.append(t.with_data(data))
-    return UpdateMask(TensorMap.from_tensors(tensors), "binary")
+            m.data[rng.choice(m.size, size=k, replace=False)] = 1.0
+    return UpdateMask(mask, "binary")
 
 
+def _packed_run(
+    model: ToyModel, pretrained: TensorMap, op: str
+) -> tuple[TensorMap, TensorMap]:
+    """Pack the model's trainable tensors; a packed pretrained snapshot.
+
+    The returned weights map holds the model's own tensor objects, so ops
+    that write into it write into the model.
+    """
+    weights = model.tensor_map(trainable_only=True)
+    weights.require_aligned(pretrained, op)
+    if pretrained.flat is None:
+        pretrained = pretrained.copy()
+    return weights.pack(), pretrained
+
+
+def _require_finite(it: int, what: str, tm: TensorMap) -> None:
+    if np.isfinite(tm.as_flat()).all():
+        return
+    name = next(t.name for t in tm if not np.isfinite(t.data).all())
+    raise DivergenceError(f"training diverged at iteration {it}: non-finite {what} in {name!r}")
+
+
+def _loss_and_gradient(model: ToyModel, batch: Batch, it: int) -> tuple[float, TensorMap]:
+    """Loss and gradients of one batch, both checked finite."""
+    loss, cache = forward(model, batch)
+    if not math.isfinite(loss):
+        raise DivergenceError(f"training diverged at iteration {it}: loss is {loss}")
+    grads = backward(model, cache)
+    _require_finite(it, "gradient", grads)
+    return loss, grads
+
+
+# the per-step checks report divergence; numpy's float warnings would only
+# repeat it on stderr
+@np.errstate(over="ignore", invalid="ignore")
 def finetune_spider(
     model: ToyModel,
     pretrained: TensorMap,
@@ -417,8 +459,7 @@ def finetune_spider(
     if cfg.selection != "discrepancy" and cfg.method != "spider_binary":
         raise ConfigError("selection arms other than discrepancy use spider_binary")
 
-    trainables = model.tensor_map(trainable_only=True)
-    trainables.require_aligned(pretrained, "finetune_spider")
+    weights, pretrained = _packed_run(model, pretrained, "finetune_spider")
 
     aux = _AuxMaps(pretrained)
     aux.hold("pretrained", pretrained)
@@ -432,7 +473,7 @@ def finetune_spider(
         aux.hold("generalization_importance", gen_scores.scores)
     elif cfg.selection == "magnitude":
         # smallest pretrained magnitudes = least generalization-critical
-        magnitudes = pretrained.map_data(np.abs)
+        magnitudes = pretrained.with_flat(np.abs(pretrained.flat))
         fixed_selection = _topk_mask(magnitudes, cfg.selection_gamma, largest=False)
         aux.hold("selection_mask", fixed_selection.mask)
 
@@ -445,20 +486,16 @@ def finetune_spider(
             accumulator = GradAccumulator.empty(pretrained, cfg.beta)
             aux.hold("accumulator", accumulator.acc)
         for batch in data:
-            loss, cache = forward(model, batch)
-            grads = backward(model, cache)
+            loss, grads = _loss_and_gradient(model, batch, it)
             accumulate_gradient(accumulator, grads)
 
             if cfg.selection == "discrepancy":
+                select = binary_mask if cfg.method == "spider_binary" else weighted_mask
                 spec_scores = specialization_importance(accumulator, cfg.normalization_scope)
+                mask = select(spec_scores, gen_scores)
+                del spec_scores  # freed before the step allocates
                 if cfg.method == "spider":
-                    mask = rescale_mask(
-                        weighted_mask(spec_scores, gen_scores), cfg.normalization_scope
-                    )
-                elif cfg.method == "spider_binary":
-                    mask = binary_mask(spec_scores, gen_scores)
-                else:  # spider_weighted_norescale
-                    mask = weighted_mask(spec_scores, gen_scores)
+                    mask = rescale_mask(mask, cfg.normalization_scope, out=mask.mask)
             elif cfg.selection == "random":
                 mask = _random_gamma_mask(pretrained, cfg.selection_gamma, int(seeds[it]))
             elif cfg.selection == "magnitude":
@@ -467,8 +504,9 @@ def finetune_spider(
                 mask = _topk_mask(accumulator.acc, cfg.selection_gamma, largest=True)
 
             sgd_step(model, grads, cfg.learning_rate, cfg.lr_overrides)
-            merged = merge(model.tensor_map(trainable_only=True), pretrained, mask)
-            model.load_values(merged)
+            del grads  # freed before the merge allocates its temporary
+            model.load_values(merge(weights, pretrained, mask, out=weights))
+            _require_finite(it, "weights", weights)
 
             log.losses.append(loss)
             log.mask_density.append(mask.density)
@@ -481,6 +519,7 @@ def finetune_spider(
     return model, log
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def finetune_baseline(
     model: ToyModel,
     pretrained: TensorMap,
@@ -495,8 +534,7 @@ def finetune_baseline(
     if cfg.method not in BASELINE_METHODS:
         raise ConfigError(f"finetune_baseline cannot run method {cfg.method!r}")
 
-    trainables = model.tensor_map(trainable_only=True)
-    trainables.require_aligned(pretrained, "finetune_baseline")
+    weights, pretrained = _packed_run(model, pretrained, "finetune_baseline")
 
     accumulator = GradAccumulator.empty(pretrained, cfg.beta)
     log = RunLog(method=cfg.method)
@@ -505,52 +543,43 @@ def finetune_baseline(
     it = 0
     for _epoch in range(cfg.epochs):
         for batch in data:
-            loss, cache = forward(model, batch)
-            grads = backward(model, cache)
+            loss, grads = _loss_and_gradient(model, batch, it)
+            g = grads.flat
 
             if cfg.method == "l2_reg" and cfg.l2_lambda != 0.0:
-                current = model.tensor_map(trainable_only=True)
-                drift = current.zip_data(pretrained, np.subtract, "l2_reg")
-                grads = grads.zip_data(
-                    drift, lambda g, d: g + 2.0 * cfg.l2_lambda * d, "l2_reg"
-                )
-                loss += cfg.l2_lambda * float(np.sum(drift.concat() ** 2))
+                drift = weights.flat - pretrained.flat
+                loss += cfg.l2_lambda * float(np.sum(drift**2))
+                drift *= 2.0 * cfg.l2_lambda
+                g += drift
             elif cfg.method == "l1_graft" and cfg.l1_lambda != 0.0:
-                current = model.tensor_map(trainable_only=True)
-                drift = current.zip_data(pretrained, np.subtract, "l1_graft")
+                drift = weights.flat - pretrained.flat
+                loss += cfg.l1_lambda * float(np.sum(np.abs(drift)))
                 # subgradient at w == w_pre is 0 (np.sign(0) == 0)
-                grads = grads.zip_data(
-                    drift, lambda g, d: g + cfg.l1_lambda * np.sign(d), "l1_graft"
-                )
-                loss += cfg.l1_lambda * float(np.sum(np.abs(drift.concat())))
+                np.sign(drift, out=drift)
+                drift *= cfg.l1_lambda
+                g += drift
 
             if cfg.method == "half_ft":
                 gate = random_half_mask(pretrained, int(seeds[it]))
-                grads = grads.zip_data(gate.mask, np.multiply, "half_ft")
+                g *= gate.mask.flat
                 log.mask_density.append(gate.density)
 
             accumulate_gradient(accumulator, grads)
             sgd_step(model, grads, cfg.learning_rate, cfg.lr_overrides)
+            del grads, g  # freed before the next backward allocates its buffer
+            _require_finite(it, "weights", weights)
 
             log.losses.append(loss)
             log.pid.append(pid(pretrained, accumulator.acc))
             it += 1
 
     if cfg.method == "dare" and cfg.dare_drop_p != 0.0 and it > 0:
-        current = model.tensor_map(trainable_only=True)
-        delta = current.zip_data(pretrained, np.subtract, "dare")
+        delta = weights.with_flat(weights.flat - pretrained.flat)
         kept = dare_mask_and_rescale(delta, cfg.dare_drop_p, int(seeds[-1]))
-        model.load_values(pretrained.zip_data(kept, np.add, "dare"))
+        np.add(pretrained.flat, kept.flat, out=weights.flat)
+        model.load_values(weights)
 
     log.persistent_aux_maps = 2  # pretrained snapshot + diagnostic accumulator
     if accumulator.initialized:
         log.final_accumulator = accumulator.acc
     return model, log
-
-
-def make_train_config(**kwargs) -> TrainConfig:
-    return TrainConfig(**kwargs)
-
-
-def with_method(cfg: TrainConfig, method: str, **overrides) -> TrainConfig:
-    return replace(cfg, method=method, **overrides)

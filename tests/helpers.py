@@ -21,6 +21,11 @@ def tensor_of(tm: TensorMap, name: str) -> np.ndarray:
     return tm[name].data
 
 
+def mapped(tm: TensorMap, fn) -> TensorMap:
+    """A new map with fn applied to every payload."""
+    return TensorMap.from_tensors(t.with_data(fn(t.data)) for t in tm)
+
+
 # ---------------------------------------------------------------------------
 # Reference forward pass (independent of spiderft.trainer.forward)
 # ---------------------------------------------------------------------------

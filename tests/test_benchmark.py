@@ -29,6 +29,8 @@ from spiderft.benchmark import (
 from spiderft.errors import ConfigError, DomainError
 from spiderft.trainer import RunLog, TrainConfig, build_model
 
+from helpers import mapped
+
 TOL = 0.005 + 1e-9  # two-decimal reporting band plus representation slack
 
 
@@ -173,7 +175,7 @@ def test_pretrain_validation():
 
 def test_constant_predictor_scores_exactly_chance():
     model = build_model([4, 5, 3], seed=0)
-    model.load_values(model.tensor_map().map_data(np.zeros_like))
+    model.load_values(mapped(model.tensor_map(), np.zeros_like))
     # all-zero weights put every class at the same logit; argmax breaks the
     # tie to class 0, and the round-robin labels make that exactly 1/3 when
     # the test split size divides evenly

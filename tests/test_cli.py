@@ -11,7 +11,7 @@ import pytest
 from spiderft.checkpoint import load_checkpoint, save_checkpoint
 from spiderft.cli import main
 
-from helpers import tmap
+from helpers import mapped, tmap
 
 
 @pytest.fixture()
@@ -138,10 +138,10 @@ def test_merge_with_identical_importance_profiles_restores_pretrained(workspace,
     merged = tmp / "m.ckpt"
 
     snapshot = load_checkpoint(pre)
-    save_checkpoint(snapshot.map_data(lambda d: d + 0.5), ft)
+    save_checkpoint(mapped(snapshot, lambda d: d + 0.5), ft)
     # accumulated |grad| proportional to |w*|: G == I everywhere, so the
     # strict comparison selects nothing and the merge undoes fine-tuning
-    save_checkpoint(snapshot.map_data(np.abs), grads)
+    save_checkpoint(mapped(snapshot, np.abs), grads)
 
     code = run_cli(
         ["merge", "--pretrained", pre, "--finetuned", ft, "--grads", grads,
@@ -172,8 +172,8 @@ def test_merge_rescaled_stays_between_endpoints(workspace, tmp_path):
 
     snapshot = load_checkpoint(pre)
     rng = np.random.default_rng(1)
-    save_checkpoint(snapshot.map_data(lambda d: d + rng.normal(0, 0.2, d.size)), ft)
-    save_checkpoint(snapshot.map_data(lambda d: np.abs(rng.normal(0, 1, d.size))), grads)
+    save_checkpoint(mapped(snapshot, lambda d: d + rng.normal(0, 0.2, d.size)), ft)
+    save_checkpoint(mapped(snapshot, lambda d: np.abs(rng.normal(0, 1, d.size))), grads)
 
     code = run_cli(
         ["merge", "--pretrained", pre, "--finetuned", ft, "--grads", grads,
@@ -247,7 +247,7 @@ def test_pid_identical_profiles_print_unity(workspace, tmp_path, capsys):
     tmp, _ = workspace
     pre = pretrained_checkpoint(workspace)
     grads = tmp / "g.ckpt"
-    save_checkpoint(load_checkpoint(pre).map_data(np.abs), grads)
+    save_checkpoint(mapped(load_checkpoint(pre), np.abs), grads)
     capsys.readouterr()
     assert run_cli(["pid", "--pretrained", pre, "--grads", grads]) == 0
     value = float(capsys.readouterr().out.strip())
@@ -258,7 +258,7 @@ def test_pid_per_tensor_lists_every_tensor(workspace, tmp_path, capsys):
     tmp, _ = workspace
     pre = pretrained_checkpoint(workspace)
     grads = tmp / "g.ckpt"
-    save_checkpoint(load_checkpoint(pre).map_data(np.abs), grads)
+    save_checkpoint(mapped(load_checkpoint(pre), np.abs), grads)
     capsys.readouterr()
     assert run_cli(["pid", "--pretrained", pre, "--grads", grads, "--per-tensor"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -315,6 +315,21 @@ def test_bad_config_exits_2(tmp_path):
     assert main(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     cfg.write_text("{broken")
     assert main(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("learning_rate", ["1e308", "NaN"])
+def test_diverging_or_non_finite_config_exits_2_with_one_line(tmp_path, learning_rate):
+    # 1e308 passes validation and diverges in training; NaN is rejected up front
+    cfg = tmp_path / "config.json"
+    cfg.write_text(f'{{"learning_rate": {learning_rate}, "seeds": [0], "epochs": 1}}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "spiderft.cli", "pretrain", "--config", str(cfg),
+         "--out", str(tmp_path / "pre.ckpt")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert ("diverged" if learning_rate == "1e308" else "must be finite") in proc.stderr
 
 
 def test_corrupt_checkpoint_exits_2(workspace, tmp_path):

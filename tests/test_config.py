@@ -48,6 +48,19 @@ def test_bool_is_not_a_number():
         config_from_dict({"learning_rate": False})
 
 
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
+def test_non_finite_numbers_rejected(tmp_path, text):
+    path = tmp_path / "config.json"
+    for key in ("learning_rate", "beta", "l2_lambda"):
+        path.write_text(f'{{"{key}": {text}}}')
+        with pytest.raises(ConfigError, match="finite"):
+            load_config(path)
+    task = task_to_dict(ExperimentConfig().target)
+    task["covariance_scale"] = float(text) if text != "1" + "0" * 400 else 10**400
+    with pytest.raises(ConfigError, match="finite"):
+        config_from_dict({"target": task})
+
+
 def test_scalar_seed_normalizes_to_list():
     assert config_from_dict({"seeds": 3}).seeds == [3]
     assert config_from_dict({"seeds": [1, 2]}).seeds == [1, 2]

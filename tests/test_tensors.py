@@ -226,11 +226,15 @@ def test_tensor_map_copy_is_independent():
     assert a["x"].data[0] == 1.0
 
 
-def test_tensor_map_zip_data_checks_alignment():
-    a = tmap(x=[1.0])
-    b = tmap(x=[1.0, 2.0])
-    with pytest.raises(AlignmentError):
-        a.zip_data(b, np.add, "test")
+def test_packed_map_views_one_buffer():
+    m = tmap(x=[1.0, 2.0], y=[3.0])
+    packed = m.copy()
+    assert m.flat is None and packed.flat is not None
+    np.testing.assert_array_equal(packed.flat, [1.0, 2.0, 3.0])
+    packed["y"].data[0] = 9.0
+    assert packed.flat[2] == 9.0 and m["y"].data[0] == 3.0
+    with pytest.raises(ValueError):
+        m.with_flat(np.zeros(4))
 
 
 def test_zscore_map_global_matches_concatenated_stats():

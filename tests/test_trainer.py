@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from spiderft import trainer
+from spiderft.checkpoint import load_checkpoint, save_checkpoint
 from spiderft.errors import (
     AlignmentError,
     ConfigError,
     DimensionError,
+    DivergenceError,
     StaleCacheError,
 )
 from spiderft.tensors import FlatTensor, TensorMap
@@ -30,6 +33,7 @@ from spiderft.trainer import (
 
 from helpers import (
     finite_diff_grads,
+    mapped,
     max_rel_error,
     model_layers,
     ref_forward,
@@ -235,7 +239,7 @@ def test_sgd_zero_learning_rate_is_bitwise_noop():
 def test_sgd_rejects_gradients_for_frozen_tensors():
     model = small_model(dims=(4, 5, 3), tail=1)  # layer0 frozen
     before = model.tensor_map().copy()
-    full_grads = model.tensor_map().map_data(np.ones_like)
+    full_grads = mapped(model.tensor_map(), np.ones_like)
     with pytest.raises(AlignmentError):
         sgd_step(model, full_grads, lr=0.1)
     for a, b in zip(before, model.tensor_map()):
@@ -258,7 +262,7 @@ def test_sgd_per_tensor_rate_overrides():
 def test_sgd_bumps_version():
     model = small_model()
     v = model.version
-    grads = model.tensor_map(trainable_only=True).map_data(np.zeros_like)
+    grads = mapped(model.tensor_map(trainable_only=True), np.zeros_like)
     sgd_step(model, grads, lr=0.1)
     assert model.version == v + 1
 
@@ -317,7 +321,7 @@ def test_model_from_tensor_map_rejects_incomplete_layers():
 def test_load_values_writes_in_place_and_bumps_version():
     model = small_model()
     v = model.version
-    new = model.tensor_map(trainable_only=True).map_data(lambda d: d + 1.0)
+    new = mapped(model.tensor_map(trainable_only=True), lambda d: d + 1.0)
     buffers = [t.data for t in model.tensors()]
     model.load_values(new)
     assert model.version == v + 1
@@ -540,6 +544,100 @@ def test_final_accumulator_is_exposed_for_dumping():
     assert log.final_accumulator is not None
     assert log.final_accumulator.aligned_with(pretrained)
     assert np.all(log.final_accumulator.concat() >= 0.0)
+
+
+def test_model_after_packed_run(tmp_path):
+    model = small_model(seed=16)
+    frozen = {t.name: t.data.copy() for t in model.tensors() if not model.trainable[t.name]}
+    pretrained = model.tensor_map(trainable_only=True).copy()
+    inputs, labels = blob_data(16, n=48)
+    batch = Batch(inputs, labels)
+    model, _ = finetune_spider(model, pretrained, batches_of(inputs, labels, 16), TrainConfig())
+
+    # the trainable tensors are consecutive views of one buffer; frozen ones are untouched
+    trainables = list(model.tensor_map(trainable_only=True))
+    flat = trainables[0].data.base
+    assert flat.size == sum(t.size for t in trainables)
+    assert all(t.data.base is flat for t in trainables)
+    for name, before in frozen.items():
+        assert np.array_equal(model.tensor_map()[name].data, before)
+
+    loss, _ = forward(model, batch)
+    clone = model.copy()
+    assert forward(clone, batch)[0] == loss
+    assert not any(np.shares_memory(a.data, flat) for a in clone.tensors())
+
+    path = tmp_path / "tuned.ckpt"
+    save_checkpoint(model.tensor_map(), path)
+    loaded = load_checkpoint(path)
+    assert forward(model_from_tensor_map(loaded), batch)[0] == pytest.approx(loss, rel=1e-5)
+
+    model.load_values(loaded)
+    assert all(t.data.base is flat for t in trainables)  # written in place
+    for t in model.tensors():
+        assert np.array_equal(t.data, loaded[t.name].data)
+    # a second run packs afresh and leaves the first buffer alone
+    before = flat.copy()
+    finetune_spider(model, model.tensor_map(trainable_only=True).copy(), [batch], TrainConfig())
+    assert np.array_equal(flat, before)
+    assert not any(np.shares_memory(t.data, flat) for t in model.tensor_map(trainable_only=True))
+
+
+def test_changed_weights_are_the_last_merged_masks_support(monkeypatch):
+    merged = []
+    real_merge = trainer.merge
+
+    def recording_merge(current, pretrained, mask, **kwargs):
+        merged.append((mask, mask.mask.concat()))
+        return real_merge(current, pretrained, mask, **kwargs)
+
+    monkeypatch.setattr(trainer, "merge", recording_merge)
+    for method in ("spider", "spider_binary", "spider_weighted_norescale"):
+        merged.clear()
+        model, log, pretrained = spider_run(method=method, seed=17, epochs=3)
+        mask, at_merge = merged[-1]
+        # the driver leaves the last merged mask's buffer alone after the merge
+        assert np.array_equal(mask.mask.concat(), at_merge)
+        changed = model.tensor_map(trainable_only=True).concat() != pretrained.concat()
+        assert np.array_equal(changed, at_merge != 0.0)
+        assert log.mask_density[-1] == np.count_nonzero(at_merge) / at_merge.size
+
+
+@pytest.mark.parametrize("method", ["spider", "full_ft"])
+def test_non_finite_weights_raise_divergence_error(method):
+    model = small_model(seed=19)
+    pretrained = model.tensor_map(trainable_only=True).copy()
+    inputs, labels = blob_data(19, n=32)
+    cfg = TrainConfig(method=method, batch_size=16, lr_overrides={"layer2.bias": math.inf})
+    driver = finetune_spider if method == "spider" else finetune_baseline
+    with pytest.raises(DivergenceError, match=r"iteration 0: non-finite weights in 'layer2.bias'"):
+        driver(model, pretrained, batches_of(inputs, labels, 16), cfg)
+
+
+def test_non_finite_loss_raises_divergence_error():
+    model = small_model(seed=20)
+    pretrained = model.tensor_map(trainable_only=True).copy()
+    inputs, labels = blob_data(20, n=32)
+    inputs[20, 0] = np.nan  # second batch
+    with pytest.raises(DivergenceError, match=r"iteration 1: loss is nan"):
+        finetune_spider(model, pretrained, batches_of(inputs, labels, 16), TrainConfig())
+
+
+def test_non_finite_gradient_raises_divergence_error(monkeypatch):
+    real_backward = trainer.backward
+
+    def poisoned(model, cache):
+        grads = real_backward(model, cache)
+        grads["layer1.bias"].data[0] = np.inf
+        return grads
+
+    monkeypatch.setattr(trainer, "backward", poisoned)
+    model = small_model(seed=21)
+    pretrained = model.tensor_map(trainable_only=True).copy()
+    inputs, labels = blob_data(21, n=16)
+    with pytest.raises(DivergenceError, match=r"iteration 0: non-finite gradient in 'layer1.bias'"):
+        finetune_baseline(model, pretrained, batches_of(inputs, labels, 16),
+                          TrainConfig(method="l2_reg"))
 
 
 # ---------------------------------------------------------------------------
