@@ -39,7 +39,6 @@ from .errors import (
 )
 from .importance import (
     GradAccumulator,
-    ImportanceScores,
     accumulate_gradient,
     generalization_importance,
     pid,
@@ -53,6 +52,7 @@ from .masking import (
     merge,
     random_half_mask,
     rescale_mask,
+    select_mask,
     weighted_mask,
 )
 from .tensors import FlatTensor, TensorMap, cosine_similarity, sigmoid, zscore

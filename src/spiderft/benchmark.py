@@ -29,24 +29,20 @@ from .trainer import (
     RunLog,
     ToyModel,
     TrainConfig,
+    _loss_and_gradient,
+    _require_finite,
     batches_of,
     build_model,
     finetune_baseline,
     finetune_spider,
     forward,
     set_trainable_tail,
+    sgd_step,
 )
 
 ZERO_SHOT = "zero_shot"
 
-# selection-strategy arms run through the binary-mask driver
-SELECTION_ARMS = {
-    "select_random": "random",
-    "select_magnitude": "magnitude",
-    "select_gradient": "gradient",
-}
-
-METHOD_CHOICES = (ZERO_SHOT,) + BASELINE_METHODS + SPIDER_METHODS + tuple(SELECTION_ARMS)
+METHOD_CHOICES = (ZERO_SHOT,) + BASELINE_METHODS + SPIDER_METHODS
 
 DEFAULT_INPUT_DIM = 8
 DEFAULT_CLASS_COUNT = 3
@@ -209,8 +205,9 @@ def pretrain(
 ) -> tuple[ToyModel, TensorMap]:
     """Train one shared model on the interleaved union of the source tasks.
 
-    All layers are trainable here; freezing happens at fine-tuning time.
-    Returns the model and a frozen copy of its weights.
+    Plain SGD on all layers (freezing happens at fine-tuning time), with
+    the same per-step divergence checks as fine-tuning.  Returns the model
+    and a frozen copy of its weights; cfg.method is not used.
     """
     if not suite:
         raise ConfigError("pretrain needs a non-empty suite")
@@ -222,10 +219,18 @@ def pretrain(
     datasets = [generate_task(spec, n_per_task) for spec in suite]
     inputs, labels = _interleaved_train_set(datasets)
     model = build_model([input_dim, *HIDDEN_DIMS, class_count], seed=cfg.seed)
-    init = model.tensor_map().copy()
-    run_cfg = replace(cfg, method="full_ft")
-    finetune_baseline(model, init, batches_of(inputs, labels, cfg.batch_size), run_cfg)
-    return model, model.tensor_map().copy()
+    weights = model.tensor_map().pack()
+    batches = batches_of(inputs, labels, cfg.batch_size)
+    it = 0
+    # the per-step checks report divergence; numpy's float warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _epoch in range(cfg.epochs):
+            for batch in batches:
+                _, grads = _loss_and_gradient(model, batch, it)
+                sgd_step(model, grads, cfg.learning_rate, cfg.lr_overrides)
+                _require_finite(it, "weights", weights)
+                it += 1
+    return model, weights.copy()
 
 
 def predict(model: ToyModel, inputs: np.ndarray) -> np.ndarray:
@@ -309,26 +314,21 @@ def finetune_with_method(
     cfg: TrainConfig,
     method: str,
 ) -> tuple[ToyModel, RunLog]:
-    """Dispatch a method tag to the right driver (or to no-op for zero_shot)."""
+    """Fine-tune with `method`; zero_shot runs nothing, unknown names raise ConfigError."""
     if method == ZERO_SHOT:
         return model, RunLog(method=ZERO_SHOT)
-    if method in SELECTION_ARMS:
-        run_cfg = replace(cfg, method="spider_binary", selection=SELECTION_ARMS[method])
-        return finetune_spider(model, pretrained, data, run_cfg)
-    if method in SPIDER_METHODS:
-        return finetune_spider(model, pretrained, data, replace(cfg, method=method))
-    if method in BASELINE_METHODS:
-        return finetune_baseline(model, pretrained, data, replace(cfg, method=method))
-    raise ConfigError(f"unknown method {method!r}")
+    run = finetune_spider if method in SPIDER_METHODS else finetune_baseline
+    return run(model, pretrained, data, replace(cfg, method=method))
 
 
-def _finetune_cell(
+def finetune_cell(
     base_model: ToyModel,
     train_inputs: np.ndarray,
     train_labels: np.ndarray,
     cfg: TrainConfig,
     method: str,
 ) -> tuple[ToyModel, RunLog]:
+    """Fine-tune a copy of base_model with its last cfg.trainable_layer_count layers trainable."""
     model = base_model.copy()
     set_trainable_tail(model, cfg.trainable_layer_count)
     pretrained = model.tensor_map(trainable_only=True).copy()
@@ -367,7 +367,7 @@ def run_experiment(
             suite, replace(seed_cfg, epochs=pretrain_epochs), n_per_task
         )
         for method in methods:
-            model, log = _finetune_cell(
+            model, log = finetune_cell(
                 base_model, target_data.train_inputs, target_data.train_labels, seed_cfg, method
             )
             source_accs = {s.task_id: evaluate(model, s, n_eval) for s in suite}
@@ -411,7 +411,7 @@ def measure_pid_direction(
         (target_data.train_inputs, target_data.train_labels),
         (replay_inputs[:keep], replay_labels[:keep]),
     ):
-        _, log = _finetune_cell(base_model, inputs, labels, seed_cfg, "full_ft")
+        _, log = finetune_cell(base_model, inputs, labels, seed_cfg, "full_ft")
         pids.append(log.pid[-1])
     return pids[0], pids[1]
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -19,30 +20,41 @@ from .benchmark import (
     CSV_HEADER,
     DEFAULT_SAMPLES,
     METHOD_CHOICES,
-    ZERO_SHOT,
     build_report,
     evaluate,
-    finetune_with_method,
+    finetune_cell,
     generate_task,
-    h_average,
     metrics_csv,
-    o_average,
     pretrain,
-    source_average,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import load_config
 from .errors import AlignmentError, ConfigError, FormatError, SpiderftError
 from .importance import GradAccumulator, generalization_importance, pid, pid_per_tensor, specialization_importance
-from .masking import binary_mask, dare_mask_and_rescale, merge, rescale_mask, weighted_mask
+from .masking import DISCREPANCY_MASKS, dare_mask_and_rescale, merge, select_mask
 from .tensors import NORMALIZATION_SCOPES, TensorMap
-from .trainer import RunLog, batches_of, model_from_tensor_map, set_trainable_tail
+from .trainer import RunLog, model_from_tensor_map
 
-MERGE_STRATEGIES = ("binary", "weighted", "rescaled", "dare")
+MERGE_STRATEGIES = DISCREPANCY_MASKS + ("dare",)
 
 
 class _UsageError(Exception):
     pass
+
+
+def _bounded(convert, low: float, high: float = math.inf):
+    """An argparse type: `convert`, then require low <= value < high."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not low <= value < high:  # NaN fails too
+            raise argparse.ArgumentTypeError(
+                f"expected a value in [{low:g}, {high:g}), got {text!r}"
+            )
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value: ..."
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,8 +73,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _cmd_pretrain(args) -> int:
     cfg = load_config(args.config)
-    tcfg = cfg.to_train_config(method="full_ft")
-    model, snapshot = pretrain(cfg.suite, tcfg)
+    model, snapshot = pretrain(cfg.suite, cfg.to_train_config())
     save_checkpoint(snapshot, args.out)
     for spec in cfg.suite:
         print(f"accuracy {spec.task_id} {evaluate(model, spec)}")
@@ -77,12 +88,8 @@ def _cmd_finetune(args) -> int:
     tcfg = cfg.to_train_config(seed=seed, method=method)
 
     model = model_from_tensor_map(load_checkpoint(args.pretrained))
-    set_trainable_tail(model, cfg.trainable_layers)
-    pretrained = model.tensor_map(trainable_only=True).copy()
     target = generate_task(cfg.target, DEFAULT_SAMPLES)
-    data = batches_of(target.train_inputs, target.train_labels, tcfg.batch_size)
-
-    model, log = finetune_with_method(model, pretrained, data, tcfg, method)
+    model, log = finetune_cell(model, target.train_inputs, target.train_labels, tcfg, method)
     save_checkpoint(model.tensor_map(), args.out)
 
     if args.log:
@@ -133,14 +140,12 @@ def _cmd_merge(args) -> int:
         sub_pre = _gradient_domain(pretrained, grads, "merge")
         sub_fine = _gradient_domain(finetuned, grads, "merge")
         state = GradAccumulator(acc=grads, beta=0.9, initialized=True)
-        g_scores = specialization_importance(state, args.scope)
-        i_scores = generalization_importance(sub_pre, args.scope)
-        if args.strategy == "binary":
-            mask = binary_mask(g_scores, i_scores)
-        elif args.strategy == "weighted":
-            mask = weighted_mask(g_scores, i_scores)
-        else:
-            mask = rescale_mask(weighted_mask(g_scores, i_scores), args.scope)
+        mask = select_mask(
+            args.strategy,
+            specialization_importance(state, args.scope),
+            generalization_importance(sub_pre, args.scope),
+            args.scope,
+        )
         masked = merge(sub_fine, sub_pre, mask)
         # tensors without gradient evidence stay at the pretrained values
         merged = TensorMap.from_tensors(
@@ -157,21 +162,19 @@ def _cmd_eval(args) -> int:
     model = model_from_tensor_map(load_checkpoint(args.model))
 
     source_accs = {spec.task_id: evaluate(model, spec) for spec in cfg.suite}
-    target_acc = evaluate(model, cfg.target)
-    a_s = source_average(list(source_accs.values()))
-    for task_id, acc in source_accs.items():
+    report = build_report(
+        args.method_label, args.seed_label, source_accs, evaluate(model, cfg.target),
+        RunLog(method=args.method_label),
+    )
+    for task_id, acc in report.per_source_accuracy.items():
         print(f"accuracy {task_id} {acc}")
-    print(f"accuracy {cfg.target.task_id} {target_acc}")
-    print(f"source_avg {a_s}")
-    print(f"target_accuracy {target_acc}")
-    h = h_average(a_s, target_acc) if min(a_s, target_acc) > 0 else 0.0
-    print(f"h_average {h}")
-    print(f"o_average {o_average(a_s, target_acc)}")
+    print(f"accuracy {cfg.target.task_id} {report.target_accuracy}")
+    print(f"source_avg {report.source_avg}")
+    print(f"target_accuracy {report.target_accuracy}")
+    print(f"h_average {report.h_avg}")
+    print(f"o_average {report.o_avg}")
 
     if args.out:
-        report = build_report(
-            args.method_label, args.seed_label, source_accs, target_acc, RunLog(method=args.method_label)
-        )
         Path(args.out).write_text(metrics_csv([report]))
     return 0
 
@@ -249,7 +252,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--pretrained", required=True)
     p.add_argument("--method", choices=METHOD_CHOICES, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_bounded(int, 0), default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--log", default=None, help="per-iteration trace CSV")
     p.add_argument("--grad-dump", default=None, help="save the accumulated |grad| map")
@@ -264,8 +267,8 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--strategy", choices=MERGE_STRATEGIES, required=True)
     p.add_argument("--scope", choices=NORMALIZATION_SCOPES, default="per_tensor")
-    p.add_argument("--drop-p", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--drop-p", type=_bounded(float, 0.0, 1.0), default=0.5)
+    p.add_argument("--seed", type=_bounded(int, 0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_merge, parser=p)
 

@@ -16,7 +16,7 @@ import numpy as np
 from .benchmark import METHOD_CHOICES, TaskSpec, default_suite, default_target
 from .errors import ConfigError
 from .tensors import NORMALIZATION_SCOPES
-from .trainer import BASELINE_METHODS, SPIDER_METHODS, TrainConfig
+from .trainer import TrainConfig
 
 CONFIG_KEYS = (
     "method",
@@ -124,22 +124,17 @@ class ExperimentConfig:
             raise ConfigError("seeds must be non-empty")
         if self.normalization_scope not in NORMALIZATION_SCOPES:
             raise ConfigError(f"unknown normalization_scope {self.normalization_scope!r}")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
         if self.trainable_layers < 1:
             raise ConfigError("trainable_layers must be >= 1")
+        for seed in self.seeds:  # TrainConfig checks the training fields and the seed
+            self.to_train_config(seed)
 
     def to_train_config(self, seed: int | None = None, method: str | None = None) -> TrainConfig:
-        chosen = self.method if method is None else method
-        # selection arms and zero_shot are dispatched by name in the benchmark
-        base = chosen if chosen in SPIDER_METHODS + BASELINE_METHODS else "spider"
         return TrainConfig(
             learning_rate=self.learning_rate,
             epochs=self.epochs,
             batch_size=self.batch_size,
-            method=base,
+            method=self.method if method is None else method,
             l2_lambda=self.l2_lambda,
             l1_lambda=self.l1_lambda,
             dare_drop_p=self.dare_drop_p,

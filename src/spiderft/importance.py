@@ -26,24 +26,9 @@ import numpy as np
 from .errors import UninitializedError
 from .tensors import TensorMap, aligned_arrays, cosine_array, sigmoid_array, zscore_map
 
-GENERALIZATION = "generalization"
-SPECIALIZATION = "specialization"
-
 # cos of two nonnegative vectors is >= 0 but can be exactly 0; the clamp
 # keeps the inverse-square diagnostic finite (0 maps to 1e12).
 PID_COS_FLOOR = 1e-6
-
-
-@dataclass
-class ImportanceScores:
-    """Per-parameter scores in (0, 1), aligned with the trainable set."""
-
-    scores: TensorMap
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in (GENERALIZATION, SPECIALIZATION):
-            raise ValueError(f"unknown importance kind {self.kind!r}")
 
 
 @dataclass
@@ -89,23 +74,19 @@ def _sigmoid_of_zscore(tm: TensorMap, scope: str) -> TensorMap:
     return scores
 
 
-def generalization_importance(
-    pretrained: TensorMap, scope: str = "per_tensor"
-) -> ImportanceScores:
-    """sigmoid(zscore(|w_pre|)) per tensor (or with global stats)."""
+def generalization_importance(pretrained: TensorMap, scope: str = "per_tensor") -> TensorMap:
+    """sigmoid(zscore(|w_pre|)) per tensor (or with global stats), in (0, 1)."""
     magnitudes = pretrained.with_flat(np.abs(pretrained.as_flat()))
-    return ImportanceScores(_sigmoid_of_zscore(magnitudes, scope), GENERALIZATION)
+    return _sigmoid_of_zscore(magnitudes, scope)
 
 
-def specialization_importance(
-    state: GradAccumulator, scope: str = "per_tensor"
-) -> ImportanceScores:
+def specialization_importance(state: GradAccumulator, scope: str = "per_tensor") -> TensorMap:
     """sigmoid(zscore(acc)); the abs is already folded into accumulation."""
     if not state.initialized:
         raise UninitializedError(
             "specialization importance requested before any gradient was accumulated"
         )
-    return ImportanceScores(_sigmoid_of_zscore(state.acc, scope), SPECIALIZATION)
+    return _sigmoid_of_zscore(state.acc, scope)
 
 
 def _pid_from_cos(c: float) -> float:

@@ -8,24 +8,29 @@ optimizer step the model is pulled back toward the pretrained weights:
 
     w  <-  w * M + w_pre * (1 - M)
 
-Random baselines live here too: the half-block mask (a fresh random half
-of the named tensors each iteration) and the drop-and-rescale transform on
-delta parameters.
+``select_mask`` is the one entry point that picks a mask by name, for the
+fine-tuning loop and the offline merge alike; besides the three comparison
+masks it builds the ablation arms that update a fixed fraction gamma of
+each tensor (random, smallest pretrained magnitude, largest accumulated
+gradient).  Random baselines live here too: the half-block mask (a fresh
+random half of the named tensors each iteration) and the drop-and-rescale
+transform on delta parameters.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .importance import GENERALIZATION, SPECIALIZATION, ImportanceScores
 from .tensors import NORMALIZATION_SCOPES, TensorMap, aligned_arrays, masked_mean_array
 
 logger = logging.getLogger(__name__)
 
-MASK_VARIANTS = ("binary", "weighted", "rescaled", "random_half", "random_dare")
+# the masks that compare specialization scores G with generalization scores I
+DISCREPANCY_MASKS = ("binary", "weighted", "rescaled")
 
 
 @dataclass
@@ -33,12 +38,7 @@ class UpdateMask:
     """Per-tensor update weights in [0, 1]."""
 
     mask: TensorMap
-    variant: str
     empty_selection: bool = False
-
-    def __post_init__(self):
-        if self.variant not in MASK_VARIANTS:
-            raise ValueError(f"unknown mask variant {self.variant!r}")
 
     @property
     def density(self) -> float:
@@ -50,35 +50,25 @@ class UpdateMask:
         return nonzero / total
 
 
-def _check_kinds(g: ImportanceScores, i: ImportanceScores) -> None:
-    if g.kind != SPECIALIZATION or i.kind != GENERALIZATION:
-        raise ValueError(
-            f"mask expects (specialization, generalization) scores, "
-            f"got ({g.kind!r}, {i.kind!r})"
-        )
-
-
-def binary_mask(g: ImportanceScores, i: ImportanceScores) -> UpdateMask:
+def binary_mask(g: TensorMap, i: TensorMap) -> UpdateMask:
     """1 where G > I (strict), else 0."""
-    _check_kinds(g, i)
-    g.scores.require_aligned(i.scores, "binary_mask")
-    mask = g.scores.with_flat(np.empty(g.scores.total_size))
-    for gv, iv, m in aligned_arrays(g.scores, i.scores, mask):
+    g.require_aligned(i, "binary_mask")
+    mask = g.with_flat(np.empty(g.total_size))
+    for gv, iv, m in aligned_arrays(g, i, mask):
         np.greater(gv, iv, out=m)
-    return UpdateMask(mask, "binary")
+    return UpdateMask(mask)
 
 
-def weighted_mask(g: ImportanceScores, i: ImportanceScores) -> UpdateMask:
+def weighted_mask(g: TensorMap, i: TensorMap) -> UpdateMask:
     """G / (G + I) where G > I, else 0; nonzero entries land in (0.5, 1)."""
-    _check_kinds(g, i)
-    g.scores.require_aligned(i.scores, "weighted_mask")
-    mask = g.scores.with_flat(np.empty(g.scores.total_size))
-    for gv, iv, m in aligned_arrays(g.scores, i.scores, mask):
+    g.require_aligned(i, "weighted_mask")
+    mask = g.with_flat(np.empty(g.total_size))
+    for gv, iv, m in aligned_arrays(g, i, mask):
         np.add(gv, iv, out=m)
         np.divide(gv, m, out=m)
         # scores lie in (0, 1), so the ratio is finite and x * 0.0 == 0.0
         m *= gv > iv
-    return UpdateMask(mask, "weighted")
+    return UpdateMask(mask)
 
 
 def rescale_mask(
@@ -91,8 +81,6 @@ def rescale_mask(
     entries is returned unchanged (flagged, and logged as a warning).
     The result goes to a fresh map, or into `out` (which may be m.mask).
     """
-    if m.variant != "weighted":
-        raise ValueError(f"rescale_mask expects a weighted mask, got {m.variant!r}")
     if scope not in NORMALIZATION_SCOPES:
         raise ValueError(f"unknown normalization scope {scope!r}")
     if out is None:
@@ -116,7 +104,7 @@ def rescale_mask(
         np.minimum(dest, 1.0, out=dest)
     if not any_selected:
         logger.warning("rescale_mask: empty selection, mask left all-zero")
-    return UpdateMask(out, "rescaled", empty_selection=not any_selected)
+    return UpdateMask(out, empty_selection=not any_selected)
 
 
 def merge(
@@ -153,7 +141,51 @@ def random_half_mask(shape_of: TensorMap, rng_seed: int) -> UpdateMask:
     tensors = list(mask)
     for idx in chosen.tolist():
         tensors[idx].data.fill(1.0)
-    return UpdateMask(mask, "random_half")
+    return UpdateMask(mask)
+
+
+def _gamma_mask(tm: TensorMap, gamma: float, pick) -> UpdateMask:
+    """Binary mask on the floor(size * gamma) entries pick(values, k) of each tensor."""
+    mask = tm.with_flat(np.zeros(tm.total_size))
+    for t, m in zip(tm, mask):
+        k = int(math.floor(t.size * gamma))
+        if k:
+            m.data[pick(t.data, k)] = 1.0
+    return UpdateMask(mask)
+
+
+def select_mask(
+    variant: str,
+    g: TensorMap,
+    i: TensorMap,
+    scope: str = "per_tensor",
+    *,
+    gamma: float = 0.5,
+    seed: int = 0,
+) -> UpdateMask:
+    """The update mask named by `variant`, from the evidence for updating (g)
+    and for keeping the pretrained value (i).
+
+    * ``binary`` / ``weighted`` / ``rescaled`` -- compare specialization
+      scores g with generalization scores i; rescaling uses `scope`;
+    * ``gradient`` -- the gamma fraction of largest g (accumulated |grad|);
+    * ``magnitude`` -- the gamma fraction of smallest |i| (pretrained weights);
+    * ``random`` -- a random gamma fraction drawn from `seed`, shaped like g.
+    """
+    if variant == "binary":
+        return binary_mask(g, i)
+    if variant in ("weighted", "rescaled"):
+        m = weighted_mask(g, i)
+        del g  # a caller that passes fresh scores gets them freed before the rescale
+        return rescale_mask(m, scope, out=m.mask) if variant == "rescaled" else m
+    if variant == "gradient":
+        return _gamma_mask(g, gamma, lambda v, k: np.argsort(v, kind="stable")[-k:])
+    if variant == "magnitude":
+        return _gamma_mask(i, gamma, lambda v, k: np.argsort(np.abs(v), kind="stable")[:k])
+    if variant == "random":
+        rng = np.random.default_rng(seed)
+        return _gamma_mask(g, gamma, lambda v, k: rng.choice(v.size, size=k, replace=False))
+    raise ValueError(f"unknown mask variant {variant!r}")
 
 
 def dare_mask_and_rescale(delta: TensorMap, drop_p: float, rng_seed: int) -> TensorMap:

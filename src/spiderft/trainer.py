@@ -5,15 +5,19 @@ into a softmax head) over float64 numpy arrays.  Gradients are derived by
 hand so the whole training path stays dependency-free and checkable
 against finite differences.
 
-Two drivers share the loop skeleton:
+Every method runs the same fine-tuning loop: per iteration forward,
+backward, fold |grad| into the accumulator, SGD step, pid trace.  The
+method name alone picks up to three hooks on it:
 
-* ``finetune_spider`` -- per iteration: forward, backward, fold the
-  gradient into the accumulator, build the update mask (importance
-  comparison or one of the ablation selection arms), take the SGD step,
-  then merge the result with the pretrained snapshot through the mask.
-* ``finetune_baseline`` -- plain SGD plus the counterpart family:
-  L2/L1 pull-back regularizers, random half-block gating, and post-hoc
-  drop-and-rescale on the final delta.
+* a gradient edit before accumulation -- the L2/L1 pull-back terms
+  (``l2_reg``, ``l1_graft``) and random half-block gating (``half_ft``);
+* a mask merged after the SGD step, pulling deselected weights back to the
+  pretrained snapshot (the ``spider`` family and the ``select_*`` arms; see
+  ``masking.select_mask``);
+* a drop-and-rescale of the final delta after the run (``dare``).
+
+``finetune_spider`` runs the masked methods and ``finetune_baseline`` the
+counterparts; both are thin checks in front of the one loop.
 
 Each run first packs the model's trainable tensors into one contiguous
 buffer (the layers keep views of it), so the per-iteration chain is a few
@@ -42,29 +46,33 @@ from .errors import (
 )
 from .importance import (
     GradAccumulator,
-    ImportanceScores,
     accumulate_gradient,
     generalization_importance,
     pid,
     specialization_importance,
 )
 from .masking import (
-    UpdateMask,
-    binary_mask,
+    DISCREPANCY_MASKS,
     dare_mask_and_rescale,
     merge,
     random_half_mask,
-    rescale_mask,
-    weighted_mask,
+    select_mask,
 )
 from .tensors import FlatTensor, TensorMap
 
 ACTIVATIONS = ("tanh", "identity")
 
-SPIDER_METHODS = ("spider", "spider_binary", "spider_weighted_norescale")
+# masked methods: the masking.select_mask variant merged after each SGD step
+MASK_OF_METHOD = {
+    "spider": "rescaled",
+    "spider_binary": "binary",
+    "spider_weighted_norescale": "weighted",
+    "select_random": "random",
+    "select_magnitude": "magnitude",
+    "select_gradient": "gradient",
+}
+SPIDER_METHODS = tuple(MASK_OF_METHOD)
 BASELINE_METHODS = ("full_ft", "l2_reg", "l1_graft", "half_ft", "dare")
-
-SELECTIONS = ("discrepancy", "random", "magnitude", "gradient")
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +276,17 @@ def backward(model: ToyModel, cache: ForwardCache) -> TensorMap:
     # one packed buffer; the driver checks its values once per step
     layout = [(t.name, t.shape) for t in model.tensors() if model.trainable[t.name]]
     grads = TensorMap.over(layout, np.empty(sum(math.prod(s) for _, s in layout)))
-    for k in range(len(model.layers) - 1, -1, -1):
+    # no layer below the lowest trainable one needs its gradient
+    lowest = next((k for k, layer in enumerate(model.layers)
+                   if layer.weight.name in grads or layer.bias.name in grads), len(model.layers))
+    for k in range(len(model.layers) - 1, lowest - 1, -1):
         layer = model.layers[k]
         a_in = cache.layer_inputs[k]
         if layer.weight.name in grads:
             np.matmul(dz.T, a_in, out=grads[layer.weight.name].view())
         if layer.bias.name in grads:
             np.sum(dz, axis=0, out=grads[layer.bias.name].data)
-        if k > 0:
+        if k > lowest:
             da = dz @ layer.weight.view()
             below = model.layers[k - 1]
             dz = da * (1.0 - a_in**2) if below.activation == "tanh" else da
@@ -317,7 +328,6 @@ class TrainConfig:
     trainable_layer_count: int = 2
     normalization_scope: str = "per_tensor"
     accumulator_reset_per_epoch: bool = False
-    selection: str = "discrepancy"
     selection_gamma: float = 0.5
     lr_overrides: dict[str, float] = field(default_factory=dict)
 
@@ -332,8 +342,8 @@ class TrainConfig:
             raise ConfigError("beta must be in [0, 1)")
         if not 0.0 <= self.dare_drop_p < 1.0:
             raise ConfigError("dare_drop_p must be in [0, 1)")
-        if self.selection not in SELECTIONS:
-            raise ConfigError(f"unknown selection {self.selection!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.selection_gamma <= 1.0:
             raise ConfigError("selection_gamma must be in (0, 1]")
 
@@ -363,64 +373,6 @@ def _iteration_seeds(seed: int, count: int) -> np.ndarray:
     return np.random.SeedSequence(seed).generate_state(max(count, 1), dtype=np.uint64)
 
 
-class _AuxMaps:
-    """Registry of trainable-sized maps the driver keeps across iterations."""
-
-    def __init__(self, reference: TensorMap):
-        self._signature = reference.signature()
-        self._held: dict[str, TensorMap] = {}
-
-    def hold(self, name: str, tm: TensorMap) -> TensorMap:
-        if tm.signature() != self._signature:
-            raise AlignmentError(f"auxiliary map {name!r} is not trainable-sized")
-        self._held[name] = tm
-        return tm
-
-    @property
-    def count(self) -> int:
-        return len(self._held)
-
-
-def _gamma_count(size: int, gamma: float) -> int:
-    return int(math.floor(size * gamma))
-
-
-def _topk_mask(tm: TensorMap, gamma: float, largest: bool) -> UpdateMask:
-    """Binary mask on the gamma fraction of entries per tensor, by value."""
-    mask = tm.with_flat(np.zeros(tm.total_size))
-    for t, m in zip(tm, mask):
-        k = _gamma_count(t.size, gamma)
-        if k:
-            order = np.argsort(t.data, kind="stable")
-            m.data[order[-k:] if largest else order[:k]] = 1.0
-    return UpdateMask(mask, "binary")
-
-
-def _random_gamma_mask(tm: TensorMap, gamma: float, rng_seed: int) -> UpdateMask:
-    rng = np.random.default_rng(rng_seed)
-    mask = tm.with_flat(np.zeros(tm.total_size))
-    for m in mask:
-        k = _gamma_count(m.size, gamma)
-        if k:
-            m.data[rng.choice(m.size, size=k, replace=False)] = 1.0
-    return UpdateMask(mask, "binary")
-
-
-def _packed_run(
-    model: ToyModel, pretrained: TensorMap, op: str
-) -> tuple[TensorMap, TensorMap]:
-    """Pack the model's trainable tensors; a packed pretrained snapshot.
-
-    The returned weights map holds the model's own tensor objects, so ops
-    that write into it write into the model.
-    """
-    weights = model.tensor_map(trainable_only=True)
-    weights.require_aligned(pretrained, op)
-    if pretrained.flat is None:
-        pretrained = pretrained.copy()
-    return weights.pack(), pretrained
-
-
 def _require_finite(it: int, what: str, tm: TensorMap) -> None:
     if np.isfinite(tm.as_flat()).all():
         return
@@ -438,135 +390,84 @@ def _loss_and_gradient(model: ToyModel, batch: Batch, it: int) -> tuple[float, T
     return loss, grads
 
 
+def _edit_gradient(
+    cfg: TrainConfig, loss: float, g: np.ndarray, weights: TensorMap, pretrained: TensorMap,
+    seed: int, log: RunLog,
+) -> float:
+    """The counterparts' gradient hook, in place on the packed gradient g.
+
+    Returns the loss with the pull-back penalty added.
+    """
+    if cfg.method == "l2_reg" and cfg.l2_lambda != 0.0:
+        drift = weights.flat - pretrained.flat
+        loss += cfg.l2_lambda * float(np.sum(drift**2))
+        drift *= 2.0 * cfg.l2_lambda
+        g += drift
+    elif cfg.method == "l1_graft" and cfg.l1_lambda != 0.0:
+        drift = weights.flat - pretrained.flat
+        loss += cfg.l1_lambda * float(np.sum(np.abs(drift)))
+        # subgradient at w == w_pre is 0 (np.sign(0) == 0)
+        np.sign(drift, out=drift)
+        drift *= cfg.l1_lambda
+        g += drift
+    elif cfg.method == "half_ft":
+        gate = random_half_mask(pretrained, seed)
+        g *= gate.mask.flat
+        log.mask_density.append(gate.density)
+    return loss
+
+
 # the per-step checks report divergence; numpy's float warnings would only
 # repeat it on stderr
 @np.errstate(over="ignore", invalid="ignore")
-def finetune_spider(
-    model: ToyModel,
-    pretrained: TensorMap,
-    data: Sequence[Batch],
-    cfg: TrainConfig,
+def _finetune(
+    model: ToyModel, pretrained: TensorMap, data: Sequence[Batch], cfg: TrainConfig
 ) -> tuple[ToyModel, RunLog]:
-    """Selective fine-tuning: mask-gated merge with the pretrained weights.
+    """The fine-tuning loop of every method; cfg.method picks the hooks."""
+    weights = model.tensor_map(trainable_only=True)
+    weights.require_aligned(pretrained, "finetune")
+    # the packed weights hold the model's own tensors: writing them writes the model
+    weights = weights.pack()
+    if pretrained.flat is None:
+        pretrained = pretrained.copy()
 
-    cfg.method picks the mask stage: ``spider`` (weighted + rescaled),
-    ``spider_binary`` (hard selection), ``spider_weighted_norescale``.
-    With method ``spider_binary``, cfg.selection may swap the importance
-    comparison for the random / magnitude / gradient ablation arms.
-    """
-    if cfg.method not in SPIDER_METHODS:
-        raise ConfigError(f"finetune_spider cannot run method {cfg.method!r}")
-    if cfg.selection != "discrepancy" and cfg.method != "spider_binary":
-        raise ConfigError("selection arms other than discrepancy use spider_binary")
-
-    weights, pretrained = _packed_run(model, pretrained, "finetune_spider")
-
-    aux = _AuxMaps(pretrained)
-    aux.hold("pretrained", pretrained)
     accumulator = GradAccumulator.empty(pretrained, cfg.beta)
-    aux.hold("accumulator", accumulator.acc)
-
-    gen_scores: ImportanceScores | None = None
-    fixed_selection: UpdateMask | None = None
-    if cfg.selection == "discrepancy":
-        gen_scores = generalization_importance(pretrained, cfg.normalization_scope)
-        aux.hold("generalization_importance", gen_scores.scores)
-    elif cfg.selection == "magnitude":
-        # smallest pretrained magnitudes = least generalization-critical
-        magnitudes = pretrained.with_flat(np.abs(pretrained.flat))
-        fixed_selection = _topk_mask(magnitudes, cfg.selection_gamma, largest=False)
-        aux.hold("selection_mask", fixed_selection.mask)
-
-    log = RunLog(method=cfg.method)
-    seeds = _iteration_seeds(cfg.seed, cfg.epochs * len(data))
+    variant, scope = MASK_OF_METHOD.get(cfg.method), cfg.normalization_scope
+    # the method's one fixed trainable-sized map, if any
+    fixed = None
+    if variant in DISCREPANCY_MASKS:
+        fixed = generalization_importance(pretrained, scope)
+    elif variant == "magnitude":
+        fixed = select_mask(variant, pretrained, pretrained, gamma=cfg.selection_gamma)
+    # the snapshot and the accumulator, plus the fixed map
+    log = RunLog(cfg.method, persistent_aux_maps=2 + (fixed is not None))
+    seeds = _iteration_seeds(cfg.seed, cfg.epochs * len(data) + 1)
 
     it = 0
     for epoch in range(cfg.epochs):
         if cfg.accumulator_reset_per_epoch and epoch > 0:
             accumulator = GradAccumulator.empty(pretrained, cfg.beta)
-            aux.hold("accumulator", accumulator.acc)
         for batch in data:
             loss, grads = _loss_and_gradient(model, batch, it)
+            loss = _edit_gradient(cfg, loss, grads.flat, weights, pretrained, int(seeds[it]), log)
             accumulate_gradient(accumulator, grads)
 
-            if cfg.selection == "discrepancy":
-                select = binary_mask if cfg.method == "spider_binary" else weighted_mask
-                spec_scores = specialization_importance(accumulator, cfg.normalization_scope)
-                mask = select(spec_scores, gen_scores)
-                del spec_scores  # freed before the step allocates
-                if cfg.method == "spider":
-                    mask = rescale_mask(mask, cfg.normalization_scope, out=mask.mask)
-            elif cfg.selection == "random":
-                mask = _random_gamma_mask(pretrained, cfg.selection_gamma, int(seeds[it]))
-            elif cfg.selection == "magnitude":
-                mask = fixed_selection
-            else:  # gradient
-                mask = _topk_mask(accumulator.acc, cfg.selection_gamma, largest=True)
+            if variant in DISCREPANCY_MASKS:
+                # no name holds the scores, so select_mask frees them before
+                # the rescale and the step allocate
+                mask = select_mask(variant, specialization_importance(accumulator, scope),
+                                   fixed, scope)
+            elif variant in ("random", "gradient"):
+                mask = select_mask(variant, accumulator.acc, pretrained,
+                                   gamma=cfg.selection_gamma, seed=int(seeds[it]))
+            else:
+                mask = fixed  # the magnitude arm's one mask, or none
 
             sgd_step(model, grads, cfg.learning_rate, cfg.lr_overrides)
             del grads  # freed before the merge allocates its temporary
-            model.load_values(merge(weights, pretrained, mask, out=weights))
-            _require_finite(it, "weights", weights)
-
-            log.losses.append(loss)
-            log.mask_density.append(mask.density)
-            log.pid.append(pid(pretrained, accumulator.acc))
-            it += 1
-
-    log.persistent_aux_maps = aux.count
-    if accumulator.initialized:
-        log.final_accumulator = accumulator.acc
-    return model, log
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def finetune_baseline(
-    model: ToyModel,
-    pretrained: TensorMap,
-    data: Sequence[Batch],
-    cfg: TrainConfig,
-) -> tuple[ToyModel, RunLog]:
-    """Counterpart fine-tuning methods (full/L2/L1/half-block/drop-rescale).
-
-    An accumulator is maintained for the importance-divergence trace only;
-    it never influences the update.
-    """
-    if cfg.method not in BASELINE_METHODS:
-        raise ConfigError(f"finetune_baseline cannot run method {cfg.method!r}")
-
-    weights, pretrained = _packed_run(model, pretrained, "finetune_baseline")
-
-    accumulator = GradAccumulator.empty(pretrained, cfg.beta)
-    log = RunLog(method=cfg.method)
-    seeds = _iteration_seeds(cfg.seed, cfg.epochs * len(data) + 1)
-
-    it = 0
-    for _epoch in range(cfg.epochs):
-        for batch in data:
-            loss, grads = _loss_and_gradient(model, batch, it)
-            g = grads.flat
-
-            if cfg.method == "l2_reg" and cfg.l2_lambda != 0.0:
-                drift = weights.flat - pretrained.flat
-                loss += cfg.l2_lambda * float(np.sum(drift**2))
-                drift *= 2.0 * cfg.l2_lambda
-                g += drift
-            elif cfg.method == "l1_graft" and cfg.l1_lambda != 0.0:
-                drift = weights.flat - pretrained.flat
-                loss += cfg.l1_lambda * float(np.sum(np.abs(drift)))
-                # subgradient at w == w_pre is 0 (np.sign(0) == 0)
-                np.sign(drift, out=drift)
-                drift *= cfg.l1_lambda
-                g += drift
-
-            if cfg.method == "half_ft":
-                gate = random_half_mask(pretrained, int(seeds[it]))
-                g *= gate.mask.flat
-                log.mask_density.append(gate.density)
-
-            accumulate_gradient(accumulator, grads)
-            sgd_step(model, grads, cfg.learning_rate, cfg.lr_overrides)
-            del grads, g  # freed before the next backward allocates its buffer
+            if mask is not None:
+                model.load_values(merge(weights, pretrained, mask, out=weights))
+                log.mask_density.append(mask.density)
             _require_finite(it, "weights", weights)
 
             log.losses.append(loss)
@@ -579,7 +480,35 @@ def finetune_baseline(
         np.add(pretrained.flat, kept.flat, out=weights.flat)
         model.load_values(weights)
 
-    log.persistent_aux_maps = 2  # pretrained snapshot + diagnostic accumulator
     if accumulator.initialized:
         log.final_accumulator = accumulator.acc
     return model, log
+
+
+def finetune_spider(
+    model: ToyModel,
+    pretrained: TensorMap,
+    data: Sequence[Batch],
+    cfg: TrainConfig,
+) -> tuple[ToyModel, RunLog]:
+    """Selective fine-tuning: after each step, merge with the pretrained
+    weights through the mask of cfg.method (one of SPIDER_METHODS)."""
+    if cfg.method not in SPIDER_METHODS:
+        raise ConfigError(f"finetune_spider cannot run method {cfg.method!r}")
+    return _finetune(model, pretrained, data, cfg)
+
+
+def finetune_baseline(
+    model: ToyModel,
+    pretrained: TensorMap,
+    data: Sequence[Batch],
+    cfg: TrainConfig,
+) -> tuple[ToyModel, RunLog]:
+    """Counterpart fine-tuning methods (full/L2/L1/half-block/drop-rescale).
+
+    The accumulator feeds the importance-divergence trace only; it never
+    influences the update.
+    """
+    if cfg.method not in BASELINE_METHODS:
+        raise ConfigError(f"finetune_baseline cannot run method {cfg.method!r}")
+    return _finetune(model, pretrained, data, cfg)

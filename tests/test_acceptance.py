@@ -164,12 +164,12 @@ def test_criterion_02_equation_examples(capsys):
         masked_mean(FlatTensor.of("m", [0.0, 0.5, 0.75, 0.0]))[0] - 0.625
     )
 
-    gen = generalization_importance(tmap(w=[1.0, 2.0, 3.0])).scores["w"].data
+    gen = generalization_importance(tmap(w=[1.0, 2.0, 3.0]))["w"].data
     errors["gen_importance"] = float(
         np.max(np.abs(gen - [0.22710251943568419, 0.5, 0.7728974805643157]))
     )
     state = GradAccumulator(acc=tmap(w=[0.0, 2.0]), beta=0.9, initialized=True)
-    spec_scores = specialization_importance(state).scores["w"].data
+    spec_scores = specialization_importance(state)["w"].data
     errors["spec_importance"] = float(
         np.max(np.abs(spec_scores - [0.2689414213699951, 0.7310585786300049]))
     )
@@ -181,21 +181,19 @@ def test_criterion_02_equation_examples(capsys):
     accumulate_gradient(state, tmap(w=[-3.0]))
     errors["accumulator_mix"] = abs(state.acc["w"].data[0] - 2.0)
 
-    from spiderft.importance import GENERALIZATION, SPECIALIZATION, ImportanceScores
-
-    g = ImportanceScores(tmap(w=[0.6]), SPECIALIZATION)
-    i = ImportanceScores(tmap(w=[0.5]), GENERALIZATION)
+    g = tmap(w=[0.6])
+    i = tmap(w=[0.5])
     errors["weighted_mask"] = abs(weighted_mask(g, i).mask["w"].data[0] - 0.6 / 1.1)
-    g = ImportanceScores(tmap(w=[0.9, 0.2]), SPECIALIZATION)
-    i = ImportanceScores(tmap(w=[0.1, 0.4]), GENERALIZATION)
+    g = tmap(w=[0.9, 0.2])
+    i = tmap(w=[0.1, 0.4])
     errors["weighted_mask2"] = float(
         np.max(np.abs(weighted_mask(g, i).mask["w"].data - [0.9, 0.0]))
     )
-    rescaled = rescale_mask(UpdateMask(tmap(w=[0.0, 0.5, 0.75]), "weighted"))
+    rescaled = rescale_mask(UpdateMask(tmap(w=[0.0, 0.5, 0.75])))
     errors["rescale_mask"] = float(
         np.max(np.abs(rescaled.mask["w"].data - [0.0, 0.8, 1.0]))
     )
-    merged = merge(tmap(w=[2.0]), tmap(w=[0.0]), UpdateMask(tmap(w=[0.5]), "weighted"))
+    merged = merge(tmap(w=[2.0]), tmap(w=[0.0]), UpdateMask(tmap(w=[0.5])))
     errors["merge"] = abs(merged["w"].data[0] - 1.0)
     errors["pid"] = abs(pid(tmap(w=[1.0, 1.0]), tmap(w=[1.0, 0.0])) - 2.0)
 
@@ -292,19 +290,17 @@ def test_criterion_04_single_step_trace(capsys):
 
 
 def test_criterion_05_mask_properties(capsys):
-    from spiderft.importance import GENERALIZATION, SPECIALIZATION, ImportanceScores
-
     start = time.monotonic()
     rng = np.random.default_rng(99)
     failures = []
 
     for trial in range(20):
-        g = ImportanceScores(tmap(w=rng.uniform(0.01, 0.99, 300)), SPECIALIZATION)
-        i = ImportanceScores(tmap(w=rng.uniform(0.01, 0.99, 300)), GENERALIZATION)
+        g = tmap(w=rng.uniform(0.01, 0.99, 300))
+        i = tmap(w=rng.uniform(0.01, 0.99, 300))
         b = binary_mask(g, i).mask["w"].data
         w = weighted_mask(g, i).mask["w"].data
         r = rescale_mask(weighted_mask(g, i)).mask["w"].data
-        support = g.scores["w"].data > i.scores["w"].data
+        support = g["w"].data > i["w"].data
         if not (
             np.array_equal(b != 0, support)
             and np.array_equal(w != 0, support)
@@ -318,12 +314,12 @@ def test_criterion_05_mask_properties(capsys):
     current = tmap(w=rng.normal(size=64))
     pre = tmap(w=rng.normal(size=64))
     if not np.array_equal(
-        merge(current, pre, UpdateMask(tmap(w=np.zeros(64)), "binary"))["w"].data,
+        merge(current, pre, UpdateMask(tmap(w=np.zeros(64))))["w"].data,
         pre["w"].data,
     ):
         failures.append("merge at zero mask")
     if not np.array_equal(
-        merge(current, pre, UpdateMask(tmap(w=np.ones(64)), "binary"))["w"].data,
+        merge(current, pre, UpdateMask(tmap(w=np.ones(64))))["w"].data,
         current["w"].data,
     ):
         failures.append("merge at unit mask")

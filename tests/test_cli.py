@@ -332,6 +332,41 @@ def test_diverging_or_non_finite_config_exits_2_with_one_line(tmp_path, learning
     assert ("diverged" if learning_rate == "1e308" else "must be finite") in proc.stderr
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["finetune", "--config", "c.json", "--pretrained", "p.ckpt", "--out", "o", "--seed", "-1"],
+     "--seed"),
+    (["merge", "--pretrained", "p", "--finetuned", "f", "--strategy", "dare", "--seed", "-2",
+      "--out", "o"], "--seed"),
+    (["merge", "--pretrained", "p", "--finetuned", "f", "--strategy", "dare", "--drop-p", "1.5",
+      "--out", "o"], "--drop-p"),
+    (["merge", "--pretrained", "p", "--finetuned", "f", "--strategy", "dare", "--drop-p", "-0.1",
+      "--out", "o"], "--drop-p"),
+])
+def test_out_of_range_seed_or_drop_p_is_a_usage_error(argv, flag):
+    # rejected while parsing, before any of the named files is opened
+    proc = subprocess.run(
+        [sys.executable, "-m", "spiderft.cli", *argv],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert lines[0].startswith("usage:") and "Traceback" not in proc.stderr
+    assert [ln for ln in lines if "error:" in ln] == [lines[-1]]
+    assert f"error: argument {flag}: expected a value in" in lines[-1]
+
+
+def test_negative_config_seed_exits_2_with_one_line(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"seeds": [-3], "epochs": 1}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "spiderft.cli", "pretrain", "--config", str(cfg),
+         "--out", str(tmp_path / "pre.ckpt")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: seed must be >= 0, got -3\n"
+
+
 def test_corrupt_checkpoint_exits_2(workspace, tmp_path):
     tmp, cfg = workspace
     pre = pretrained_checkpoint(workspace)

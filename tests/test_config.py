@@ -85,6 +85,14 @@ def test_range_validation():
         config_from_dict({"batch_size": 0})
     with pytest.raises(ConfigError):
         config_from_dict({"trainable_layers": 0})
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -3"):
+        config_from_dict({"seeds": [1, -3]})
+    with pytest.raises(ConfigError):
+        config_from_dict({"seeds": -1})
+    # the training fields are checked when the file is read, not when training starts
+    for key, value in (("learning_rate", 0.0), ("beta", 1.0), ("dare_drop_p", 1.0)):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict({key: value})
 
 
 def test_task_parsing_closed_key_set():
@@ -160,12 +168,8 @@ def test_to_train_config_field_mapping():
     assert cfg.to_train_config(seed=9).seed == 9
 
 
-def test_to_train_config_maps_dispatch_only_methods_to_spider():
-    # zero_shot and the selection arms are routed by name at the benchmark
-    # layer; the underlying train config stays on the selective method
-    cfg = ExperimentConfig(method="zero_shot")
-    assert cfg.to_train_config().method == "spider"
-    cfg = ExperimentConfig(method="select_gradient")
-    assert cfg.to_train_config(method="select_gradient").method == "spider"
-    cfg = ExperimentConfig(method="l2_reg")
-    assert cfg.to_train_config().method == "l2_reg"
+def test_to_train_config_keeps_the_method_name():
+    # the method name is the only switch, so every method passes through as is
+    for method in ("zero_shot", "select_gradient", "l2_reg"):
+        assert ExperimentConfig(method=method).to_train_config().method == method
+    assert ExperimentConfig().to_train_config(method="select_random").method == "select_random"

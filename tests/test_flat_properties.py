@@ -17,10 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 from spiderft.errors import ZeroNormError
 from spiderft.importance import (
-    GENERALIZATION,
-    SPECIALIZATION,
     GradAccumulator,
-    ImportanceScores,
     accumulate_gradient,
     generalization_importance,
     pid,
@@ -131,8 +128,8 @@ def test_importance_and_accumulator_packed_match(data, scope, beta):
     g_packed, g_loose = both(table, g_flat)
     before = snapshot(w_packed, w_loose, g_packed, g_loose)
 
-    assert_same(generalization_importance(w_packed, scope).scores,
-                generalization_importance(w_loose, scope).scores)
+    assert_same(generalization_importance(w_packed, scope),
+                generalization_importance(w_loose, scope))
 
     loose_zeros = TensorMap.from_tensors(t.with_data(np.zeros(t.size)) for t in w_loose)
     states = [GradAccumulator.empty(w_loose, beta), GradAccumulator(loose_zeros, beta)]
@@ -143,8 +140,8 @@ def test_importance_and_accumulator_packed_match(data, scope, beta):
         accumulate_gradient(state, second)
     assert_same(states[0].acc, states[1].acc)
     accumulated = snapshot(states[0].acc, states[1].acc)
-    assert_same(specialization_importance(states[0], scope).scores,
-                specialization_importance(states[1], scope).scores)
+    assert_same(specialization_importance(states[0], scope),
+                specialization_importance(states[1], scope))
 
     assert outcome(pid, w_packed, states[0].acc) == outcome(pid, w_loose, states[1].acc)
     assert outcome(pid_per_tensor, w_packed, g_packed) == outcome(pid_per_tensor, w_loose, g_loose)
@@ -155,22 +152,19 @@ def test_importance_and_accumulator_packed_match(data, scope, beta):
 def scores_pair(table, g_flat, i_flat):
     g_packed, g_loose = both(table, g_flat)
     i_packed, i_loose = both(table, i_flat)
-    return (
-        (ImportanceScores(g_packed, SPECIALIZATION), ImportanceScores(i_packed, GENERALIZATION)),
-        (ImportanceScores(g_loose, SPECIALIZATION), ImportanceScores(i_loose, GENERALIZATION)),
-    )
+    return (g_packed, i_packed), (g_loose, i_loose)
 
 
 @SETTINGS
 @given(two_payloads(scores, scores), SCOPES)
 def test_masks_packed_match_per_tensor(data, scope):
     (g_p, i_p), (g_l, i_l) = scores_pair(*data)
-    before = snapshot(g_p.scores, i_p.scores, g_l.scores, i_l.scores)
+    before = snapshot(g_p, i_p, g_l, i_l)
 
     assert_same(binary_mask(g_p, i_p).mask, binary_mask(g_l, i_l).mask)
     weighted_p, weighted_l = weighted_mask(g_p, i_p), weighted_mask(g_l, i_l)
     assert_same(weighted_p.mask, weighted_l.mask)
-    assert snapshot(g_p.scores, i_p.scores, g_l.scores, i_l.scores) == before
+    assert snapshot(g_p, i_p, g_l, i_l) == before
 
     weighted_before = snapshot(weighted_p.mask, weighted_l.mask)
     rescaled_p, rescaled_l = rescale_mask(weighted_p, scope), rescale_mask(weighted_l, scope)
@@ -218,13 +212,13 @@ def test_merge_packed_matches_per_tensor_and_in_place(weights, data):
     m_p, m_l = both(table, mask_flat)
     before = snapshot(w_p, w_l, pre_p, pre_l, m_p, m_l)
 
-    merged_p = merge(w_p, pre_p, UpdateMask(m_p, "weighted"))
-    merged_l = merge(w_l, pre_l, UpdateMask(m_l, "weighted"))
+    merged_p = merge(w_p, pre_p, UpdateMask(m_p))
+    merged_l = merge(w_l, pre_l, UpdateMask(m_l))
     assert_same(merged_p, merged_l)
     assert snapshot(w_p, w_l, pre_p, pre_l, m_p, m_l) == before
 
     for current in (w_p, w_l):
-        out = merge(current, pre_p, UpdateMask(m_p, "weighted"), out=current)
+        out = merge(current, pre_p, UpdateMask(m_p), out=current)
         assert out is current
         assert_same(current, merged_p)
     # the merge's support property: a zero mask entry restores pretrained exactly

@@ -15,8 +15,15 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from spiderft.benchmark import SELECTION_ARMS, finetune_with_method
+from spiderft.benchmark import finetune_with_method
 from spiderft.trainer import TrainConfig, batches_of, build_model, set_trainable_tail
+
+# the ablation arms and the selection rule each one puts in place of the comparison
+SELECTION_ARMS = {
+    "select_random": "random",
+    "select_magnitude": "magnitude",
+    "select_gradient": "gradient",
+}
 
 SIG_LO = np.nextafter(0.0, 1.0)
 SIG_HI = np.nextafter(1.0, 0.0)

@@ -5,8 +5,6 @@ import pytest
 
 from spiderft.errors import AlignmentError, UninitializedError
 from spiderft.importance import (
-    GENERALIZATION,
-    SPECIALIZATION,
     GradAccumulator,
     accumulate_gradient,
     generalization_importance,
@@ -29,40 +27,39 @@ SIG_HI = 0.7728974805643157
 
 def test_generalization_importance_three_point_example():
     scores = generalization_importance(tmap(w=[1.0, 2.0, 3.0]))
-    assert scores.kind == GENERALIZATION
     np.testing.assert_allclose(
-        scores.scores["w"].data, [SIG_LO, 0.5, SIG_HI], rtol=0, atol=1e-9
+        scores["w"].data, [SIG_LO, 0.5, SIG_HI], rtol=0, atol=1e-9
     )
 
 
 def test_generalization_importance_uses_magnitudes():
     # |-2| == |2|: magnitudes tie, z-scores vanish, everything lands at 0.5
     scores = generalization_importance(tmap(w=[-2.0, 2.0]))
-    np.testing.assert_array_equal(scores.scores["w"].data, [0.5, 0.5])
+    np.testing.assert_array_equal(scores["w"].data, [0.5, 0.5])
 
 
 def test_generalization_importance_constant_weights():
     scores = generalization_importance(tmap(w=[3.0, 3.0, 3.0]))
-    np.testing.assert_array_equal(scores.scores["w"].data, [0.5, 0.5, 0.5])
+    np.testing.assert_array_equal(scores["w"].data, [0.5, 0.5, 0.5])
 
 
 def test_generalization_importance_scale_invariant():
     rng = np.random.default_rng(11)
     w = rng.normal(size=40)
-    a = generalization_importance(tmap(w=w)).scores["w"].data
-    b = generalization_importance(tmap(w=7.0 * w)).scores["w"].data
+    a = generalization_importance(tmap(w=w))["w"].data
+    b = generalization_importance(tmap(w=7.0 * w))["w"].data
     np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
 
 
 def test_generalization_importance_preserves_magnitude_ranking():
     rng = np.random.default_rng(12)
     w = rng.normal(size=25)
-    scores = generalization_importance(tmap(w=w)).scores["w"].data
+    scores = generalization_importance(tmap(w=w))["w"].data
     assert np.array_equal(np.argsort(np.abs(w)), np.argsort(scores))
 
 
 def test_generalization_importance_strictly_interior():
-    scores = generalization_importance(tmap(w=[0.0, 1e9])).scores["w"].data
+    scores = generalization_importance(tmap(w=[0.0, 1e9]))["w"].data
     assert np.all(scores > 0.0) and np.all(scores < 1.0)
 
 
@@ -124,9 +121,8 @@ def test_accumulator_rejects_bad_beta():
 def test_specialization_importance_two_point_example():
     state = GradAccumulator(acc=tmap(w=[0.0, 2.0]), beta=0.9, initialized=True)
     scores = specialization_importance(state)
-    assert scores.kind == SPECIALIZATION
     np.testing.assert_allclose(
-        scores.scores["w"].data,
+        scores["w"].data,
         [0.2689414213699951, 0.7310585786300049],
         rtol=0,
         atol=1e-9,
@@ -143,9 +139,9 @@ def test_importance_scores_share_the_unit_scale():
     # both kinds come from the same sigmoid(zscore(.)) pipeline, so equal
     # inputs produce numerically equal scores
     values = [0.3, 1.2, 0.8, 2.5]
-    g = generalization_importance(tmap(w=values)).scores["w"].data
+    g = generalization_importance(tmap(w=values))["w"].data
     state = GradAccumulator(acc=tmap(w=values), beta=0.9, initialized=True)
-    s = specialization_importance(state).scores["w"].data
+    s = specialization_importance(state)["w"].data
     np.testing.assert_array_equal(g, s)
 
 

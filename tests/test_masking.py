@@ -1,17 +1,13 @@
 """Update masks, the pretrained-weight merge, and the random baselines."""
 
 import logging
+import math
 
 import numpy as np
 import pytest
 
 from spiderft.errors import AlignmentError
-from spiderft.importance import (
-    GENERALIZATION,
-    SPECIALIZATION,
-    ImportanceScores,
-    generalization_importance,
-)
+from spiderft.importance import generalization_importance
 from spiderft.masking import (
     UpdateMask,
     binary_mask,
@@ -19,15 +15,14 @@ from spiderft.masking import (
     merge,
     random_half_mask,
     rescale_mask,
+    select_mask,
     weighted_mask,
 )
 from helpers import tmap
 
 
 def scores_pair(g_values, i_values):
-    g = ImportanceScores(tmap(w=g_values), SPECIALIZATION)
-    i = ImportanceScores(tmap(w=i_values), GENERALIZATION)
-    return g, i
+    return tmap(w=g_values), tmap(w=i_values)
 
 
 def random_scores_pair(seed, size=200):
@@ -36,7 +31,7 @@ def random_scores_pair(seed, size=200):
 
 
 def weighted_of(values):
-    return UpdateMask(tmap(w=values), "weighted")
+    return UpdateMask(tmap(w=values))
 
 
 # ---------------------------------------------------------------------------
@@ -57,15 +52,9 @@ def test_binary_mask_ties_deselect():
     np.testing.assert_array_equal(binary_mask(g, i).mask["w"].data, [0.0, 0.0])
 
 
-def test_binary_mask_checks_kinds():
-    g, i = scores_pair([0.6], [0.5])
-    with pytest.raises(ValueError):
-        binary_mask(i, g)  # swapped
-
-
 def test_binary_mask_alignment():
-    g = ImportanceScores(tmap(w=[0.6]), SPECIALIZATION)
-    i = ImportanceScores(tmap(v=[0.5]), GENERALIZATION)
+    g = tmap(w=[0.6])
+    i = tmap(v=[0.5])
     with pytest.raises(AlignmentError):
         binary_mask(g, i)
 
@@ -109,7 +98,6 @@ def test_weighted_mask_selected_entries_land_in_open_half_interval():
 def test_rescale_mask_example():
     out = rescale_mask(weighted_of([0.0, 0.5, 0.75]))
     np.testing.assert_allclose(out.mask["w"].data, [0.0, 0.8, 1.0], rtol=0, atol=1e-12)
-    assert out.variant == "rescaled"
     assert not out.empty_selection
 
 
@@ -126,20 +114,15 @@ def test_rescale_mask_empty_selection_flagged_and_logged(caplog):
     assert any("empty selection" in r.message for r in caplog.records)
 
 
-def test_rescale_mask_rejects_other_variants():
-    with pytest.raises(ValueError):
-        rescale_mask(UpdateMask(tmap(w=[1.0]), "binary"))
-
-
 def test_rescale_mask_per_tensor_uses_each_tensors_own_mean():
-    m = UpdateMask(tmap(a=[0.0, 0.5, 0.75], b=[0.6, 0.6]), "weighted")
+    m = UpdateMask(tmap(a=[0.0, 0.5, 0.75], b=[0.6, 0.6]))
     out = rescale_mask(m, "per_tensor")
     np.testing.assert_allclose(out.mask["a"].data, [0.0, 0.8, 1.0], atol=1e-12)
     np.testing.assert_array_equal(out.mask["b"].data, [1.0, 1.0])
 
 
 def test_rescale_mask_global_pools_the_mean():
-    m = UpdateMask(tmap(a=[0.0, 0.5, 0.75], b=[0.6, 0.6]), "weighted")
+    m = UpdateMask(tmap(a=[0.0, 0.5, 0.75], b=[0.6, 0.6]))
     out = rescale_mask(m, "global")
     mean = (0.5 + 0.75 + 0.6 + 0.6) / 4
     np.testing.assert_allclose(
@@ -153,7 +136,7 @@ def test_support_equality_across_variants():
     b = binary_mask(g, i).mask["w"].data
     w = weighted_mask(g, i).mask["w"].data
     r = rescale_mask(weighted_mask(g, i)).mask["w"].data
-    expected = g.scores["w"].data > i.scores["w"].data
+    expected = g["w"].data > i["w"].data
     assert np.array_equal(b != 0.0, expected)
     assert np.array_equal(w != 0.0, expected)
     assert np.array_equal(r != 0.0, expected)
@@ -186,8 +169,61 @@ def test_rescale_only_clamps_from_above():
 
 
 def test_mask_density():
-    mask = UpdateMask(tmap(w=[0.0, 1.0, 0.5, 0.0]), "weighted")
+    mask = UpdateMask(tmap(w=[0.0, 1.0, 0.5, 0.0]))
     assert mask.density == 0.5
+
+
+# ---------------------------------------------------------------------------
+# The selector
+# ---------------------------------------------------------------------------
+
+
+def two_tensor_maps(seed):
+    rng = np.random.default_rng(seed)
+    g = tmap(a=rng.uniform(0.01, 0.99, 12), b=rng.uniform(0.01, 0.99, 7))
+    i = tmap(a=rng.normal(size=12), b=rng.normal(size=7))
+    return g, i
+
+
+@pytest.mark.parametrize("scope", ["per_tensor", "global"])
+def test_select_mask_builds_the_comparison_masks(scope):
+    g, i = two_tensor_maps(60)
+    i = generalization_importance(i, scope)
+    before = (g.concat(), i.concat())
+    expected = {
+        "binary": binary_mask(g, i),
+        "weighted": weighted_mask(g, i),
+        "rescaled": rescale_mask(weighted_mask(g, i), scope),
+    }
+    for variant, want in expected.items():
+        got = select_mask(variant, g, i, scope)
+        assert np.array_equal(got.mask.concat(), want.mask.concat()), variant
+        assert got.empty_selection == want.empty_selection
+    assert np.array_equal(g.concat(), before[0]) and np.array_equal(i.concat(), before[1])
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0])
+def test_select_mask_arms_pick_a_gamma_fraction_per_tensor(gamma):
+    g, i = two_tensor_maps(61)
+    largest_g = select_mask("gradient", g, i, gamma=gamma)
+    smallest_i = select_mask("magnitude", g, i, gamma=gamma)
+    drawn = select_mask("random", g, i, gamma=gamma, seed=4)
+    for gt, it, mg, mm, mr in zip(g, i, largest_g.mask, smallest_i.mask, drawn.mask):
+        k = math.floor(gt.size * gamma)
+        assert set(np.flatnonzero(mg.data)) == set(np.argsort(gt.data)[gt.size - k:])
+        assert set(np.flatnonzero(mm.data)) == set(np.argsort(np.abs(it.data))[:k])
+        assert np.count_nonzero(mr.data) == k
+    # the random draw is a function of the seed
+    again, other = (select_mask("random", g, i, gamma=gamma, seed=s).mask.concat() for s in (4, 5))
+    assert np.array_equal(again, drawn.mask.concat())
+    if gamma == 0.5:  # many possible draws: another seed gives another one
+        assert not np.array_equal(other, again)
+
+
+def test_select_mask_rejects_unknown_variant():
+    g, i = two_tensor_maps(63)
+    with pytest.raises(ValueError):
+        select_mask("soft", g, i)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +235,7 @@ def test_merge_zero_mask_restores_pretrained_bitwise():
     rng = np.random.default_rng(31)
     current = tmap(w=rng.normal(size=16))
     pretrained = tmap(w=rng.normal(size=16))
-    zeros = UpdateMask(tmap(w=np.zeros(16)), "binary")
+    zeros = UpdateMask(tmap(w=np.zeros(16)))
     out = merge(current, pretrained, zeros)
     assert np.array_equal(out["w"].data, pretrained["w"].data)
 
@@ -208,14 +244,14 @@ def test_merge_ones_mask_keeps_current_bitwise():
     rng = np.random.default_rng(32)
     current = tmap(w=rng.normal(size=16))
     pretrained = tmap(w=rng.normal(size=16))
-    ones = UpdateMask(tmap(w=np.ones(16)), "binary")
+    ones = UpdateMask(tmap(w=np.ones(16)))
     out = merge(current, pretrained, ones)
     assert np.array_equal(out["w"].data, current["w"].data)
 
 
 def test_merge_convex_combination_example():
     out = merge(
-        tmap(w=[2.0]), tmap(w=[0.0]), UpdateMask(tmap(w=[0.5]), "weighted")
+        tmap(w=[2.0]), tmap(w=[0.0]), UpdateMask(tmap(w=[0.5]))
     )
     assert out["w"].data[0] == 1.0
 
@@ -224,7 +260,7 @@ def test_merge_stays_between_endpoints():
     rng = np.random.default_rng(33)
     current = tmap(w=rng.normal(size=64))
     pretrained = tmap(w=rng.normal(size=64))
-    mask = UpdateMask(tmap(w=rng.uniform(0, 1, size=64)), "weighted")
+    mask = UpdateMask(tmap(w=rng.uniform(0, 1, size=64)))
     out = merge(current, pretrained, mask)["w"].data
     lo = np.minimum(current["w"].data, pretrained["w"].data)
     hi = np.maximum(current["w"].data, pretrained["w"].data)
@@ -234,15 +270,15 @@ def test_merge_stays_between_endpoints():
 
 def test_merge_alignment_checks():
     with pytest.raises(AlignmentError):
-        merge(tmap(w=[1.0]), tmap(v=[1.0]), UpdateMask(tmap(w=[1.0]), "binary"))
+        merge(tmap(w=[1.0]), tmap(v=[1.0]), UpdateMask(tmap(w=[1.0])))
     with pytest.raises(AlignmentError):
-        merge(tmap(w=[1.0]), tmap(w=[1.0]), UpdateMask(tmap(v=[1.0]), "binary"))
+        merge(tmap(w=[1.0]), tmap(w=[1.0]), UpdateMask(tmap(v=[1.0])))
 
 
 def test_merge_does_not_mutate_inputs():
     current = tmap(w=[2.0])
     pretrained = tmap(w=[0.0])
-    merge(current, pretrained, UpdateMask(tmap(w=[0.5]), "weighted"))
+    merge(current, pretrained, UpdateMask(tmap(w=[0.5])))
     assert current["w"].data[0] == 2.0
     assert pretrained["w"].data[0] == 0.0
 
@@ -340,17 +376,12 @@ def test_dare_rejects_bad_drop_probability():
         dare_mask_and_rescale(tmap(w=[1.0]), -0.1, rng_seed=0)
 
 
-def test_update_mask_rejects_unknown_variant():
-    with pytest.raises(ValueError):
-        UpdateMask(tmap(w=[1.0]), "soft")
-
-
 def test_masks_built_from_real_importance_pipeline():
     # end-to-end shape: scores from the actual importance functions
     rng = np.random.default_rng(55)
     pretrained = tmap(w=rng.normal(size=30))
     i = generalization_importance(pretrained)
-    g = ImportanceScores(tmap(w=rng.uniform(0.01, 0.99, 30)), SPECIALIZATION)
+    g = tmap(w=rng.uniform(0.01, 0.99, 30))
     mask = rescale_mask(weighted_mask(g, i))
     assert 0.0 <= mask.density <= 1.0
     assert mask.mask.aligned_with(pretrained)

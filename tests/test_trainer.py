@@ -188,6 +188,25 @@ def test_backward_covers_trainables_only():
     ]
 
 
+@pytest.mark.parametrize("trainable", [
+    ("layer1.weight", "layer2.bias"),  # nothing trainable in layer 0
+    ("layer0.bias",),  # only the lowest layer's bias
+    (),  # nothing at all
+])
+def test_backward_with_frozen_layers_matches_full_backward(trainable):
+    # propagation stops at the lowest trainable layer; the gradients it does
+    # compute are exactly those of a fully trainable backward pass
+    model = small_model(dims=(4, 5, 5, 3), tail=3)
+    inputs, labels = blob_data(7, n=8)
+    full = backward(model, forward(model, Batch(inputs, labels))[1])
+    for name in model.trainable:
+        model.trainable[name] = name in trainable
+    grads = backward(model, forward(model, Batch(inputs, labels))[1])
+    assert grads.names == list(trainable)
+    for g in grads:
+        assert np.array_equal(g.data, full[g.name].data), g.name
+
+
 def test_backward_rejects_stale_cache():
     model = small_model()
     inputs, labels = blob_data(7, n=8)
@@ -377,9 +396,9 @@ def test_train_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         TrainConfig(dare_drop_p=1.0)
     with pytest.raises(ConfigError):
-        TrainConfig(selection="salience")
-    with pytest.raises(ConfigError):
         TrainConfig(selection_gamma=0.0)
+    with pytest.raises(ConfigError):
+        TrainConfig(seed=-1)
 
 
 def test_driver_method_dispatch_is_checked():
@@ -392,10 +411,8 @@ def test_driver_method_dispatch_is_checked():
     with pytest.raises(ConfigError):
         finetune_baseline(model, pretrained, data, TrainConfig(method="spider"))
     with pytest.raises(ConfigError):
-        # ablation selections ride on the binary-mask method only
-        finetune_spider(
-            model, pretrained, data, TrainConfig(method="spider", selection="random")
-        )
+        # the ablation arms are masked methods
+        finetune_baseline(model, pretrained, data, TrainConfig(method="select_random"))
 
 
 def test_driver_alignment_check():
@@ -412,12 +429,12 @@ def test_driver_alignment_check():
 # ---------------------------------------------------------------------------
 
 
-def spider_run(method="spider", seed=0, epochs=2, selection="discrepancy", **kw):
+def spider_run(method="spider", seed=0, epochs=2, **kw):
     model = small_model(seed=seed + 1)
     pretrained = model.tensor_map(trainable_only=True).copy()
     inputs, labels = blob_data(seed, n=48)
     cfg = TrainConfig(
-        method=method, epochs=epochs, batch_size=16, seed=seed, selection=selection, **kw
+        method=method, epochs=epochs, batch_size=16, seed=seed, **kw
     )
     data = batches_of(inputs, labels, cfg.batch_size)
     model, log = finetune_spider(model, pretrained, data, cfg)
@@ -650,7 +667,7 @@ def arm_run(selection, gamma=0.5, seed=13):
     pretrained = model.tensor_map(trainable_only=True).copy()
     inputs, labels = blob_data(seed, n=16)
     cfg = TrainConfig(
-        method="spider_binary", selection=selection, selection_gamma=gamma,
+        method=f"select_{selection}", selection_gamma=gamma,
         epochs=1, batch_size=16,
     )
     data = batches_of(inputs, labels, 16)
@@ -708,7 +725,7 @@ def test_random_arm_redraws_each_iteration():
         pretrained = model.tensor_map(trainable_only=True).copy()
         inputs, labels = blob_data(15, n=16 * iterations)
         cfg = TrainConfig(
-            method="spider_binary", selection="random", epochs=1, batch_size=16, seed=15
+            method="select_random", epochs=1, batch_size=16, seed=15
         )
         model, _ = finetune_spider(
             model, pretrained, batches_of(inputs, labels, 16), cfg
@@ -814,6 +831,23 @@ def test_baseline_logs_and_aux_budget():
     assert len(log.losses) == 6
     assert len(log.pid) == 6
     assert log.final_accumulator is not None
+
+
+def test_accumulator_reset_per_epoch_resets_baseline_accumulators_too():
+    # baselines share the one loop, so the option restarts their accumulator
+    # as well; it feeds only their pid trace, so the weights do not change
+    a, log_a, _ = baseline_run("full_ft", seed=52)
+    b, log_b, pretrained = baseline_run("full_ft", seed=52, accumulator_reset_per_epoch=True)
+    assert np.array_equal(a.tensor_map().concat(), b.tensor_map().concat())
+    assert log_a.losses == log_b.losses
+    assert log_a.pid[:3] == log_b.pid[:3] and log_a.pid[3:] != log_b.pid[3:]
+
+    # the reset run's accumulator is that of a fresh run over the second epoch
+    first, _, _ = baseline_run("full_ft", seed=52, epochs=1)
+    inputs, labels = blob_data(52, n=48)
+    cfg = TrainConfig(method="full_ft", epochs=1, batch_size=16, seed=52)
+    _, second = finetune_baseline(first, pretrained, batches_of(inputs, labels, 16), cfg)
+    assert np.array_equal(second.final_accumulator.concat(), log_b.final_accumulator.concat())
 
 
 def test_baseline_is_deterministic():
