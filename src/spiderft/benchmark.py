@@ -219,7 +219,7 @@ def pretrain(
     datasets = [generate_task(spec, n_per_task) for spec in suite]
     inputs, labels = _interleaved_train_set(datasets)
     model = build_model([input_dim, *HIDDEN_DIMS, class_count], seed=cfg.seed)
-    weights = model.tensor_map().pack()
+    weights = model.tensor_map()
     batches = batches_of(inputs, labels, cfg.batch_size)
     it = 0
     # the per-step checks report divergence; numpy's float warnings would only repeat it
@@ -233,18 +233,18 @@ def pretrain(
     return model, weights.copy()
 
 
-def predict(model: ToyModel, inputs: np.ndarray) -> np.ndarray:
-    batch = Batch(inputs, np.zeros(inputs.shape[0], dtype=np.int64))
-    _, cache = forward(model, batch)
-    return np.argmax(cache.probs, axis=1)
+def heldout_accuracy(model: ToyModel, data: TaskData) -> float:
+    """Accuracy on a generated task's held-out split.  Read-only on the model."""
+    if data.test_inputs.shape[0] == 0:
+        raise ConfigError(f"{data.spec.task_id}: empty test split")
+    # the labels only feed the loss, which is not used
+    _, cache = forward(model, Batch(data.test_inputs, np.zeros_like(data.test_labels)))
+    return float(np.mean(np.argmax(cache.probs, axis=1) == data.test_labels))
 
 
 def evaluate(model: ToyModel, task: TaskSpec, n: int = DEFAULT_SAMPLES) -> float:
-    """Accuracy on the task's held-out split.  Read-only on the model."""
-    data = generate_task(task, n)
-    if data.test_inputs.shape[0] == 0:
-        raise ConfigError(f"{task.task_id}: empty test split")
-    return float(np.mean(predict(model, data.test_inputs) == data.test_labels))
+    """Accuracy on the held-out split of the task generated at n samples."""
+    return heldout_accuracy(model, generate_task(task, n))
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +348,10 @@ def run_experiment(
 ) -> list[MetricsReport]:
     """Pretrain once per seed, fine-tune per method, evaluate everything.
 
-    Evaluation regenerates each task at n_eval samples; the stride split
-    guarantees no eval point was a training point even when n_eval exceeds
-    n_per_task.  Reports come back ordered by (method, seed) following the
-    argument order, and the whole sweep is deterministic in its arguments.
+    Each task is generated once at n_eval samples to score every model on;
+    the stride split keeps eval points apart from training points even when
+    n_eval exceeds n_per_task.  Reports come back ordered by (method, seed)
+    following the argument order; the sweep is deterministic in its arguments.
     """
     if target.task_id in {s.task_id for s in suite}:
         raise ConfigError("target task must not be part of the source suite")
@@ -360,6 +360,8 @@ def run_experiment(
             raise ConfigError(f"unknown method {method!r}")
 
     target_data = generate_task(target, n_per_task)
+    suite_eval = [generate_task(s, n_eval) for s in suite]
+    target_eval = generate_task(target, n_eval)
     by_cell: dict[tuple[str, int], MetricsReport] = {}
     for seed in seeds:
         seed_cfg = replace(cfg, seed=seed)
@@ -370,8 +372,8 @@ def run_experiment(
             model, log = finetune_cell(
                 base_model, target_data.train_inputs, target_data.train_labels, seed_cfg, method
             )
-            source_accs = {s.task_id: evaluate(model, s, n_eval) for s in suite}
-            target_acc = evaluate(model, target, n_eval)
+            source_accs = {d.spec.task_id: heldout_accuracy(model, d) for d in suite_eval}
+            target_acc = heldout_accuracy(model, target_eval)
             by_cell[(method, seed)] = build_report(method, seed, source_accs, target_acc, log)
 
     return [by_cell[(m, s)] for m in methods for s in seeds]

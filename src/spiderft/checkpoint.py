@@ -15,6 +15,7 @@ file re-serializes byte-identically.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CorruptCheckpointError, FormatError
-from .tensors import FlatTensor, TensorMap
+from .tensors import TensorMap
 
 MAGIC = b"SPIDRCK1"
 _MAX_RANK = 32
@@ -79,7 +80,8 @@ def load_checkpoint(path: str | Path) -> TensorMap:
     cur = _Cursor(body)
     cur.take(len(MAGIC))
     count = cur.u64()
-    tm = TensorMap()
+    layout: dict[str, tuple[int, ...]] = {}
+    payloads = []
     for _ in range(count):
         name_len = cur.u64()
         try:
@@ -90,17 +92,15 @@ def load_checkpoint(path: str | Path) -> TensorMap:
         if rank > _MAX_RANK:
             raise FormatError(f"{name}: implausible rank {rank}")
         dims = tuple(cur.u64() for _ in range(rank))
-        size = 1
-        for d in dims:
-            size *= d
-        payload = np.frombuffer(cur.take(4 * size), dtype="<f4").astype(np.float64)
-        try:
-            tensor = FlatTensor(name=name, shape=dims, data=payload)
-        except (ValueError, TypeError) as exc:
-            raise FormatError(f"{name}: {exc}") from exc
-        if name in tm:
+        payload = np.frombuffer(cur.take(4 * math.prod(dims)), dtype="<f4")
+        if not np.isfinite(payload).all():
+            raise FormatError(f"{name}: non-finite entries")
+        if name in layout:
             raise FormatError(f"duplicate tensor name {name!r}")
-        tm.add(tensor)
+        layout[name] = dims
+        payloads.append(payload)
     if not cur.exhausted:
         raise FormatError("trailing bytes after tensor table")
-    return tm
+    # one float64 buffer for every payload, in file order
+    flat = np.concatenate(payloads, dtype=np.float64) if payloads else np.empty(0)
+    return TensorMap.over(layout.items(), flat)

@@ -130,9 +130,9 @@ def _cmd_merge(args) -> int:
     finetuned.require_aligned(pretrained, "merge")
 
     if args.strategy == "dare":
-        delta = finetuned.with_flat(finetuned.as_flat() - pretrained.as_flat())
+        delta = finetuned.with_flat(finetuned.flat - pretrained.flat)
         kept = dare_mask_and_rescale(delta, args.drop_p, args.seed)
-        merged = pretrained.with_flat(pretrained.as_flat() + kept.flat)
+        merged = pretrained.with_flat(pretrained.flat + kept.flat)
     else:
         if not args.grads:
             args.parser.error(f"--grads is required for strategy {args.strategy}")

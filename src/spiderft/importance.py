@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UninitializedError
-from .tensors import TensorMap, aligned_arrays, cosine_array, sigmoid_array, zscore_map
+from .tensors import TensorMap, cosine_array, sigmoid_array, zscore_map
 
 # cos of two nonnegative vectors is >= 0 but can be exactly 0; the clamp
 # keeps the inverse-square diagnostic finite (0 maps to 1e12).
@@ -54,16 +54,15 @@ class GradAccumulator:
 def accumulate_gradient(state: GradAccumulator, grad: TensorMap) -> GradAccumulator:
     """Fold one gradient observation into the accumulator (in place)."""
     state.acc.require_aligned(grad, "accumulate_gradient")
-    b = state.beta
-    for acc, g in aligned_arrays(state.acc, grad):
-        if not state.initialized:
-            np.abs(g, out=acc)
-        else:
-            # b * acc + (1 - b) * |g|, each product rounded before the sum
-            fresh = np.abs(g)
-            fresh *= 1.0 - b
-            acc *= b
-            acc += fresh
+    acc, b = state.acc.flat, state.beta
+    if not state.initialized:
+        np.abs(grad.flat, out=acc)
+    else:
+        # b * acc + (1 - b) * |g|, each product rounded before the sum
+        fresh = np.abs(grad.flat)
+        fresh *= 1.0 - b
+        acc *= b
+        acc += fresh
     state.initialized = True
     return state
 
@@ -76,7 +75,7 @@ def _sigmoid_of_zscore(tm: TensorMap, scope: str) -> TensorMap:
 
 def generalization_importance(pretrained: TensorMap, scope: str = "per_tensor") -> TensorMap:
     """sigmoid(zscore(|w_pre|)) per tensor (or with global stats), in (0, 1)."""
-    magnitudes = pretrained.with_flat(np.abs(pretrained.as_flat()))
+    magnitudes = pretrained.with_flat(np.abs(pretrained.flat))
     return _sigmoid_of_zscore(magnitudes, scope)
 
 
@@ -96,8 +95,8 @@ def _pid_from_cos(c: float) -> float:
 def pid(pretrained: TensorMap, grad: TensorMap) -> float:
     """Importance-profile divergence over the concatenated trainable set."""
     pretrained.require_aligned(grad, "pid")
-    w = np.abs(pretrained.as_flat())
-    g = np.abs(grad.as_flat())
+    w = np.abs(pretrained.flat)
+    g = np.abs(grad.flat)
     return _pid_from_cos(cosine_array(w, g, "weight_magnitude", "gradient_magnitude"))
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import NORMALIZATION_SCOPES, TensorMap, aligned_arrays, masked_mean_array
+from .tensors import TensorMap, masked_mean_array, scoped_arrays
 
 logger = logging.getLogger(__name__)
 
@@ -44,31 +44,25 @@ class UpdateMask:
     def density(self) -> float:
         """Fraction of nonzero entries across all tensors."""
         total = self.mask.total_size
-        if total == 0:
-            return 0.0
-        nonzero = sum(int(np.count_nonzero(t.data)) for t in self.mask)
-        return nonzero / total
+        return int(np.count_nonzero(self.mask.flat)) / total if total else 0.0
 
 
 def binary_mask(g: TensorMap, i: TensorMap) -> UpdateMask:
     """1 where G > I (strict), else 0."""
     g.require_aligned(i, "binary_mask")
-    mask = g.with_flat(np.empty(g.total_size))
-    for gv, iv, m in aligned_arrays(g, i, mask):
-        np.greater(gv, iv, out=m)
-    return UpdateMask(mask)
+    mask = np.empty(g.total_size)
+    np.greater(g.flat, i.flat, out=mask)
+    return UpdateMask(g.with_flat(mask))
 
 
 def weighted_mask(g: TensorMap, i: TensorMap) -> UpdateMask:
     """G / (G + I) where G > I, else 0; nonzero entries land in (0.5, 1)."""
     g.require_aligned(i, "weighted_mask")
-    mask = g.with_flat(np.empty(g.total_size))
-    for gv, iv, m in aligned_arrays(g, i, mask):
-        np.add(gv, iv, out=m)
-        np.divide(gv, m, out=m)
-        # scores lie in (0, 1), so the ratio is finite and x * 0.0 == 0.0
-        m *= gv > iv
-    return UpdateMask(mask)
+    m = np.add(g.flat, i.flat)
+    np.divide(g.flat, m, out=m)
+    # scores lie in (0, 1), so the ratio is finite and x * 0.0 == 0.0
+    m *= g.flat > i.flat
+    return UpdateMask(g.with_flat(m))
 
 
 def rescale_mask(
@@ -81,20 +75,14 @@ def rescale_mask(
     entries is returned unchanged (flagged, and logged as a warning).
     The result goes to a fresh map, or into `out` (which may be m.mask).
     """
-    if scope not in NORMALIZATION_SCOPES:
-        raise ValueError(f"unknown normalization scope {scope!r}")
     if out is None:
         out = m.mask.with_flat(np.empty(m.mask.total_size))
     else:
         m.mask.require_aligned(out, "rescale_mask")
 
-    if scope == "global":
-        whole = masked_mean_array(m.mask.as_flat())
-        work = [(whole, values, dest) for values, dest in aligned_arrays(m.mask, out)]
-    else:
-        work = [(masked_mean_array(t.data), t.data, o.data) for t, o in zip(m.mask, out)]
     any_selected = False
-    for (mean, empty), values, dest in work:
+    for values, dest in scoped_arrays(scope, m.mask, out):
+        mean, empty = masked_mean_array(values)
         if empty:
             np.copyto(dest, values)
             continue
@@ -120,12 +108,11 @@ def merge(
         out = current.with_flat(np.empty(current.total_size))
     else:
         current.require_aligned(out, "merge")
-    for w, w_pre, mt, o in aligned_arrays(current, pretrained, m.mask, out):
-        # both products rounded as written, then one sum
-        kept = 1.0 - mt
-        kept *= w_pre
-        np.multiply(w, mt, out=o)
-        o += kept
+    # both products rounded as written, then one sum
+    kept = 1.0 - m.mask.flat
+    kept *= pretrained.flat
+    np.multiply(current.flat, m.mask.flat, out=out.flat)
+    out.flat += kept
     return out
 
 

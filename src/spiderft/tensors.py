@@ -5,13 +5,12 @@ flattened from.  A TensorMap is an insertion-ordered collection of uniquely
 named FlatTensors; it stands in for a model's trainable-parameter set, its
 gradients, importance scores, and update masks.
 
-A packed TensorMap keeps every payload in one contiguous float64 buffer
-(``flat``) and each tensor is a view of its segment, in order.  Elementwise
-work on aligned packed maps then runs as one numpy op over the whole buffer
-(see ``aligned_arrays``); per-tensor statistics are taken on the segment
-views.  Maps of separate tensors go through the same code segment by
-segment, so both give bitwise-identical results.  All transforms here are
-pure unless they take an ``out`` argument: inputs are never mutated.
+Every TensorMap keeps its payloads in one contiguous float64 buffer
+(``flat``), each tensor a view of its segment, in order; ``from_tensors``
+copies into a new buffer and ``over`` views a given one.  Elementwise work
+runs as one numpy op over the whole buffer, and statistics are taken per
+tensor on the segment views or over the whole buffer (the normalization
+scope).  Transforms are pure unless they take an ``out`` argument.
 """
 
 from __future__ import annotations
@@ -78,9 +77,6 @@ class FlatTensor:
         t.name, t.shape, t.data = name, shape, data
         return t
 
-    def copy(self) -> "FlatTensor":
-        return FlatTensor(self.name, self.shape, self.data.copy())
-
     def with_data(self, data: np.ndarray) -> "FlatTensor":
         """Same name/shape, new payload."""
         return FlatTensor(self.name, self.shape, data)
@@ -91,44 +87,42 @@ Layout = tuple[tuple[str, tuple[int, ...]], ...]
 
 @dataclass
 class TensorMap:
-    """Insertion-ordered, uniquely named collection of FlatTensors."""
+    """Insertion-ordered, uniquely named FlatTensors over one buffer.
+
+    Every entry views its consecutive segment of ``flat``, in order.  Build
+    maps with ``from_tensors`` (copies) or ``over`` (views); the bare
+    constructor is for callers that already hold such views.
+    """
 
     _entries: dict[str, FlatTensor] = field(default_factory=dict)
-    # the buffer every entry views, in order, when the map is packed
-    _flat: np.ndarray | None = field(default=None, repr=False, compare=False)
+    flat: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False, compare=False)
     _layout: Layout | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_tensors(cls, tensors: Iterable[FlatTensor]) -> "TensorMap":
-        tm = cls()
-        for t in tensors:
-            tm.add(t)
-        return tm
+        """A map over a new buffer holding copies of the tensors' payloads."""
+        tensors = list(tensors)
+        flat = np.concatenate([t.data for t in tensors]) if tensors else np.empty(0)
+        return cls.over(((t.name, t.shape) for t in tensors), flat)
 
     @classmethod
     def over(cls, layout: Iterable[tuple[str, tuple[int, ...]]], flat: np.ndarray) -> "TensorMap":
-        """A packed map of views into `flat`, one consecutive segment per (name, shape).
+        """A map of views into `flat`, one consecutive segment per (name, shape).
 
         Nothing is copied and the values are not scanned.
         """
         layout = tuple(layout)
-        tm = cls()
+        entries: dict[str, FlatTensor] = {}
         offset = 0
         for name, shape in layout:
+            if name in entries:
+                raise ValueError(f"duplicate tensor name {name!r}")
             size = math.prod(shape)
-            tm.add(FlatTensor._wrap(name, shape, flat[offset : offset + size]))
+            entries[name] = FlatTensor._wrap(name, shape, flat[offset : offset + size])
             offset += size
         if offset != flat.size:
             raise ValueError(f"layout covers {offset} entries, buffer has {flat.size}")
-        tm._flat, tm._layout = flat, layout
-        return tm
-
-    def add(self, t: FlatTensor) -> None:
-        if t.name in self._entries:
-            raise ValueError(f"duplicate tensor name {t.name!r}")
-        self._entries[t.name] = t
-        self._flat = None
-        self._layout = None
+        return cls(entries, flat, layout)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -148,12 +142,7 @@ class TensorMap:
 
     @property
     def total_size(self) -> int:
-        return sum(t.size for t in self)
-
-    @property
-    def flat(self) -> np.ndarray | None:
-        """The contiguous buffer the tensors view, or None when not packed."""
-        return self._flat
+        return self.flat.size
 
     def layout(self) -> Layout:
         if self._layout is None:
@@ -175,49 +164,15 @@ class TensorMap:
 
     def concat(self) -> np.ndarray:
         """All entries concatenated in iteration order (a fresh array)."""
-        if self._flat is not None:
-            return self._flat.copy()
-        if not self._entries:
-            return np.empty(0, dtype=np.float64)
-        return np.concatenate([t.data for t in self])
-
-    def as_flat(self) -> np.ndarray:
-        """All entries as one vector: the packed buffer itself, else a concatenation."""
-        return self._flat if self._flat is not None else self.concat()
+        return self.flat.copy()
 
     def with_flat(self, flat: np.ndarray) -> "TensorMap":
-        """Same names and shapes, packed over the given buffer."""
+        """Same names and shapes, over the given buffer."""
         return TensorMap.over(self.layout(), flat)
 
     def copy(self) -> "TensorMap":
-        """An independent packed copy."""
+        """An independent copy."""
         return self.with_flat(self.concat())
-
-    def pack(self) -> "TensorMap":
-        """Move the payloads into one new buffer, in place.
-
-        Each tensor object is kept and rebound to its segment, so whoever
-        shares the tensors (a model's layers) sees the packed views.  A map that
-        packed the same tensors earlier keeps a buffer they no longer view.
-        """
-        flat = self.concat()
-        offset = 0
-        for t in self:
-            t.data = flat[offset : offset + t.size]
-            offset += t.size
-        self._flat = flat
-        return self
-
-
-def aligned_arrays(*maps: TensorMap) -> Iterator[tuple[np.ndarray, ...]]:
-    """Matching payload arrays of aligned maps, for elementwise work.
-
-    One tuple of whole buffers when every map is packed, else one tuple per
-    tensor.  Callers check alignment first.
-    """
-    if all(m.flat is not None for m in maps):
-        return iter([tuple(m.flat for m in maps)])
-    return zip(*[[t.data for t in m] for m in maps])
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +192,7 @@ def zscore(t: FlatTensor) -> FlatTensor:
 def zscore_array(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if out is None:
         out = np.empty_like(values)
-    std = float(np.std(values))
+    std = float(np.std(values)) if values.size else 0.0
     if std < STD_EPS:
         out.fill(0.0)
         return out
@@ -296,23 +251,22 @@ def masked_mean_array(values: np.ndarray) -> tuple[float, bool]:
 NORMALIZATION_SCOPES = ("per_tensor", "global")
 
 
+def scoped_arrays(scope: str, *maps: TensorMap) -> list[tuple[np.ndarray, ...]]:
+    """The units a statistic is taken over, as matching arrays of aligned maps:
+    one tuple per tensor (per_tensor) or one of whole buffers (global)."""
+    if scope not in NORMALIZATION_SCOPES:
+        raise ValueError(f"unknown normalization scope {scope!r}")
+    if scope == "global":
+        return [tuple(m.flat for m in maps)]
+    return list(zip(*[[t.data for t in m] for m in maps]))
+
+
 def zscore_map(tm: TensorMap, scope: str = "per_tensor") -> TensorMap:
     """Z-normalize each tensor, either on its own stats or on global ones.
 
-    The result is a fresh packed map.
+    The result is a fresh map.
     """
-    if scope not in NORMALIZATION_SCOPES:
-        raise ValueError(f"unknown normalization scope {scope!r}")
     out = tm.with_flat(np.empty(tm.total_size))
-    if scope == "per_tensor":
-        for t, o in zip(tm, out):
-            zscore_array(t.data, o.data)
-        return out
-    flat, dest = tm.as_flat(), out.flat
-    std = float(np.std(flat)) if flat.size else 0.0
-    if std < STD_EPS:
-        dest.fill(0.0)
-        return out
-    np.subtract(flat, float(np.mean(flat)), out=dest)
-    dest /= std
+    for values, dest in scoped_arrays(scope, tm, out):
+        zscore_array(values, dest)
     return out

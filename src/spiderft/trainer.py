@@ -1,9 +1,10 @@
 """Toy dense classifier with manual gradients, plus the fine-tuning drivers.
 
 The model is a stack of dense layers (tanh hidden activations, identity
-into a softmax head) over float64 numpy arrays.  Gradients are derived by
-hand so the whole training path stays dependency-free and checkable
-against finite differences.
+into a softmax head).  It owns all its parameters as one contiguous float64
+buffer, and each layer's weight and bias are views of it, in layer order.
+Gradients are derived by hand so the whole training path stays
+dependency-free and checkable against finite differences.
 
 Every method runs the same fine-tuning loop: per iteration forward,
 backward, fold |grad| into the accumulator, SGD step, pid trace.  The
@@ -19,9 +20,9 @@ method name alone picks up to three hooks on it:
 ``finetune_spider`` runs the masked methods and ``finetune_baseline`` the
 counterparts; both are thin checks in front of the one loop.
 
-Each run first packs the model's trainable tensors into one contiguous
-buffer (the layers keep views of it), so the per-iteration chain is a few
-numpy ops over whole buffers and the merge writes straight into the model.
+The trainable tensors are a consecutive run of the model's buffer, so a
+run works on one view of it: the per-iteration chain is a few numpy ops
+over whole buffers, and the SGD step and the merge write into the model.
 Every step checks the loss, the gradient and the updated weights once and
 raises DivergenceError on the first non-finite value.
 
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -114,21 +115,35 @@ class Batch:
 
 @dataclass
 class ToyModel:
-    """Dense classifier; the final layer's logits feed a softmax."""
+    """Dense classifier; the final layer's logits feed a softmax.
+
+    The model owns all its parameters as one buffer: construction copies
+    the given layers' tensors into it, in layer order (weight, then bias),
+    and rebinds the layers to views of it.
+    """
 
     layers: list[Layer]
     trainable: dict[str, bool]
     version: int = 0
+    params: TensorMap = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for k, (lo, hi) in enumerate(zip(self.layers, self.layers[1:])):
-            if lo.out_dim != hi.in_dim:
-                raise DimensionError(
-                    f"layer {k} out_dim {lo.out_dim} != layer {k + 1} in_dim {hi.in_dim}"
-                )
-        for layer in self.layers:
+        for k, layer in enumerate(self.layers):
             if layer.activation not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {layer.activation!r}")
+            if layer.bias.shape != (layer.out_dim,):
+                raise DimensionError(
+                    f"layer {k} bias shape {layer.bias.shape} != ({layer.out_dim},) "
+                    f"for weight shape {layer.weight.shape}"
+                )
+            if k and self.layers[k - 1].out_dim != layer.in_dim:
+                raise DimensionError(f"layer {k - 1} out_dim {self.layers[k - 1].out_dim} "
+                                     f"!= layer {k} in_dim {layer.in_dim}")
+        self.params = TensorMap.from_tensors(t for layer in self.layers
+                                             for t in (layer.weight, layer.bias))
+        for layer in self.layers:
+            layer.weight = self.params[layer.weight.name]
+            layer.bias = self.params[layer.bias.name]
 
     @property
     def input_dim(self) -> int:
@@ -138,22 +153,32 @@ class ToyModel:
     def class_count(self) -> int:
         return self.layers[-1].out_dim
 
-    def tensors(self):
-        for layer in self.layers:
-            yield layer.weight
-            yield layer.bias
+    def tensors(self) -> Iterator[FlatTensor]:
+        """The layers' tensors in buffer order: each layer's weight, then its bias."""
+        return iter(self.params)
 
     def tensor_map(self, trainable_only: bool = False) -> TensorMap:
-        """Live views of the model tensors (copy() before mutating the model)."""
-        return TensorMap.from_tensors(
-            t for t in self.tensors() if not trainable_only or self.trainable[t.name]
-        )
+        """A live view of the model's buffer (copy() before mutating the model).
+
+        With trainable_only, the view of the trainable tensors, which must
+        be consecutive in the buffer; it holds the layers' own tensors.
+        """
+        if not trainable_only:
+            return self.params
+        tensors = list(self.params)
+        flags = [self.trainable[t.name] for t in tensors]
+        first = flags.index(True) if True in flags else 0
+        chosen = tensors[first : first + sum(flags)]
+        if not all(flags[first : first + sum(flags)]):
+            raise ConfigError("the trainable tensors are not consecutive in the model")
+        start = sum(t.size for t in tensors[:first])
+        stop = start + sum(t.size for t in chosen)
+        return TensorMap({t.name: t for t in chosen}, self.params.flat[start:stop])
 
     def load_values(self, values: TensorMap) -> None:
         """Write the given tensors' payloads into the model, in place."""
-        own = {t.name: t for t in self.tensors()}
         for t in values:
-            target = own.get(t.name)
+            target = self.params[t.name] if t.name in self.params else None
             if target is None or target.shape != t.shape:
                 raise AlignmentError(f"load_values: no matching tensor for {t.name!r}")
             if target is not t:  # a tensor loaded onto itself is already in place
@@ -161,10 +186,8 @@ class ToyModel:
         self.version += 1
 
     def copy(self) -> "ToyModel":
-        layers = [
-            Layer(layer.weight.copy(), layer.bias.copy(), layer.activation)
-            for layer in self.layers
-        ]
+        """An independent model; its constructor copies the parameters."""
+        layers = [Layer(layer.weight, layer.bias, layer.activation) for layer in self.layers]
         return ToyModel(layers, dict(self.trainable), self.version)
 
 
@@ -173,31 +196,24 @@ def build_model(layer_dims: Sequence[int], seed: int) -> ToyModel:
     if len(layer_dims) < 2:
         raise DimensionError("need at least input and output dims")
     rng = np.random.default_rng(seed)
-    layers = []
-    head = len(layer_dims) - 2
+    tensors = []
     for k, (d_in, d_out) in enumerate(zip(layer_dims, layer_dims[1:])):
         w = rng.normal(0.0, 1.0 / math.sqrt(d_in), size=(d_out, d_in))
         b = rng.normal(0.0, 0.1, size=d_out)
-        layers.append(
-            Layer(
-                FlatTensor.of(f"layer{k}.weight", w),
-                FlatTensor.of(f"layer{k}.bias", b),
-                "identity" if k == head else "tanh",
-            )
-        )
-    trainable = {t.name: True for layer in layers for t in (layer.weight, layer.bias)}
-    return ToyModel(layers, trainable)
+        tensors += [FlatTensor.of(f"layer{k}.weight", w), FlatTensor.of(f"layer{k}.bias", b)]
+    return model_from_tensor_map(tensors)
 
 
-def model_from_tensor_map(tm: TensorMap) -> ToyModel:
-    """Rebuild a model from checkpointed tensors named layer{k}.{weight,bias}."""
+def model_from_tensor_map(tm: Iterable[FlatTensor]) -> ToyModel:
+    """A model (tanh hidden layers, identity head, all layers trainable) from
+    tensors named layer{k}.{weight,bias}, such as a checkpointed map."""
     pat = re.compile(r"^layer(\d+)\.(weight|bias)$")
     found: dict[int, dict[str, FlatTensor]] = {}
     for t in tm:
         m = pat.match(t.name)
         if not m:
             raise AlignmentError(f"unrecognized tensor name {t.name!r}")
-        found.setdefault(int(m.group(1)), {})[m.group(2)] = t.copy()
+        found.setdefault(int(m.group(1)), {})[m.group(2)] = t
     layers = []
     for k in range(len(found)):
         if k not in found or set(found[k]) != {"weight", "bias"}:
@@ -273,7 +289,7 @@ def backward(model: ToyModel, cache: ForwardCache) -> TensorMap:
     dz[np.arange(n), cache.batch.labels] -= 1.0
     dz /= n
 
-    # one packed buffer; the driver checks its values once per step
+    # one buffer; the driver checks its values once per step
     layout = [(t.name, t.shape) for t in model.tensors() if model.trainable[t.name]]
     grads = TensorMap.over(layout, np.empty(sum(math.prod(s) for _, s in layout)))
     # no layer below the lowest trainable one needs its gradient
@@ -302,9 +318,12 @@ def sgd_step(
     """w <- w - lr * grad on the trainable tensors, in place."""
     trainables = model.tensor_map(trainable_only=True)
     trainables.require_aligned(grads, "sgd_step")
-    for t, g in zip(trainables, grads):
-        rate = lr_overrides.get(t.name, lr) if lr_overrides else lr
-        t.data -= rate * g.data
+    step = lr * grads.flat
+    if lr_overrides:
+        for g, s in zip(grads, grads.with_flat(step)):
+            if g.name in lr_overrides:
+                np.multiply(lr_overrides[g.name], g.data, out=s.data)
+    trainables.flat -= step
     model.version += 1
     return model
 
@@ -369,12 +388,27 @@ def batches_of(inputs: np.ndarray, labels: np.ndarray, batch_size: int) -> list[
     ]
 
 
-def _iteration_seeds(seed: int, count: int) -> np.ndarray:
-    return np.random.SeedSequence(seed).generate_state(max(count, 1), dtype=np.uint64)
+# words of the per-iteration seed stream generated at once, at the least
+_SEED_PREFIX = 1024
+
+
+def _iteration_seeds(seed: int, count: int) -> Iterator[int]:
+    """The words of SeedSequence(seed).generate_state(count) as ints, in order.
+
+    generate_state is prefix-stable, so the words come from prefixes of
+    doubling length (all `count` at once when that is short) instead of
+    one up-front allocation for the whole planned run.
+    """
+    seq, done = np.random.SeedSequence(seed), 0
+    while done < count:
+        n = min(count, max(2 * done, _SEED_PREFIX))
+        for word in seq.generate_state(n, dtype=np.uint64)[done:]:
+            yield int(word)
+        done = n
 
 
 def _require_finite(it: int, what: str, tm: TensorMap) -> None:
-    if np.isfinite(tm.as_flat()).all():
+    if np.isfinite(tm.flat).all():
         return
     name = next(t.name for t in tm if not np.isfinite(t.data).all())
     raise DivergenceError(f"training diverged at iteration {it}: non-finite {what} in {name!r}")
@@ -394,7 +428,7 @@ def _edit_gradient(
     cfg: TrainConfig, loss: float, g: np.ndarray, weights: TensorMap, pretrained: TensorMap,
     seed: int, log: RunLog,
 ) -> float:
-    """The counterparts' gradient hook, in place on the packed gradient g.
+    """The counterparts' gradient hook, in place on the gradient buffer g.
 
     Returns the loss with the pull-back penalty added.
     """
@@ -424,12 +458,9 @@ def _finetune(
     model: ToyModel, pretrained: TensorMap, data: Sequence[Batch], cfg: TrainConfig
 ) -> tuple[ToyModel, RunLog]:
     """The fine-tuning loop of every method; cfg.method picks the hooks."""
+    # a view of the model's buffer: writing it writes the model
     weights = model.tensor_map(trainable_only=True)
     weights.require_aligned(pretrained, "finetune")
-    # the packed weights hold the model's own tensors: writing them writes the model
-    weights = weights.pack()
-    if pretrained.flat is None:
-        pretrained = pretrained.copy()
 
     accumulator = GradAccumulator.empty(pretrained, cfg.beta)
     variant, scope = MASK_OF_METHOD.get(cfg.method), cfg.normalization_scope
@@ -441,6 +472,7 @@ def _finetune(
         fixed = select_mask(variant, pretrained, pretrained, gamma=cfg.selection_gamma)
     # the snapshot and the accumulator, plus the fixed map
     log = RunLog(cfg.method, persistent_aux_maps=2 + (fixed is not None))
+    # one word per iteration, then the post-run drop's
     seeds = _iteration_seeds(cfg.seed, cfg.epochs * len(data) + 1)
 
     it = 0
@@ -448,8 +480,9 @@ def _finetune(
         if cfg.accumulator_reset_per_epoch and epoch > 0:
             accumulator = GradAccumulator.empty(pretrained, cfg.beta)
         for batch in data:
+            seed = next(seeds)
             loss, grads = _loss_and_gradient(model, batch, it)
-            loss = _edit_gradient(cfg, loss, grads.flat, weights, pretrained, int(seeds[it]), log)
+            loss = _edit_gradient(cfg, loss, grads.flat, weights, pretrained, seed, log)
             accumulate_gradient(accumulator, grads)
 
             if variant in DISCREPANCY_MASKS:
@@ -459,7 +492,7 @@ def _finetune(
                                    fixed, scope)
             elif variant in ("random", "gradient"):
                 mask = select_mask(variant, accumulator.acc, pretrained,
-                                   gamma=cfg.selection_gamma, seed=int(seeds[it]))
+                                   gamma=cfg.selection_gamma, seed=seed)
             else:
                 mask = fixed  # the magnitude arm's one mask, or none
 
@@ -476,7 +509,7 @@ def _finetune(
 
     if cfg.method == "dare" and cfg.dare_drop_p != 0.0 and it > 0:
         delta = weights.with_flat(weights.flat - pretrained.flat)
-        kept = dare_mask_and_rescale(delta, cfg.dare_drop_p, int(seeds[-1]))
+        kept = dare_mask_and_rescale(delta, cfg.dare_drop_p, next(seeds))
         np.add(pretrained.flat, kept.flat, out=weights.flat)
         model.load_values(weights)
 

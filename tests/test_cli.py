@@ -10,6 +10,7 @@ import pytest
 
 from spiderft.checkpoint import load_checkpoint, save_checkpoint
 from spiderft.cli import main
+from spiderft.tensors import FlatTensor, TensorMap
 
 from helpers import mapped, tmap
 
@@ -365,6 +366,27 @@ def test_negative_config_seed_exits_2_with_one_line(tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stderr == "error: seed must be >= 0, got -3\n"
+
+
+@pytest.mark.parametrize("command", ["eval", "finetune"])
+def test_mismatched_bias_shape_exits_2_with_one_line(workspace, command):
+    tmp, cfg = workspace
+    bad = tmp / "bias.ckpt"
+    save_checkpoint(TensorMap.from_tensors([
+        FlatTensor.of("layer0.weight", np.ones((5, 8))),
+        FlatTensor.of("layer0.bias", np.zeros(3)),  # should have 5 entries
+        FlatTensor.of("layer1.weight", np.ones((3, 5))),
+        FlatTensor.of("layer1.bias", np.zeros(3)),
+    ]), bad)
+    argv = (["eval", "--model", bad, "--config", cfg] if command == "eval" else
+            ["finetune", "--pretrained", bad, "--config", cfg, "--out", tmp / "o.ckpt"])
+    proc = subprocess.run(
+        [sys.executable, "-m", "spiderft.cli", *map(str, argv)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "layer 0 bias shape (3,)" in proc.stderr
 
 
 def test_corrupt_checkpoint_exits_2(workspace, tmp_path):

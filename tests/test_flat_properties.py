@@ -1,9 +1,10 @@
-"""Property tests: packed buffers against per-tensor maps.
+"""Property tests: whole-buffer map functions against per-segment numpy.
 
-Every public numeric function accepts maps whose tensors are views of one
-packed buffer as well as maps of separate tensors.  On random segment
-tables both must give bitwise-identical results, and outside a driver no
-function may write into its inputs.
+Every map keeps its tensors as consecutive segments of one buffer, and the
+numeric functions work on that buffer at once.  On random segment tables
+each result must equal, bit for bit, plain numpy arithmetic applied segment
+by segment (or to the whole vector where the scope is global), and no
+function may write into its inputs unless it is handed them as ``out``.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import expit
 
 from spiderft.errors import ZeroNormError
 from spiderft.importance import (
+    PID_COS_FLOOR,
     GradAccumulator,
     accumulate_gradient,
     generalization_importance,
@@ -33,10 +36,11 @@ from spiderft.masking import (
     rescale_mask,
     weighted_mask,
 )
-from spiderft.tensors import STD_EPS, FlatTensor, TensorMap, aligned_arrays, zscore_map
+from spiderft.tensors import STD_EPS, TensorMap, zscore_map
 
 SETTINGS = settings(max_examples=60, deadline=None)
 SCOPES = st.sampled_from(["per_tensor", "global"])
+_SIG_LO, _SIG_HI = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
 
 # one to four tensors; single-element ones are drawn often
 shapes = st.lists(
@@ -72,26 +76,29 @@ def two_payloads(draw, first, second):
     return table, a, b
 
 
-def both(table, flat) -> tuple[TensorMap, TensorMap]:
-    """The same values as a packed map and as a map of separate tensors."""
-    layout = [(f"t{k}", shape) for k, shape in enumerate(table)]
-    packed = TensorMap.over(layout, flat.copy())
-    loose = TensorMap.from_tensors(
-        FlatTensor(t.name, t.shape, t.data.copy()) for t in packed
-    )
-    assert packed.flat is not None and loose.flat is None
-    return packed, loose
+def tmap_of(table, flat) -> TensorMap:
+    return TensorMap.over([(f"t{k}", shape) for k, shape in enumerate(table)], flat.copy())
 
 
-def assert_same(a: TensorMap, b: TensorMap) -> None:
-    assert a.signature() == b.signature()
-    for x, y in zip(a, b):
-        assert np.array_equal(x.data, y.data), x.name
-        assert x.data.tobytes() == y.data.tobytes(), x.name  # signed zeros too
+def segments(table, flat) -> list[np.ndarray]:
+    bounds = np.cumsum([0] + [int(np.prod(s)) for s in table])
+    return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def per_scope(fn, table, flat, scope) -> np.ndarray:
+    """fn on each segment (per_tensor) or on the whole vector (global)."""
+    if scope == "global":
+        return fn(flat)
+    return np.concatenate([fn(v) for v in segments(table, flat)])
+
+
+def assert_bits(tm: TensorMap, expected: np.ndarray) -> None:
+    assert tm.flat.tobytes() == np.asarray(expected, dtype=np.float64).tobytes()  # signed zeros too
+    assert all(np.shares_memory(t.data, tm.flat) for t in tm)
 
 
 def snapshot(*maps: TensorMap) -> list[bytes]:
-    return [t.data.tobytes() for m in maps for t in m]
+    return [m.flat.tobytes() for m in maps]
 
 
 def outcome(fn, *args):
@@ -102,6 +109,31 @@ def outcome(fn, *args):
         return "zero norm"
 
 
+# -- reference arithmetic, straight from the formulas ------------------------
+
+
+def ref_zscore(v):
+    std = float(np.std(v)) if v.size else 0.0
+    return np.zeros_like(v) if std < STD_EPS else (v - np.mean(v)) / std
+
+
+def ref_sigmoid(v):
+    return np.clip(expit(v), _SIG_LO, _SIG_HI)
+
+
+def ref_pid(w, g):
+    nw, ng = float(np.linalg.norm(w)), float(np.linalg.norm(g))
+    if nw < 1e-12 or ng < 1e-12:
+        return "zero norm"
+    c = min(1.0, max(-1.0, float(np.dot(w, g)) / (nw * ng)))
+    return max(c, PID_COS_FLOOR) ** -2
+
+
+def ref_rescale(v):
+    nz = v[v != 0.0]
+    return v.copy() if nz.size == 0 else np.minimum(v / np.mean(nz), 1.0)
+
+
 values = st.floats(-8.0, 8.0, allow_nan=False, width=64)
 scores = st.floats(0.01, 0.99, allow_nan=False, width=64)
 
@@ -109,14 +141,14 @@ scores = st.floats(0.01, 0.99, allow_nan=False, width=64)
 @SETTINGS
 @given(payloads(values), SCOPES)
 def test_zscore_map_packed_matches_per_tensor(data, scope):
-    packed, loose = both(*data)
-    before = snapshot(packed, loose)
-    out_packed, out_loose = zscore_map(packed, scope), zscore_map(loose, scope)
-    assert_same(out_packed, out_loose)
-    assert snapshot(packed, loose) == before
+    table, flat = data
+    tm = tmap_of(table, flat)
+    out = zscore_map(tm, scope)
+    assert_bits(out, per_scope(ref_zscore, table, flat, scope))
+    assert snapshot(tm) == [flat.tobytes()]
     if scope == "per_tensor":
-        for t, z in zip(loose, out_loose):
-            if float(np.std(t.data)) < STD_EPS:  # constant and single-element tensors
+        for v, z in zip(segments(table, flat), out):
+            if float(np.std(v)) < STD_EPS:  # constant and single-element tensors
                 assert np.all(z.data == 0.0)
 
 
@@ -124,57 +156,55 @@ def test_zscore_map_packed_matches_per_tensor(data, scope):
 @given(two_payloads(values, values), SCOPES, st.floats(0.0, 0.99))
 def test_importance_and_accumulator_packed_match(data, scope, beta):
     table, w_flat, g_flat = data
-    w_packed, w_loose = both(table, w_flat)
-    g_packed, g_loose = both(table, g_flat)
-    before = snapshot(w_packed, w_loose, g_packed, g_loose)
+    w, g = tmap_of(table, w_flat), tmap_of(table, g_flat)
+    before = snapshot(w, g)
 
-    assert_same(generalization_importance(w_packed, scope),
-                generalization_importance(w_loose, scope))
+    assert_bits(generalization_importance(w, scope),
+                per_scope(lambda v: ref_sigmoid(ref_zscore(np.abs(v))), table, w_flat, scope))
 
-    loose_zeros = TensorMap.from_tensors(t.with_data(np.zeros(t.size)) for t in w_loose)
-    states = [GradAccumulator.empty(w_loose, beta), GradAccumulator(loose_zeros, beta)]
-    assert states[0].acc.flat is not None and states[1].acc.flat is None
-    # mixed packing on purpose: packed accumulator, loose gradients and back
-    for state, first, second in zip(states, (g_loose, g_packed), (w_packed, w_loose)):
-        accumulate_gradient(state, first)
-        accumulate_gradient(state, second)
-    assert_same(states[0].acc, states[1].acc)
-    accumulated = snapshot(states[0].acc, states[1].acc)
-    assert_same(specialization_importance(states[0], scope),
-                specialization_importance(states[1], scope))
+    state = GradAccumulator.empty(w, beta)
+    accumulate_gradient(state, g)
+    assert_bits(state.acc, np.abs(g_flat))
+    accumulate_gradient(state, w)
+    acc = np.abs(g_flat) * beta + np.abs(w_flat) * (1.0 - beta)
+    assert_bits(state.acc, acc)
+    accumulated = snapshot(state.acc)
+    assert_bits(specialization_importance(state, scope),
+                per_scope(lambda v: ref_sigmoid(ref_zscore(v)), table, acc, scope))
 
-    assert outcome(pid, w_packed, states[0].acc) == outcome(pid, w_loose, states[1].acc)
-    assert outcome(pid_per_tensor, w_packed, g_packed) == outcome(pid_per_tensor, w_loose, g_loose)
-    assert snapshot(w_packed, w_loose, g_packed, g_loose) == before
-    assert snapshot(states[0].acc, states[1].acc) == accumulated
-
-
-def scores_pair(table, g_flat, i_flat):
-    g_packed, g_loose = both(table, g_flat)
-    i_packed, i_loose = both(table, i_flat)
-    return (g_packed, i_packed), (g_loose, i_loose)
+    assert outcome(pid, w, state.acc) == ref_pid(np.abs(w_flat), acc)
+    per_tensor = [ref_pid(np.abs(a), np.abs(b))
+                  for a, b in zip(segments(table, w_flat), segments(table, g_flat))]
+    assert outcome(pid_per_tensor, w, g) == (
+        "zero norm" if "zero norm" in per_tensor
+        else {f"t{k}": value for k, value in enumerate(per_tensor)})
+    assert snapshot(w, g) == before
+    assert snapshot(state.acc) == accumulated
 
 
 @SETTINGS
 @given(two_payloads(scores, scores), SCOPES)
 def test_masks_packed_match_per_tensor(data, scope):
-    (g_p, i_p), (g_l, i_l) = scores_pair(*data)
-    before = snapshot(g_p, i_p, g_l, i_l)
+    table, g_flat, i_flat = data
+    g, i = tmap_of(table, g_flat), tmap_of(table, i_flat)
+    before = snapshot(g, i)
 
-    assert_same(binary_mask(g_p, i_p).mask, binary_mask(g_l, i_l).mask)
-    weighted_p, weighted_l = weighted_mask(g_p, i_p), weighted_mask(g_l, i_l)
-    assert_same(weighted_p.mask, weighted_l.mask)
-    assert snapshot(g_p, i_p, g_l, i_l) == before
+    assert_bits(binary_mask(g, i).mask, (g_flat > i_flat).astype(np.float64))
+    weighted = weighted_mask(g, i)
+    w_flat = np.where(g_flat > i_flat, g_flat / (g_flat + i_flat), 0.0)
+    assert_bits(weighted.mask, w_flat)
+    assert weighted.density == np.count_nonzero(w_flat) / w_flat.size
+    assert snapshot(g, i) == before
 
-    weighted_before = snapshot(weighted_p.mask, weighted_l.mask)
-    rescaled_p, rescaled_l = rescale_mask(weighted_p, scope), rescale_mask(weighted_l, scope)
-    assert_same(rescaled_p.mask, rescaled_l.mask)
-    assert rescaled_p.empty_selection == rescaled_l.empty_selection
-    assert snapshot(weighted_p.mask, weighted_l.mask) == weighted_before
+    rescaled = rescale_mask(weighted, scope)
+    expected = per_scope(ref_rescale, table, w_flat, scope)
+    assert_bits(rescaled.mask, expected)
+    assert rescaled.empty_selection == (not np.any(w_flat))
+    assert snapshot(weighted.mask) == [w_flat.tobytes()]
 
-    in_place = rescale_mask(weighted_p, scope, out=weighted_p.mask)
-    assert in_place.mask is weighted_p.mask
-    assert_same(in_place.mask, rescaled_l.mask)
+    in_place = rescale_mask(weighted, scope, out=weighted.mask)
+    assert in_place.mask is weighted.mask
+    assert_bits(in_place.mask, expected)
 
 
 @SETTINGS
@@ -182,22 +212,21 @@ def test_masks_packed_match_per_tensor(data, scope):
 def test_all_deselected_mask_is_flagged_and_logged(data, scope):
     table, g_flat, i_flat = data
     # G <= I everywhere: nothing is selected
-    (g_p, i_p), (g_l, i_l) = scores_pair(table, np.minimum(g_flat, i_flat), i_flat)
+    g, i = tmap_of(table, np.minimum(g_flat, i_flat)), tmap_of(table, i_flat)
     records = []
     handler = logging.Handler()
     handler.emit = records.append
     logger = logging.getLogger("spiderft.masking")
     logger.addHandler(handler)
     try:
-        for g, i in ((g_p, i_p), (g_l, i_l)):
-            weighted = weighted_mask(g, i)
-            assert weighted.density == 0.0
-            out = rescale_mask(weighted, scope)
-            assert out.empty_selection
-            assert np.all(out.mask.as_flat() == 0.0)
+        weighted = weighted_mask(g, i)
+        assert weighted.density == 0.0
+        out = rescale_mask(weighted, scope)
+        assert out.empty_selection
+        assert np.all(out.mask.flat == 0.0)
     finally:
         logger.removeHandler(handler)
-    assert sum("empty selection" in r.getMessage() for r in records) == 2
+    assert sum("empty selection" in r.getMessage() for r in records) == 1
 
 
 @SETTINGS
@@ -207,52 +236,52 @@ def test_merge_packed_matches_per_tensor_and_in_place(weights, data):
     pre_flat = data.draw(arrays(np.float64, w_flat.size, elements=values))
     mask_flat = data.draw(arrays(np.float64, w_flat.size, elements=st.sampled_from(
         [0.0, 1.0, 0.25, 0.625, 0.9])))
-    w_p, w_l = both(table, w_flat)
-    pre_p, pre_l = both(table, pre_flat)
-    m_p, m_l = both(table, mask_flat)
-    before = snapshot(w_p, w_l, pre_p, pre_l, m_p, m_l)
+    w, pre, m = (tmap_of(table, f) for f in (w_flat, pre_flat, mask_flat))
+    before = snapshot(w, pre, m)
 
-    merged_p = merge(w_p, pre_p, UpdateMask(m_p))
-    merged_l = merge(w_l, pre_l, UpdateMask(m_l))
-    assert_same(merged_p, merged_l)
-    assert snapshot(w_p, w_l, pre_p, pre_l, m_p, m_l) == before
+    expected = w_flat * mask_flat + pre_flat * (1.0 - mask_flat)
+    merged = merge(w, pre, UpdateMask(m))
+    assert_bits(merged, expected)
+    assert snapshot(w, pre, m) == before
 
-    for current in (w_p, w_l):
-        out = merge(current, pre_p, UpdateMask(m_p), out=current)
-        assert out is current
-        assert_same(current, merged_p)
+    out = merge(w, pre, UpdateMask(m), out=w)
+    assert out is w
+    assert_bits(w, expected)
     # the merge's support property: a zero mask entry restores pretrained exactly
     off = mask_flat == 0.0
-    assert np.array_equal(merged_p.flat[off], pre_flat[off])
+    assert np.array_equal(merged.flat[off], pre_flat[off])
 
 
 @SETTINGS
 @given(payloads(values), st.floats(0.0, 0.9), st.integers(0, 2**32 - 1))
 def test_random_transforms_packed_match(data, drop_p, seed):
-    packed, loose = both(*data)
-    before = snapshot(packed, loose)
-    assert_same(dare_mask_and_rescale(packed, drop_p, seed),
-                dare_mask_and_rescale(loose, drop_p, seed))
-    assert_same(random_half_mask(packed, seed).mask, random_half_mask(loose, seed).mask)
-    assert snapshot(packed, loose) == before
+    table, flat = data
+    tm = tmap_of(table, flat)
+    rng = np.random.default_rng(seed)
+    kept = [v * (rng.random(v.size) >= drop_p) * (1.0 / (1.0 - drop_p)) if drop_p else v
+            for v in segments(table, flat)]
+    assert_bits(dare_mask_and_rescale(tm, drop_p, seed), np.concatenate(kept))
+
+    chosen = np.random.default_rng(seed).choice(len(table), size=len(table) // 2, replace=False)
+    half = [np.full(v.size, float(k in chosen)) for k, v in enumerate(segments(table, flat))]
+    assert_bits(random_half_mask(tm, seed).mask, np.concatenate(half))
+    assert snapshot(tm) == [flat.tobytes()]
 
 
 @SETTINGS
 @given(payloads(values))
 def test_pack_copy_and_views_keep_values(data):
     table, flat = data
-    packed, loose = both(table, flat)
-    assert [a.tolist() for (a, b) in aligned_arrays(packed, packed.copy())] == [flat.tolist()]
-    assert len(list(aligned_arrays(packed, loose))) == len(table)
+    tm = tmap_of(table, flat)
+    for t, v in zip(tm, segments(table, flat)):
+        assert t.data.tobytes() == v.tobytes()
+        assert t.view().shape == t.shape
 
-    tensors = list(loose)
-    assert loose.pack() is loose
-    assert all(a is b for a, b in zip(loose, tensors))  # same objects, rebound
-    assert np.array_equal(loose.flat, flat)
-    assert all(np.shares_memory(t.data, loose.flat) for t in loose)
-
-    copied = packed.copy()
-    assert not np.shares_memory(copied.flat, packed.flat)
-    assert_same(copied, packed)
-    assert np.array_equal(packed.concat(), flat)
-    assert not np.shares_memory(packed.concat(), packed.flat)
+    copied = tm.copy()
+    assert not np.shares_memory(copied.flat, tm.flat)
+    assert_bits(copied, flat)
+    rebuilt = TensorMap.from_tensors(tm)
+    assert not np.shares_memory(rebuilt.flat, tm.flat)
+    assert_bits(rebuilt, flat)
+    assert np.array_equal(tm.concat(), flat)
+    assert not np.shares_memory(tm.concat(), tm.flat)

@@ -1,11 +1,14 @@
-"""Golden output digests for every fine-tuning method, the sweep and pretraining.
+"""Golden output digests for every fine-tuning method, the sweep, pretraining
+and the offline CLI commands.
 
 Each digest is a SHA-256 over the exact bytes of a run's outputs: the final
 weights (frozen tensors included), the losses, the mask densities, the pid
 trace and the final accumulator.  The constants were recorded on the
 implementation with two separate fine-tuning loops that the single loop
 replaced, so a change to the arithmetic, the operation order or the seed
-streams of any method shows up here as a mismatch.
+streams of any method shows up here as a mismatch.  The CLI digests (every
+merge strategy and scope, and ``pid --per-tensor``) were recorded on the
+implementation that kept loose, unpacked tensor maps beside packed ones.
 """
 
 from __future__ import annotations
@@ -123,3 +126,81 @@ def test_run_experiment_matches_golden_digest():
 
 def test_pretrain_matches_golden_digest():
     assert pretrain_digest() == PRETRAIN_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# Offline CLI commands on small checkpoints: load_checkpoint, the gradient
+# domain of a trainable-only grad dump, the four merge strategies and pid
+# ---------------------------------------------------------------------------
+
+MERGE_STRATEGIES = ("binary", "weighted", "rescaled", "dare")
+SCOPES = ("per_tensor", "global")
+
+
+def _cli_checkpoints(tmp_path):
+    """A pretrained and a fine-tuned 4-6-5-3 model, and a dump covering its last two layers."""
+    from spiderft.checkpoint import save_checkpoint
+    from spiderft.tensors import FlatTensor, TensorMap
+
+    rng = np.random.default_rng(11)
+    pre = build_model([4, 6, 5, 3], 11).tensor_map()
+    fine = TensorMap.from_tensors(
+        t.with_data(t.data + 0.05 * rng.standard_normal(t.size)) for t in pre
+    )
+    grads = [
+        FlatTensor(t.name, t.shape, np.abs(rng.standard_normal(t.size)) * 1e-2)
+        for t in pre if not t.name.startswith("layer0.")
+    ]
+    grads[0].data[:3] = 0.0  # a few entries without gradient evidence
+    paths = {k: tmp_path / f"{k}.ckpt" for k in ("pre", "fine", "grads")}
+    save_checkpoint(pre, paths["pre"])
+    save_checkpoint(fine, paths["fine"])
+    save_checkpoint(TensorMap.from_tensors(grads), paths["grads"])
+    return paths
+
+
+def merge_digest(tmp_path, strategy: str, scope: str) -> str:
+    from spiderft.cli import main
+
+    paths = _cli_checkpoints(tmp_path)
+    out = tmp_path / "merged.ckpt"
+    assert main([
+        "merge", "--pretrained", str(paths["pre"]), "--finetuned", str(paths["fine"]),
+        "--grads", str(paths["grads"]), "--strategy", strategy, "--scope", scope,
+        "--out", str(out),
+    ]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def pid_stdout_digest(tmp_path, capsys) -> str:
+    from spiderft.cli import main
+
+    paths = _cli_checkpoints(tmp_path)
+    capsys.readouterr()
+    assert main(["pid", "--pretrained", str(paths["pre"]), "--grads", str(paths["grads"]),
+                 "--per-tensor"]) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+MERGE_DIGESTS = {
+    ("binary", "per_tensor"): "67f528720e2904cbfde15b041d0b749af86100952b561113ce9de90464965788",
+    ("binary", "global"): "c4673ba16aeb79d54da91b443132dcd83f6e186a3917c9b05ec4cf7f03b2fa0c",
+    ("weighted", "per_tensor"): "836782aa09b2abedbab81c0cbaf212cd2363f806172947605ee1343acf077518",
+    ("weighted", "global"): "2323a4021377060a959ce38ea3588c6717d855075181a3a102db1cb38c9f459e",
+    ("rescaled", "per_tensor"): "12efda364d34433c313cdaee23b755b13d6cecba49958224173548a3f7eb498c",
+    ("rescaled", "global"): "65879c2c851f99dac8927f1e20940cc8f34be92a4768ac419a5fa1b39df07ac6",
+    # dare ignores the scope
+    ("dare", "per_tensor"): "eed7011ab3b0c50832b9d08746eced7a7e71d48ac35c1eadc1136def42b58726",
+    ("dare", "global"): "eed7011ab3b0c50832b9d08746eced7a7e71d48ac35c1eadc1136def42b58726",
+}
+PID_STDOUT_DIGEST = "b47802c8a5b5ccca990995a27edec20c3f288b9d237cf91badf7875c2924b6d7"
+
+
+@pytest.mark.parametrize("strategy", MERGE_STRATEGIES)
+@pytest.mark.parametrize("scope", SCOPES)
+def test_cli_merge_matches_golden_digest(tmp_path, strategy, scope):
+    assert merge_digest(tmp_path, strategy, scope) == MERGE_DIGESTS[(strategy, scope)]
+
+
+def test_cli_pid_per_tensor_matches_golden_digest(tmp_path, capsys):
+    assert pid_stdout_digest(tmp_path, capsys) == PID_STDOUT_DIGEST

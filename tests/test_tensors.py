@@ -204,9 +204,10 @@ def test_tensor_map_preserves_insertion_order():
 
 
 def test_tensor_map_rejects_duplicate_names():
-    m = tmap(a=[1.0])
     with pytest.raises(ValueError):
-        m.add(FlatTensor.of("a", [2.0]))
+        TensorMap.from_tensors([FlatTensor.of("a", [1.0]), FlatTensor.of("a", [2.0])])
+    with pytest.raises(ValueError):
+        TensorMap.over([("a", (1,)), ("a", (1,))], np.zeros(2))
 
 
 def test_tensor_map_alignment():
@@ -227,12 +228,17 @@ def test_tensor_map_copy_is_independent():
 
 
 def test_packed_map_views_one_buffer():
-    m = tmap(x=[1.0, 2.0], y=[3.0])
-    packed = m.copy()
-    assert m.flat is None and packed.flat is not None
-    np.testing.assert_array_equal(packed.flat, [1.0, 2.0, 3.0])
-    packed["y"].data[0] = 9.0
-    assert packed.flat[2] == 9.0 and m["y"].data[0] == 3.0
+    x, y = FlatTensor.of("x", [1.0, 2.0]), FlatTensor.of("y", [3.0])
+    m = TensorMap.from_tensors([x, y])
+    np.testing.assert_array_equal(m.flat, [1.0, 2.0, 3.0])
+    # from_tensors copies its inputs into the new buffer
+    assert not np.shares_memory(m.flat, x.data) and not np.shares_memory(m.flat, y.data)
+    m["y"].data[0] = 9.0
+    assert m.flat[2] == 9.0 and y.data[0] == 3.0
+    copied = m.copy()
+    assert not np.shares_memory(copied.flat, m.flat)
+    assert all(np.shares_memory(t.data, copied.flat) for t in copied)
+    assert TensorMap().flat.size == 0 and TensorMap.from_tensors([]).flat.size == 0
     with pytest.raises(ValueError):
         m.with_flat(np.zeros(4))
 

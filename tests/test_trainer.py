@@ -1,6 +1,7 @@
 """Model mechanics, gradients, and the two fine-tuning drivers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from spiderft.errors import (
     ConfigError,
     DimensionError,
     DivergenceError,
+    SpiderftError,
     StaleCacheError,
 )
 from spiderft.tensors import FlatTensor, TensorMap
@@ -565,17 +567,17 @@ def test_final_accumulator_is_exposed_for_dumping():
 
 def test_model_after_packed_run(tmp_path):
     model = small_model(seed=16)
+    flat = model.params.flat
     frozen = {t.name: t.data.copy() for t in model.tensors() if not model.trainable[t.name]}
     pretrained = model.tensor_map(trainable_only=True).copy()
     inputs, labels = blob_data(16, n=48)
     batch = Batch(inputs, labels)
     model, _ = finetune_spider(model, pretrained, batches_of(inputs, labels, 16), TrainConfig())
 
-    # the trainable tensors are consecutive views of one buffer; frozen ones are untouched
-    trainables = list(model.tensor_map(trainable_only=True))
-    flat = trainables[0].data.base
-    assert flat.size == sum(t.size for t in trainables)
-    assert all(t.data.base is flat for t in trainables)
+    # the run wrote the model's buffer in place; frozen tensors are untouched
+    assert model.params.flat is flat
+    assert all(np.shares_memory(t.data, flat) for t in model.tensors())
+    assert not np.array_equal(model.tensor_map(trainable_only=True).flat, pretrained.flat)
     for name, before in frozen.items():
         assert np.array_equal(model.tensor_map()[name].data, before)
 
@@ -590,14 +592,99 @@ def test_model_after_packed_run(tmp_path):
     assert forward(model_from_tensor_map(loaded), batch)[0] == pytest.approx(loss, rel=1e-5)
 
     model.load_values(loaded)
-    assert all(t.data.base is flat for t in trainables)  # written in place
-    for t in model.tensors():
-        assert np.array_equal(t.data, loaded[t.name].data)
-    # a second run packs afresh and leaves the first buffer alone
-    before = flat.copy()
+    assert np.array_equal(flat, loaded.flat)  # written in place
+    assert all(np.shares_memory(t.data, flat) for t in model.tensors())
     finetune_spider(model, model.tensor_map(trainable_only=True).copy(), [batch], TrainConfig())
-    assert np.array_equal(flat, before)
-    assert not any(np.shares_memory(t.data, flat) for t in model.tensor_map(trainable_only=True))
+    assert model.params.flat is flat
+    assert all(np.shares_memory(t.data, flat) for t in model.tensors())
+
+
+def _views_in_order(tensors, flat) -> bool:
+    """Each tensor is the next consecutive segment of flat, and together they cover it."""
+    offset = 0
+    for t in tensors:
+        segment = flat[offset : offset + t.size]
+        if t.data.size != segment.size or t.data.ctypes.data != segment.ctypes.data:
+            return False
+        offset += t.size
+    return offset == flat.size
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_model([4, 6, 5, 3], seed=2),
+    lambda: model_from_tensor_map(build_model([4, 6, 3], seed=3).tensor_map()),
+    lambda: build_model([4, 6, 3], seed=4).copy(),
+    lambda: zero_model([3, 2]),
+])
+def test_every_model_tensor_views_one_buffer(make):
+    model = make()
+    assert model.tensor_map() is model.params
+    assert _views_in_order(list(model.tensors()), model.params.flat)
+    assert all(layer.weight is model.params[layer.weight.name]
+               and layer.bias is model.params[layer.bias.name] for layer in model.layers)
+
+
+def test_model_copy_shares_no_memory():
+    model = small_model(seed=22)
+    clone = model.copy()
+    assert not np.shares_memory(clone.params.flat, model.params.flat)
+    assert not any(np.shares_memory(a.data, b.data)
+                   for a in clone.tensors() for b in model.tensors())
+    assert np.array_equal(clone.params.flat, model.params.flat)
+    clone.params.flat[:] = 0.0
+    assert np.any(model.params.flat != 0.0)
+
+
+def test_model_construction_copies_its_inputs():
+    w, b = FlatTensor.of("layer0.weight", np.ones((2, 3))), FlatTensor.of("layer0.bias", [0.5, 0.5])
+    model = ToyModel([Layer(w, b, "identity")], {"layer0.weight": True, "layer0.bias": True})
+    assert not np.shares_memory(model.params.flat, w.data)
+    rebuilt = model_from_tensor_map(model.tensor_map())
+    assert not np.shares_memory(rebuilt.params.flat, model.params.flat)
+
+
+def test_trainable_view_holds_the_layers_own_tensors():
+    model = small_model(dims=(4, 5, 5, 3), tail=3)
+    for name in model.trainable:
+        model.trainable[name] = name in ("layer0.bias", "layer1.weight")  # consecutive
+    view = model.tensor_map(trainable_only=True)
+    assert view.names == ["layer0.bias", "layer1.weight"]
+    assert view["layer0.bias"] is model.layers[0].bias
+    assert view["layer1.weight"] is model.layers[1].weight
+    assert _views_in_order(list(view), view.flat)
+    assert np.shares_memory(view.flat, model.params.flat)
+    view.flat[:] = 7.0
+    assert np.all(model.layers[1].weight.data == 7.0)
+
+
+def test_non_consecutive_trainable_set_is_rejected():
+    # set_trainable_tail always marks a consecutive tail; only a hand edit breaks it
+    model = small_model(dims=(4, 5, 5, 3), tail=3)
+    for name in model.trainable:
+        model.trainable[name] = name in ("layer1.weight", "layer2.bias")
+    with pytest.raises(SpiderftError, match="not consecutive"):
+        model.tensor_map(trainable_only=True)
+    # backward takes any pattern
+    inputs, labels = blob_data(23, n=8)
+    grads = backward(model, forward(model, Batch(inputs, labels))[1])
+    assert grads.names == ["layer1.weight", "layer2.bias"]
+
+
+def test_nothing_trainable_gives_an_empty_view():
+    model = small_model()
+    for name in model.trainable:
+        model.trainable[name] = False
+    view = model.tensor_map(trainable_only=True)
+    assert len(view) == 0 and view.flat.size == 0
+
+
+def test_bias_shape_must_match_the_weights_rows():
+    w = FlatTensor.of("layer0.weight", np.ones((5, 8)))
+    b = FlatTensor.of("layer0.bias", np.zeros(3))
+    with pytest.raises(DimensionError, match="bias shape"):
+        ToyModel([Layer(w, b, "identity")], {"layer0.weight": True, "layer0.bias": True})
+    with pytest.raises(DimensionError, match="bias shape"):
+        model_from_tensor_map(TensorMap.from_tensors([w, b]))
 
 
 def test_changed_weights_are_the_last_merged_masks_support(monkeypatch):
@@ -855,3 +942,31 @@ def test_baseline_is_deterministic():
     b, log_b, _ = baseline_run("dare", seed=51)
     assert np.array_equal(a.tensor_map().concat(), b.tensor_map().concat())
     assert log_a.losses == log_b.losses
+
+
+# ---------------------------------------------------------------------------
+# Per-iteration seed stream
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("count", [1, 37, 1024, 1025, 5000])
+def test_iteration_seeds_match_one_up_front_draw(count):
+    expected = np.random.SeedSequence(5).generate_state(count, dtype=np.uint64)
+    assert list(trainer._iteration_seeds(5, count)) == [int(w) for w in expected]
+
+
+def test_seed_stream_is_not_allocated_up_front():
+    # a long planned run that diverges at its second iteration
+    inputs, labels = blob_data(24, n=48)
+    model = small_model(seed=24)
+    pretrained = model.tensor_map(trainable_only=True).copy()
+    data = batches_of(inputs, labels, 16)
+    cfg = TrainConfig(method="full_ft", epochs=10**5, learning_rate=1e308)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DivergenceError):
+            finetune_baseline(model, pretrained, data, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
