@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import AlignmentError, ZeroNormError
 
@@ -192,11 +191,16 @@ def zscore(t: FlatTensor) -> FlatTensor:
 def zscore_array(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if out is None:
         out = np.empty_like(values)
-    std = float(np.std(values)) if values.size else 0.0
+    n = values.size
+    if n == 0:
+        return out
+    # np.std's own steps (mean, deviations, mean square, sqrt), with its
+    # deviations reused for the z-score: the same bits as np.std and np.mean
+    np.subtract(values, np.add.reduce(values) / n, out=out)
+    std = math.sqrt(np.add.reduce(np.square(out)) / n)
     if std < STD_EPS:
         out.fill(0.0)
         return out
-    np.subtract(values, np.mean(values), out=out)
     out /= std
     return out
 
@@ -206,6 +210,10 @@ def sigmoid(t: FlatTensor) -> FlatTensor:
 
 
 def sigmoid_array(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # imported here: scipy.special is most of the package's start-up time,
+    # and most commands never take a sigmoid
+    from scipy.special import expit
+
     # expit saturates to exactly 0.0/1.0 in float64 past |x| ~ 37; clamp to
     # the nearest interior representable so outputs stay strictly in (0, 1).
     out = expit(values, out=out)
@@ -241,7 +249,7 @@ def masked_mean_array(values: np.ndarray) -> tuple[float, bool]:
     nz = np.compress(values != 0.0, values)
     if nz.size == 0:
         return 0.0, True
-    return float(np.mean(nz)), False
+    return float(np.add.reduce(nz) / nz.size), False
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ counterparts; both are thin checks in front of the one loop.
 The trainable tensors are a consecutive run of the model's buffer, so a
 run works on one view of it: the per-iteration chain is a few numpy ops
 over whole buffers, and the SGD step and the merge write into the model.
+The gradient layout and that view are planned once per pattern of
+trainable flags, not rebuilt on every step.
 Every step checks the loss, the gradient and the updated weights once and
 raises DivergenceError on the first non-finite value.
 
@@ -59,7 +61,7 @@ from .masking import (
     random_half_mask,
     select_mask,
 )
-from .tensors import FlatTensor, TensorMap
+from .tensors import FlatTensor, Layout, TensorMap
 
 ACTIVATIONS = ("tanh", "identity")
 
@@ -113,19 +115,33 @@ class Batch:
         return self.inputs.shape[0]
 
 
+@dataclass(frozen=True)
+class TrainablePlan:
+    """What a training step needs to know of one trainable pattern."""
+
+    flags: tuple[bool, ...]  # model.trainable read in buffer order: the cache key
+    layout: Layout  # the trainable tensors' names and shapes: the gradient's layout
+    size: int
+    lowest: int  # the lowest layer with a trainable tensor (the layer count if none)
+    view: TensorMap | None  # the trainable tensors' view, None unless consecutive
+
+
 @dataclass
 class ToyModel:
     """Dense classifier; the final layer's logits feed a softmax.
 
     The model owns all its parameters as one buffer: construction copies
     the given layers' tensors into it, in layer order (weight, then bias),
-    and rebinds the layers to views of it.
+    and rebinds the layers to views of it.  What a training step needs of
+    the trainable flags is planned once per pattern of flags (see plan());
+    a copy starts with no plan.
     """
 
     layers: list[Layer]
     trainable: dict[str, bool]
     version: int = 0
     params: TensorMap = field(init=False, repr=False, compare=False)
+    _plan: TrainablePlan | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for k, layer in enumerate(self.layers):
@@ -161,19 +177,40 @@ class ToyModel:
         """A live view of the model's buffer (copy() before mutating the model).
 
         With trainable_only, the view of the trainable tensors, which must
-        be consecutive in the buffer; it holds the layers' own tensors.
+        be consecutive in the buffer; it holds the layers' own tensors, and
+        it is the same map object for as long as `trainable` is unchanged.
         """
         if not trainable_only:
             return self.params
-        tensors = list(self.params)
-        flags = [self.trainable[t.name] for t in tensors]
-        first = flags.index(True) if True in flags else 0
-        chosen = tensors[first : first + sum(flags)]
-        if not all(flags[first : first + sum(flags)]):
+        view = self.plan().view
+        if view is None:
             raise ConfigError("the trainable tensors are not consecutive in the model")
-        start = sum(t.size for t in tensors[:first])
-        stop = start + sum(t.size for t in chosen)
-        return TensorMap({t.name: t for t in chosen}, self.params.flat[start:stop])
+        return view
+
+    def plan(self) -> TrainablePlan:
+        """The plan of the current trainable flags.
+
+        The flags are read on every call and the plan is rebuilt only when
+        they differ from the cached plan's, so set_trainable_tail, a hand
+        edit and a replaced dict all take effect on the next call.
+        """
+        flags = tuple(map(self.trainable.__getitem__, self.params.names))
+        if self._plan is not None and self._plan.flags == flags:
+            return self._plan
+        tensors = list(self.params)
+        chosen = [t for t, f in zip(tensors, flags) if f]
+        layout = tuple((t.name, t.shape) for t in chosen)
+        size = sum(t.size for t in chosen)
+        first = flags.index(True) if chosen else 0
+        # the buffer holds each layer's weight, then its bias
+        lowest = first // 2 if chosen else len(self.layers)
+        view = None
+        if all(flags[first : first + len(chosen)]):
+            start = sum(t.size for t in tensors[:first])
+            view = TensorMap({t.name: t for t in chosen},
+                             self.params.flat[start : start + size], layout)
+        self._plan = TrainablePlan(flags, layout, size, lowest, view)
+        return self._plan
 
     def load_values(self, values: TensorMap) -> None:
         """Write the given tensors' payloads into the model, in place."""
@@ -260,21 +297,23 @@ def forward(model: ToyModel, batch: Batch) -> tuple[float, ForwardCache]:
         raise DimensionError(
             f"batch width {batch.inputs.shape[1]} != model input dim {model.input_dim}"
         )
-    if np.any(batch.labels < 0) or np.any(batch.labels >= model.class_count):
+    labels, n = batch.labels, len(batch)
+    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= model.class_count:
         raise DimensionError("label out of range for model head")
 
     a = batch.inputs
     layer_inputs = []
     for layer in model.layers:
         layer_inputs.append(a)
-        z = a @ layer.weight.view().T + layer.bias.data
-        a = np.tanh(z) if layer.activation == "tanh" else z
+        a = a @ layer.weight.view().T
+        a += layer.bias.data
+        if layer.activation == "tanh":
+            np.tanh(a, out=a)
 
-    logits = a
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    rows = np.arange(len(batch))
-    loss = float(np.mean(lse - shifted[rows, batch.labels]))
+    # the ufunc reductions that np.max/np.sum/np.mean wrap, called directly
+    shifted = a - np.maximum.reduce(a, axis=1, keepdims=True)
+    lse = np.log(np.add.reduce(np.exp(shifted), axis=1))
+    loss = float(np.add.reduce(lse - shifted[np.arange(n), labels]) / n)
     probs = np.exp(shifted - lse[:, None])
     return loss, ForwardCache(model, model.version, batch, layer_inputs, probs)
 
@@ -290,22 +329,20 @@ def backward(model: ToyModel, cache: ForwardCache) -> TensorMap:
     dz /= n
 
     # one buffer; the driver checks its values once per step
-    layout = [(t.name, t.shape) for t in model.tensors() if model.trainable[t.name]]
-    grads = TensorMap.over(layout, np.empty(sum(math.prod(s) for _, s in layout)))
+    plan = model.plan()
+    grads = TensorMap.over(plan.layout, np.empty(plan.size))
     # no layer below the lowest trainable one needs its gradient
-    lowest = next((k for k, layer in enumerate(model.layers)
-                   if layer.weight.name in grads or layer.bias.name in grads), len(model.layers))
-    for k in range(len(model.layers) - 1, lowest - 1, -1):
+    for k in range(len(model.layers) - 1, plan.lowest - 1, -1):
         layer = model.layers[k]
         a_in = cache.layer_inputs[k]
         if layer.weight.name in grads:
             np.matmul(dz.T, a_in, out=grads[layer.weight.name].view())
         if layer.bias.name in grads:
-            np.sum(dz, axis=0, out=grads[layer.bias.name].data)
-        if k > lowest:
-            da = dz @ layer.weight.view()
-            below = model.layers[k - 1]
-            dz = da * (1.0 - a_in**2) if below.activation == "tanh" else da
+            np.add.reduce(dz, axis=0, out=grads[layer.bias.name].data)
+        if k > plan.lowest:
+            dz = dz @ layer.weight.view()
+            if model.layers[k - 1].activation == "tanh":
+                dz *= 1.0 - a_in**2
     return grads
 
 

@@ -419,6 +419,30 @@ def test_report_rejects_foreign_csv(tmp_path):
                  "--out", str(tmp_path / "out.csv")]) == 2
 
 
+def test_import_and_pid_never_load_scipy_special(workspace):
+    tmp, _ = workspace
+    pre = pretrained_checkpoint(workspace)
+    grads = tmp / "g.ckpt"
+    save_checkpoint(mapped(load_checkpoint(pre), np.abs), grads)
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import spiderft.cli\n"
+        "after_import = 'scipy.special' in sys.modules\n"
+        "code = spiderft.cli.main(sys.argv[1:])\n"
+        "after_pid = 'scipy.special' in sys.modules\n"
+        "spiderft.tensors.sigmoid_array(np.zeros(1))\n"
+        "print(code, after_import, after_pid, 'scipy.special' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "pid", "--pretrained", str(pre), "--grads", str(grads)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the first sigmoid loads it
+    assert proc.stdout.splitlines()[-1] == "0 False False True"
+
+
 def test_help_via_subprocess_exits_0():
     proc = subprocess.run(
         [sys.executable, "-m", "spiderft.cli", "--help"],

@@ -36,7 +36,7 @@ from spiderft.masking import (
     rescale_mask,
     weighted_mask,
 )
-from spiderft.tensors import STD_EPS, TensorMap, zscore_map
+from spiderft.tensors import STD_EPS, TensorMap, masked_mean_array, zscore_array, zscore_map
 
 SETTINGS = settings(max_examples=60, deadline=None)
 SCOPES = st.sampled_from(["per_tensor", "global"])
@@ -136,6 +136,51 @@ def ref_rescale(v):
 
 values = st.floats(-8.0, 8.0, allow_nan=False, width=64)
 scores = st.floats(0.01, 0.99, allow_nan=False, width=64)
+
+
+def ref_masked_mean(v):
+    nz = v[v != 0.0]
+    return (0.0, True) if nz.size == 0 else (float(np.mean(nz)), False)
+
+
+@st.composite
+def statistic_inputs(draw):
+    """Vectors for the z-score and masked-mean statistics, edge cases included."""
+    size = draw(st.one_of(st.sampled_from([0, 1]), st.integers(2, 40)))
+    kind = draw(st.sampled_from(["plain", "constant", "zeros", "near_eps", "mixed"]))
+    if kind == "zeros":
+        return np.zeros(size)
+    if kind == "constant":
+        return np.full(size, draw(st.floats(-1e6, 1e6)))
+    if kind == "near_eps":  # a spread of a few STD_EPS around an offset
+        noise = draw(arrays(np.float64, size, elements=st.floats(-1.0, 1.0)))
+        spread = float(np.std(noise)) if size else 0.0
+        scale = STD_EPS * draw(st.floats(0.25, 4.0)) / (spread or 1.0)
+        v = draw(st.sampled_from([0.0, 1e-3, 1.0])) + scale * noise
+    elif kind == "mixed":  # magnitudes from subnormal to 1e150 side by side
+        v = draw(arrays(np.float64, size, elements=st.one_of(
+            st.floats(-1e-300, 1e-300), st.floats(-1e6, 1e6), st.floats(-1e150, 1e150))))
+    else:
+        v = draw(arrays(np.float64, size, elements=values))
+    if draw(st.booleans()):  # some exact zeros, which the masked mean skips
+        v[draw(arrays(np.bool_, size))] = 0.0
+    return v
+
+
+@settings(max_examples=300, deadline=None)
+@given(statistic_inputs())
+def test_statistics_match_the_numpy_formulas_bit_for_bit(v):
+    expected = ref_zscore(v).tobytes()
+    assert zscore_array(v).tobytes() == expected
+    out = np.full_like(v, np.nan)
+    assert zscore_array(v, out) is out and out.tobytes() == expected
+    in_place = v.copy()
+    assert zscore_array(in_place, in_place).tobytes() == expected
+
+    mean, empty = masked_mean_array(v)
+    ref_mean, ref_empty = ref_masked_mean(v)
+    assert empty == ref_empty
+    assert np.float64(mean).tobytes() == np.float64(ref_mean).tobytes()
 
 
 @SETTINGS

@@ -670,6 +670,78 @@ def test_non_consecutive_trainable_set_is_rejected():
     assert grads.names == ["layer1.weight", "layer2.bias"]
 
 
+def _fresh_like(model: ToyModel) -> ToyModel:
+    """A newly built model with the same weights and trainable flags."""
+    fresh = model_from_tensor_map(model.tensor_map())
+    fresh.trainable = dict(model.trainable)
+    return fresh
+
+
+def _assert_step_matches_fresh(model: ToyModel) -> None:
+    """backward, sgd_step and the trainable view agree with a newly built model."""
+    fresh = _fresh_like(model)
+    batch = Batch(*blob_data(24, n=8))
+    grads = backward(model, forward(model, batch)[1])
+    expected = backward(fresh, forward(fresh, batch)[1])
+    assert grads.layout() == expected.layout()
+    assert grads.flat.tobytes() == expected.flat.tobytes()
+
+    view, fresh_view = model.tensor_map(trainable_only=True), fresh.tensor_map(trainable_only=True)
+    assert view is model.tensor_map(trainable_only=True)  # one map while the flags hold
+    assert view.layout() == fresh_view.layout()
+    assert all(t is model.params[t.name] for t in view)
+    offset = view.flat.ctypes.data - model.params.flat.ctypes.data
+    assert offset == fresh_view.flat.ctypes.data - fresh.params.flat.ctypes.data
+    assert view.flat.size == fresh_view.flat.size
+
+    sgd_step(model, grads, 0.1)
+    sgd_step(fresh, expected, 0.1)
+    assert model.params.flat.tobytes() == fresh.params.flat.tobytes()
+
+
+def test_step_follows_set_trainable_tail():
+    model = small_model(dims=(4, 5, 5, 3), tail=2)
+    for tail in (2, 1, 3):
+        set_trainable_tail(model, tail)
+        _assert_step_matches_fresh(model)
+
+
+def test_step_follows_hand_edits_of_the_trainable_flags():
+    model = small_model(dims=(4, 5, 5, 3), tail=2)
+    _assert_step_matches_fresh(model)
+    model.trainable["layer1.weight"] = False  # still consecutive: layer1.bias onwards
+    _assert_step_matches_fresh(model)
+
+    model.trainable["layer2.weight"] = False  # layer1.bias, layer2.bias: not consecutive
+    with pytest.raises(SpiderftError, match="not consecutive"):
+        model.tensor_map(trainable_only=True)
+    grads = backward(model, forward(model, Batch(*blob_data(25, n=8)))[1])
+    assert grads.names == ["layer1.bias", "layer2.bias"]
+
+
+def test_step_follows_a_replaced_trainable_dict():
+    model = small_model(dims=(4, 5, 5, 3), tail=3)
+    _assert_step_matches_fresh(model)
+    model.trainable = {name: name.startswith("layer2") for name in model.trainable}
+    _assert_step_matches_fresh(model)
+    assert model.tensor_map(trainable_only=True).names == ["layer2.weight", "layer2.bias"]
+
+
+def test_copy_plans_its_own_trainable_view():
+    model = small_model(dims=(4, 5, 5, 3), tail=2)
+    view = model.tensor_map(trainable_only=True)
+    clone = model.copy()
+    clone_view = clone.tensor_map(trainable_only=True)
+    assert np.shares_memory(clone_view.flat, clone.params.flat)
+    assert not np.shares_memory(clone_view.flat, model.params.flat)
+    _assert_step_matches_fresh(clone)
+
+    set_trainable_tail(clone, 3)
+    _assert_step_matches_fresh(clone)
+    assert model.tensor_map(trainable_only=True) is view  # the original keeps its plan
+    _assert_step_matches_fresh(model)
+
+
 def test_nothing_trainable_gives_an_empty_view():
     model = small_model()
     for name in model.trainable:
