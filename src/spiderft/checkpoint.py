@@ -41,17 +41,23 @@ def save_checkpoint(tm: TensorMap, path: str | Path) -> None:
         chunks.append(name)
         chunks.append(struct.pack("<Q", len(t.shape)))
         chunks.append(struct.pack(f"<{len(t.shape)}Q", *t.shape))
-        chunks.append(payload.tobytes())
-    body = b"".join(chunks)
-    Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        chunks.append(payload)
+    # every chunk checked before the file is opened; the payloads are written
+    # from their arrays, and the checksum is folded in chunk by chunk
+    crc = 0
+    with open(path, "wb") as f:
+        for chunk in chunks:
+            f.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+        f.write(struct.pack("<I", crc))
 
 
 class _Cursor:
-    def __init__(self, body: bytes):
+    def __init__(self, body: memoryview):
         self.body = body
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if n < 0 or self.pos + n > len(self.body):
             raise FormatError("checkpoint truncated")
         out = self.body[self.pos : self.pos + n]
@@ -73,7 +79,8 @@ def load_checkpoint(path: str | Path) -> TensorMap:
     if raw[: len(MAGIC)] != MAGIC:
         raise FormatError("bad magic, not a checkpoint file")
 
-    body, crc_bytes = raw[:-4], raw[-4:]
+    # views of the file's bytes: no payload is copied before its conversion
+    body, crc_bytes = memoryview(raw)[:-4], raw[-4:]
     if struct.unpack("<I", crc_bytes)[0] != zlib.crc32(body):
         raise CorruptCheckpointError(f"{path}: checksum mismatch")
 
@@ -85,7 +92,7 @@ def load_checkpoint(path: str | Path) -> TensorMap:
     for _ in range(count):
         name_len = cur.u64()
         try:
-            name = cur.take(name_len).decode("utf-8")
+            name = bytes(cur.take(name_len)).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"tensor name is not valid utf-8: {exc}") from exc
         rank = cur.u64()

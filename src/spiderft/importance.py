@@ -24,7 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UninitializedError
-from .tensors import TensorMap, cosine_array, sigmoid_array, zscore_map
+from .tensors import (
+    TensorMap,
+    blockwise,
+    cosine_array,
+    cosine_from_norms,
+    sigmoid_array,
+    zscore_map,
+)
 
 # cos of two nonnegative vectors is >= 0 but can be exactly 0; the clamp
 # keeps the inverse-square diagnostic finite (0 maps to 1e12).
@@ -52,17 +59,25 @@ class GradAccumulator:
 
 
 def accumulate_gradient(state: GradAccumulator, grad: TensorMap) -> GradAccumulator:
-    """Fold one gradient observation into the accumulator (in place)."""
+    """Fold one gradient observation into the accumulator (in place).
+
+    The accumulator holds no negative value and no -0.0: |x| of a finite
+    gradient, then sums of products of such values with b and 1 - b.
+    """
     state.acc.require_aligned(grad, "accumulate_gradient")
-    acc, b = state.acc.flat, state.beta
-    if not state.initialized:
-        np.abs(grad.flat, out=acc)
-    else:
+    b = state.beta
+
+    def fold(scratch, acc, g):
         # b * acc + (1 - b) * |g|, each product rounded before the sum
-        fresh = np.abs(grad.flat)
+        fresh = np.abs(g, out=scratch)
         fresh *= 1.0 - b
         acc *= b
         acc += fresh
+
+    if not state.initialized:
+        np.abs(grad.flat, out=state.acc.flat)
+    else:
+        blockwise(fold, state.acc.flat, grad.flat)
     state.initialized = True
     return state
 
@@ -96,8 +111,19 @@ def pid(pretrained: TensorMap, grad: TensorMap) -> float:
     """Importance-profile divergence over the concatenated trainable set."""
     pretrained.require_aligned(grad, "pid")
     w = np.abs(pretrained.flat)
-    g = np.abs(grad.flat)
-    return _pid_from_cos(cosine_array(w, g, "weight_magnitude", "gradient_magnitude"))
+    return pid_of_magnitudes(w, float(np.linalg.norm(w)), np.abs(grad.flat))
+
+
+def pid_of_magnitudes(w_mag: np.ndarray, w_norm: float, g_mag: np.ndarray) -> float:
+    """pid from the magnitude profiles |w_pre| and |g|, given |w_pre|'s norm.
+
+    For a caller that holds the magnitudes already, such as the fine-tuning
+    loop: its accumulator is its own magnitude, and the snapshot's norm is
+    fixed for the run.  The result is bit for bit pid()'s.
+    """
+    cos = cosine_from_norms(w_mag, g_mag, w_norm, float(np.linalg.norm(g_mag)),
+                            "weight_magnitude", "gradient_magnitude")
+    return _pid_from_cos(cos)
 
 
 def pid_per_tensor(pretrained: TensorMap, grad: TensorMap) -> dict[str, float]:

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensors import TensorMap, masked_mean_array, scoped_arrays
+from .tensors import TensorMap, blockwise, scoped_arrays, selected_mean_array
 
 logger = logging.getLogger(__name__)
 
@@ -39,20 +39,34 @@ class UpdateMask:
 
     mask: TensorMap
     empty_selection: bool = False
+    # a comparison mask's G > I, over the mask's buffer: True exactly where
+    # the mask is nonzero; None for a mask built from its values alone
+    selection: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def density(self) -> float:
         """Fraction of nonzero entries across all tensors."""
         total = self.mask.total_size
-        return int(np.count_nonzero(self.mask.flat)) / total if total else 0.0
+        if not total:
+            return 0.0
+        chosen = self.mask.flat if self.selection is None else self.selection
+        return int(np.count_nonzero(chosen)) / total
+
+
+def _compared(
+    mask: TensorMap, selection: np.ndarray | None, empty: bool = False
+) -> UpdateMask:
+    """A mask carrying its comparison's selection (None for no comparison)."""
+    out = UpdateMask(mask, empty)
+    out.selection = selection
+    return out
 
 
 def binary_mask(g: TensorMap, i: TensorMap) -> UpdateMask:
     """1 where G > I (strict), else 0."""
     g.require_aligned(i, "binary_mask")
-    mask = np.empty(g.total_size)
-    np.greater(g.flat, i.flat, out=mask)
-    return UpdateMask(g.with_flat(mask))
+    selection = np.greater(g.flat, i.flat)
+    return _compared(g.with_flat(selection.astype(np.float64)), selection)
 
 
 def weighted_mask(g: TensorMap, i: TensorMap) -> UpdateMask:
@@ -60,9 +74,10 @@ def weighted_mask(g: TensorMap, i: TensorMap) -> UpdateMask:
     g.require_aligned(i, "weighted_mask")
     m = np.add(g.flat, i.flat)
     np.divide(g.flat, m, out=m)
-    # scores lie in (0, 1), so the ratio is finite and x * 0.0 == 0.0
-    m *= g.flat > i.flat
-    return UpdateMask(g.with_flat(m))
+    # scores lie in (0, 1), so the ratio is positive and finite, and x * 0.0 == 0.0
+    selection = np.greater(g.flat, i.flat)
+    m *= selection
+    return _compared(g.with_flat(m), selection)
 
 
 def rescale_mask(
@@ -74,15 +89,19 @@ def rescale_mask(
     over the whole map with scope="global".  A mask with no selected
     entries is returned unchanged (flagged, and logged as a warning).
     The result goes to a fresh map, or into `out` (which may be m.mask).
+    A comparison mask's selection names its nonzero entries, and the
+    result keeps it.
     """
     if out is None:
         out = m.mask.with_flat(np.empty(m.mask.total_size))
     else:
         m.mask.require_aligned(out, "rescale_mask")
+    selection = m.mask.flat != 0.0 if m.selection is None else m.selection
 
     any_selected = False
-    for values, dest in scoped_arrays(scope, m.mask, out):
-        mean, empty = masked_mean_array(values)
+    # the selection map only cuts the selection into the mask's segments
+    for values, dest, chosen in scoped_arrays(scope, m.mask, out, m.mask.with_flat(selection)):
+        mean, empty = selected_mean_array(values, chosen)
         if empty:
             np.copyto(dest, values)
             continue
@@ -92,7 +111,7 @@ def rescale_mask(
         np.minimum(dest, 1.0, out=dest)
     if not any_selected:
         logger.warning("rescale_mask: empty selection, mask left all-zero")
-    return UpdateMask(out, empty_selection=not any_selected)
+    return _compared(out, m.selection, not any_selected)
 
 
 def merge(
@@ -108,12 +127,16 @@ def merge(
         out = current.with_flat(np.empty(current.total_size))
     else:
         current.require_aligned(out, "merge")
-    # both products rounded as written, then one sum
-    kept = 1.0 - m.mask.flat
-    kept *= pretrained.flat
-    np.multiply(current.flat, m.mask.flat, out=out.flat)
-    out.flat += kept
+    blockwise(_merge_kernel, out.flat, current.flat, pretrained.flat, m.mask.flat)
     return out
+
+
+def _merge_kernel(scratch, out, w, w_pre, mask):
+    # both products rounded as written, then one sum; out may be w
+    kept = np.subtract(1.0, mask, out=scratch)
+    kept *= w_pre
+    np.multiply(w, mask, out=out)
+    out += kept
 
 
 def random_half_mask(shape_of: TensorMap, rng_seed: int) -> UpdateMask:

@@ -30,6 +30,10 @@ NORM_EPS = 1e-12
 _SIG_LO = np.nextafter(0.0, 1.0)
 _SIG_HI = np.nextafter(1.0, 0.0)
 
+# Entries per block of a blocked elementwise chain: 256 KB of float64, so a
+# block and its scratch stay in a core's L2 cache between the chain's ops.
+BLOCK = 1 << 15
+
 
 @dataclass
 class FlatTensor:
@@ -229,8 +233,14 @@ def cosine_similarity(a: FlatTensor, b: FlatTensor) -> float:
 
 
 def cosine_array(a: np.ndarray, b: np.ndarray, a_name: str = "a", b_name: str = "b") -> float:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+    return cosine_from_norms(a, b, float(np.linalg.norm(a)), float(np.linalg.norm(b)),
+                             a_name, b_name)
+
+
+def cosine_from_norms(
+    a: np.ndarray, b: np.ndarray, na: float, nb: float, a_name: str, b_name: str
+) -> float:
+    """cosine_array given the norms of a and b, for a caller that already holds one."""
     if na < NORM_EPS or nb < NORM_EPS:
         raise ZeroNormError(
             f"cosine_similarity: zero-norm input ({a_name!r}: {na:g}, {b_name!r}: {nb:g})"
@@ -245,11 +255,34 @@ def masked_mean(t: FlatTensor) -> tuple[float, bool]:
 
 
 def masked_mean_array(values: np.ndarray) -> tuple[float, bool]:
-    # compress picks the same entries as values[values != 0.0], in order, faster
-    nz = np.compress(values != 0.0, values)
+    return selected_mean_array(values, values != 0.0)
+
+
+def selected_mean_array(values: np.ndarray, selected: np.ndarray) -> tuple[float, bool]:
+    """Mean of the selected entries; (0.0, True) when none is selected."""
+    # compress picks the same entries as values[selected], in order, faster
+    nz = np.compress(selected, values)
     if nz.size == 0:
         return 0.0, True
     return float(np.add.reduce(nz) / nz.size), False
+
+
+def blockwise(kernel, *arrays: np.ndarray) -> None:
+    """kernel(scratch, *views) over equal-length arrays, one BLOCK at a time.
+
+    The kernel writes its results into the views and may use scratch, a
+    float64 array of the views' length, for one intermediate.  An input of
+    one block or less is one call on the whole arrays with scratch None,
+    for the kernel's ufuncs to allocate as they would unblocked.
+    """
+    n = arrays[0].size
+    if n <= BLOCK:
+        kernel(None, *arrays)
+        return
+    scratch = np.empty(BLOCK)
+    for lo in range(0, n, BLOCK):
+        hi = min(lo + BLOCK, n)
+        kernel(scratch[: hi - lo], *(a[lo:hi] for a in arrays))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,11 @@ run works on one view of it: the per-iteration chain is a few numpy ops
 over whole buffers, and the SGD step and the merge write into the model.
 The gradient layout and that view are planned once per pattern of
 trainable flags, not rebuilt on every step.
+The chain writes into buffers that already exist wherever it can.  The SGD
+step consumes the gradient buffer (it holds the step afterwards), and the
+pid trace then reuses it for |w_pre|, whose norm is taken once per run.
+The accumulator fold and the merge run in cache-sized blocks through one
+small scratch (``tensors.blockwise``), not through a trainable-sized one.
 Every step checks the loss, the gradient and the updated weights once and
 raises DivergenceError on the first non-finite value.
 
@@ -51,7 +56,7 @@ from .importance import (
     GradAccumulator,
     accumulate_gradient,
     generalization_importance,
-    pid,
+    pid_of_magnitudes,
     specialization_importance,
 )
 from .masking import (
@@ -352,15 +357,19 @@ def sgd_step(
     lr: float,
     lr_overrides: dict[str, float] | None = None,
 ) -> ToyModel:
-    """w <- w - lr * grad on the trainable tensors, in place."""
+    """w <- w - lr * grad on the trainable tensors, in place.
+
+    The step consumes the gradient: grads holds the step lr * grad on
+    return (each tensor scaled by its rate in lr_overrides, if named there).
+    """
     trainables = model.tensor_map(trainable_only=True)
     trainables.require_aligned(grads, "sgd_step")
-    step = lr * grads.flat
     if lr_overrides:
-        for g, s in zip(grads, grads.with_flat(step)):
-            if g.name in lr_overrides:
-                np.multiply(lr_overrides[g.name], g.data, out=s.data)
-    trainables.flat -= step
+        for g in grads:
+            g.data *= lr_overrides.get(g.name, lr)
+    else:
+        grads.flat *= lr
+    trainables.flat -= grads.flat
     model.version += 1
     return model
 
@@ -511,6 +520,7 @@ def _finetune(
     log = RunLog(cfg.method, persistent_aux_maps=2 + (fixed is not None))
     # one word per iteration, then the post-run drop's
     seeds = _iteration_seeds(cfg.seed, cfg.epochs * len(data) + 1)
+    w_norm = None  # ||w_pre||, fixed for the run
 
     it = 0
     for epoch in range(cfg.epochs):
@@ -534,14 +544,20 @@ def _finetune(
                 mask = fixed  # the magnitude arm's one mask, or none
 
             sgd_step(model, grads, cfg.learning_rate, cfg.lr_overrides)
-            del grads  # freed before the merge allocates its temporary
             if mask is not None:
                 model.load_values(merge(weights, pretrained, mask, out=weights))
                 log.mask_density.append(mask.density)
             _require_finite(it, "weights", weights)
 
             log.losses.append(loss)
-            log.pid.append(pid(pretrained, accumulator.acc))
+            # pid(pretrained, acc), with |w_pre| in the spent gradient buffer
+            # (the accumulator is its own magnitude); the snapshot's norm is
+            # taken at the first step, where pid() would first reject a zero one
+            w_mag = np.abs(pretrained.flat, out=grads.flat)
+            if w_norm is None:
+                w_norm = float(np.linalg.norm(w_mag))
+            log.pid.append(pid_of_magnitudes(w_mag, w_norm, accumulator.acc.flat))
+            del grads, w_mag  # freed before the next backward allocates
             it += 1
 
     if cfg.method == "dare" and cfg.dare_drop_p != 0.0 and it > 0:

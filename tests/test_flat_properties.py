@@ -10,6 +10,7 @@ function may write into its inputs unless it is handed them as ``out``.
 from __future__ import annotations
 
 import logging
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from spiderft.importance import (
     pid_per_tensor,
     specialization_importance,
 )
+from spiderft import masking
 from spiderft.masking import (
     UpdateMask,
     binary_mask,
@@ -34,12 +36,21 @@ from spiderft.masking import (
     merge,
     random_half_mask,
     rescale_mask,
+    select_mask,
     weighted_mask,
 )
-from spiderft.tensors import STD_EPS, TensorMap, masked_mean_array, zscore_array, zscore_map
+from spiderft.tensors import (
+    STD_EPS,
+    TensorMap,
+    masked_mean_array,
+    selected_mean_array,
+    zscore_array,
+    zscore_map,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 SCOPES = st.sampled_from(["per_tensor", "global"])
+MASK_VARIANTS = ("binary", "weighted", "rescaled", "gradient", "magnitude", "random")
 _SIG_LO, _SIG_HI = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
 
 # one to four tensors; single-element ones are drawn often
@@ -272,6 +283,46 @@ def test_all_deselected_mask_is_flagged_and_logged(data, scope):
     finally:
         logger.removeHandler(handler)
     assert sum("empty selection" in r.getMessage() for r in records) == 1
+
+
+def rescaled_by_masked_mean(v):
+    mean, empty = masked_mean_array(v)
+    return v.copy() if empty else np.minimum(v / mean, 1.0)
+
+
+@SETTINGS
+@given(two_payloads(scores, scores), SCOPES, st.sampled_from(MASK_VARIANTS), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_selection_gives_the_density_and_rescale_mean_of_the_values(
+        data, scope, variant, deselect, seed):
+    table, g_flat, i_flat = data
+    if deselect:  # G <= I everywhere: the comparison masks select nothing
+        g_flat = np.minimum(g_flat, i_flat)
+    g, i = tmap_of(table, g_flat), tmap_of(table, i_flat)
+    means = []
+
+    def recorded(values, selected):
+        out = selected_mean_array(values, selected)
+        means.append((values.copy(), out))
+        return out
+
+    with mock.patch.object(masking, "selected_mean_array", recorded):
+        m = select_mask(variant, g, i, scope, seed=seed)
+        before = m.mask.flat.copy()
+        rescaled = rescale_mask(m, scope)
+
+    n = before.size
+    assert m.density == np.count_nonzero(before) / n
+    assert rescaled.density == np.count_nonzero(rescaled.mask.flat) / n
+    if variant == "rescaled":
+        weighted = np.where(g_flat > i_flat, g_flat / (g_flat + i_flat), 0.0)
+        assert_bits(m.mask, per_scope(rescaled_by_masked_mean, table, weighted, scope))
+    assert_bits(rescaled.mask, per_scope(rescaled_by_masked_mean, table, before, scope))
+    assert means
+    for values, (mean, empty) in means:
+        ref_mean, ref_empty = masked_mean_array(values)
+        assert empty == ref_empty
+        assert np.float64(mean).tobytes() == np.float64(ref_mean).tobytes()
 
 
 @SETTINGS

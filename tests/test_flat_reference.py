@@ -16,6 +16,7 @@ import pytest
 from scipy.special import expit
 
 from spiderft.benchmark import finetune_with_method
+from spiderft.tensors import BLOCK
 from spiderft.trainer import TrainConfig, batches_of, build_model, set_trainable_tail
 
 # the ablation arms and the selection rule each one puts in place of the comparison
@@ -269,6 +270,37 @@ def test_packed_driver_matches_per_tensor_reference(method, tail, scope, overrid
     set_trainable_tail(model, tail)
     batches = blob_batches(seed)
     cfg = TrainConfig(**{"epochs": 2, "seed": seed, "normalization_scope": scope, **overrides})
+    assert_driver_matches_reference(model, batches, cfg, method)
+
+
+# A trainable tail of 91,203 entries: the blocked elementwise chains (the
+# accumulator fold and the merge) cross several block boundaries and end in a
+# partial block.  The reference runs in the same process, because BLAS may
+# split a dot product of this size across threads differently on another machine.
+BLOCK_CASES = (
+    [(m, scope, {}) for m in ("spider", "spider_binary", "spider_weighted_norescale")
+     for scope in ("per_tensor", "global")]
+    + [("full_ft", "per_tensor", {}),
+       ("l2_reg", "per_tensor", {"lr_overrides": {"layer2.bias": 0.01, "layer1.weight": 0.3}})]
+)
+
+
+@pytest.mark.parametrize(
+    "method,scope,overrides", BLOCK_CASES,
+    ids=[f"{m}-{s}-{'+'.join(o) or 'default'}" for m, s, o in BLOCK_CASES],
+)
+def test_packed_driver_matches_per_tensor_reference_across_blocks(method, scope, overrides):
+    seed = 6
+    model = build_model([8, 300, 300, 3], seed)
+    set_trainable_tail(model, 2)
+    size = model.plan().size
+    assert size > 2 * BLOCK and size % BLOCK
+    batches = blob_batches(seed, n=40, dim=8)
+    cfg = TrainConfig(**{"epochs": 2, "seed": seed, "normalization_scope": scope, **overrides})
+    assert_driver_matches_reference(model, batches, cfg, method)
+
+
+def assert_driver_matches_reference(model, batches, cfg: TrainConfig, method: str) -> None:
     weights, losses, densities, pids, acc = ref_run(model, batches, cfg, method)
     frozen = {t.name: t.data.copy() for t in model.tensors() if not model.trainable[t.name]}
 

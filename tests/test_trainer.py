@@ -15,7 +15,9 @@ from spiderft.errors import (
     DivergenceError,
     SpiderftError,
     StaleCacheError,
+    ZeroNormError,
 )
+from spiderft.importance import pid
 from spiderft.tensors import FlatTensor, TensorMap
 from spiderft.trainer import (
     Batch,
@@ -1014,6 +1016,64 @@ def test_baseline_is_deterministic():
     b, log_b, _ = baseline_run("dare", seed=51)
     assert np.array_equal(a.tensor_map().concat(), b.tensor_map().concat())
     assert log_a.losses == log_b.losses
+
+
+# ---------------------------------------------------------------------------
+# Divergence trace
+# ---------------------------------------------------------------------------
+
+
+DRIVERS = {"spider": finetune_spider, "full_ft": finetune_baseline}
+
+
+@pytest.mark.parametrize("method", sorted(DRIVERS))
+def test_pid_trace_is_the_public_pid_at_every_step(method):
+    # runs of 1, 2 and 3 iterations: each run's last value is pid() of the
+    # run's final accumulator, and the shorter traces are prefixes of the longer
+    inputs, labels = blob_data(40, n=48)
+    data = batches_of(inputs, labels, 16)
+    traces = []
+    for steps in (1, 2, 3):
+        model = small_model(seed=40)
+        pretrained = model.tensor_map(trainable_only=True).copy()
+        cfg = TrainConfig(method=method, epochs=1, batch_size=16, seed=40)
+        _, log = DRIVERS[method](model, pretrained, data[:steps], cfg)
+        assert len(log.pid) == steps
+        expected = pid(pretrained, log.final_accumulator)
+        assert np.float64(log.pid[-1]).tobytes() == np.float64(expected).tobytes()
+        traces.append(log.pid)
+    assert traces[0] == traces[2][:1] and traces[1] == traces[2][:2]
+
+
+@pytest.mark.parametrize("method", sorted(DRIVERS))
+def test_all_zero_snapshot_raises_zero_norm_at_the_first_step(method, monkeypatch):
+    model = small_model(seed=41)
+    pretrained = model.tensor_map(trainable_only=True).copy()
+    pretrained.flat.fill(0.0)
+    inputs, labels = blob_data(41, n=48)
+    steps = []
+    real_forward = trainer.forward
+
+    def counted(m, batch):
+        steps.append(batch)
+        return real_forward(m, batch)
+
+    monkeypatch.setattr(trainer, "forward", counted)
+    cfg = TrainConfig(method=method, epochs=2, batch_size=16)
+    with pytest.raises(ZeroNormError):
+        DRIVERS[method](model, pretrained, batches_of(inputs, labels, 16), cfg)
+    assert len(steps) == 1
+
+
+@pytest.mark.parametrize("method", sorted(DRIVERS))
+def test_zero_epochs_with_an_all_zero_snapshot_is_an_empty_trace(method):
+    model = small_model(seed=42)
+    pretrained = model.tensor_map(trainable_only=True).copy()
+    pretrained.flat.fill(0.0)
+    inputs, labels = blob_data(42, n=16)
+    cfg = TrainConfig(method=method, epochs=0)
+    _, log = DRIVERS[method](model, pretrained, batches_of(inputs, labels, 16), cfg)
+    assert log.pid == [] and log.losses == []
 
 
 # ---------------------------------------------------------------------------
