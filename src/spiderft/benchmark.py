@@ -76,6 +76,8 @@ class TaskSpec:
 
     def __post_init__(self):
         self.means = np.asarray(self.means, dtype=np.float64)
+        if self.sample_seed < 0:
+            raise ConfigError(f"{self.task_id}: sample_seed must be >= 0, got {self.sample_seed}")
 
 
 @dataclass
@@ -126,9 +128,12 @@ def generate_task(spec: TaskSpec, n: int = DEFAULT_SAMPLES) -> TaskData:
     rng = np.random.default_rng(spec.sample_seed)
     labels = np.arange(n, dtype=np.int64) % spec.class_count
     centers = _rotate_plane(spec.means, spec.rotation_angle)
-    points = centers[labels] + spec.covariance_scale * rng.standard_normal(
-        (n, spec.input_dim)
-    )
+    with np.errstate(over="ignore"):  # an overflow is the error below, not a warning
+        points = centers[labels] + spec.covariance_scale * rng.standard_normal(
+            (n, spec.input_dim)
+        )
+    if not np.isfinite(points).all():
+        raise ConfigError(f"{spec.task_id}: sampled points are not finite")
     test = np.arange(n) % 5 == 4
     return TaskData(
         spec=spec,

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CorruptCheckpointError, FormatError
-from .tensors import TensorMap
+from .tensors import Layout, TensorMap
 
 MAGIC = b"SPIDRCK1"
 _MAX_RANK = 32
@@ -87,7 +87,7 @@ def load_checkpoint(path: str | Path) -> TensorMap:
     cur = _Cursor(body)
     cur.take(len(MAGIC))
     count = cur.u64()
-    layout: dict[str, tuple[int, ...]] = {}
+    shapes: dict[str, tuple[int, ...]] = {}
     payloads = []
     for _ in range(count):
         name_len = cur.u64()
@@ -102,12 +102,12 @@ def load_checkpoint(path: str | Path) -> TensorMap:
         payload = np.frombuffer(cur.take(4 * math.prod(dims)), dtype="<f4")
         if not np.isfinite(payload).all():
             raise FormatError(f"{name}: non-finite entries")
-        if name in layout:
+        if name in shapes:
             raise FormatError(f"duplicate tensor name {name!r}")
-        layout[name] = dims
+        shapes[name] = dims
         payloads.append(payload)
     if not cur.exhausted:
         raise FormatError("trailing bytes after tensor table")
     # one float64 buffer for every payload, in file order
     flat = np.concatenate(payloads, dtype=np.float64) if payloads else np.empty(0)
-    return TensorMap.over(layout.items(), flat)
+    return TensorMap.over(Layout(tuple(shapes), tuple(shapes.values())), flat)

@@ -78,6 +78,8 @@ def _parse_task(obj, where: str) -> TaskSpec:
         means = np.asarray(obj["means"], dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: means is not a numeric matrix: {exc}") from exc
+    if not np.isfinite(means).all():
+        raise ConfigError(f"{where}: means must be finite")
     return TaskSpec(
         task_id=obj["task_id"],
         class_count=_require_int(obj["class_count"], f"{where}.class_count"),

@@ -99,8 +99,8 @@ def rescale_mask(
     selection = m.mask.flat != 0.0 if m.selection is None else m.selection
 
     any_selected = False
-    # the selection map only cuts the selection into the mask's segments
-    for values, dest, chosen in scoped_arrays(scope, m.mask, out, m.mask.with_flat(selection)):
+    for values, dest, chosen in scoped_arrays(scope, m.mask.layout, m.mask.flat, out.flat,
+                                              selection):
         mean, empty = selected_mean_array(values, chosen)
         if empty:
             np.copyto(dest, values)
@@ -148,19 +148,19 @@ def random_half_mask(shape_of: TensorMap, rng_seed: int) -> UpdateMask:
     rng = np.random.default_rng(rng_seed)
     chosen = rng.choice(len(shape_of), size=len(shape_of) // 2, replace=False)
     mask = shape_of.with_flat(np.zeros(shape_of.total_size))
-    tensors = list(mask)
+    segments = mask.layout.split(mask.flat)
     for idx in chosen.tolist():
-        tensors[idx].data.fill(1.0)
+        segments[idx].fill(1.0)
     return UpdateMask(mask)
 
 
 def _gamma_mask(tm: TensorMap, gamma: float, pick) -> UpdateMask:
     """Binary mask on the floor(size * gamma) entries pick(values, k) of each tensor."""
     mask = tm.with_flat(np.zeros(tm.total_size))
-    for t, m in zip(tm, mask):
-        k = int(math.floor(t.size * gamma))
+    for values, dest in zip(tm.layout.split(tm.flat), mask.layout.split(mask.flat)):
+        k = int(math.floor(values.size * gamma))
         if k:
-            m.data[pick(t.data, k)] = 1.0
+            dest[pick(values, k)] = 1.0
     return UpdateMask(mask)
 
 

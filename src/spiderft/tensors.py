@@ -1,22 +1,22 @@
 """Flat-vector tensor primitives shared by every other module.
 
 A FlatTensor is a named, contiguous float64 vector plus the shape it was
-flattened from.  A TensorMap is an insertion-ordered collection of uniquely
-named FlatTensors; it stands in for a model's trainable-parameter set, its
-gradients, importance scores, and update masks.
-
-Every TensorMap keeps its payloads in one contiguous float64 buffer
-(``flat``), each tensor a view of its segment, in order; ``from_tensors``
-copies into a new buffer and ``over`` views a given one.  Elementwise work
-runs as one numpy op over the whole buffer, and statistics are taken per
-tensor on the segment views or over the whole buffer (the normalization
-scope).  Transforms are pure unless they take an ``out`` argument.
+flattened from.  A TensorMap (a model's trainable-parameter set, its
+gradients, importance scores or update masks) is a Layout, built once per
+set of tensors and shared by every map over it, and one contiguous float64
+buffer (``flat``).  ``from_tensors`` copies into a new buffer; ``over`` and
+``with_flat`` put a layout over a given one.  An entry is a view of its
+segment, made on access.  Elementwise work runs as one numpy op over the
+whole buffer, and statistics are taken per tensor on the layout's segments
+or over the whole buffer (the normalization scope).  Transforms are pure
+unless they take an ``out`` argument.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -85,106 +85,98 @@ class FlatTensor:
         return FlatTensor(self.name, self.shape, data)
 
 
-Layout = tuple[tuple[str, tuple[int, ...]], ...]
+@dataclass(frozen=True)
+class Layout:
+    """Names and shapes of a map's tensors in buffer order; tensor k is the
+    segment bounds[k]:bounds[k + 1].  Equal when names and shapes are."""
+
+    names: tuple[str, ...]
+    shapes: tuple[tuple[int, ...], ...]
+    bounds: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        index = {name: k for k, name in enumerate(self.names)}
+        if len(index) != len(self.names):
+            raise ValueError(f"duplicate tensor names in {self.names}")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "bounds", (0, *accumulate(map(math.prod, self.shapes))))
+
+    @property
+    def size(self) -> int:
+        return self.bounds[-1]
+
+    def split(self, flat: np.ndarray) -> list[np.ndarray]:
+        """flat cut into the tensors' segments (views), in order."""
+        return [flat[lo:hi] for lo, hi in zip(self.bounds, self.bounds[1:])]
 
 
-@dataclass
+@dataclass(eq=False)
 class TensorMap:
-    """Insertion-ordered, uniquely named FlatTensors over one buffer.
+    """A layout over one buffer.  Build maps with ``from_tensors`` (copies)
+    or ``over`` (views); entries are views of ``flat``, made on access."""
 
-    Every entry views its consecutive segment of ``flat``, in order.  Build
-    maps with ``from_tensors`` (copies) or ``over`` (views); the bare
-    constructor is for callers that already hold such views.
-    """
-
-    _entries: dict[str, FlatTensor] = field(default_factory=dict)
-    flat: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False, compare=False)
-    _layout: Layout | None = field(default=None, repr=False, compare=False)
+    layout: Layout
+    flat: np.ndarray = field(repr=False)
 
     @classmethod
     def from_tensors(cls, tensors: Iterable[FlatTensor]) -> "TensorMap":
         """A map over a new buffer holding copies of the tensors' payloads."""
         tensors = list(tensors)
         flat = np.concatenate([t.data for t in tensors]) if tensors else np.empty(0)
-        return cls.over(((t.name, t.shape) for t in tensors), flat)
+        layout = Layout(tuple(t.name for t in tensors), tuple(t.shape for t in tensors))
+        return cls.over(layout, flat)
 
     @classmethod
-    def over(cls, layout: Iterable[tuple[str, tuple[int, ...]]], flat: np.ndarray) -> "TensorMap":
-        """A map of views into `flat`, one consecutive segment per (name, shape).
+    def over(cls, layout: Layout, flat: np.ndarray) -> "TensorMap":
+        """A map over `flat`, which is neither copied nor scanned."""
+        if flat.size != layout.size:
+            raise ValueError(f"layout covers {layout.size} entries, buffer has {flat.size}")
+        return cls(layout, flat)
 
-        Nothing is copied and the values are not scanned.
-        """
-        layout = tuple(layout)
-        entries: dict[str, FlatTensor] = {}
-        offset = 0
-        for name, shape in layout:
-            if name in entries:
-                raise ValueError(f"duplicate tensor name {name!r}")
-            size = math.prod(shape)
-            entries[name] = FlatTensor._wrap(name, shape, flat[offset : offset + size])
-            offset += size
-        if offset != flat.size:
-            raise ValueError(f"layout covers {offset} entries, buffer has {flat.size}")
-        return cls(entries, flat, layout)
+    def _entry(self, k: int) -> FlatTensor:
+        b = self.layout.bounds
+        return FlatTensor._wrap(self.layout.names[k], self.layout.shapes[k],
+                                self.flat[b[k] : b[k + 1]])
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.layout.names)
 
     def __iter__(self) -> Iterator[FlatTensor]:
-        return iter(self._entries.values())
+        return map(self._entry, range(len(self)))
 
     def __contains__(self, name: str) -> bool:
-        return name in self._entries
+        return name in self.layout.index
 
     def __getitem__(self, name: str) -> FlatTensor:
-        return self._entries[name]
+        return self._entry(self.layout.index[name])
 
     @property
     def names(self) -> list[str]:
-        return list(self._entries)
+        return list(self.layout.names)
 
     @property
     def total_size(self) -> int:
         return self.flat.size
 
-    def layout(self) -> Layout:
-        if self._layout is None:
-            self._layout = tuple((t.name, t.shape) for t in self)
-        return self._layout
-
-    def signature(self) -> list[tuple[str, tuple[int, ...]]]:
-        return list(self.layout())
-
-    def aligned_with(self, other: "TensorMap") -> bool:
-        return self.layout() == other.layout()
-
     def require_aligned(self, other: "TensorMap", op: str) -> None:
-        if not self.aligned_with(other):
+        if self.layout != other.layout:
             raise AlignmentError(
-                f"{op}: tensor maps are not aligned "
-                f"({self.signature()} vs {other.signature()})"
+                f"{op}: tensor maps are not aligned ({self.layout} vs {other.layout})"
             )
 
-    def concat(self) -> np.ndarray:
-        """All entries concatenated in iteration order (a fresh array)."""
-        return self.flat.copy()
-
     def with_flat(self, flat: np.ndarray) -> "TensorMap":
-        """Same names and shapes, over the given buffer."""
-        return TensorMap.over(self.layout(), flat)
+        """Same layout, over the given buffer."""
+        return TensorMap.over(self.layout, flat)
 
     def copy(self) -> "TensorMap":
         """An independent copy."""
-        return self.with_flat(self.concat())
+        return self.with_flat(self.flat.copy())
 
 
 # ---------------------------------------------------------------------------
 # Elementwise transforms
 # ---------------------------------------------------------------------------
-
-
-def elementwise_abs(t: FlatTensor) -> FlatTensor:
-    return t.with_data(np.abs(t.data))
 
 
 def zscore(t: FlatTensor) -> FlatTensor:
@@ -292,14 +284,15 @@ def blockwise(kernel, *arrays: np.ndarray) -> None:
 NORMALIZATION_SCOPES = ("per_tensor", "global")
 
 
-def scoped_arrays(scope: str, *maps: TensorMap) -> list[tuple[np.ndarray, ...]]:
-    """The units a statistic is taken over, as matching arrays of aligned maps:
-    one tuple per tensor (per_tensor) or one of whole buffers (global)."""
+def scoped_arrays(scope: str, layout: Layout, *arrays: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """The units a statistic is taken over, as matching views of buffers laid
+    out by `layout`: one tuple per tensor (per_tensor) or one of the whole
+    buffers (global)."""
     if scope not in NORMALIZATION_SCOPES:
         raise ValueError(f"unknown normalization scope {scope!r}")
     if scope == "global":
-        return [tuple(m.flat for m in maps)]
-    return list(zip(*[[t.data for t in m] for m in maps]))
+        return [arrays]
+    return list(zip(*map(layout.split, arrays)))
 
 
 def zscore_map(tm: TensorMap, scope: str = "per_tensor") -> TensorMap:
@@ -308,6 +301,6 @@ def zscore_map(tm: TensorMap, scope: str = "per_tensor") -> TensorMap:
     The result is a fresh map.
     """
     out = tm.with_flat(np.empty(tm.total_size))
-    for values, dest in scoped_arrays(scope, tm, out):
+    for values, dest in scoped_arrays(scope, tm.layout, tm.flat, out.flat):
         zscore_array(values, dest)
     return out

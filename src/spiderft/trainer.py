@@ -23,8 +23,8 @@ counterparts; both are thin checks in front of the one loop.
 The trainable tensors are a consecutive run of the model's buffer, so a
 run works on one view of it: the per-iteration chain is a few numpy ops
 over whole buffers, and the SGD step and the merge write into the model.
-The gradient layout and that view are planned once per pattern of
-trainable flags, not rebuilt on every step.
+Their Layout and that view are planned once per pattern of trainable
+flags, and every map of a run shares that one Layout object.
 The chain writes into buffers that already exist wherever it can.  The SGD
 step consumes the gradient buffer (it holds the step afterwards), and the
 pid trace then reuses it for |w_pre|, whose norm is taken once per run.
@@ -125,8 +125,7 @@ class TrainablePlan:
     """What a training step needs to know of one trainable pattern."""
 
     flags: tuple[bool, ...]  # model.trainable read in buffer order: the cache key
-    layout: Layout  # the trainable tensors' names and shapes: the gradient's layout
-    size: int
+    layout: Layout  # the trainable tensors': the gradient's and the view's
     lowest: int  # the lowest layer with a trainable tensor (the layer count if none)
     view: TensorMap | None  # the trainable tensors' view, None unless consecutive
 
@@ -202,29 +201,28 @@ class ToyModel:
         flags = tuple(map(self.trainable.__getitem__, self.params.names))
         if self._plan is not None and self._plan.flags == flags:
             return self._plan
-        tensors = list(self.params)
-        chosen = [t for t, f in zip(tensors, flags) if f]
-        layout = tuple((t.name, t.shape) for t in chosen)
-        size = sum(t.size for t in chosen)
-        first = flags.index(True) if chosen else 0
+        full = self.params.layout
+        chosen = [k for k, f in enumerate(flags) if f]
+        layout = Layout(tuple(full.names[k] for k in chosen), tuple(full.shapes[k] for k in chosen))
+        first = chosen[0] if chosen else 0
         # the buffer holds each layer's weight, then its bias
         lowest = first // 2 if chosen else len(self.layers)
         view = None
         if all(flags[first : first + len(chosen)]):
-            start = sum(t.size for t in tensors[:first])
-            view = TensorMap({t.name: t for t in chosen},
-                             self.params.flat[start : start + size], layout)
-        self._plan = TrainablePlan(flags, layout, size, lowest, view)
+            start = full.bounds[first]
+            view = TensorMap.over(layout, self.params.flat[start : start + layout.size])
+        self._plan = TrainablePlan(flags, layout, lowest, view)
         return self._plan
 
     def load_values(self, values: TensorMap) -> None:
-        """Write the given tensors' payloads into the model, in place."""
-        for t in values:
-            target = self.params[t.name] if t.name in self.params else None
-            if target is None or target.shape != t.shape:
-                raise AlignmentError(f"load_values: no matching tensor for {t.name!r}")
-            if target is not t:  # a tensor loaded onto itself is already in place
-                np.copyto(target.data, t.data)
+        """Write the given tensors' payloads into the model, in place (numpy
+        copies nothing onto the same memory, such as the trainable view's)."""
+        full, given = self.params.layout, values.layout
+        for name, shape, data in zip(given.names, given.shapes, given.split(values.flat)):
+            k = full.index.get(name)
+            if k is None or full.shapes[k] != shape:
+                raise AlignmentError(f"load_values: no matching tensor for {name!r}")
+            np.copyto(self.params.flat[full.bounds[k] : full.bounds[k + 1]], data)
         self.version += 1
 
     def copy(self) -> "ToyModel":
@@ -335,7 +333,7 @@ def backward(model: ToyModel, cache: ForwardCache) -> TensorMap:
 
     # one buffer; the driver checks its values once per step
     plan = model.plan()
-    grads = TensorMap.over(plan.layout, np.empty(plan.size))
+    grads = TensorMap.over(plan.layout, np.empty(plan.layout.size))
     # no layer below the lowest trainable one needs its gradient
     for k in range(len(model.layers) - 1, plan.lowest - 1, -1):
         layer = model.layers[k]
@@ -532,6 +530,9 @@ def _finetune(
             loss = _edit_gradient(cfg, loss, grads.flat, weights, pretrained, seed, log)
             accumulate_gradient(accumulator, grads)
 
+            # the previous step's mask is freed before the scores allocate
+            # (freed with the gradient instead, glibc trims and refaults it)
+            mask = fixed if variant == "magnitude" else None
             if variant in DISCREPANCY_MASKS:
                 # no name holds the scores, so select_mask frees them before
                 # the rescale and the step allocate
@@ -540,8 +541,6 @@ def _finetune(
             elif variant in ("random", "gradient"):
                 mask = select_mask(variant, accumulator.acc, pretrained,
                                    gamma=cfg.selection_gamma, seed=seed)
-            else:
-                mask = fixed  # the magnitude arm's one mask, or none
 
             sgd_step(model, grads, cfg.learning_rate, cfg.lr_overrides)
             if mask is not None:

@@ -118,6 +118,10 @@ def test_generate_task_validation():
         generate_task(simple_spec(means=np.zeros((3, 4))), 10)  # coincident means
     with pytest.raises(ConfigError):
         generate_task(simple_spec(), 2)  # fewer samples than classes
+    with pytest.raises(ConfigError, match="sample_seed must be >= 0"):
+        simple_spec(sample_seed=-1)
+    with pytest.raises(ConfigError, match="sampled points are not finite"):
+        generate_task(simple_spec(covariance_scale=1e308), 10)  # overflows
 
 
 def test_default_suite_and_target_layout():
@@ -147,7 +151,7 @@ def test_pretrain_fits_the_source_suite():
     model, snapshot = pretrain(default_suite(), pretrain_cfg())
     accs = [evaluate(model, s, 1500) for s in default_suite()]
     assert float(np.mean(accs)) > 0.9
-    assert np.array_equal(snapshot.concat(), model.tensor_map().concat())
+    assert np.array_equal(snapshot.flat, model.tensor_map().flat)
 
 
 def test_pretrain_near_perfect_when_noise_vanishes():
@@ -184,10 +188,10 @@ def test_constant_predictor_scores_exactly_chance():
 
 def test_evaluate_is_read_only():
     model = build_model([4, 5, 3], seed=1)
-    before = model.tensor_map().concat().copy()
+    before = model.tensor_map().flat.copy()
     version = model.version
     evaluate(model, simple_spec(), 300)
-    assert np.array_equal(model.tensor_map().concat(), before)
+    assert np.array_equal(model.tensor_map().flat, before)
     assert model.version == version
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from spiderft.checkpoint import load_checkpoint, save_checkpoint
 from spiderft.cli import main
+from spiderft.config import ExperimentConfig, config_to_dict
 from spiderft.tensors import FlatTensor, TensorMap
 
 from helpers import mapped, tmap
@@ -73,7 +74,7 @@ def test_full_pipeline(workspace, capsys):
 
     acc = load_checkpoint(grads)
     assert acc.names == ["layer1.weight", "layer1.bias", "layer2.weight", "layer2.bias"]
-    assert np.all(acc.concat() >= 0.0)
+    assert np.all(acc.flat >= 0.0)
 
     assert (
         run_cli(["eval", "--model", ft, "--config", cfg, "--out", metrics,
@@ -366,6 +367,24 @@ def test_negative_config_seed_exits_2_with_one_line(tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stderr == "error: seed must be >= 0, got -3\n"
+
+
+@pytest.mark.parametrize("command,task", [("pretrain", "suite"), ("eval", "target")])
+def test_negative_task_sample_seed_exits_2_with_one_line(tmp_path, command, task):
+    obj = config_to_dict(ExperimentConfig(epochs=1))
+    (obj["suite"][0] if task == "suite" else obj["target"])["sample_seed"] = -1
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(obj))
+    # rejected when the config is read, before the named checkpoint is opened
+    argv = (["pretrain", "--config", cfg, "--out", tmp_path / "pre.ckpt"] if command == "pretrain"
+            else ["eval", "--model", tmp_path / "missing.ckpt", "--config", cfg])
+    proc = subprocess.run(
+        [sys.executable, "-m", "spiderft.cli", *map(str, argv)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "sample_seed must be >= 0, got -1" in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["eval", "finetune"])

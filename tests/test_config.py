@@ -117,6 +117,17 @@ def test_task_parsing_field_types():
         config_from_dict({"target": task})
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_task_means_are_rejected_when_read(tmp_path, bad):
+    obj = config_to_dict(ExperimentConfig())
+    obj["target"]["means"][1][2] = 12345.5  # replaced by the bare token below
+    text = json.dumps(obj).replace("12345.5", bad)
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="target: means must be finite"):
+        load_config(path)
+
+
 def test_suite_must_be_non_empty_list():
     with pytest.raises(ConfigError):
         config_from_dict({"suite": []})

@@ -41,6 +41,7 @@ from spiderft.masking import (
 )
 from spiderft.tensors import (
     STD_EPS,
+    Layout,
     TensorMap,
     masked_mean_array,
     selected_mean_array,
@@ -88,7 +89,8 @@ def two_payloads(draw, first, second):
 
 
 def tmap_of(table, flat) -> TensorMap:
-    return TensorMap.over([(f"t{k}", shape) for k, shape in enumerate(table)], flat.copy())
+    names = tuple(f"t{k}" for k in range(len(table)))
+    return TensorMap.over(Layout(names, tuple(table)), flat.copy())
 
 
 def segments(table, flat) -> list[np.ndarray]:
@@ -372,6 +374,13 @@ def test_pack_copy_and_views_keep_values(data):
     for t, v in zip(tm, segments(table, flat)):
         assert t.data.tobytes() == v.tobytes()
         assert t.view().shape == t.shape
+    # the layout's segments are the entries named by it
+    split = tm.layout.split(tm.flat)
+    assert len(split) == len(tm.names)
+    for name, segment in zip(tm.names, split):
+        entry = tm[name].data
+        assert segment.size == entry.size and segment.tobytes() == entry.tobytes()
+        assert segment.size == 0 or np.shares_memory(segment, entry)
 
     copied = tm.copy()
     assert not np.shares_memory(copied.flat, tm.flat)
@@ -379,5 +388,4 @@ def test_pack_copy_and_views_keep_values(data):
     rebuilt = TensorMap.from_tensors(tm)
     assert not np.shares_memory(rebuilt.flat, tm.flat)
     assert_bits(rebuilt, flat)
-    assert np.array_equal(tm.concat(), flat)
-    assert not np.shares_memory(tm.concat(), tm.flat)
+    assert np.array_equal(tm.flat, flat)

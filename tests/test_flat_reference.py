@@ -293,7 +293,7 @@ def test_packed_driver_matches_per_tensor_reference_across_blocks(method, scope,
     seed = 6
     model = build_model([8, 300, 300, 3], seed)
     set_trainable_tail(model, 2)
-    size = model.plan().size
+    size = model.plan().layout.size
     assert size > 2 * BLOCK and size % BLOCK
     batches = blob_batches(seed, n=40, dim=8)
     cfg = TrainConfig(**{"epochs": 2, "seed": seed, "normalization_scope": scope, **overrides})

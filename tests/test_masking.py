@@ -189,7 +189,7 @@ def two_tensor_maps(seed):
 def test_select_mask_builds_the_comparison_masks(scope):
     g, i = two_tensor_maps(60)
     i = generalization_importance(i, scope)
-    before = (g.concat(), i.concat())
+    before = (g.flat.copy(), i.flat.copy())
     expected = {
         "binary": binary_mask(g, i),
         "weighted": weighted_mask(g, i),
@@ -197,9 +197,9 @@ def test_select_mask_builds_the_comparison_masks(scope):
     }
     for variant, want in expected.items():
         got = select_mask(variant, g, i, scope)
-        assert np.array_equal(got.mask.concat(), want.mask.concat()), variant
+        assert np.array_equal(got.mask.flat, want.mask.flat), variant
         assert got.empty_selection == want.empty_selection
-    assert np.array_equal(g.concat(), before[0]) and np.array_equal(i.concat(), before[1])
+    assert np.array_equal(g.flat, before[0]) and np.array_equal(i.flat, before[1])
 
 
 @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0])
@@ -214,8 +214,8 @@ def test_select_mask_arms_pick_a_gamma_fraction_per_tensor(gamma):
         assert set(np.flatnonzero(mm.data)) == set(np.argsort(np.abs(it.data))[:k])
         assert np.count_nonzero(mr.data) == k
     # the random draw is a function of the seed
-    again, other = (select_mask("random", g, i, gamma=gamma, seed=s).mask.concat() for s in (4, 5))
-    assert np.array_equal(again, drawn.mask.concat())
+    again, other = (select_mask("random", g, i, gamma=gamma, seed=s).mask.flat for s in (4, 5))
+    assert np.array_equal(again, drawn.mask.flat)
     if gamma == 0.5:  # many possible draws: another seed gives another one
         assert not np.array_equal(other, again)
 
@@ -315,7 +315,7 @@ def test_random_half_floor_counts():
 def test_random_half_deterministic_per_seed():
     a = random_half_mask(four_block_map(), rng_seed=42)
     b = random_half_mask(four_block_map(), rng_seed=42)
-    assert np.array_equal(a.mask.concat(), b.mask.concat())
+    assert np.array_equal(a.mask.flat, b.mask.flat)
 
 
 def test_random_half_varies_across_seeds():
@@ -384,4 +384,4 @@ def test_masks_built_from_real_importance_pipeline():
     g = tmap(w=rng.uniform(0.01, 0.99, 30))
     mask = rescale_mask(weighted_mask(g, i))
     assert 0.0 <= mask.density <= 1.0
-    assert mask.mask.aligned_with(pretrained)
+    assert mask.mask.layout == pretrained.layout

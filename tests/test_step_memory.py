@@ -3,8 +3,10 @@
 On a map of more than 2^18 entries, the merge into an `out` map, a fold into
 an initialized accumulator and an SGD step each allocate less than one
 trainable-sized buffer: they write into buffers that already exist, and the
-blocked chains use one block-sized scratch.  tracemalloc sees numpy's data
-buffers, so its peak bounds every temporary a stage makes.
+blocked chains use one block-sized scratch.  A whole comparison-masked run
+holds its accumulator and fixed scores, and per step no more than the
+gradient, the scores, the z-score's deviations and one mask.  tracemalloc
+sees numpy's data buffers, so its peak bounds every temporary a stage makes.
 """
 
 from __future__ import annotations
@@ -12,16 +14,25 @@ from __future__ import annotations
 import tracemalloc
 
 import numpy as np
+import pytest
 
+from spiderft.benchmark import default_target, generate_task
 from spiderft.importance import GradAccumulator, accumulate_gradient
 from spiderft.masking import UpdateMask, merge
-from spiderft.tensors import BLOCK, TensorMap
-from spiderft.trainer import build_model, set_trainable_tail, sgd_step
+from spiderft.tensors import BLOCK, Layout, TensorMap
+from spiderft.trainer import (
+    TrainConfig,
+    batches_of,
+    build_model,
+    finetune_spider,
+    set_trainable_tail,
+    sgd_step,
+)
 
 # more than 2^18 entries, and not a whole number of blocks
-LAYOUT = (("layer1.weight", (600, 500)), ("layer1.bias", (600,)),
-          ("layer2.weight", (3, 600)), ("layer2.bias", (3,)))
-SIZE = sum(int(np.prod(shape)) for _, shape in LAYOUT)
+LAYOUT = Layout(("layer1.weight", "layer1.bias", "layer2.weight", "layer2.bias"),
+                ((600, 500), (600,), (3, 600), (3,)))
+SIZE = LAYOUT.size
 BUFFER_BYTES = 8 * SIZE
 
 
@@ -69,8 +80,27 @@ def test_sgd_step_allocates_less_than_one_buffer():
     model = build_model([8, 500, 600, 3], seed=2)
     set_trainable_tail(model, 2)
     weights = model.tensor_map(trainable_only=True)
-    assert weights.layout() == LAYOUT
+    assert weights.layout == LAYOUT
     grads = map_of(np.random.default_rng(2).normal(size=SIZE))
     expected = weights.flat - 0.1 * grads.flat
     assert traced_peak(lambda: sgd_step(model, grads, 0.1)) < BUFFER_BYTES
     assert weights.flat.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("method", ["spider", "spider_binary", "spider_weighted_norescale"])
+def test_masked_run_frees_each_steps_mask(method):
+    base = build_model([8, 500, 600, 3], seed=3)
+    set_trainable_tail(base, 2)
+    target = generate_task(default_target())
+    data = batches_of(target.train_inputs, target.train_labels, 16)[:3]
+    cfg = TrainConfig(method=method, epochs=1)
+    warm = base.copy()
+    finetune_spider(warm, warm.tensor_map(trainable_only=True).copy(), data[:1], cfg)
+
+    model = base.copy()
+    pretrained = model.tensor_map(trainable_only=True).copy()
+    peak = traced_peak(lambda: finetune_spider(model, pretrained, data, cfg))
+    # accumulator, fixed scores, gradient, scores, deviations, mask and its
+    # selection: 5.125 buffers; the previous step's mask alive beside the
+    # next one's makes it 6.25
+    assert peak < 5.5 * BUFFER_BYTES

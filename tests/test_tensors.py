@@ -6,9 +6,9 @@ import pytest
 from spiderft.errors import AlignmentError, ZeroNormError
 from spiderft.tensors import (
     FlatTensor,
+    Layout,
     TensorMap,
     cosine_similarity,
-    elementwise_abs,
     masked_mean,
     sigmoid,
     zscore,
@@ -169,11 +169,6 @@ def test_masked_mean_no_zeros_is_plain_mean():
     assert abs(value - float(np.mean(x))) < 1e-12
 
 
-def test_elementwise_abs():
-    out = elementwise_abs(vec([-2.0, 0.0, 3.5]))
-    np.testing.assert_array_equal(out.data, [2.0, 0.0, 3.5])
-
-
 # ---------------------------------------------------------------------------
 # FlatTensor / TensorMap container contracts
 # ---------------------------------------------------------------------------
@@ -200,24 +195,41 @@ def test_flat_tensor_view_round_trip():
 def test_tensor_map_preserves_insertion_order():
     m = tmap(b=[1.0], a=[2.0], c=[3.0])
     assert m.names == ["b", "a", "c"]
-    np.testing.assert_array_equal(m.concat(), [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(m.flat, [1.0, 2.0, 3.0])
 
 
 def test_tensor_map_rejects_duplicate_names():
     with pytest.raises(ValueError):
         TensorMap.from_tensors([FlatTensor.of("a", [1.0]), FlatTensor.of("a", [2.0])])
     with pytest.raises(ValueError):
-        TensorMap.over([("a", (1,)), ("a", (1,))], np.zeros(2))
+        Layout(("a", "a"), ((1,), (1,)))
 
 
 def test_tensor_map_alignment():
     a = tmap(x=[1.0, 2.0], y=[3.0])
     b = tmap(x=[9.0, 9.0], y=[9.0])
     c = tmap(y=[9.0], x=[9.0, 9.0])  # same names, wrong order
-    assert a.aligned_with(b)
-    assert not a.aligned_with(c)
+    assert a.layout == b.layout
+    assert a.layout != c.layout
     with pytest.raises(AlignmentError):
         a.require_aligned(c, "test")
+
+
+def test_with_flat_builds_no_entry(monkeypatch):
+    m = tmap(x=[1.0, 2.0], y=[3.0])
+    built = []
+    # the checked constructor's __post_init__ and the unchecked _wrap
+    checked, wrap = FlatTensor.__post_init__, FlatTensor._wrap.__func__
+    monkeypatch.setattr(FlatTensor, "__post_init__",
+                        lambda t: built.append("checked") or checked(t))
+    monkeypatch.setattr(FlatTensor, "_wrap",
+                        classmethod(lambda cls, *a: built.append("wrap") or wrap(cls, *a)))
+    flat = np.zeros(3)
+    views = (m.with_flat(flat), TensorMap.over(m.layout, flat), m.copy())
+    assert built == []
+    assert all(v.layout is m.layout for v in views) and views[0].flat is flat
+    assert views[0]["y"].data.base is flat  # an entry is a view made on access
+    assert built == ["wrap"]
 
 
 def test_tensor_map_copy_is_independent():
@@ -238,7 +250,7 @@ def test_packed_map_views_one_buffer():
     copied = m.copy()
     assert not np.shares_memory(copied.flat, m.flat)
     assert all(np.shares_memory(t.data, copied.flat) for t in copied)
-    assert TensorMap().flat.size == 0 and TensorMap.from_tensors([]).flat.size == 0
+    assert TensorMap.from_tensors([]).flat.size == 0
     with pytest.raises(ValueError):
         m.with_flat(np.zeros(4))
 
@@ -246,10 +258,10 @@ def test_packed_map_views_one_buffer():
 def test_zscore_map_global_matches_concatenated_stats():
     rng = np.random.default_rng(5)
     m = tmap(x=rng.normal(size=10), y=rng.normal(2.0, 3.0, size=7))
-    flat = m.concat()
+    flat = m.flat.copy()
     expected = (flat - flat.mean()) / flat.std()
     out = zscore_map(m, "global")
-    np.testing.assert_allclose(out.concat(), expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.flat, expected, rtol=0, atol=1e-12)
 
 
 def test_zscore_map_per_tensor_normalizes_each_alone():

@@ -307,7 +307,7 @@ def test_build_model_shapes_and_activations():
 def test_build_model_deterministic():
     a = build_model([4, 5, 3], seed=9)
     b = build_model([4, 5, 3], seed=9)
-    assert np.array_equal(a.tensor_map().concat(), b.tensor_map().concat())
+    assert np.array_equal(a.tensor_map().flat, b.tensor_map().flat)
 
 
 def test_model_dimension_mismatch_rejected():
@@ -325,7 +325,7 @@ def test_model_dimension_mismatch_rejected():
 def test_model_round_trip_through_tensor_map():
     model = build_model([4, 6, 3], seed=10)
     rebuilt = model_from_tensor_map(model.tensor_map())
-    assert np.array_equal(model.tensor_map().concat(), rebuilt.tensor_map().concat())
+    assert np.array_equal(model.tensor_map().flat, rebuilt.tensor_map().flat)
     assert [layer.activation for layer in rebuilt.layers] == ["tanh", "identity"]
 
 
@@ -348,7 +348,7 @@ def test_load_values_writes_in_place_and_bumps_version():
     buffers = [t.data for t in model.tensors()]
     model.load_values(new)
     assert model.version == v + 1
-    assert all(t.data is buf for t, buf in zip(model.tensors(), buffers))
+    assert all(np.shares_memory(t.data, buf) for t, buf in zip(model.tensors(), buffers))
 
 
 def test_load_values_rejects_unknown_or_misshaped():
@@ -530,7 +530,7 @@ def test_single_iteration_weight_sandwich():
 def test_spider_run_is_deterministic():
     a, log_a, _ = spider_run(seed=7)
     b, log_b, _ = spider_run(seed=7)
-    assert np.array_equal(a.tensor_map().concat(), b.tensor_map().concat())
+    assert np.array_equal(a.tensor_map().flat, b.tensor_map().flat)
     assert log_a.losses == log_b.losses
     assert log_a.pid == log_b.pid
 
@@ -557,14 +557,14 @@ def test_binary_and_norescale_variants_run():
 def test_accumulator_reset_per_epoch_changes_the_run():
     a, _, _ = spider_run(seed=11, epochs=3)
     b, _, _ = spider_run(seed=11, epochs=3, accumulator_reset_per_epoch=True)
-    assert not np.array_equal(a.tensor_map().concat(), b.tensor_map().concat())
+    assert not np.array_equal(a.tensor_map().flat, b.tensor_map().flat)
 
 
 def test_final_accumulator_is_exposed_for_dumping():
     _, log, pretrained = spider_run(seed=12)
     assert log.final_accumulator is not None
-    assert log.final_accumulator.aligned_with(pretrained)
-    assert np.all(log.final_accumulator.concat() >= 0.0)
+    assert log.final_accumulator.layout == pretrained.layout
+    assert np.all(log.final_accumulator.flat >= 0.0)
 
 
 def test_model_after_packed_run(tmp_path):
@@ -622,8 +622,9 @@ def test_every_model_tensor_views_one_buffer(make):
     model = make()
     assert model.tensor_map() is model.params
     assert _views_in_order(list(model.tensors()), model.params.flat)
-    assert all(layer.weight is model.params[layer.weight.name]
-               and layer.bias is model.params[layer.bias.name] for layer in model.layers)
+    assert all(np.shares_memory(layer.weight.data, model.params[layer.weight.name].data)
+               and np.shares_memory(layer.bias.data, model.params[layer.bias.name].data)
+               for layer in model.layers)
 
 
 def test_model_copy_shares_no_memory():
@@ -651,8 +652,8 @@ def test_trainable_view_holds_the_layers_own_tensors():
         model.trainable[name] = name in ("layer0.bias", "layer1.weight")  # consecutive
     view = model.tensor_map(trainable_only=True)
     assert view.names == ["layer0.bias", "layer1.weight"]
-    assert view["layer0.bias"] is model.layers[0].bias
-    assert view["layer1.weight"] is model.layers[1].weight
+    assert np.shares_memory(view["layer0.bias"].data, model.layers[0].bias.data)
+    assert np.shares_memory(view["layer1.weight"].data, model.layers[1].weight.data)
     assert _views_in_order(list(view), view.flat)
     assert np.shares_memory(view.flat, model.params.flat)
     view.flat[:] = 7.0
@@ -685,13 +686,13 @@ def _assert_step_matches_fresh(model: ToyModel) -> None:
     batch = Batch(*blob_data(24, n=8))
     grads = backward(model, forward(model, batch)[1])
     expected = backward(fresh, forward(fresh, batch)[1])
-    assert grads.layout() == expected.layout()
+    assert grads.layout == expected.layout
     assert grads.flat.tobytes() == expected.flat.tobytes()
 
     view, fresh_view = model.tensor_map(trainable_only=True), fresh.tensor_map(trainable_only=True)
     assert view is model.tensor_map(trainable_only=True)  # one map while the flags hold
-    assert view.layout() == fresh_view.layout()
-    assert all(t is model.params[t.name] for t in view)
+    assert view.layout == fresh_view.layout
+    assert all(np.shares_memory(t.data, model.params[t.name].data) for t in view)
     offset = view.flat.ctypes.data - model.params.flat.ctypes.data
     assert offset == fresh_view.flat.ctypes.data - fresh.params.flat.ctypes.data
     assert view.flat.size == fresh_view.flat.size
@@ -761,12 +762,39 @@ def test_bias_shape_must_match_the_weights_rows():
         model_from_tensor_map(TensorMap.from_tensors([w, b]))
 
 
+def test_a_spider_step_shares_one_layout(monkeypatch):
+    layouts = []
+
+    def recording(fn, maps_of):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            layouts.extend(m.layout for m in maps_of(args, out))
+            return out
+        return wrapped
+
+    monkeypatch.setattr(trainer, "accumulate_gradient", recording(
+        trainer.accumulate_gradient, lambda args, out: (args[0].acc, args[1])))
+    monkeypatch.setattr(trainer, "specialization_importance", recording(
+        trainer.specialization_importance, lambda args, out: (out,)))
+    monkeypatch.setattr(trainer, "merge", recording(
+        trainer.merge, lambda args, out: (args[0], args[1], args[2].mask, out)))
+    model = small_model(seed=5)
+    view = model.tensor_map(trainable_only=True)
+    pretrained = view.copy()
+    inputs, labels = blob_data(5, n=16)
+    finetune_spider(model, pretrained, batches_of(inputs, labels, 16), TrainConfig(epochs=1))
+    # accumulator, gradient, scores, then the view, the snapshot, the mask and the merge
+    assert len(layouts) == 7
+    assert all(layout is view.layout for layout in layouts)
+    assert model.plan().layout is view.layout
+
+
 def test_changed_weights_are_the_last_merged_masks_support(monkeypatch):
     merged = []
     real_merge = trainer.merge
 
     def recording_merge(current, pretrained, mask, **kwargs):
-        merged.append((mask, mask.mask.concat()))
+        merged.append((mask, mask.mask.flat.copy()))
         return real_merge(current, pretrained, mask, **kwargs)
 
     monkeypatch.setattr(trainer, "merge", recording_merge)
@@ -775,8 +803,8 @@ def test_changed_weights_are_the_last_merged_masks_support(monkeypatch):
         model, log, pretrained = spider_run(method=method, seed=17, epochs=3)
         mask, at_merge = merged[-1]
         # the driver leaves the last merged mask's buffer alone after the merge
-        assert np.array_equal(mask.mask.concat(), at_merge)
-        changed = model.tensor_map(trainable_only=True).concat() != pretrained.concat()
+        assert np.array_equal(mask.mask.flat, at_merge)
+        changed = model.tensor_map(trainable_only=True).flat != pretrained.flat
         assert np.array_equal(changed, at_merge != 0.0)
         assert log.mask_density[-1] == np.count_nonzero(at_merge) / at_merge.size
 
@@ -918,26 +946,26 @@ def baseline_run(method, seed=40, epochs=2, **kw):
 def test_l2_with_zero_lambda_is_exactly_full_ft():
     a, _, _ = baseline_run("full_ft", seed=41)
     b, _, _ = baseline_run("l2_reg", seed=41, l2_lambda=0.0)
-    assert np.array_equal(a.tensor_map().concat(), b.tensor_map().concat())
+    assert np.array_equal(a.tensor_map().flat, b.tensor_map().flat)
 
 
 def test_l1_with_zero_lambda_is_exactly_full_ft():
     a, _, _ = baseline_run("full_ft", seed=42)
     b, _, _ = baseline_run("l1_graft", seed=42, l1_lambda=0.0)
-    assert np.array_equal(a.tensor_map().concat(), b.tensor_map().concat())
+    assert np.array_equal(a.tensor_map().flat, b.tensor_map().flat)
 
 
 def test_dare_with_zero_drop_is_exactly_full_ft():
     a, _, _ = baseline_run("full_ft", seed=43)
     b, _, _ = baseline_run("dare", seed=43, dare_drop_p=0.0)
-    assert np.array_equal(a.tensor_map().concat(), b.tensor_map().concat())
+    assert np.array_equal(a.tensor_map().flat, b.tensor_map().flat)
 
 
 def test_l2_pullback_shrinks_drift_monotonically():
     drifts = []
     for lam in (0.0, 1e-3, 1e-1):
         model, _, pretrained = baseline_run("l2_reg", seed=44, epochs=5, l2_lambda=lam)
-        delta = model.tensor_map(trainable_only=True).concat() - pretrained.concat()
+        delta = model.tensor_map(trainable_only=True).flat - pretrained.flat
         drifts.append(float(np.linalg.norm(delta)))
     assert drifts[0] > drifts[1] > drifts[2]
 
@@ -946,11 +974,11 @@ def test_l1_pullback_shrinks_drift():
     strong = 1e-1
     model, _, pretrained = baseline_run("l1_graft", seed=45, epochs=5, l1_lambda=strong)
     strong_drift = float(
-        np.linalg.norm(model.tensor_map(trainable_only=True).concat() - pretrained.concat())
+        np.linalg.norm(model.tensor_map(trainable_only=True).flat - pretrained.flat)
     )
     model, _, pretrained = baseline_run("l1_graft", seed=45, epochs=5, l1_lambda=0.0)
     free_drift = float(
-        np.linalg.norm(model.tensor_map(trainable_only=True).concat() - pretrained.concat())
+        np.linalg.norm(model.tensor_map(trainable_only=True).flat - pretrained.flat)
     )
     assert strong_drift < free_drift
 
@@ -974,13 +1002,13 @@ def test_half_ft_moves_exactly_half_the_blocks_per_iteration():
 def test_half_ft_is_deterministic_in_the_seed():
     a, _, _ = baseline_run("half_ft", seed=48)
     b, _, _ = baseline_run("half_ft", seed=48)
-    assert np.array_equal(a.tensor_map().concat(), b.tensor_map().concat())
+    assert np.array_equal(a.tensor_map().flat, b.tensor_map().flat)
 
 
 def test_dare_final_weights_are_pretrained_plus_sparse_delta():
     model, _, pretrained = baseline_run("dare", seed=49, dare_drop_p=0.5)
     delta = (
-        model.tensor_map(trainable_only=True).concat() - pretrained.concat()
+        model.tensor_map(trainable_only=True).flat - pretrained.flat
     )
     dropped = float(np.mean(delta == 0.0))
     assert 0.3 < dropped < 0.7  # about half the entries revert exactly
@@ -999,7 +1027,7 @@ def test_accumulator_reset_per_epoch_resets_baseline_accumulators_too():
     # as well; it feeds only their pid trace, so the weights do not change
     a, log_a, _ = baseline_run("full_ft", seed=52)
     b, log_b, pretrained = baseline_run("full_ft", seed=52, accumulator_reset_per_epoch=True)
-    assert np.array_equal(a.tensor_map().concat(), b.tensor_map().concat())
+    assert np.array_equal(a.tensor_map().flat, b.tensor_map().flat)
     assert log_a.losses == log_b.losses
     assert log_a.pid[:3] == log_b.pid[:3] and log_a.pid[3:] != log_b.pid[3:]
 
@@ -1008,13 +1036,13 @@ def test_accumulator_reset_per_epoch_resets_baseline_accumulators_too():
     inputs, labels = blob_data(52, n=48)
     cfg = TrainConfig(method="full_ft", epochs=1, batch_size=16, seed=52)
     _, second = finetune_baseline(first, pretrained, batches_of(inputs, labels, 16), cfg)
-    assert np.array_equal(second.final_accumulator.concat(), log_b.final_accumulator.concat())
+    assert np.array_equal(second.final_accumulator.flat, log_b.final_accumulator.flat)
 
 
 def test_baseline_is_deterministic():
     a, log_a, _ = baseline_run("dare", seed=51)
     b, log_b, _ = baseline_run("dare", seed=51)
-    assert np.array_equal(a.tensor_map().concat(), b.tensor_map().concat())
+    assert np.array_equal(a.tensor_map().flat, b.tensor_map().flat)
     assert log_a.losses == log_b.losses
 
 
