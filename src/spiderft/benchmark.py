@@ -331,14 +331,14 @@ def finetune_cell(
     train_inputs: np.ndarray,
     train_labels: np.ndarray,
     cfg: TrainConfig,
-    method: str,
 ) -> tuple[ToyModel, RunLog]:
-    """Fine-tune a copy of base_model with its last cfg.trainable_layer_count layers trainable."""
+    """Fine-tune a copy of base_model by cfg.method, with its last
+    cfg.trainable_layer_count layers trainable."""
     model = base_model.copy()
     set_trainable_tail(model, cfg.trainable_layer_count)
     pretrained = model.tensor_map(trainable_only=True).copy()
     data = batches_of(train_inputs, train_labels, cfg.batch_size)
-    return finetune_with_method(model, pretrained, data, cfg, method)
+    return finetune_with_method(model, pretrained, data, cfg, cfg.method)
 
 
 def run_experiment(
@@ -375,7 +375,8 @@ def run_experiment(
         )
         for method in methods:
             model, log = finetune_cell(
-                base_model, target_data.train_inputs, target_data.train_labels, seed_cfg, method
+                base_model, target_data.train_inputs, target_data.train_labels,
+                replace(seed_cfg, method=method),
             )
             source_accs = {d.spec.task_id: heldout_accuracy(model, d) for d in suite_eval}
             target_acc = heldout_accuracy(model, target_eval)
@@ -418,7 +419,7 @@ def measure_pid_direction(
         (target_data.train_inputs, target_data.train_labels),
         (replay_inputs[:keep], replay_labels[:keep]),
     ):
-        _, log = finetune_cell(base_model, inputs, labels, seed_cfg, "full_ft")
+        _, log = finetune_cell(base_model, inputs, labels, seed_cfg)
         pids.append(log.pid[-1])
     return pids[0], pids[1]
 

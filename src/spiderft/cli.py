@@ -83,13 +83,12 @@ def _cmd_pretrain(args) -> int:
 
 def _cmd_finetune(args) -> int:
     cfg = load_config(args.config)
-    method = args.method if args.method else cfg.method
     seed = args.seed if args.seed is not None else cfg.seeds[0]
-    tcfg = cfg.to_train_config(seed=seed, method=method)
+    tcfg = cfg.to_train_config(seed=seed, method=args.method)
 
     model = model_from_tensor_map(load_checkpoint(args.pretrained))
     target = generate_task(cfg.target, DEFAULT_SAMPLES)
-    model, log = finetune_cell(model, target.train_inputs, target.train_labels, tcfg, method)
+    model, log = finetune_cell(model, target.train_inputs, target.train_labels, tcfg)
     save_checkpoint(model.tensor_map(), args.out)
 
     if args.log:
@@ -98,7 +97,7 @@ def _cmd_finetune(args) -> int:
         if log.final_accumulator is None:
             raise ConfigError("no gradient trace to dump (no training iterations ran)")
         save_checkpoint(log.final_accumulator, args.grad_dump)
-    print(f"finetuned method={method} seed={seed} steps={len(log.losses)} -> {args.out}")
+    print(f"finetuned method={tcfg.method} seed={seed} steps={len(log.losses)} -> {args.out}")
     return 0
 
 

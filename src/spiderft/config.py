@@ -1,48 +1,32 @@
 """Experiment configuration files.
 
 Configs are JSON documents with a closed key set; unknown keys are an
-error so typos fail loudly instead of silently using a default.
+error so typos fail loudly instead of silently using a default.  The keys
+are `seeds`, `suite`, `target` and the fields of `TrainConfig`; each task
+object holds the fields of `TaskSpec`, all required.  Both are read and
+written by walking the dataclass fields, and each field's annotated type
+picks its check.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .benchmark import METHOD_CHOICES, TaskSpec, default_suite, default_target
 from .errors import ConfigError
-from .tensors import NORMALIZATION_SCOPES
 from .trainer import TrainConfig
 
-CONFIG_KEYS = (
-    "method",
-    "seeds",
-    "epochs",
-    "batch_size",
-    "learning_rate",
-    "trainable_layers",
-    "beta",
-    "normalization_scope",
-    "dare_drop_p",
-    "l2_lambda",
-    "l1_lambda",
-    "suite",
-    "target",
-)
-
-TASK_KEYS = (
-    "task_id",
-    "class_count",
-    "input_dim",
-    "means",
-    "covariance_scale",
-    "rotation_angle",
-    "sample_seed",
-)
+# the one field whose JSON key differs from its name
+_JSON_KEY = {"trainable_layer_count": "trainable_layers"}
+# fields no key sets: `seeds` replaces `seed`, the rest are Python-API only
+_NOT_IN_JSON = ("seed", "selection_gamma", "accumulator_reset_per_epoch", "lr_overrides")
 
 
 def _require_int(value, key: str) -> int:
@@ -63,102 +47,107 @@ def _require_number(value, key: str) -> float:
     return number
 
 
+def _require_string(value, key: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{key} must be a non-empty string")
+    return value
+
+
+def _require_matrix(value, key: str) -> np.ndarray:
+    try:
+        matrix = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} is not a numeric matrix: {exc}") from exc
+    if not np.isfinite(matrix).all():
+        raise ConfigError(f"{key} must be finite")
+    return matrix
+
+
+_CHECKS = {int: _require_int, float: _require_number, str: _require_string,
+           np.ndarray: _require_matrix}
+
+
+def _schema(cls) -> tuple:
+    """(JSON key, field, check) for each field of dataclass `cls` a config sets."""
+    hints = get_type_hints(cls)
+    return tuple((_JSON_KEY.get(f.name, f.name), f, _CHECKS[hints[f.name]])
+                 for f in fields(cls) if f.name not in _NOT_IN_JSON)
+
+
+_TRAIN_SCHEMA = _schema(TrainConfig)
+_TASK_SCHEMA = _schema(TaskSpec)
+
+
+def _read(schema: tuple, obj: dict, where: str, own_keys: tuple = ()) -> dict:
+    """The checked field values a flat JSON object sets, by field name.
+
+    Keys in own_keys are the caller's to read; a field without a default
+    is a required key.
+    """
+    unknown = set(obj) - {key for key, _, _ in schema} - set(own_keys)
+    if unknown:
+        raise ConfigError(f"{where}unknown keys {sorted(unknown)}")
+    missing = [key for key, f, _ in schema if key not in obj
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"{where}missing keys {sorted(missing)}")
+    return {f.name: check(obj[key], where + key) for key, f, check in schema if key in obj}
+
+
+def _write(schema: tuple, value) -> dict:
+    """The flat JSON object that _read turns back into `value`'s fields."""
+    out = {key: getattr(value, f.name) for key, f, _ in schema}
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in out.items()}
+
+
 def _parse_task(obj, where: str) -> TaskSpec:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object")
-    unknown = set(obj) - set(TASK_KEYS)
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = set(TASK_KEYS) - set(obj)
-    if missing:
-        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
-    if not isinstance(obj["task_id"], str) or not obj["task_id"]:
-        raise ConfigError(f"{where}: task_id must be a non-empty string")
-    try:
-        means = np.asarray(obj["means"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: means is not a numeric matrix: {exc}") from exc
-    if not np.isfinite(means).all():
-        raise ConfigError(f"{where}: means must be finite")
-    return TaskSpec(
-        task_id=obj["task_id"],
-        class_count=_require_int(obj["class_count"], f"{where}.class_count"),
-        input_dim=_require_int(obj["input_dim"], f"{where}.input_dim"),
-        means=means,
-        covariance_scale=_require_number(obj["covariance_scale"], f"{where}.covariance_scale"),
-        rotation_angle=_require_number(obj["rotation_angle"], f"{where}.rotation_angle"),
-        sample_seed=_require_int(obj["sample_seed"], f"{where}.sample_seed"),
-    )
+    return TaskSpec(**_read(_TASK_SCHEMA, obj, f"{where}: "))
 
 
 def task_to_dict(spec: TaskSpec) -> dict:
-    return {
-        "task_id": spec.task_id,
-        "class_count": spec.class_count,
-        "input_dim": spec.input_dim,
-        "means": spec.means.tolist(),
-        "covariance_scale": spec.covariance_scale,
-        "rotation_angle": spec.rotation_angle,
-        "sample_seed": spec.sample_seed,
-    }
+    return _write(_TASK_SCHEMA, spec)
 
 
 @dataclass
 class ExperimentConfig:
-    method: str = "spider"
+    """The training settings, and the seeds and tasks to run them on.
+
+    `seeds` replaces `train.seed`; to_train_config gives one seed's settings.
+    """
+
     seeds: list[int] = field(default_factory=lambda: [0])
-    epochs: int = 5
-    batch_size: int = 16
-    learning_rate: float = 0.12
-    trainable_layers: int = 2
-    beta: float = 0.9
-    normalization_scope: str = "per_tensor"
-    dare_drop_p: float = 0.5
-    l2_lambda: float = 1e-3
-    l1_lambda: float = 1e-6
     suite: list[TaskSpec] = field(default_factory=default_suite)
     target: TaskSpec = field(default_factory=default_target)
+    train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        if self.method not in METHOD_CHOICES:
-            raise ConfigError(f"unknown method {self.method!r}")
+        if self.train.method not in METHOD_CHOICES:
+            raise ConfigError(f"unknown method {self.train.method!r}")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
-        if self.normalization_scope not in NORMALIZATION_SCOPES:
-            raise ConfigError(f"unknown normalization_scope {self.normalization_scope!r}")
-        if self.trainable_layers < 1:
-            raise ConfigError("trainable_layers must be >= 1")
-        for seed in self.seeds:  # TrainConfig checks the training fields and the seed
+        for seed in self.seeds:  # TrainConfig checks the seed
             self.to_train_config(seed)
+        ids = Counter(spec.task_id for spec in (*self.suite, self.target))
+        repeated = sorted(task_id for task_id, n in ids.items() if n > 1)
+        if repeated:
+            raise ConfigError(f"task ids must be distinct across suite and target, "
+                              f"repeated: {repeated}")
 
     def to_train_config(self, seed: int | None = None, method: str | None = None) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.learning_rate,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            method=self.method if method is None else method,
-            l2_lambda=self.l2_lambda,
-            l1_lambda=self.l1_lambda,
-            dare_drop_p=self.dare_drop_p,
-            beta=self.beta,
+        return replace(
+            self.train,
             seed=self.seeds[0] if seed is None else seed,
-            trainable_layer_count=self.trainable_layers,
-            normalization_scope=self.normalization_scope,
+            method=self.train.method if method is None else method,
         )
 
 
 def config_from_dict(obj: dict) -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(obj) - set(CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}")
-
-    kwargs = {}
-    if "method" in obj:
-        if not isinstance(obj["method"], str):
-            raise ConfigError("method must be a string")
-        kwargs["method"] = obj["method"]
+    train = _read(_TRAIN_SCHEMA, obj, "", own_keys=("seeds", "suite", "target"))
+    kwargs = {"train": TrainConfig(**train)}
     if "seeds" in obj:
         seeds = obj["seeds"]
         if isinstance(seeds, int) and not isinstance(seeds, bool):
@@ -166,14 +155,6 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
         if not isinstance(seeds, list) or not seeds:
             raise ConfigError("seeds must be an integer or non-empty list of integers")
         kwargs["seeds"] = [_require_int(s, "seeds[]") for s in seeds]
-    for key in ("epochs", "batch_size", "trainable_layers"):
-        if key in obj:
-            kwargs[key] = _require_int(obj[key], key)
-    for key in ("learning_rate", "beta", "dare_drop_p", "l2_lambda", "l1_lambda"):
-        if key in obj:
-            kwargs[key] = _require_number(obj[key], key)
-    if "normalization_scope" in obj:
-        kwargs["normalization_scope"] = obj["normalization_scope"]
     if "suite" in obj:
         if not isinstance(obj["suite"], list) or not obj["suite"]:
             raise ConfigError("suite must be a non-empty list of task objects")
@@ -195,17 +176,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     return {
-        "method": cfg.method,
         "seeds": list(cfg.seeds),
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "learning_rate": cfg.learning_rate,
-        "trainable_layers": cfg.trainable_layers,
-        "beta": cfg.beta,
-        "normalization_scope": cfg.normalization_scope,
-        "dare_drop_p": cfg.dare_drop_p,
-        "l2_lambda": cfg.l2_lambda,
-        "l1_lambda": cfg.l1_lambda,
+        **_write(_TRAIN_SCHEMA, cfg.train),
         "suite": [task_to_dict(s) for s in cfg.suite],
         "target": task_to_dict(cfg.target),
     }

@@ -66,7 +66,7 @@ from .masking import (
     random_half_mask,
     select_mask,
 )
-from .tensors import FlatTensor, Layout, TensorMap
+from .tensors import NORMALIZATION_SCOPES, FlatTensor, Layout, TensorMap
 
 ACTIVATIONS = ("tanh", "identity")
 
@@ -409,6 +409,10 @@ class TrainConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.selection_gamma <= 1.0:
             raise ConfigError("selection_gamma must be in (0, 1]")
+        if self.trainable_layer_count < 1:
+            raise ConfigError("trainable_layer_count must be >= 1")
+        if self.normalization_scope not in NORMALIZATION_SCOPES:
+            raise ConfigError(f"unknown normalization_scope {self.normalization_scope!r}")
 
 
 @dataclass
@@ -544,7 +548,8 @@ def _finetune(
 
             sgd_step(model, grads, cfg.learning_rate, cfg.lr_overrides)
             if mask is not None:
-                model.load_values(merge(weights, pretrained, mask, out=weights))
+                merge(weights, pretrained, mask, out=weights)  # writes the model
+                model.version += 1
                 log.mask_density.append(mask.density)
             _require_finite(it, "weights", weights)
 
@@ -563,7 +568,7 @@ def _finetune(
         delta = weights.with_flat(weights.flat - pretrained.flat)
         kept = dare_mask_and_rescale(delta, cfg.dare_drop_p, next(seeds))
         np.add(pretrained.flat, kept.flat, out=weights.flat)
-        model.load_values(weights)
+        model.version += 1
 
     if accumulator.initialized:
         log.final_accumulator = accumulator.acc

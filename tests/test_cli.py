@@ -12,6 +12,7 @@ from spiderft.checkpoint import load_checkpoint, save_checkpoint
 from spiderft.cli import main
 from spiderft.config import ExperimentConfig, config_to_dict
 from spiderft.tensors import FlatTensor, TensorMap
+from spiderft.trainer import TrainConfig
 
 from helpers import mapped, tmap
 
@@ -371,7 +372,7 @@ def test_negative_config_seed_exits_2_with_one_line(tmp_path):
 
 @pytest.mark.parametrize("command,task", [("pretrain", "suite"), ("eval", "target")])
 def test_negative_task_sample_seed_exits_2_with_one_line(tmp_path, command, task):
-    obj = config_to_dict(ExperimentConfig(epochs=1))
+    obj = config_to_dict(ExperimentConfig(train=TrainConfig(epochs=1)))
     (obj["suite"][0] if task == "suite" else obj["target"])["sample_seed"] = -1
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(obj))
@@ -385,6 +386,24 @@ def test_negative_task_sample_seed_exits_2_with_one_line(tmp_path, command, task
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "sample_seed must be >= 0, got -1" in proc.stderr
+
+
+@pytest.mark.parametrize("repeat", ["suite", "target"])
+def test_repeated_task_ids_exit_2_with_one_line(tmp_path, repeat):
+    obj = config_to_dict(ExperimentConfig(train=TrainConfig(epochs=1)))
+    (obj["suite"][2] if repeat == "suite" else obj["target"])["task_id"] = obj["suite"][0]["task_id"]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(obj))
+    # eval would key the source accuracies by id and average over fewer tasks
+    proc = subprocess.run(
+        [sys.executable, "-m", "spiderft.cli", "eval", "--model", str(tmp_path / "missing.ckpt"),
+         "--config", str(cfg)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "repeated" in proc.stderr and obj["suite"][0]["task_id"] in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["eval", "finetune"])

@@ -1,10 +1,15 @@
 """JSON experiment configs: defaults, closed key set, round trips."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from spiderft.benchmark import METHOD_CHOICES, TaskSpec
 from spiderft.config import (
     ExperimentConfig,
     config_from_dict,
@@ -13,27 +18,38 @@ from spiderft.config import (
     task_to_dict,
 )
 from spiderft.errors import ConfigError
+from spiderft.tensors import NORMALIZATION_SCOPES
+from spiderft.trainer import TrainConfig
+
+CONFIG_KEYS = {
+    "method", "seeds", "epochs", "batch_size", "learning_rate", "trainable_layers", "beta",
+    "normalization_scope", "dare_drop_p", "l2_lambda", "l1_lambda", "suite", "target",
+}
+TASK_KEYS = {
+    "task_id", "class_count", "input_dim", "means", "covariance_scale", "rotation_angle",
+    "sample_seed",
+}
 
 
 def test_defaults():
     cfg = ExperimentConfig()
-    assert cfg.method == "spider"
+    assert cfg.train.method == "spider"
     assert cfg.seeds == [0]
-    assert cfg.epochs == 5
-    assert cfg.batch_size == 16
-    assert cfg.learning_rate == 0.12
-    assert cfg.trainable_layers == 2
-    assert cfg.beta == 0.9
-    assert cfg.normalization_scope == "per_tensor"
-    assert cfg.dare_drop_p == 0.5
-    assert cfg.l2_lambda == 1e-3
-    assert cfg.l1_lambda == 1e-6
+    assert cfg.train.epochs == 5
+    assert cfg.train.batch_size == 16
+    assert cfg.train.learning_rate == 0.12
+    assert cfg.train.trainable_layer_count == 2
+    assert cfg.train.beta == 0.9
+    assert cfg.train.normalization_scope == "per_tensor"
+    assert cfg.train.dare_drop_p == 0.5
+    assert cfg.train.l2_lambda == 1e-3
+    assert cfg.train.l1_lambda == 1e-6
     assert len(cfg.suite) == 4
     assert cfg.target.task_id not in {s.task_id for s in cfg.suite}
 
 
 def test_empty_object_uses_defaults():
-    assert config_from_dict({}).method == "spider"
+    assert config_from_dict({}).train.method == "spider"
 
 
 def test_unknown_keys_rejected():
@@ -75,7 +91,7 @@ def test_method_and_scope_validation():
         config_from_dict({"method": "boost"})
     with pytest.raises(ConfigError):
         config_from_dict({"normalization_scope": "per_layer"})
-    assert config_from_dict({"method": "select_random"}).method == "select_random"
+    assert config_from_dict({"method": "select_random"}).train.method == "select_random"
 
 
 def test_range_validation():
@@ -136,12 +152,13 @@ def test_suite_must_be_non_empty_list():
 
 
 def test_dict_round_trip():
-    cfg = ExperimentConfig(method="dare", seeds=[3, 4], epochs=2, learning_rate=0.05)
+    cfg = ExperimentConfig(seeds=[3, 4],
+                           train=TrainConfig(method="dare", epochs=2, learning_rate=0.05))
     back = config_from_dict(config_to_dict(cfg))
-    assert back.method == "dare"
+    assert back.train.method == "dare"
     assert back.seeds == [3, 4]
-    assert back.epochs == 2
-    assert back.learning_rate == 0.05
+    assert back.train.epochs == 2
+    assert back.train.learning_rate == 0.05
     assert [s.task_id for s in back.suite] == [s.task_id for s in cfg.suite]
     assert np.array_equal(back.target.means, cfg.target.means)
 
@@ -150,7 +167,7 @@ def test_load_config_from_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"method": "full_ft", "seeds": [7], "epochs": 1}))
     cfg = load_config(path)
-    assert cfg.method == "full_ft"
+    assert cfg.train.method == "full_ft"
     assert cfg.seeds == [7]
 
 
@@ -169,7 +186,7 @@ def test_load_config_rejects_non_object_root(tmp_path):
 
 
 def test_to_train_config_field_mapping():
-    cfg = ExperimentConfig(seeds=[5, 6], epochs=3, learning_rate=0.2, beta=0.5)
+    cfg = ExperimentConfig(seeds=[5, 6], train=TrainConfig(epochs=3, learning_rate=0.2, beta=0.5))
     tcfg = cfg.to_train_config()
     assert tcfg.seed == 5
     assert tcfg.epochs == 3
@@ -182,5 +199,126 @@ def test_to_train_config_field_mapping():
 def test_to_train_config_keeps_the_method_name():
     # the method name is the only switch, so every method passes through as is
     for method in ("zero_shot", "select_gradient", "l2_reg"):
-        assert ExperimentConfig(method=method).to_train_config().method == method
+        assert ExperimentConfig(train=TrainConfig(method=method)).to_train_config().method == method
     assert ExperimentConfig().to_train_config(method="select_random").method == "select_random"
+
+
+def test_train_config_checks_scope_and_depth():
+    with pytest.raises(ConfigError, match="normalization_scope"):
+        TrainConfig(normalization_scope="per_layer")
+    with pytest.raises(ConfigError, match="trainable_layer_count"):
+        TrainConfig(trainable_layer_count=0)
+
+
+def test_repeated_task_ids_are_rejected_when_read():
+    obj = config_to_dict(ExperimentConfig())
+    obj["suite"][3]["task_id"] = obj["suite"][1]["task_id"]
+    with pytest.raises(ConfigError, match="repeated"):
+        config_from_dict(obj)
+    obj = config_to_dict(ExperimentConfig())
+    obj["target"]["task_id"] = obj["suite"][0]["task_id"]
+    with pytest.raises(ConfigError, match="repeated"):
+        config_from_dict(obj)
+
+
+def test_overflowing_task_means_are_a_config_error():
+    obj = config_to_dict(ExperimentConfig())
+    obj["target"]["means"][0][0] = 10**400  # float() overflows: not a numeric matrix
+    with pytest.raises(ConfigError, match="target: means"):
+        config_from_dict(obj)
+
+
+def test_json_key_set_is_closed_and_unchanged():
+    obj = config_to_dict(ExperimentConfig())
+    assert set(obj) == CONFIG_KEYS
+    assert set(obj["target"]) == TASK_KEYS
+    assert all(set(task) == TASK_KEYS for task in obj["suite"])
+    for key in ("seed", "trainable_layer_count", "selection_gamma",
+                "accumulator_reset_per_epoch", "lr_overrides"):
+        with pytest.raises(ConfigError, match="unknown keys"):
+            config_from_dict({key: 1})
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**1100), 2**1100) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(CONFIG_KEYS)), json_values)
+def test_any_value_at_a_config_key_gives_a_config_or_a_config_error(key, value):
+    try:
+        config_from_dict({key: value})
+    except ConfigError:
+        pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(TASK_KEYS)), json_values, st.integers(0, 4))
+def test_any_value_at_a_task_key_gives_a_config_or_a_config_error(key, value, where):
+    obj = config_to_dict(ExperimentConfig())
+    (obj["target"] if where == 4 else obj["suite"][where])[key] = value
+    try:
+        config_from_dict(obj)
+    except ConfigError:
+        pass
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def task_specs(draw, task_id):
+    classes, dim = draw(st.integers(2, 4)), draw(st.integers(2, 5))
+    return TaskSpec(
+        task_id=task_id,
+        class_count=classes,
+        input_dim=dim,
+        means=draw(arrays(np.float64, (classes, dim), elements=finite)),
+        covariance_scale=draw(finite),
+        rotation_angle=draw(finite),
+        sample_seed=draw(st.integers(0, 2**64)),
+    )
+
+
+@st.composite
+def experiment_configs(draw):
+    ids = draw(st.lists(st.text(min_size=1, max_size=6), min_size=2, max_size=5, unique=True))
+    train = TrainConfig(
+        learning_rate=draw(st.floats(0.0, 1e6, exclude_min=True)),
+        epochs=draw(st.integers(0, 100)),
+        batch_size=draw(st.integers(1, 1024)),
+        method=draw(st.sampled_from(METHOD_CHOICES)),
+        l2_lambda=draw(finite),
+        l1_lambda=draw(finite),
+        dare_drop_p=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        beta=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        trainable_layer_count=draw(st.integers(1, 8)),
+        normalization_scope=draw(st.sampled_from(NORMALIZATION_SCOPES)),
+    )
+    return ExperimentConfig(
+        seeds=draw(st.lists(st.integers(0, 2**64), min_size=1, max_size=4)),
+        suite=[draw(task_specs(task_id)) for task_id in ids[1:]],
+        target=draw(task_specs(ids[0])),
+        train=train,
+    )
+
+
+def _same_task(a: TaskSpec, b: TaskSpec) -> bool:
+    return all(
+        type(getattr(a, f.name)) is type(getattr(b, f.name))
+        and np.array_equal(getattr(a, f.name), getattr(b, f.name))
+        for f in fields(TaskSpec)
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(experiment_configs())
+def test_dict_round_trip_reproduces_generated_configs(cfg):
+    back = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
+    assert back.train == cfg.train
+    assert back.seeds == cfg.seeds
+    assert len(back.suite) == len(cfg.suite)
+    assert all(map(_same_task, back.suite + [back.target], cfg.suite + [cfg.target]))

@@ -1014,6 +1014,19 @@ def test_dare_final_weights_are_pretrained_plus_sparse_delta():
     assert 0.3 < dropped < 0.7  # about half the entries revert exactly
 
 
+def test_the_loop_writes_the_model_without_load_values(monkeypatch):
+    # the merge and the dare add write through the trainable view, so the
+    # loop only bumps the version where load_values would copy onto itself
+    def refuse(self, values):
+        raise AssertionError("load_values called by the fine-tuning loop")
+
+    monkeypatch.setattr(ToyModel, "load_values", refuse)
+    model, log, _ = spider_run(seed=7)
+    assert model.version == 2 * len(log.losses)  # the step and the merge
+    model, log, _ = baseline_run("dare", seed=49, dare_drop_p=0.5)
+    assert model.version == len(log.losses) + 1  # the steps and the dare add
+
+
 def test_baseline_logs_and_aux_budget():
     _, log, _ = baseline_run("full_ft", seed=50)
     assert log.persistent_aux_maps == 2
