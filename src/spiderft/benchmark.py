@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -78,6 +79,16 @@ class TaskSpec:
         self.means = np.asarray(self.means, dtype=np.float64)
         if self.sample_seed < 0:
             raise ConfigError(f"{self.task_id}: sample_seed must be >= 0, got {self.sample_seed}")
+
+
+def require_distinct_task_ids(suite: Sequence[TaskSpec], target: TaskSpec) -> None:
+    """ConfigError unless the suite's tasks and the target all have their own
+    ids: results are keyed by id, so a repeated one would drop a task."""
+    ids = Counter(spec.task_id for spec in (*suite, target))
+    repeated = sorted(task_id for task_id, n in ids.items() if n > 1)
+    if repeated:
+        raise ConfigError(f"task ids must be distinct across suite and target, "
+                          f"repeated: {repeated}")
 
 
 @dataclass
@@ -317,13 +328,12 @@ def finetune_with_method(
     pretrained: TensorMap,
     data: Sequence[Batch],
     cfg: TrainConfig,
-    method: str,
 ) -> tuple[ToyModel, RunLog]:
-    """Fine-tune with `method`; zero_shot runs nothing, unknown names raise ConfigError."""
-    if method == ZERO_SHOT:
+    """Fine-tune by cfg.method; zero_shot runs nothing, unknown names raise ConfigError."""
+    if cfg.method == ZERO_SHOT:
         return model, RunLog(method=ZERO_SHOT)
-    run = finetune_spider if method in SPIDER_METHODS else finetune_baseline
-    return run(model, pretrained, data, replace(cfg, method=method))
+    run = finetune_spider if cfg.method in SPIDER_METHODS else finetune_baseline
+    return run(model, pretrained, data, cfg)
 
 
 def finetune_cell(
@@ -338,7 +348,7 @@ def finetune_cell(
     set_trainable_tail(model, cfg.trainable_layer_count)
     pretrained = model.tensor_map(trainable_only=True).copy()
     data = batches_of(train_inputs, train_labels, cfg.batch_size)
-    return finetune_with_method(model, pretrained, data, cfg, cfg.method)
+    return finetune_with_method(model, pretrained, data, cfg)
 
 
 def run_experiment(
@@ -358,8 +368,7 @@ def run_experiment(
     n_eval exceeds n_per_task.  Reports come back ordered by (method, seed)
     following the argument order; the sweep is deterministic in its arguments.
     """
-    if target.task_id in {s.task_id for s in suite}:
-        raise ConfigError("target task must not be part of the source suite")
+    require_distinct_task_ids(suite, target)
     for method in methods:
         if method not in METHOD_CHOICES:
             raise ConfigError(f"unknown method {method!r}")

@@ -12,14 +12,19 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 
-from .benchmark import METHOD_CHOICES, TaskSpec, default_suite, default_target
+from .benchmark import (
+    METHOD_CHOICES,
+    TaskSpec,
+    default_suite,
+    default_target,
+    require_distinct_task_ids,
+)
 from .errors import ConfigError
 from .trainer import TrainConfig
 
@@ -129,11 +134,7 @@ class ExperimentConfig:
             raise ConfigError("seeds must be non-empty")
         for seed in self.seeds:  # TrainConfig checks the seed
             self.to_train_config(seed)
-        ids = Counter(spec.task_id for spec in (*self.suite, self.target))
-        repeated = sorted(task_id for task_id, n in ids.items() if n > 1)
-        if repeated:
-            raise ConfigError(f"task ids must be distinct across suite and target, "
-                              f"repeated: {repeated}")
+        require_distinct_task_ids(self.suite, self.target)
 
     def to_train_config(self, seed: int | None = None, method: str | None = None) -> TrainConfig:
         return replace(

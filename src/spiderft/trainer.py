@@ -20,11 +20,11 @@ method name alone picks up to three hooks on it:
 ``finetune_spider`` runs the masked methods and ``finetune_baseline`` the
 counterparts; both are thin checks in front of the one loop.
 
-The trainable tensors are a consecutive run of the model's buffer, so a
-run works on one view of it: the per-iteration chain is a few numpy ops
-over whole buffers, and the SGD step and the merge write into the model.
-Their Layout and that view are planned once per pattern of trainable
-flags, and every map of a run shares that one Layout object.
+The trainable tensors are the model's last layers, a tail of its buffer,
+so a run works on one view of it: the per-iteration chain is a few numpy
+ops over whole buffers, and the SGD step and the merge write into the
+model.  The tail's Layout and that view are built once when the tail is
+set, and every map of a run shares that one Layout object.
 The chain writes into buffers that already exist wherever it can.  The SGD
 step consumes the gradient buffer (it holds the step afterwards), and the
 pid trace then reuses it for |w_pre|, whose norm is taken once per run.
@@ -41,7 +41,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -120,32 +121,22 @@ class Batch:
         return self.inputs.shape[0]
 
 
-@dataclass(frozen=True)
-class TrainablePlan:
-    """What a training step needs to know of one trainable pattern."""
-
-    flags: tuple[bool, ...]  # model.trainable read in buffer order: the cache key
-    layout: Layout  # the trainable tensors': the gradient's and the view's
-    lowest: int  # the lowest layer with a trainable tensor (the layer count if none)
-    view: TensorMap | None  # the trainable tensors' view, None unless consecutive
-
-
 @dataclass
 class ToyModel:
     """Dense classifier; the final layer's logits feed a softmax.
 
     The model owns all its parameters as one buffer: construction copies
     the given layers' tensors into it, in layer order (weight, then bias),
-    and rebinds the layers to views of it.  What a training step needs of
-    the trainable flags is planned once per pattern of flags (see plan());
-    a copy starts with no plan.
+    and rebinds the layers to views of it.  The trainable set is a tail of
+    the layers, from lowest_trainable up, weight and bias alike; a new
+    model is fully trainable and set_trainable_tail changes the tail.
     """
 
     layers: list[Layer]
-    trainable: dict[str, bool]
-    version: int = 0
+    version: int = field(default=0, kw_only=True)
     params: TensorMap = field(init=False, repr=False, compare=False)
-    _plan: TrainablePlan | None = field(default=None, init=False, repr=False, compare=False)
+    _lowest: int = field(init=False, repr=False)
+    _tail: TensorMap = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for k, layer in enumerate(self.layers):
@@ -164,6 +155,26 @@ class ToyModel:
         for layer in self.layers:
             layer.weight = self.params[layer.weight.name]
             layer.bias = self.params[layer.bias.name]
+        self._set_lowest(0)
+
+    def _set_lowest(self, lowest: int) -> None:
+        """Make the layers from `lowest` up trainable: build the tail's
+        Layout and the view of the buffer that tensor_map returns."""
+        full, k = self.params.layout, 2 * lowest  # each layer holds a weight, then a bias
+        layout = Layout(full.names[k:], full.shapes[k:])
+        self._lowest = lowest
+        self._tail = TensorMap.over(layout, self.params.flat[full.bounds[k] :])
+
+    @property
+    def lowest_trainable(self) -> int:
+        """The index of the lowest trainable layer; every layer above it is trainable."""
+        return self._lowest
+
+    @property
+    def trainable(self) -> Mapping[str, bool]:
+        """Read-only: whether each tensor, by name, is in the trainable tail."""
+        return MappingProxyType({name: k >= 2 * self._lowest
+                                 for k, name in enumerate(self.params.names)})
 
     @property
     def input_dim(self) -> int:
@@ -180,39 +191,11 @@ class ToyModel:
     def tensor_map(self, trainable_only: bool = False) -> TensorMap:
         """A live view of the model's buffer (copy() before mutating the model).
 
-        With trainable_only, the view of the trainable tensors, which must
-        be consecutive in the buffer; it holds the layers' own tensors, and
-        it is the same map object for as long as `trainable` is unchanged.
+        With trainable_only, the view of the trainable tail; it holds the
+        layers' own tensors, and it is the same map object until the tail
+        is set again.
         """
-        if not trainable_only:
-            return self.params
-        view = self.plan().view
-        if view is None:
-            raise ConfigError("the trainable tensors are not consecutive in the model")
-        return view
-
-    def plan(self) -> TrainablePlan:
-        """The plan of the current trainable flags.
-
-        The flags are read on every call and the plan is rebuilt only when
-        they differ from the cached plan's, so set_trainable_tail, a hand
-        edit and a replaced dict all take effect on the next call.
-        """
-        flags = tuple(map(self.trainable.__getitem__, self.params.names))
-        if self._plan is not None and self._plan.flags == flags:
-            return self._plan
-        full = self.params.layout
-        chosen = [k for k, f in enumerate(flags) if f]
-        layout = Layout(tuple(full.names[k] for k in chosen), tuple(full.shapes[k] for k in chosen))
-        first = chosen[0] if chosen else 0
-        # the buffer holds each layer's weight, then its bias
-        lowest = first // 2 if chosen else len(self.layers)
-        view = None
-        if all(flags[first : first + len(chosen)]):
-            start = full.bounds[first]
-            view = TensorMap.over(layout, self.params.flat[start : start + layout.size])
-        self._plan = TrainablePlan(flags, layout, lowest, view)
-        return self._plan
+        return self._tail if trainable_only else self.params
 
     def load_values(self, values: TensorMap) -> None:
         """Write the given tensors' payloads into the model, in place (numpy
@@ -226,9 +209,12 @@ class ToyModel:
         self.version += 1
 
     def copy(self) -> "ToyModel":
-        """An independent model; its constructor copies the parameters."""
+        """An independent model with the same trainable tail; its constructor
+        copies the parameters."""
         layers = [Layer(layer.weight, layer.bias, layer.activation) for layer in self.layers]
-        return ToyModel(layers, dict(self.trainable), self.version)
+        clone = ToyModel(layers, version=self.version)
+        clone._set_lowest(self._lowest)
+        return clone
 
 
 def build_model(layer_dims: Sequence[int], seed: int) -> ToyModel:
@@ -263,21 +249,17 @@ def model_from_tensor_map(tm: Iterable[FlatTensor]) -> ToyModel:
             raise AlignmentError(f"layer {k} tensors have unexpected ranks")
         act = "identity" if k == len(found) - 1 else "tanh"
         layers.append(Layer(pair["weight"], pair["bias"], act))
-    trainable = {t.name: True for layer in layers for t in (layer.weight, layer.bias)}
-    return ToyModel(layers, trainable)
+    return ToyModel(layers)
 
 
 def set_trainable_tail(model: ToyModel, layer_count: int) -> None:
-    """Mark the last `layer_count` layers trainable, freeze the rest."""
+    """Make the last `layer_count` layers trainable and freeze the rest."""
     if not 1 <= layer_count <= len(model.layers):
         raise ConfigError(
             f"trainable layer count {layer_count} out of range for "
             f"{len(model.layers)}-layer model"
         )
-    first = len(model.layers) - layer_count
-    for k, layer in enumerate(model.layers):
-        model.trainable[layer.weight.name] = k >= first
-        model.trainable[layer.bias.name] = k >= first
+    model._set_lowest(len(model.layers) - layer_count)
 
 
 # ---------------------------------------------------------------------------
@@ -332,17 +314,15 @@ def backward(model: ToyModel, cache: ForwardCache) -> TensorMap:
     dz /= n
 
     # one buffer; the driver checks its values once per step
-    plan = model.plan()
-    grads = TensorMap.over(plan.layout, np.empty(plan.layout.size))
+    layout, lowest = model.tensor_map(trainable_only=True).layout, model.lowest_trainable
+    grads = TensorMap.over(layout, np.empty(layout.size))
     # no layer below the lowest trainable one needs its gradient
-    for k in range(len(model.layers) - 1, plan.lowest - 1, -1):
+    for k in range(len(model.layers) - 1, lowest - 1, -1):
         layer = model.layers[k]
         a_in = cache.layer_inputs[k]
-        if layer.weight.name in grads:
-            np.matmul(dz.T, a_in, out=grads[layer.weight.name].view())
-        if layer.bias.name in grads:
-            np.add.reduce(dz, axis=0, out=grads[layer.bias.name].data)
-        if k > plan.lowest:
+        np.matmul(dz.T, a_in, out=grads[layer.weight.name].view())
+        np.add.reduce(dz, axis=0, out=grads[layer.bias.name].data)
+        if k > lowest:
             dz = dz @ layer.weight.view()
             if model.layers[k - 1].activation == "tanh":
                 dz *= 1.0 - a_in**2

@@ -293,10 +293,14 @@ def test_run_experiment_is_deterministic():
 def test_run_experiment_rejects_bad_inputs():
     cfg = TrainConfig(epochs=1)
     suite = default_suite()
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="repeated"):
         run_experiment(suite, suite[0], ["full_ft"], cfg, [0])
     with pytest.raises(ConfigError):
         run_experiment(suite, default_target(), ["boost"], cfg, [0])
+    # a repeated id within the suite would drop a task from the source average
+    repeated = [suite[0], replace(suite[1], task_id=suite[0].task_id), *suite[2:]]
+    with pytest.raises(ConfigError, match="repeated"):
+        run_experiment(repeated, default_target(), ["full_ft"], cfg, [0])
 
 
 def test_method_choices_cover_all_families():

@@ -10,6 +10,7 @@ densities, the divergence trace and the final accumulator.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -293,7 +294,7 @@ def test_packed_driver_matches_per_tensor_reference_across_blocks(method, scope,
     seed = 6
     model = build_model([8, 300, 300, 3], seed)
     set_trainable_tail(model, 2)
-    size = model.plan().layout.size
+    size = model.tensor_map(trainable_only=True).layout.size
     assert size > 2 * BLOCK and size % BLOCK
     batches = blob_batches(seed, n=40, dim=8)
     cfg = TrainConfig(**{"epochs": 2, "seed": seed, "normalization_scope": scope, **overrides})
@@ -305,7 +306,7 @@ def assert_driver_matches_reference(model, batches, cfg: TrainConfig, method: st
     frozen = {t.name: t.data.copy() for t in model.tensors() if not model.trainable[t.name]}
 
     pretrained = model.tensor_map(trainable_only=True).copy()
-    model, log = finetune_with_method(model, pretrained, batches, cfg, method)
+    model, log = finetune_with_method(model, pretrained, batches, replace(cfg, method=method))
 
     for t in model.tensors():
         expected = weights[t.name] if t.name in weights else frozen[t.name]

@@ -48,9 +48,9 @@ def run_digest(method: str, tail: int) -> str:
     model = build_model([4, 6, 5, 3], seed)
     set_trainable_tail(model, tail)
     pretrained = model.tensor_map(trainable_only=True).copy()
-    cfg = TrainConfig(epochs=2, seed=seed)
+    cfg = TrainConfig(epochs=2, seed=seed, method=method)
     batches = batches_of(inputs, labels, 16)
-    model, log = finetune_with_method(model, pretrained, batches, cfg, method)
+    model, log = finetune_with_method(model, pretrained, batches, cfg)
 
     h = hashlib.sha256()
     _update_map(h, model.tensor_map())

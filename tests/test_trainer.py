@@ -13,7 +13,6 @@ from spiderft.errors import (
     ConfigError,
     DimensionError,
     DivergenceError,
-    SpiderftError,
     StaleCacheError,
     ZeroNormError,
 )
@@ -71,8 +70,7 @@ def zero_model(dims, acts=None):
                 act,
             )
         )
-    trainable = {t.name: True for layer in layers for t in (layer.weight, layer.bias)}
-    return ToyModel(layers, trainable)
+    return ToyModel(layers)
 
 
 # ---------------------------------------------------------------------------
@@ -192,21 +190,17 @@ def test_backward_covers_trainables_only():
     ]
 
 
-@pytest.mark.parametrize("trainable", [
-    ("layer1.weight", "layer2.bias"),  # nothing trainable in layer 0
-    ("layer0.bias",),  # only the lowest layer's bias
-    (),  # nothing at all
-])
+# the trainable layers of tails 1, 2 and 3
+@pytest.mark.parametrize("trainable", [(2,), (1, 2), (0, 1, 2)])
 def test_backward_with_frozen_layers_matches_full_backward(trainable):
     # propagation stops at the lowest trainable layer; the gradients it does
     # compute are exactly those of a fully trainable backward pass
     model = small_model(dims=(4, 5, 5, 3), tail=3)
     inputs, labels = blob_data(7, n=8)
     full = backward(model, forward(model, Batch(inputs, labels))[1])
-    for name in model.trainable:
-        model.trainable[name] = name in trainable
+    set_trainable_tail(model, len(trainable))
     grads = backward(model, forward(model, Batch(inputs, labels))[1])
-    assert grads.names == list(trainable)
+    assert grads.names == [f"layer{k}.{part}" for k in trainable for part in ("weight", "bias")]
     for g in grads:
         assert np.array_equal(g.data, full[g.name].data), g.name
 
@@ -316,10 +310,7 @@ def test_model_dimension_mismatch_rejected():
     w1 = FlatTensor.of("layer1.weight", np.zeros((2, 5)))  # expects 4 inputs
     b1 = FlatTensor.of("layer1.bias", np.zeros(2))
     with pytest.raises(DimensionError):
-        ToyModel(
-            [Layer(w0, b0, "tanh"), Layer(w1, b1, "identity")],
-            {t.name: True for t in (w0, b0, w1, b1)},
-        )
+        ToyModel([Layer(w0, b0, "tanh"), Layer(w1, b1, "identity")])
 
 
 def test_model_round_trip_through_tensor_map():
@@ -640,43 +631,30 @@ def test_model_copy_shares_no_memory():
 
 def test_model_construction_copies_its_inputs():
     w, b = FlatTensor.of("layer0.weight", np.ones((2, 3))), FlatTensor.of("layer0.bias", [0.5, 0.5])
-    model = ToyModel([Layer(w, b, "identity")], {"layer0.weight": True, "layer0.bias": True})
+    model = ToyModel([Layer(w, b, "identity")])
     assert not np.shares_memory(model.params.flat, w.data)
     rebuilt = model_from_tensor_map(model.tensor_map())
     assert not np.shares_memory(rebuilt.params.flat, model.params.flat)
 
 
 def test_trainable_view_holds_the_layers_own_tensors():
-    model = small_model(dims=(4, 5, 5, 3), tail=3)
-    for name in model.trainable:
-        model.trainable[name] = name in ("layer0.bias", "layer1.weight")  # consecutive
+    model = small_model(dims=(4, 5, 5, 3), tail=2)
+    frozen = model.layers[0].bias.data.copy()
     view = model.tensor_map(trainable_only=True)
-    assert view.names == ["layer0.bias", "layer1.weight"]
-    assert np.shares_memory(view["layer0.bias"].data, model.layers[0].bias.data)
+    assert view.names == ["layer1.weight", "layer1.bias", "layer2.weight", "layer2.bias"]
     assert np.shares_memory(view["layer1.weight"].data, model.layers[1].weight.data)
+    assert np.shares_memory(view["layer2.bias"].data, model.layers[2].bias.data)
     assert _views_in_order(list(view), view.flat)
     assert np.shares_memory(view.flat, model.params.flat)
     view.flat[:] = 7.0
     assert np.all(model.layers[1].weight.data == 7.0)
-
-
-def test_non_consecutive_trainable_set_is_rejected():
-    # set_trainable_tail always marks a consecutive tail; only a hand edit breaks it
-    model = small_model(dims=(4, 5, 5, 3), tail=3)
-    for name in model.trainable:
-        model.trainable[name] = name in ("layer1.weight", "layer2.bias")
-    with pytest.raises(SpiderftError, match="not consecutive"):
-        model.tensor_map(trainable_only=True)
-    # backward takes any pattern
-    inputs, labels = blob_data(23, n=8)
-    grads = backward(model, forward(model, Batch(inputs, labels))[1])
-    assert grads.names == ["layer1.weight", "layer2.bias"]
+    assert np.array_equal(model.layers[0].bias.data, frozen)
 
 
 def _fresh_like(model: ToyModel) -> ToyModel:
-    """A newly built model with the same weights and trainable flags."""
+    """A newly built model with the same weights and trainable tail."""
     fresh = model_from_tensor_map(model.tensor_map())
-    fresh.trainable = dict(model.trainable)
+    set_trainable_tail(fresh, len(model.layers) - model.lowest_trainable)
     return fresh
 
 
@@ -690,7 +668,7 @@ def _assert_step_matches_fresh(model: ToyModel) -> None:
     assert grads.flat.tobytes() == expected.flat.tobytes()
 
     view, fresh_view = model.tensor_map(trainable_only=True), fresh.tensor_map(trainable_only=True)
-    assert view is model.tensor_map(trainable_only=True)  # one map while the flags hold
+    assert view is model.tensor_map(trainable_only=True)  # one map while the tail holds
     assert view.layout == fresh_view.layout
     assert all(np.shares_memory(t.data, model.params[t.name].data) for t in view)
     offset = view.flat.ctypes.data - model.params.flat.ctypes.data
@@ -709,27 +687,6 @@ def test_step_follows_set_trainable_tail():
         _assert_step_matches_fresh(model)
 
 
-def test_step_follows_hand_edits_of_the_trainable_flags():
-    model = small_model(dims=(4, 5, 5, 3), tail=2)
-    _assert_step_matches_fresh(model)
-    model.trainable["layer1.weight"] = False  # still consecutive: layer1.bias onwards
-    _assert_step_matches_fresh(model)
-
-    model.trainable["layer2.weight"] = False  # layer1.bias, layer2.bias: not consecutive
-    with pytest.raises(SpiderftError, match="not consecutive"):
-        model.tensor_map(trainable_only=True)
-    grads = backward(model, forward(model, Batch(*blob_data(25, n=8)))[1])
-    assert grads.names == ["layer1.bias", "layer2.bias"]
-
-
-def test_step_follows_a_replaced_trainable_dict():
-    model = small_model(dims=(4, 5, 5, 3), tail=3)
-    _assert_step_matches_fresh(model)
-    model.trainable = {name: name.startswith("layer2") for name in model.trainable}
-    _assert_step_matches_fresh(model)
-    assert model.tensor_map(trainable_only=True).names == ["layer2.weight", "layer2.bias"]
-
-
 def test_copy_plans_its_own_trainable_view():
     model = small_model(dims=(4, 5, 5, 3), tail=2)
     view = model.tensor_map(trainable_only=True)
@@ -741,23 +698,45 @@ def test_copy_plans_its_own_trainable_view():
 
     set_trainable_tail(clone, 3)
     _assert_step_matches_fresh(clone)
-    assert model.tensor_map(trainable_only=True) is view  # the original keeps its plan
+    assert (clone.lowest_trainable, model.lowest_trainable) == (0, 1)
+    assert model.tensor_map(trainable_only=True) is view  # the original keeps its view
     _assert_step_matches_fresh(model)
 
 
-def test_nothing_trainable_gives_an_empty_view():
-    model = small_model()
-    for name in model.trainable:
-        model.trainable[name] = False
-    view = model.tensor_map(trainable_only=True)
-    assert len(view) == 0 and view.flat.size == 0
+def test_a_new_model_is_fully_trainable():
+    for model in (zero_model([3, 4, 2]), build_model([4, 5, 3], seed=0)):
+        assert model.lowest_trainable == 0
+        assert all(model.trainable.values())
+        assert model.tensor_map(trainable_only=True).layout == model.params.layout
+
+
+def test_the_trainable_flags_are_read_only():
+    model = small_model(dims=(4, 5, 5, 3), tail=1)
+    with pytest.raises(TypeError):
+        model.trainable["layer0.weight"] = True
+    with pytest.raises(AttributeError):
+        model.trainable = {name: True for name in model.trainable}
+    assert [name for name, on in model.trainable.items() if on] == ["layer2.weight", "layer2.bias"]
+    assert model.tensor_map(trainable_only=True).names == ["layer2.weight", "layer2.bias"]
+
+
+def test_copy_keeps_the_tail_and_shares_no_memory():
+    model = small_model(dims=(4, 5, 5, 3), tail=1)
+    clone = model.copy()
+    assert clone.lowest_trainable == model.lowest_trainable == 2
+    assert dict(clone.trainable) == dict(model.trainable)
+    view, clone_view = model.tensor_map(trainable_only=True), clone.tensor_map(trainable_only=True)
+    assert clone_view.layout == view.layout
+    assert np.array_equal(clone_view.flat, view.flat)
+    assert not np.shares_memory(clone.params.flat, model.params.flat)
+    assert not np.shares_memory(clone_view.flat, model.params.flat)
 
 
 def test_bias_shape_must_match_the_weights_rows():
     w = FlatTensor.of("layer0.weight", np.ones((5, 8)))
     b = FlatTensor.of("layer0.bias", np.zeros(3))
     with pytest.raises(DimensionError, match="bias shape"):
-        ToyModel([Layer(w, b, "identity")], {"layer0.weight": True, "layer0.bias": True})
+        ToyModel([Layer(w, b, "identity")])
     with pytest.raises(DimensionError, match="bias shape"):
         model_from_tensor_map(TensorMap.from_tensors([w, b]))
 
@@ -786,7 +765,7 @@ def test_a_spider_step_shares_one_layout(monkeypatch):
     # accumulator, gradient, scores, then the view, the snapshot, the mask and the merge
     assert len(layouts) == 7
     assert all(layout is view.layout for layout in layouts)
-    assert model.plan().layout is view.layout
+    assert model.tensor_map(trainable_only=True) is view
 
 
 def test_changed_weights_are_the_last_merged_masks_support(monkeypatch):
