@@ -67,7 +67,6 @@ from .trainer import (
     finetune_baseline,
     finetune_spider,
     forward,
-    model_from_tensor_map,
     set_trainable_tail,
     sgd_step,
 )

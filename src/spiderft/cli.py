@@ -33,7 +33,7 @@ from .errors import AlignmentError, ConfigError, FormatError, SpiderftError
 from .importance import GradAccumulator, generalization_importance, pid, pid_per_tensor, specialization_importance
 from .masking import DISCREPANCY_MASKS, dare_mask_and_rescale, merge, select_mask
 from .tensors import NORMALIZATION_SCOPES, TensorMap
-from .trainer import RunLog, model_from_tensor_map
+from .trainer import RunLog, ToyModel
 
 MERGE_STRATEGIES = DISCREPANCY_MASKS + ("dare",)
 
@@ -86,7 +86,7 @@ def _cmd_finetune(args) -> int:
     seed = args.seed if args.seed is not None else cfg.seeds[0]
     tcfg = cfg.to_train_config(seed=seed, method=args.method)
 
-    model = model_from_tensor_map(load_checkpoint(args.pretrained))
+    model = ToyModel(load_checkpoint(args.pretrained))
     target = generate_task(cfg.target, DEFAULT_SAMPLES)
     model, log = finetune_cell(model, target.train_inputs, target.train_labels, tcfg)
     save_checkpoint(model.tensor_map(), args.out)
@@ -158,7 +158,7 @@ def _cmd_merge(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = load_config(args.config)
-    model = model_from_tensor_map(load_checkpoint(args.model))
+    model = ToyModel(load_checkpoint(args.model))
 
     source_accs = {spec.task_id: evaluate(model, spec) for spec in cfg.suite}
     report = build_report(
@@ -197,15 +197,20 @@ def _cmd_report(args) -> int:
 
     rows: list[tuple[str, ...]] = []
     for path in logs:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = tuple(next(reader, ()))
-            if header != CSV_HEADER:
-                raise FormatError(f"{path}: unexpected header {header}")
-            for row in reader:
-                if len(row) != len(CSV_HEADER):
-                    raise FormatError(f"{path}: malformed row {row}")
-                rows.append(tuple(row))
+        try:
+            with open(path, newline="") as fh:
+                reader = csv.reader(fh)
+                header = tuple(next(reader, ()))
+                if header != CSV_HEADER:
+                    raise FormatError(f"{path}: unexpected header {header}")
+                for row in reader:
+                    if len(row) != len(CSV_HEADER):
+                        raise FormatError(f"{path}: malformed row {row}")
+                    float(row[-1])  # every value is a number
+                    rows.append(tuple(row))
+        except (ValueError, csv.Error) as exc:
+            # a non-numeric value, bytes that are not text, or an oversized field
+            raise FormatError(f"{path}: {exc}") from exc
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -170,7 +170,7 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
         obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8 text, or nested too deep
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return config_from_dict(obj)
 

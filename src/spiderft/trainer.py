@@ -1,8 +1,10 @@
 """Toy dense classifier with manual gradients, plus the fine-tuning drivers.
 
-The model is a stack of dense layers (tanh hidden activations, identity
-into a softmax head).  It owns all its parameters as one contiguous float64
-buffer, and each layer's weight and bias are views of it, in layer order.
+The model is its parameter map: tensors named layer{k}.weight and
+layer{k}.bias fix its layers and widths, and a layer's position fixes its
+activation (tanh for hidden layers, linear into the softmax for the last),
+so a checkpoint alone rebuilds it.  It owns the parameters as one
+contiguous float64 buffer, in layer order.
 Gradients are derived by hand so the whole training path stays
 dependency-free and checkable against finite differences.
 
@@ -39,7 +41,6 @@ Runs are deterministic: all randomness flows from the config seed.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -69,8 +70,6 @@ from .masking import (
 )
 from .tensors import NORMALIZATION_SCOPES, FlatTensor, Layout, TensorMap
 
-ACTIVATIONS = ("tanh", "identity")
-
 # masked methods: the masking.select_mask variant merged after each SGD step
 MASK_OF_METHOD = {
     "spider": "rescaled",
@@ -90,21 +89,6 @@ BASELINE_METHODS = ("full_ft", "l2_reg", "l1_graft", "half_ft", "dare")
 
 
 @dataclass
-class Layer:
-    weight: FlatTensor  # (out, in)
-    bias: FlatTensor  # (out,)
-    activation: str
-
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def in_dim(self) -> int:
-        return self.weight.shape[1]
-
-
-@dataclass
 class Batch:
     inputs: np.ndarray  # (B, d_in)
     labels: np.ndarray  # (B,) int
@@ -121,40 +105,44 @@ class Batch:
         return self.inputs.shape[0]
 
 
-@dataclass
 class ToyModel:
-    """Dense classifier; the final layer's logits feed a softmax.
+    """Dense classifier built from tensors named layer{k}.weight (out, in)
+    and layer{k}.bias (out,), k = 0 .. L-1, given in any order (a list, or
+    a TensorMap such as a loaded checkpoint).
 
-    The model owns all its parameters as one buffer: construction copies
-    the given layers' tensors into it, in layer order (weight, then bias),
-    and rebinds the layers to views of it.  The trainable set is a tail of
-    the layers, from lowest_trainable up, weight and bias alike; a new
-    model is fully trainable and set_trainable_tail changes the tail.
+    Hidden layers are tanh and the last layer is linear into the softmax,
+    by position.  The model owns all its parameters as one buffer:
+    construction copies the tensors into it, in layer order (weight, then
+    bias), and each layer's (W, b) are views of it.  The trainable set is a
+    tail of the layers, from lowest_trainable up, weight and bias alike; a
+    new model is fully trainable and set_trainable_tail changes the tail.
     """
 
-    layers: list[Layer]
-    version: int = field(default=0, kw_only=True)
-    params: TensorMap = field(init=False, repr=False, compare=False)
-    _lowest: int = field(init=False, repr=False)
-    _tail: TensorMap = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for k, layer in enumerate(self.layers):
-            if layer.activation not in ACTIVATIONS:
-                raise ValueError(f"unknown activation {layer.activation!r}")
-            if layer.bias.shape != (layer.out_dim,):
-                raise DimensionError(
-                    f"layer {k} bias shape {layer.bias.shape} != ({layer.out_dim},) "
-                    f"for weight shape {layer.weight.shape}"
-                )
-            if k and self.layers[k - 1].out_dim != layer.in_dim:
-                raise DimensionError(f"layer {k - 1} out_dim {self.layers[k - 1].out_dim} "
-                                     f"!= layer {k} in_dim {layer.in_dim}")
-        self.params = TensorMap.from_tensors(t for layer in self.layers
-                                             for t in (layer.weight, layer.bias))
-        for layer in self.layers:
-            layer.weight = self.params[layer.weight.name]
-            layer.bias = self.params[layer.bias.name]
+    def __init__(self, tensors: Iterable[FlatTensor], *, version: int = 0):
+        given = list(tensors)
+        by_name = {t.name: t for t in given}
+        count = len(given) // 2
+        order = [f"layer{k}.{part}" for k in range(count) for part in ("weight", "bias")]
+        if not order or len(given) != len(order) or set(by_name) != set(order):
+            raise AlignmentError(
+                "a model needs tensors layer{k}.weight and layer{k}.bias for k = 0 .. L-1, "
+                f"L >= 1, each once; got {[t.name for t in given]}"
+            )
+        for k in range(count):
+            w, b = by_name[order[2 * k]].shape, by_name[order[2 * k + 1]].shape
+            if len(w) != 2:
+                raise DimensionError(f"layer {k} weight shape {w} is not (out, in)")
+            if b != w[:1]:
+                raise DimensionError(f"layer {k} bias shape {b} != ({w[0]},) for weight shape {w}")
+            if k and w[1] != out_dim:
+                raise DimensionError(f"layer {k - 1} out_dim {out_dim} != layer {k} in_dim {w[1]}")
+            out_dim = w[0]
+        self.version = version
+        self.params = TensorMap.from_tensors(by_name[name] for name in order)
+        # each layer's (W, b) as views of the buffer, built once
+        shapes, segments = self.params.layout.shapes, self.params.layout.split(self.params.flat)
+        self._layers = tuple((segments[j].reshape(shapes[j]), segments[j + 1])
+                             for j in range(0, len(order), 2))
         self._set_lowest(0)
 
     def _set_lowest(self, lowest: int) -> None:
@@ -164,6 +152,10 @@ class ToyModel:
         layout = Layout(full.names[k:], full.shapes[k:])
         self._lowest = lowest
         self._tail = TensorMap.over(layout, self.params.flat[full.bounds[k] :])
+
+    @property
+    def layer_count(self) -> int:
+        return len(self._layers)
 
     @property
     def lowest_trainable(self) -> int:
@@ -178,11 +170,11 @@ class ToyModel:
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].in_dim
+        return self._layers[0][0].shape[1]
 
     @property
     def class_count(self) -> int:
-        return self.layers[-1].out_dim
+        return self._layers[-1][0].shape[0]
 
     def tensors(self) -> Iterator[FlatTensor]:
         """The layers' tensors in buffer order: each layer's weight, then its bias."""
@@ -211,14 +203,13 @@ class ToyModel:
     def copy(self) -> "ToyModel":
         """An independent model with the same trainable tail; its constructor
         copies the parameters."""
-        layers = [Layer(layer.weight, layer.bias, layer.activation) for layer in self.layers]
-        clone = ToyModel(layers, version=self.version)
+        clone = ToyModel(self.params, version=self.version)
         clone._set_lowest(self._lowest)
         return clone
 
 
 def build_model(layer_dims: Sequence[int], seed: int) -> ToyModel:
-    """Random init: tanh hidden layers, identity head, all layers trainable."""
+    """Random init: tanh hidden layers, linear head, all layers trainable."""
     if len(layer_dims) < 2:
         raise DimensionError("need at least input and output dims")
     rng = np.random.default_rng(seed)
@@ -227,39 +218,17 @@ def build_model(layer_dims: Sequence[int], seed: int) -> ToyModel:
         w = rng.normal(0.0, 1.0 / math.sqrt(d_in), size=(d_out, d_in))
         b = rng.normal(0.0, 0.1, size=d_out)
         tensors += [FlatTensor.of(f"layer{k}.weight", w), FlatTensor.of(f"layer{k}.bias", b)]
-    return model_from_tensor_map(tensors)
-
-
-def model_from_tensor_map(tm: Iterable[FlatTensor]) -> ToyModel:
-    """A model (tanh hidden layers, identity head, all layers trainable) from
-    tensors named layer{k}.{weight,bias}, such as a checkpointed map."""
-    pat = re.compile(r"^layer(\d+)\.(weight|bias)$")
-    found: dict[int, dict[str, FlatTensor]] = {}
-    for t in tm:
-        m = pat.match(t.name)
-        if not m:
-            raise AlignmentError(f"unrecognized tensor name {t.name!r}")
-        found.setdefault(int(m.group(1)), {})[m.group(2)] = t
-    layers = []
-    for k in range(len(found)):
-        if k not in found or set(found[k]) != {"weight", "bias"}:
-            raise AlignmentError(f"layer {k} is incomplete in the tensor map")
-        pair = found[k]
-        if len(pair["weight"].shape) != 2 or len(pair["bias"].shape) != 1:
-            raise AlignmentError(f"layer {k} tensors have unexpected ranks")
-        act = "identity" if k == len(found) - 1 else "tanh"
-        layers.append(Layer(pair["weight"], pair["bias"], act))
-    return ToyModel(layers)
+    return ToyModel(tensors)
 
 
 def set_trainable_tail(model: ToyModel, layer_count: int) -> None:
     """Make the last `layer_count` layers trainable and freeze the rest."""
-    if not 1 <= layer_count <= len(model.layers):
+    if not 1 <= layer_count <= model.layer_count:
         raise ConfigError(
             f"trainable layer count {layer_count} out of range for "
-            f"{len(model.layers)}-layer model"
+            f"{model.layer_count}-layer model"
         )
-    model._set_lowest(len(model.layers) - layer_count)
+    model._set_lowest(model.layer_count - layer_count)
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +256,12 @@ def forward(model: ToyModel, batch: Batch) -> tuple[float, ForwardCache]:
         raise DimensionError("label out of range for model head")
 
     a = batch.inputs
-    layer_inputs = []
-    for layer in model.layers:
+    layer_inputs, head = [], model.layer_count - 1
+    for k, (w, b) in enumerate(model._layers):
         layer_inputs.append(a)
-        a = a @ layer.weight.view().T
-        a += layer.bias.data
-        if layer.activation == "tanh":
+        a = a @ w.T
+        a += b
+        if k < head:  # hidden layers are tanh, the head is linear
             np.tanh(a, out=a)
 
     # the ufunc reductions that np.max/np.sum/np.mean wrap, called directly
@@ -316,16 +285,16 @@ def backward(model: ToyModel, cache: ForwardCache) -> TensorMap:
     # one buffer; the driver checks its values once per step
     layout, lowest = model.tensor_map(trainable_only=True).layout, model.lowest_trainable
     grads = TensorMap.over(layout, np.empty(layout.size))
+    segments = layout.split(grads.flat)  # each trainable layer's weight, then its bias
     # no layer below the lowest trainable one needs its gradient
-    for k in range(len(model.layers) - 1, lowest - 1, -1):
-        layer = model.layers[k]
-        a_in = cache.layer_inputs[k]
-        np.matmul(dz.T, a_in, out=grads[layer.weight.name].view())
-        np.add.reduce(dz, axis=0, out=grads[layer.bias.name].data)
+    for k in range(model.layer_count - 1, lowest - 1, -1):
+        w, a_in = model._layers[k][0], cache.layer_inputs[k]
+        j = 2 * (k - lowest)
+        np.matmul(dz.T, a_in, out=segments[j].reshape(w.shape))
+        np.add.reduce(dz, axis=0, out=segments[j + 1])
         if k > lowest:
-            dz = dz @ layer.weight.view()
-            if model.layers[k - 1].activation == "tanh":
-                dz *= 1.0 - a_in**2
+            dz = dz @ w
+            dz *= 1.0 - a_in**2  # layer k's input is a tanh output
     return grads
 
 

@@ -50,10 +50,12 @@ def ref_forward(layers, inputs, labels):
 
 
 def model_layers(model):
-    """Extract (W, b, activation) triples from a ToyModel."""
+    """Extract (W, b, activation) triples from a ToyModel: tanh hidden
+    layers, identity head."""
     return [
-        (layer.weight.view().copy(), layer.bias.data.copy(), layer.activation)
-        for layer in model.layers
+        (model.params[f"layer{k}.weight"].view().copy(), model.params[f"layer{k}.bias"].data.copy(),
+         "identity" if k == model.layer_count - 1 else "tanh")
+        for k in range(model.layer_count)
     ]
 
 

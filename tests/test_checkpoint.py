@@ -5,10 +5,13 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spiderft.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from spiderft.errors import CorruptCheckpointError, FormatError
+from spiderft.errors import CorruptCheckpointError, FormatError, SpiderftError
 from spiderft.tensors import FlatTensor, TensorMap
+from spiderft.trainer import ToyModel, build_model
 
 from helpers import tmap
 
@@ -206,3 +209,58 @@ def test_values_beyond_float32_range_rejected_on_save(tmp_path):
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_checkpoint(tmp_path / "nope.ckpt")
+
+
+# ---------------------------------------------------------------------------
+# Damaged files, re-sealed so that the checksum passes
+# ---------------------------------------------------------------------------
+
+
+def _model_file() -> tuple[bytes, list[int]]:
+    """A saved 3-4-2 model's bytes, and the offset of every u64 field in them."""
+    tm = build_model([3, 4, 2], seed=0).tensor_map()
+    body = file_of(b"".join([MAGIC, struct.pack("<Q", len(tm))] + [
+        record(t.name.encode(), t.shape, t.data) for t in tm]))
+    fields, pos = [len(MAGIC)], len(MAGIC) + 8
+    for t in tm:
+        fields.append(pos)  # name length
+        pos += 8 + len(t.name)
+        fields += [pos + 8 * i for i in range(len(t.shape) + 1)]  # rank, then dims
+        pos += 8 * (len(t.shape) + 1) + 4 * t.size
+    assert pos + 4 == len(body)
+    return body, fields
+
+
+MODEL_FILE, U64_FIELDS = _model_file()
+
+
+@st.composite
+def damaged_model_files(draw) -> bytes:
+    body = bytearray(MODEL_FILE[:-4])
+    kind = draw(st.sampled_from(["truncate", "flip", "u64"]))
+    if kind == "truncate":
+        del body[draw(st.integers(0, len(body) - 1)):]
+    elif kind == "flip":
+        for _ in range(draw(st.integers(1, 4))):
+            body[draw(st.integers(0, len(body) - 1))] ^= draw(st.integers(1, 255))
+    else:
+        at = draw(st.sampled_from(U64_FIELDS))
+        value = draw(st.sampled_from([0, 1, 33, 2**31, 2**62, 2**64 - 1]))
+        body[at : at + 8] = struct.pack("<Q", value)
+    return file_of(bytes(body))
+
+
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=damaged_model_files())
+def test_damaged_files_load_as_a_map_or_a_typed_error(tmp_path, raw):
+    path = tmp_path / "damaged.ckpt"
+    path.write_bytes(raw)
+    try:
+        tm = load_checkpoint(path)
+    except (FormatError, CorruptCheckpointError):
+        return
+    try:
+        ToyModel(tm)
+    except SpiderftError:
+        pass

@@ -312,12 +312,14 @@ def test_missing_files_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_bad_config_exits_2(tmp_path):
+def test_bad_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"unknown_key": 1}))
-    assert main(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    cfg.write_text("{broken")
-    assert main(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    for content in [json.dumps({"unknown_key": 1}).encode(), b"{broken",
+                    b'{"epochs": 1, "\xff": 2}', b"[" * 100000 + b"]" * 100000]:
+        cfg.write_bytes(content)
+        assert main(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("learning_rate", ["1e308", "NaN"])
@@ -438,11 +440,32 @@ def test_corrupt_checkpoint_exits_2(workspace, tmp_path):
                     "--out", tmp / "o.ckpt"]) == 2
 
 
-def test_foreign_tensor_names_exit_2(workspace, tmp_path):
+def _layers_and(*extra):
+    """A valid 8-5-3 model's tensors, then `extra`."""
+    return TensorMap.from_tensors([
+        FlatTensor.of("layer0.weight", np.ones((5, 8))), FlatTensor.of("layer0.bias", np.zeros(5)),
+        FlatTensor.of("layer1.weight", np.ones((3, 5))), FlatTensor.of("layer1.bias", np.zeros(3)),
+        *extra,
+    ])
+
+
+@pytest.mark.parametrize("command", ["eval", "finetune"])
+@pytest.mark.parametrize("tensors", [
+    lambda: tmap(encoder=[1.0, 2.0]),
+    lambda: TensorMap.from_tensors([]),
+    # parses as layer 1 too, so a name-to-index reading would drop a tensor
+    lambda: _layers_and(FlatTensor.of("layer01.weight", np.ones((3, 5)))),
+], ids=["foreign", "empty", "aliased"])
+def test_foreign_tensor_names_exit_2(workspace, capsys, tensors, command):
     tmp, cfg = workspace
     bad = tmp / "foreign.ckpt"
-    save_checkpoint(tmap(encoder=[1.0, 2.0]), bad)
-    assert run_cli(["eval", "--model", bad, "--config", cfg]) == 2
+    save_checkpoint(tensors(), bad)
+    argv = (["eval", "--model", bad, "--config", cfg] if command == "eval" else
+            ["finetune", "--pretrained", bad, "--config", cfg, "--out", tmp / "o.ckpt"])
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "each once" in err
 
 
 def test_report_on_empty_directory_exits_2(tmp_path):
@@ -450,11 +473,18 @@ def test_report_on_empty_directory_exits_2(tmp_path):
                  str(tmp_path / "out.csv")]) == 2
 
 
-def test_report_rejects_foreign_csv(tmp_path):
+def test_report_rejects_foreign_csv(tmp_path, capsys):
     (tmp_path / "logs").mkdir()
-    (tmp_path / "logs" / "x.csv").write_text("a,b\n1,2\n")
-    assert main(["report", "--logs", str(tmp_path / "logs"),
-                 "--out", str(tmp_path / "out.csv")]) == 2
+    header = b"method,seed,task,metric,value\n"
+    # a foreign header, a non-numeric value, bytes that are not UTF-8, a field over csv's limit
+    for content in [b"a,b\n1,2\n", header + b"spider,0,,h_average,abc\n",
+                    header + b"spider,0,,h_average,\xff\n",
+                    header + b"spider,0,,h_average," + b"1" * 200_000 + b"\n"]:
+        (tmp_path / "logs" / "x.csv").write_bytes(content)
+        assert main(["report", "--logs", str(tmp_path / "logs"),
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "x.csv" in err
 
 
 def test_import_and_pid_never_load_scipy_special(workspace):

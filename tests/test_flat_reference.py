@@ -126,10 +126,11 @@ def ref_random_gamma(tensors: dict, gamma: float, seed: int) -> dict:
 def ref_loss_and_grads(model, weights: dict, inputs, labels) -> tuple[float, dict]:
     """Mean softmax cross-entropy and its gradient for the trainable tensors."""
     layers = []
-    for k, layer in enumerate(model.layers):
-        w = weights.get(f"layer{k}.weight", layer.weight.data).reshape(layer.weight.shape)
-        b = weights.get(f"layer{k}.bias", layer.bias.data)
-        layers.append((w, b, layer.activation))
+    for k in range(model.layer_count):
+        weight, bias = model.params[f"layer{k}.weight"], model.params[f"layer{k}.bias"]
+        w = weights.get(weight.name, weight.data).reshape(weight.shape)
+        b = weights.get(bias.name, bias.data)
+        layers.append((w, b, "identity" if k == model.layer_count - 1 else "tanh"))
     a = inputs
     layer_inputs = []
     for w, b, act in layers:

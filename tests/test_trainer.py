@@ -20,7 +20,6 @@ from spiderft.importance import pid
 from spiderft.tensors import FlatTensor, TensorMap
 from spiderft.trainer import (
     Batch,
-    Layer,
     ToyModel,
     TrainConfig,
     backward,
@@ -29,7 +28,6 @@ from spiderft.trainer import (
     finetune_baseline,
     finetune_spider,
     forward,
-    model_from_tensor_map,
     set_trainable_tail,
     sgd_step,
 )
@@ -59,18 +57,12 @@ def small_model(seed=1, dims=(4, 5, 5, 3), tail=2):
     return model
 
 
-def zero_model(dims, acts=None):
-    layers = []
+def zero_model(dims):
+    tensors = []
     for k, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
-        act = acts[k] if acts else ("identity" if k == len(dims) - 2 else "tanh")
-        layers.append(
-            Layer(
-                FlatTensor.of(f"layer{k}.weight", np.zeros((d_out, d_in))),
-                FlatTensor.of(f"layer{k}.bias", np.zeros(d_out)),
-                act,
-            )
-        )
-    return ToyModel(layers)
+        tensors += [FlatTensor.of(f"layer{k}.weight", np.zeros((d_out, d_in))),
+                    FlatTensor.of(f"layer{k}.bias", np.zeros(d_out))]
+    return ToyModel(tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +80,7 @@ def test_zero_weights_two_classes_loss_is_log2():
 def test_forced_one_hot_logits_drive_loss_to_zero():
     # weight = 40 * identity on one-hot inputs: margin 40 per sample
     model = zero_model([3, 3])
-    model.layers[0].weight.data[:] = (40.0 * np.eye(3)).reshape(-1)
+    model.params["layer0.weight"].data[:] = (40.0 * np.eye(3)).reshape(-1)
     batch = Batch(np.eye(3), np.array([0, 1, 2]))
     loss, _ = forward(model, batch)
     assert 0.0 <= loss < 1e-15
@@ -107,7 +99,7 @@ def test_forward_matches_independent_implementation():
 def test_forward_is_shift_stable():
     # a huge constant bias on the head must not overflow the softmax
     model = build_model([4, 6, 3], seed=2)
-    model.layers[-1].bias.data += 500.0
+    model.params["layer1.bias"].data += 500.0
     model.version += 1
     inputs, labels = blob_data(2, n=8)
     loss, cache = forward(model, Batch(inputs, labels))
@@ -231,7 +223,7 @@ def test_backward_rejects_cache_from_other_model():
 
 def test_sgd_basic_arithmetic():
     model = zero_model([1, 1])
-    model.layers[0].weight.data[:] = 1.0
+    model.params["layer0.weight"].data[:] = 1.0
     grads = TensorMap.from_tensors(
         [
             FlatTensor.of("layer0.weight", [[2.0]]),
@@ -239,7 +231,7 @@ def test_sgd_basic_arithmetic():
         ]
     )
     sgd_step(model, grads, lr=0.1)
-    assert abs(model.layers[0].weight.data[0] - 0.8) < 1e-15
+    assert abs(model.params["layer0.weight"].data[0] - 0.8) < 1e-15
 
 
 def test_sgd_zero_learning_rate_is_bitwise_noop():
@@ -272,8 +264,8 @@ def test_sgd_per_tensor_rate_overrides():
         ]
     )
     sgd_step(model, grads, lr=0.1, lr_overrides={"layer0.bias": 0.0})
-    assert np.all(model.layers[0].weight.data == -0.1)
-    assert np.all(model.layers[0].bias.data == 0.0)
+    assert np.all(model.params["layer0.weight"].data == -0.1)
+    assert np.all(model.params["layer0.bias"].data == 0.0)
 
 
 def test_sgd_bumps_version():
@@ -293,9 +285,17 @@ def test_build_model_shapes_and_activations():
     model = build_model([8, 16, 16, 3], seed=0)
     assert model.input_dim == 8
     assert model.class_count == 3
-    assert [layer.activation for layer in model.layers] == ["tanh", "tanh", "identity"]
-    assert model.layers[0].weight.shape == (16, 8)
-    assert model.layers[2].bias.shape == (3,)
+    assert model.layer_count == 3
+    assert model.params["layer0.weight"].shape == (16, 8)
+    assert model.params["layer2.bias"].shape == (3,)
+    # tanh hidden layers and a linear head, by position
+    layers = [(model.params[f"layer{k}.weight"].view(), model.params[f"layer{k}.bias"].data, act)
+              for k, act in enumerate(["tanh", "tanh", "identity"])]
+    inputs, labels = blob_data(0, n=16, dim=8)
+    loss, cache = forward(model, Batch(inputs, labels))
+    ref_loss, ref_probs = ref_forward(layers, inputs, labels)
+    assert abs(loss - ref_loss) < 1e-12
+    np.testing.assert_allclose(cache.probs, ref_probs, rtol=0, atol=1e-12)
 
 
 def test_build_model_deterministic():
@@ -310,26 +310,48 @@ def test_model_dimension_mismatch_rejected():
     w1 = FlatTensor.of("layer1.weight", np.zeros((2, 5)))  # expects 4 inputs
     b1 = FlatTensor.of("layer1.bias", np.zeros(2))
     with pytest.raises(DimensionError):
-        ToyModel([Layer(w0, b0, "tanh"), Layer(w1, b1, "identity")])
+        ToyModel([w0, b0, w1, b1])
 
 
 def test_model_round_trip_through_tensor_map():
     model = build_model([4, 6, 3], seed=10)
-    rebuilt = model_from_tensor_map(model.tensor_map())
+    rebuilt = ToyModel(model.tensor_map())
     assert np.array_equal(model.tensor_map().flat, rebuilt.tensor_map().flat)
-    assert [layer.activation for layer in rebuilt.layers] == ["tanh", "identity"]
+    assert rebuilt.layer_count == 2
+    batch = Batch(*blob_data(10, n=8))
+    assert forward(rebuilt, batch)[0] == forward(model, batch)[0]
 
 
-def test_model_from_tensor_map_rejects_foreign_names():
-    tm = TensorMap.from_tensors([FlatTensor.of("encoder.weight", np.zeros((2, 2)))])
-    with pytest.raises(AlignmentError):
-        model_from_tensor_map(tm)
+def test_model_takes_its_tensors_in_any_order():
+    model = build_model([4, 6, 5, 3], seed=11)
+    shuffled = ToyModel(reversed(list(model.tensors())))
+    assert shuffled.params.layout == model.params.layout
+    assert np.array_equal(shuffled.params.flat, model.params.flat)
 
 
-def test_model_from_tensor_map_rejects_incomplete_layers():
-    tm = TensorMap.from_tensors([FlatTensor.of("layer0.weight", np.zeros((2, 2)))])
-    with pytest.raises(AlignmentError):
-        model_from_tensor_map(tm)
+def _named(*names):
+    return [FlatTensor.of(name, np.zeros((2, 2)) if name.endswith("weight") else np.zeros(2))
+            for name in names]
+
+
+@pytest.mark.parametrize("tensors", [
+    _named("encoder.weight"),
+    _named("layer0.weight"),
+    [],
+    _named("layer0.weight", "layer0.bias", "layer1.weight", "layer1.bias", "layer01.weight"),
+    _named("layer0.weight", "layer0.bias", "layer2.weight", "layer2.bias"),
+    _named("layer0.weight", "layer0.bias", "layer0.weight", "layer0.bias"),
+    _named("layer0.weight", "layer0.bias", "layer1.weight", "layer1.bias", "layer1.extra"),
+], ids=["foreign", "incomplete", "empty", "aliased", "gap", "repeated", "extra"])
+def test_model_requires_layer0_to_last_each_once(tensors):
+    with pytest.raises(AlignmentError, match="each once"):
+        ToyModel(tensors)
+
+
+def test_model_requires_rank_2_weights():
+    tensors = [FlatTensor.of("layer0.weight", np.zeros(4)), FlatTensor.of("layer0.bias", [0.0])]
+    with pytest.raises(DimensionError, match="layer 0 weight shape"):
+        ToyModel(tensors)
 
 
 def test_load_values_writes_in_place_and_bumps_version():
@@ -465,9 +487,9 @@ def test_single_step_matches_hand_trace():
 
     model, log = finetune_spider(model, pretrained, batches_of(inputs, labels, 4), cfg)
     np.testing.assert_allclose(
-        model.layers[1].weight.data, expected_w, rtol=0, atol=1e-12
+        model.params["layer1.weight"].data, expected_w, rtol=0, atol=1e-12
     )
-    np.testing.assert_allclose(model.layers[1].bias.data, expected_b, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(model.params["layer1.bias"].data, expected_b, rtol=0, atol=1e-12)
     assert len(log.losses) == 1
 
 
@@ -486,13 +508,13 @@ def test_zero_epochs_leaves_model_bitwise_unchanged():
 
 def test_frozen_tensors_never_move():
     model = small_model(seed=30, dims=(4, 5, 5, 3), tail=2)
-    frozen_before = model.layers[0].weight.data.copy(), model.layers[0].bias.data.copy()
+    frozen_before = model.params["layer0.weight"].data.copy(), model.params["layer0.bias"].data.copy()
     pretrained = model.tensor_map(trainable_only=True).copy()
     inputs, labels = blob_data(30, n=48)
     cfg = TrainConfig(epochs=3, batch_size=16)
     model, _ = finetune_spider(model, pretrained, batches_of(inputs, labels, 16), cfg)
-    assert np.array_equal(model.layers[0].weight.data, frozen_before[0])
-    assert np.array_equal(model.layers[0].bias.data, frozen_before[1])
+    assert np.array_equal(model.params["layer0.weight"].data, frozen_before[0])
+    assert np.array_equal(model.params["layer0.bias"].data, frozen_before[1])
 
 
 def test_single_iteration_weight_sandwich():
@@ -582,7 +604,7 @@ def test_model_after_packed_run(tmp_path):
     path = tmp_path / "tuned.ckpt"
     save_checkpoint(model.tensor_map(), path)
     loaded = load_checkpoint(path)
-    assert forward(model_from_tensor_map(loaded), batch)[0] == pytest.approx(loss, rel=1e-5)
+    assert forward(ToyModel(loaded), batch)[0] == pytest.approx(loss, rel=1e-5)
 
     model.load_values(loaded)
     assert np.array_equal(flat, loaded.flat)  # written in place
@@ -605,7 +627,7 @@ def _views_in_order(tensors, flat) -> bool:
 
 @pytest.mark.parametrize("make", [
     lambda: build_model([4, 6, 5, 3], seed=2),
-    lambda: model_from_tensor_map(build_model([4, 6, 3], seed=3).tensor_map()),
+    lambda: ToyModel(build_model([4, 6, 3], seed=3).tensor_map()),
     lambda: build_model([4, 6, 3], seed=4).copy(),
     lambda: zero_model([3, 2]),
 ])
@@ -613,9 +635,11 @@ def test_every_model_tensor_views_one_buffer(make):
     model = make()
     assert model.tensor_map() is model.params
     assert _views_in_order(list(model.tensors()), model.params.flat)
-    assert all(np.shares_memory(layer.weight.data, model.params[layer.weight.name].data)
-               and np.shares_memory(layer.bias.data, model.params[layer.bias.name].data)
-               for layer in model.layers)
+    # forward reads the buffer: zeroed, every class is equally likely
+    model.params.flat[:] = 0.0
+    model.version += 1
+    batch = Batch(np.ones((2, model.input_dim)), np.array([0, 1]))
+    assert forward(model, batch)[0] == pytest.approx(math.log(model.class_count), abs=1e-15)
 
 
 def test_model_copy_shares_no_memory():
@@ -631,30 +655,30 @@ def test_model_copy_shares_no_memory():
 
 def test_model_construction_copies_its_inputs():
     w, b = FlatTensor.of("layer0.weight", np.ones((2, 3))), FlatTensor.of("layer0.bias", [0.5, 0.5])
-    model = ToyModel([Layer(w, b, "identity")])
+    model = ToyModel([w, b])
     assert not np.shares_memory(model.params.flat, w.data)
-    rebuilt = model_from_tensor_map(model.tensor_map())
+    rebuilt = ToyModel(model.tensor_map())
     assert not np.shares_memory(rebuilt.params.flat, model.params.flat)
 
 
 def test_trainable_view_holds_the_layers_own_tensors():
     model = small_model(dims=(4, 5, 5, 3), tail=2)
-    frozen = model.layers[0].bias.data.copy()
+    frozen = model.params["layer0.bias"].data.copy()
     view = model.tensor_map(trainable_only=True)
     assert view.names == ["layer1.weight", "layer1.bias", "layer2.weight", "layer2.bias"]
-    assert np.shares_memory(view["layer1.weight"].data, model.layers[1].weight.data)
-    assert np.shares_memory(view["layer2.bias"].data, model.layers[2].bias.data)
+    assert np.shares_memory(view["layer1.weight"].data, model.params["layer1.weight"].data)
+    assert np.shares_memory(view["layer2.bias"].data, model.params["layer2.bias"].data)
     assert _views_in_order(list(view), view.flat)
     assert np.shares_memory(view.flat, model.params.flat)
     view.flat[:] = 7.0
-    assert np.all(model.layers[1].weight.data == 7.0)
-    assert np.array_equal(model.layers[0].bias.data, frozen)
+    assert np.all(model.params["layer1.weight"].data == 7.0)
+    assert np.array_equal(model.params["layer0.bias"].data, frozen)
 
 
 def _fresh_like(model: ToyModel) -> ToyModel:
     """A newly built model with the same weights and trainable tail."""
-    fresh = model_from_tensor_map(model.tensor_map())
-    set_trainable_tail(fresh, len(model.layers) - model.lowest_trainable)
+    fresh = ToyModel(model.tensor_map())
+    set_trainable_tail(fresh, model.layer_count - model.lowest_trainable)
     return fresh
 
 
@@ -736,9 +760,9 @@ def test_bias_shape_must_match_the_weights_rows():
     w = FlatTensor.of("layer0.weight", np.ones((5, 8)))
     b = FlatTensor.of("layer0.bias", np.zeros(3))
     with pytest.raises(DimensionError, match="bias shape"):
-        ToyModel([Layer(w, b, "identity")])
+        ToyModel([w, b])
     with pytest.raises(DimensionError, match="bias shape"):
-        model_from_tensor_map(TensorMap.from_tensors([w, b]))
+        ToyModel(TensorMap.from_tensors([w, b]))
 
 
 def test_a_spider_step_shares_one_layout(monkeypatch):
