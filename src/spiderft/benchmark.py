@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DimensionError, DomainError
 from .tensors import TensorMap
 from .trainer import (
     BASELINE_METHODS,
@@ -236,13 +236,16 @@ def pretrain(
     inputs, labels = _interleaved_train_set(datasets)
     model = build_model([input_dim, *HIDDEN_DIMS, class_count], seed=cfg.seed)
     weights = model.tensor_map()
+    # every layer is trainable: one gradient map, rewritten by every step
+    tail = model.tensor_map(trainable_only=True)
+    grads = tail.with_flat(np.empty_like(tail.flat))
     batches = batches_of(inputs, labels, cfg.batch_size)
     it = 0
     # the per-step checks report divergence; numpy's float warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for _epoch in range(cfg.epochs):
             for batch in batches:
-                _, grads = _loss_and_gradient(model, batch, it)
+                _loss_and_gradient(model, batch, it, out=grads)
                 sgd_step(model, grads, cfg.learning_rate, cfg.lr_overrides)
                 _require_finite(it, "weights", weights)
                 it += 1
@@ -253,8 +256,13 @@ def heldout_accuracy(model: ToyModel, data: TaskData) -> float:
     """Accuracy on a generated task's held-out split.  Read-only on the model."""
     if data.test_inputs.shape[0] == 0:
         raise ConfigError(f"{data.spec.task_id}: empty test split")
-    # the labels only feed the loss, which is not used
-    _, cache = forward(model, Batch(data.test_inputs, np.zeros_like(data.test_labels)))
+    spec = data.spec
+    if (spec.input_dim, spec.class_count) != (model.input_dim, model.class_count):
+        raise DimensionError(
+            f"{spec.task_id}: task has input_dim {spec.input_dim} and class_count "
+            f"{spec.class_count}, the model {model.input_dim} and {model.class_count}"
+        )
+    _, cache = forward(model, Batch(data.test_inputs, data.test_labels))
     return float(np.mean(np.argmax(cache.probs, axis=1) == data.test_labels))
 
 

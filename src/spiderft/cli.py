@@ -157,6 +157,9 @@ def _cmd_merge(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    # checked before any work, so that a bad path prints no metrics
+    if args.out and not (out_dir := Path(args.out).parent).is_dir():
+        raise FileNotFoundError(f"--out: no directory {str(out_dir)!r}")
     cfg = load_config(args.config)
     model = ToyModel(load_checkpoint(args.model))
 

@@ -19,6 +19,7 @@ larger the value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,7 +122,8 @@ def pid_of_magnitudes(w_mag: np.ndarray, w_norm: float, g_mag: np.ndarray) -> fl
     loop: its accumulator is its own magnitude, and the snapshot's norm is
     fixed for the run.  The result is bit for bit pid()'s.
     """
-    cos = cosine_from_norms(w_mag, g_mag, w_norm, float(np.linalg.norm(g_mag)),
+    # np.linalg.norm's own computation for a 1-D float vector
+    cos = cosine_from_norms(w_mag, g_mag, w_norm, math.sqrt(g_mag.dot(g_mag)),
                             "weight_magnitude", "gradient_magnitude")
     return _pid_from_cos(cos)
 

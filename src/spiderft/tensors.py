@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from itertools import accumulate
 from typing import Iterable, Iterator
 
@@ -159,8 +160,16 @@ class TensorMap:
     def total_size(self) -> int:
         return self.flat.size
 
+    @cached_property
+    def views(self) -> tuple[np.ndarray, ...]:
+        """Each tensor's segment of ``flat`` in its shape (views), in order;
+        built on first access."""
+        return tuple(data.reshape(shape) for data, shape
+                     in zip(self.layout.split(self.flat), self.layout.shapes))
+
     def require_aligned(self, other: "TensorMap", op: str) -> None:
-        if self.layout != other.layout:
+        # the maps of one run share one Layout object
+        if self.layout is not other.layout and self.layout != other.layout:
             raise AlignmentError(
                 f"{op}: tensor maps are not aligned ({self.layout} vs {other.layout})"
             )
@@ -205,14 +214,19 @@ def sigmoid(t: FlatTensor) -> FlatTensor:
     return t.with_data(sigmoid_array(t.data))
 
 
-def sigmoid_array(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # imported here: scipy.special is most of the package's start-up time,
-    # and most commands never take a sigmoid
+@cache
+def _expit():
+    # imported on first use: scipy.special is most of the package's start-up
+    # time, and most commands never take a sigmoid
     from scipy.special import expit
 
+    return expit
+
+
+def sigmoid_array(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # expit saturates to exactly 0.0/1.0 in float64 past |x| ~ 37; clamp to
     # the nearest interior representable so outputs stay strictly in (0, 1).
-    out = expit(values, out=out)
+    out = _expit()(values, out=out)
     return np.clip(out, _SIG_LO, _SIG_HI, out=out)
 
 

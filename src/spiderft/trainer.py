@@ -27,7 +27,8 @@ so a run works on one view of it: the per-iteration chain is a few numpy
 ops over whole buffers, and the SGD step and the merge write into the
 model.  The tail's Layout and that view are built once when the tail is
 set, and every map of a run shares that one Layout object.
-The chain writes into buffers that already exist wherever it can.  The SGD
+Each batch derives its targets (label index and one-hot) once, for every
+epoch.  The chain writes into buffers that already exist wherever it can.  The SGD
 step consumes the gradient buffer (it holds the step afterwards), and the
 pid trace then reuses it for |w_pre|, whose norm is taken once per run.
 The accumulator fold and the merge run in cache-sized blocks through one
@@ -90,19 +91,39 @@ BASELINE_METHODS = ("full_ft", "l2_reg", "l1_graft", "half_ft", "dare")
 
 @dataclass
 class Batch:
+    """Inputs and integer labels, plus the targets derived from the labels
+    for a head of a given width (see targets).  The labels are a read-only
+    copy, so those targets cannot go stale."""
+
     inputs: np.ndarray  # (B, d_in)
     labels: np.ndarray  # (B,) int
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = np.array(self.labels, dtype=np.int64)
+        self.labels.flags.writeable = False
         if self.inputs.ndim != 2 or self.inputs.shape[0] < 1:
             raise DimensionError(f"batch inputs must be (B>=1, d), got {self.inputs.shape}")
         if self.labels.shape != (self.inputs.shape[0],):
             raise DimensionError("labels must be one integer per batch row")
+        self._width, self._targets = None, None
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
+
+    def targets(self, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """For a head of `width` classes: each label's index into the
+        flattened (B, width) outputs, rows * width + labels, and the one-hot
+        targets.  Built on first use, and again when another width asks."""
+        if width != self._width:
+            labels = self.labels
+            if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= width:
+                raise DimensionError("label out of range for model head")
+            index = np.arange(len(labels)) * width + labels
+            onehot = np.zeros((len(labels), width))
+            onehot.put(index, 1.0)
+            self._width, self._targets = width, (index, onehot)
+        return self._targets
 
 
 class ToyModel:
@@ -140,9 +161,8 @@ class ToyModel:
         self.version = version
         self.params = TensorMap.from_tensors(by_name[name] for name in order)
         # each layer's (W, b) as views of the buffer, built once
-        shapes, segments = self.params.layout.shapes, self.params.layout.split(self.params.flat)
-        self._layers = tuple((segments[j].reshape(shapes[j]), segments[j + 1])
-                             for j in range(0, len(order), 2))
+        views = self.params.views
+        self._layers = tuple(zip(views[0::2], views[1::2]))
         self._set_lowest(0)
 
     def _set_lowest(self, lowest: int) -> None:
@@ -251,9 +271,7 @@ def forward(model: ToyModel, batch: Batch) -> tuple[float, ForwardCache]:
         raise DimensionError(
             f"batch width {batch.inputs.shape[1]} != model input dim {model.input_dim}"
         )
-    labels, n = batch.labels, len(batch)
-    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= model.class_count:
-        raise DimensionError("label out of range for model head")
+    label_index, _ = batch.targets(model.class_count)
 
     a = batch.inputs
     layer_inputs, head = [], model.layer_count - 1
@@ -267,35 +285,39 @@ def forward(model: ToyModel, batch: Batch) -> tuple[float, ForwardCache]:
     # the ufunc reductions that np.max/np.sum/np.mean wrap, called directly
     shifted = a - np.maximum.reduce(a, axis=1, keepdims=True)
     lse = np.log(np.add.reduce(np.exp(shifted), axis=1))
-    loss = float(np.add.reduce(lse - shifted[np.arange(n), labels]) / n)
-    probs = np.exp(shifted - lse[:, None])
+    loss = float(np.add.reduce(lse - shifted.take(label_index)) / len(batch))
+    shifted -= lse[:, None]
+    probs = np.exp(shifted, out=shifted)
     return loss, ForwardCache(model, model.version, batch, layer_inputs, probs)
 
 
-def backward(model: ToyModel, cache: ForwardCache) -> TensorMap:
-    """Gradients of the mean loss for the trainable tensors only."""
+def backward(model: ToyModel, cache: ForwardCache, out: TensorMap | None = None) -> TensorMap:
+    """Gradients of the mean loss for the trainable tensors only, written
+    into `out` (laid out as the trainable tail) when given."""
     if cache.model is not model or cache.version != model.version:
         raise StaleCacheError("cache does not match the model's current weights")
+    tail, lowest = model.tensor_map(trainable_only=True), model.lowest_trainable
+    if out is None:
+        out = tail.with_flat(np.empty(tail.total_size))
+    else:
+        tail.require_aligned(out, "backward")
 
-    n = len(cache.batch)
-    dz = cache.probs.copy()
-    dz[np.arange(n), cache.batch.labels] -= 1.0
-    dz /= n
+    # p - 0.0 is p, so this is the old copy-then-subtract-one, bit for bit
+    dz = np.subtract(cache.probs, cache.batch.targets(model.class_count)[1])
+    dz /= len(cache.batch)
 
     # one buffer; the driver checks its values once per step
-    layout, lowest = model.tensor_map(trainable_only=True).layout, model.lowest_trainable
-    grads = TensorMap.over(layout, np.empty(layout.size))
-    segments = layout.split(grads.flat)  # each trainable layer's weight, then its bias
+    grads = out.views  # each trainable layer's weight, then its bias
     # no layer below the lowest trainable one needs its gradient
     for k in range(model.layer_count - 1, lowest - 1, -1):
         w, a_in = model._layers[k][0], cache.layer_inputs[k]
         j = 2 * (k - lowest)
-        np.matmul(dz.T, a_in, out=segments[j].reshape(w.shape))
-        np.add.reduce(dz, axis=0, out=segments[j + 1])
+        np.matmul(dz.T, a_in, out=grads[j])
+        np.add.reduce(dz, axis=0, out=grads[j + 1])
         if k > lowest:
             dz = dz @ w
             dz *= 1.0 - a_in**2  # layer k's input is a tanh output
-    return grads
+    return out
 
 
 def sgd_step(
@@ -405,18 +427,21 @@ def _iteration_seeds(seed: int, count: int) -> Iterator[int]:
 
 
 def _require_finite(it: int, what: str, tm: TensorMap) -> None:
-    if np.isfinite(tm.flat).all():
+    if np.logical_and.reduce(np.isfinite(tm.flat)):
         return
     name = next(t.name for t in tm if not np.isfinite(t.data).all())
     raise DivergenceError(f"training diverged at iteration {it}: non-finite {what} in {name!r}")
 
 
-def _loss_and_gradient(model: ToyModel, batch: Batch, it: int) -> tuple[float, TensorMap]:
-    """Loss and gradients of one batch, both checked finite."""
+def _loss_and_gradient(
+    model: ToyModel, batch: Batch, it: int, out: TensorMap | None = None
+) -> tuple[float, TensorMap]:
+    """Loss and gradients of one batch, both checked finite; the gradients
+    go into `out` when given (see backward)."""
     loss, cache = forward(model, batch)
     if not math.isfinite(loss):
         raise DivergenceError(f"training diverged at iteration {it}: loss is {loss}")
-    grads = backward(model, cache)
+    grads = backward(model, cache, out=out)
     _require_finite(it, "gradient", grads)
     return loss, grads
 
@@ -479,6 +504,8 @@ def _finetune(
             accumulator = GradAccumulator.empty(pretrained, cfg.beta)
         for batch in data:
             seed = next(seeds)
+            # a fresh gradient per step: one held across steps, as in pretrain,
+            # makes glibc trim and refault the heap top on a wide model
             loss, grads = _loss_and_gradient(model, batch, it)
             loss = _edit_gradient(cfg, loss, grads.flat, weights, pretrained, seed, log)
             accumulate_gradient(accumulator, grads)

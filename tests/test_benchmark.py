@@ -26,7 +26,7 @@ from spiderft.benchmark import (
     run_experiment,
     source_average,
 )
-from spiderft.errors import ConfigError, DomainError
+from spiderft.errors import ConfigError, DimensionError, DomainError
 from spiderft.trainer import RunLog, TrainConfig, build_model
 
 from helpers import mapped
@@ -195,6 +195,22 @@ def test_evaluate_is_read_only():
     assert model.version == version
 
 
+MEANS = simple_spec().means
+
+
+@pytest.mark.parametrize("spec", [
+    # labels 3 and 4, which the 3-class head can never predict
+    simple_spec(class_count=5, means=np.vstack([MEANS, 2.0 * np.eye(2, 4, 2)])),
+    simple_spec(class_count=2, means=MEANS[:2]),
+    simple_spec(input_dim=5, means=np.hstack([MEANS, np.zeros((3, 1))])),
+], ids=["more_classes", "fewer_classes", "wider_input"])
+def test_evaluate_rejects_a_task_the_model_does_not_fit(spec):
+    model = build_model([4, 5, 3], seed=1)
+    with pytest.raises(DimensionError, match=r"toy: task has input_dim \d and class_count \d, "
+                                             r"the model 4 and 3"):
+        evaluate(model, spec)
+
+
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
@@ -301,6 +317,15 @@ def test_run_experiment_rejects_bad_inputs():
     repeated = [suite[0], replace(suite[1], task_id=suite[0].task_id), *suite[2:]]
     with pytest.raises(ConfigError, match="repeated"):
         run_experiment(repeated, default_target(), ["full_ft"], cfg, [0])
+
+
+def test_run_experiment_rejects_a_target_the_head_does_not_fit():
+    target = default_target()
+    five = replace(target, class_count=5, means=np.vstack([target.means, target.means[:2] + 3.0]))
+    # zero_shot trains nothing, so only the evaluation sees the target
+    with pytest.raises(DimensionError, match="class_count 5"):
+        run_experiment(default_suite(), five, ["zero_shot"], TrainConfig(epochs=1), [0],
+                       n_per_task=200, n_eval=500, pretrain_epochs=1)
 
 
 def test_method_choices_cover_all_families():

@@ -1,6 +1,7 @@
 """Binary checkpoint format: round trips, integrity, malformed input."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -248,6 +249,24 @@ def damaged_model_files(draw) -> bytes:
         value = draw(st.sampled_from([0, 1, 33, 2**31, 2**62, 2**64 - 1]))
         body[at : at + 8] = struct.pack("<Q", value)
     return file_of(bytes(body))
+
+
+# the tensor count, and the first dimension of the first tensor
+@pytest.mark.parametrize("at", [U64_FIELDS[0], U64_FIELDS[3]], ids=["count", "dim"])
+def test_a_claimed_size_of_2_62_allocates_no_more_than_the_file(tmp_path, at):
+    body = bytearray(MODEL_FILE[:-4])
+    body[at : at + 8] = struct.pack("<Q", 2**62)
+    raw = file_of(bytes(body))
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(raw)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="truncated"):
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(raw) + 64 * 1024
 
 
 @settings(max_examples=250, deadline=None,

@@ -429,6 +429,38 @@ def test_mismatched_bias_shape_exits_2_with_one_line(workspace, command):
     assert "layer 0 bias shape (3,)" in proc.stderr
 
 
+@pytest.mark.parametrize("field", ["class_count", "input_dim"])
+def test_eval_of_a_target_the_model_does_not_fit_exits_2_with_one_line(workspace, capsys, field):
+    tmp, _ = workspace
+    pre = pretrained_checkpoint(workspace)  # an 8-input, 3-class model
+    capsys.readouterr()
+    obj = config_to_dict(ExperimentConfig(train=TrainConfig(epochs=1)))
+    means = np.asarray(obj["target"]["means"])
+    if field == "class_count":  # labels 3 and 4, which the head can never predict
+        obj["target"].update(class_count=5, means=np.vstack([means, means[:2] + 3.0]).tolist())
+    else:
+        obj["target"].update(input_dim=9, means=np.hstack([means, np.ones((3, 1))]).tolist())
+    cfg = tmp / "mismatch.json"
+    cfg.write_text(json.dumps(obj))
+    assert run_cli(["eval", "--model", pre, "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{obj['target']['task_id']}: task has input_dim" in err
+
+
+def test_eval_out_into_a_missing_directory_exits_2_before_any_output(workspace, capsys):
+    tmp, cfg = workspace
+    pre = pretrained_checkpoint(workspace)
+    capsys.readouterr()
+    out_path = tmp / "missing" / "metrics.csv"
+    assert run_cli(["eval", "--model", pre, "--config", cfg, "--out", out_path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "no directory" in err and not out_path.parent.exists()
+
+
 def test_corrupt_checkpoint_exits_2(workspace, tmp_path):
     tmp, cfg = workspace
     pre = pretrained_checkpoint(workspace)
@@ -488,27 +520,35 @@ def test_report_rejects_foreign_csv(tmp_path, capsys):
 
 
 def test_import_and_pid_never_load_scipy_special(workspace):
-    tmp, _ = workspace
+    # nor do pretrain and eval, which take no sigmoid either
+    tmp, cfg = workspace
     pre = pretrained_checkpoint(workspace)
     grads = tmp / "g.ckpt"
     save_checkpoint(mapped(load_checkpoint(pre), np.abs), grads)
+    commands = [
+        ["pid", "--pretrained", str(pre), "--grads", str(grads)],
+        ["pretrain", "--config", str(cfg), "--out", str(tmp / "again.ckpt")],
+        ["eval", "--model", str(pre), "--config", str(cfg)],
+    ]
     script = (
-        "import sys\n"
+        "import json, sys\n"
         "import numpy as np\n"
         "import spiderft.cli\n"
-        "after_import = 'scipy.special' in sys.modules\n"
-        "code = spiderft.cli.main(sys.argv[1:])\n"
-        "after_pid = 'scipy.special' in sys.modules\n"
+        "loaded = ['scipy.special' in sys.modules]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert spiderft.cli.main(argv) == 0, argv\n"
+        "    loaded.append('scipy.special' in sys.modules)\n"
         "spiderft.tensors.sigmoid_array(np.zeros(1))\n"
-        "print(code, after_import, after_pid, 'scipy.special' in sys.modules)\n"
+        "loaded.append('scipy.special' in sys.modules)\n"
+        "print(json.dumps(loaded))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script, "pid", "--pretrained", str(pre), "--grads", str(grads)],
+        [sys.executable, "-c", script, json.dumps(commands)],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    # the first sigmoid loads it
-    assert proc.stdout.splitlines()[-1] == "0 False False True"
+    # after the import and each command it is not loaded; the first sigmoid loads it
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, False, True]
 
 
 def test_help_via_subprocess_exits_0():

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spiderft import trainer
 from spiderft.checkpoint import load_checkpoint, save_checkpoint
@@ -214,6 +216,62 @@ def test_backward_rejects_cache_from_other_model():
     _, cache = forward(model, Batch(inputs, labels))
     with pytest.raises(StaleCacheError):
         backward(other, cache)
+
+
+def test_backward_into_a_map_of_another_layout_raises():
+    model = small_model(tail=2)
+    inputs, labels = blob_data(9, n=8)
+    _, cache = forward(model, Batch(inputs, labels))
+    with pytest.raises(AlignmentError):
+        backward(model, cache, out=model.tensor_map().copy())
+
+
+@st.composite
+def step_cases(draw):
+    """A model of random small widths and trainable tail, a dataset whose
+    last batch may be short, and a second, wider head on the same inputs."""
+    dims = [draw(st.integers(1, 5)), *draw(st.lists(st.integers(1, 6), max_size=2)),
+            draw(st.integers(2, 5))]
+    n = draw(st.integers(1, 24))
+    return (dims, draw(st.integers(1, len(dims) - 1)), n, draw(st.integers(1, n)),
+            draw(st.integers(1, 3)), draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(step_cases())
+def test_step_with_held_gradient_and_per_batch_targets(case):
+    dims, tail, n, batch_size, extra_classes, seed = case
+    classes = dims[-1]
+    model = build_model(dims, seed=seed)
+    set_trainable_tail(model, tail)
+    wide = build_model([*dims[:-1], classes + extra_classes], seed=seed + 1)
+    rng = np.random.default_rng(seed)
+    inputs = rng.normal(size=(n, dims[0]))
+    labels = rng.integers(0, classes, size=n)
+    source = labels.copy()
+
+    batches = batches_of(inputs, labels, batch_size)
+    labels[:] = (labels + 1) % classes  # no batch may see this write
+    held = model.tensor_map(trainable_only=True).copy()
+    held.flat.fill(np.nan)  # every entry must be overwritten
+    for k, batch in enumerate(batches):
+        assert np.array_equal(batch.labels, source[k * batch_size : (k + 1) * batch_size])
+        with pytest.raises(ValueError):
+            batch.labels[0] = 0
+        # the wide head and the model's take turns on the batch's targets
+        for net in (model, wide, model):
+            loss, cache = forward(net, batch)
+            ref_loss, ref_probs = ref_forward(model_layers(net), batch.inputs, batch.labels)
+            assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(cache.probs, ref_probs, rtol=1e-12, atol=1e-15)
+            index, onehot = batch.targets(net.class_count)
+            expected = np.zeros((len(batch), net.class_count))
+            expected[np.arange(len(batch)), batch.labels] = 1.0
+            assert np.array_equal(onehot, expected)
+            assert np.array_equal(index, np.flatnonzero(expected))
+        fresh = backward(model, cache)
+        assert backward(model, cache, out=held) is held
+        assert held.flat.tobytes() == fresh.flat.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -835,8 +893,8 @@ def test_non_finite_loss_raises_divergence_error():
 def test_non_finite_gradient_raises_divergence_error(monkeypatch):
     real_backward = trainer.backward
 
-    def poisoned(model, cache):
-        grads = real_backward(model, cache)
+    def poisoned(model, cache, out=None):
+        grads = real_backward(model, cache, out)
         grads["layer1.bias"].data[0] = np.inf
         return grads
 
