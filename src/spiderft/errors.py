@@ -29,6 +29,10 @@ class DivergenceError(SpiderftError):
     """Training produced a non-finite loss, gradient or weight."""
 
 
+class InvariantError(SpiderftError):
+    """A run broke one of its method's own invariants (a bug, not a bad input)."""
+
+
 class ConfigError(SpiderftError):
     """Invalid or inconsistent configuration."""
 

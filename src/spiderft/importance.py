@@ -83,8 +83,10 @@ def accumulate_gradient(state: GradAccumulator, grad: TensorMap) -> GradAccumula
     return state
 
 
-def _sigmoid_of_zscore(tm: TensorMap, scope: str) -> TensorMap:
-    scores = zscore_map(tm, scope)
+def _sigmoid_of_zscore(
+    tm: TensorMap, scope: str, out: TensorMap | None = None, scratch: np.ndarray | None = None
+) -> TensorMap:
+    scores = zscore_map(tm, scope, out=out, scratch=scratch)
     sigmoid_array(scores.flat, out=scores.flat)
     return scores
 
@@ -95,13 +97,20 @@ def generalization_importance(pretrained: TensorMap, scope: str = "per_tensor") 
     return _sigmoid_of_zscore(magnitudes, scope)
 
 
-def specialization_importance(state: GradAccumulator, scope: str = "per_tensor") -> TensorMap:
-    """sigmoid(zscore(acc)); the abs is already folded into accumulation."""
+def specialization_importance(
+    state: GradAccumulator, scope: str = "per_tensor", *,
+    out: TensorMap | None = None, scratch: np.ndarray | None = None,
+) -> TensorMap:
+    """sigmoid(zscore(acc)); the abs is already folded into accumulation.
+
+    The scores go to a fresh map, or into `out`; `scratch`, an array of the
+    accumulator's length, takes the z-score's squared deviations when given.
+    """
     if not state.initialized:
         raise UninitializedError(
             "specialization importance requested before any gradient was accumulated"
         )
-    return _sigmoid_of_zscore(state.acc, scope)
+    return _sigmoid_of_zscore(state.acc, scope, out, scratch)
 
 
 def _pid_from_cos(c: float) -> float:

@@ -62,26 +62,62 @@ def _compared(
     return out
 
 
-def binary_mask(g: TensorMap, i: TensorMap) -> UpdateMask:
-    """1 where G > I (strict), else 0."""
+def _mask_buffers(
+    g: TensorMap, out: TensorMap | None, selection: np.ndarray | None, op: str
+) -> tuple[TensorMap, np.ndarray]:
+    """A comparison mask's value map and selection: the given ones, or new."""
+    if out is None:
+        out = g.with_flat(np.empty(g.total_size))
+    else:
+        g.require_aligned(out, op)
+    if selection is None:
+        selection = np.empty(g.total_size, dtype=bool)
+    return out, selection
+
+
+def binary_mask(
+    g: TensorMap, i: TensorMap, *,
+    out: TensorMap | None = None, selection: np.ndarray | None = None,
+) -> UpdateMask:
+    """1 where G > I (strict), else 0.
+
+    The mask goes to a fresh map, or into `out` (which may be g), and the
+    selection G > I into `selection`, a bool array of the maps' length, when
+    given.
+    """
     g.require_aligned(i, "binary_mask")
-    selection = np.greater(g.flat, i.flat)
-    return _compared(g.with_flat(selection.astype(np.float64)), selection)
+    out, selection = _mask_buffers(g, out, selection, "binary_mask")
+    np.greater(g.flat, i.flat, out=selection)
+    np.copyto(out.flat, selection)
+    return _compared(out, selection)
 
 
-def weighted_mask(g: TensorMap, i: TensorMap) -> UpdateMask:
-    """G / (G + I) where G > I, else 0; nonzero entries land in (0.5, 1)."""
+def weighted_mask(
+    g: TensorMap, i: TensorMap, *,
+    out: TensorMap | None = None, selection: np.ndarray | None = None,
+) -> UpdateMask:
+    """G / (G + I) where G > I, else 0; nonzero entries land in (0.5, 1).
+
+    The buffers are binary_mask's.
+    """
     g.require_aligned(i, "weighted_mask")
-    m = np.add(g.flat, i.flat)
-    np.divide(g.flat, m, out=m)
-    # scores lie in (0, 1), so the ratio is positive and finite, and x * 0.0 == 0.0
-    selection = np.greater(g.flat, i.flat)
+    out, selection = _mask_buffers(g, out, selection, "weighted_mask")
+    blockwise(_weighted_kernel, out.flat, selection, g.flat, i.flat)
+    return _compared(out, selection)
+
+
+def _weighted_kernel(scratch, m, selection, g, i):
+    # the selection first, since m may be g; scores lie in (0, 1), so the
+    # ratio is positive and finite, and x * 0.0 == 0.0
+    np.greater(g, i, out=selection)
+    total = np.add(g, i, out=scratch)
+    np.divide(g, total, out=m)
     m *= selection
-    return _compared(g.with_flat(m), selection)
 
 
 def rescale_mask(
-    m: UpdateMask, scope: str = "per_tensor", *, out: TensorMap | None = None
+    m: UpdateMask, scope: str = "per_tensor", *,
+    out: TensorMap | None = None, scratch: np.ndarray | None = None,
 ) -> UpdateMask:
     """Divide selected entries by their mean and cap at 1.
 
@@ -89,6 +125,8 @@ def rescale_mask(
     over the whole map with scope="global".  A mask with no selected
     entries is returned unchanged (flagged, and logged as a warning).
     The result goes to a fresh map, or into `out` (which may be m.mask).
+    The selected entries are gathered for their mean into `scratch`, an
+    array of the mask's length, when given (see selected_mean_array).
     A comparison mask's selection names its nonzero entries, and the
     result keeps it.
     """
@@ -99,9 +137,9 @@ def rescale_mask(
     selection = m.mask.flat != 0.0 if m.selection is None else m.selection
 
     any_selected = False
-    for values, dest, chosen in scoped_arrays(scope, m.mask.layout, m.mask.flat, out.flat,
-                                              selection):
-        mean, empty = selected_mean_array(values, chosen)
+    for values, dest, chosen, spare in scoped_arrays(scope, m.mask.layout, m.mask.flat,
+                                                     out.flat, selection, scratch):
+        mean, empty = selected_mean_array(values, chosen, scratch=spare)
         if empty:
             np.copyto(dest, values)
             continue
@@ -172,6 +210,9 @@ def select_mask(
     *,
     gamma: float = 0.5,
     seed: int = 0,
+    out: TensorMap | None = None,
+    selection: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> UpdateMask:
     """The update mask named by `variant`, from the evidence for updating (g)
     and for keeping the pretrained value (i).
@@ -181,13 +222,18 @@ def select_mask(
     * ``gradient`` -- the gamma fraction of largest g (accumulated |grad|);
     * ``magnitude`` -- the gamma fraction of smallest |i| (pretrained weights);
     * ``random`` -- a random gamma fraction drawn from `seed`, shaped like g.
+
+    The comparison masks take `out`, `selection` (see binary_mask) and the
+    rescale's `scratch` (see rescale_mask); the other variants allocate.
     """
     if variant == "binary":
-        return binary_mask(g, i)
+        return binary_mask(g, i, out=out, selection=selection)
     if variant in ("weighted", "rescaled"):
-        m = weighted_mask(g, i)
+        m = weighted_mask(g, i, out=out, selection=selection)
         del g  # a caller that passes fresh scores gets them freed before the rescale
-        return rescale_mask(m, scope, out=m.mask) if variant == "rescaled" else m
+        if variant == "weighted":
+            return m
+        return rescale_mask(m, scope, out=m.mask, scratch=scratch)
     if variant == "gradient":
         return _gamma_mask(g, gamma, lambda v, k: np.argsort(v, kind="stable")[-k:])
     if variant == "magnitude":

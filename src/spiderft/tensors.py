@@ -193,7 +193,14 @@ def zscore(t: FlatTensor) -> FlatTensor:
     return t.with_data(zscore_array(t.data))
 
 
-def zscore_array(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def zscore_array(
+    values: np.ndarray, out: np.ndarray | None = None, *, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """The z-score of values, into `out` (which may be values) when given.
+
+    The squared deviations go into `scratch`, an array of values' length,
+    when given, else into a temporary.
+    """
     if out is None:
         out = np.empty_like(values)
     n = values.size
@@ -202,7 +209,7 @@ def zscore_array(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     # np.std's own steps (mean, deviations, mean square, sqrt), with its
     # deviations reused for the z-score: the same bits as np.std and np.mean
     np.subtract(values, np.add.reduce(values) / n, out=out)
-    std = math.sqrt(np.add.reduce(np.square(out)) / n)
+    std = math.sqrt(np.add.reduce(np.square(out, out=scratch)) / n)
     if std < STD_EPS:
         out.fill(0.0)
         return out
@@ -264,10 +271,25 @@ def masked_mean_array(values: np.ndarray) -> tuple[float, bool]:
     return selected_mean_array(values, values != 0.0)
 
 
-def selected_mean_array(values: np.ndarray, selected: np.ndarray) -> tuple[float, bool]:
-    """Mean of the selected entries; (0.0, True) when none is selected."""
-    # compress picks the same entries as values[selected], in order, faster
-    nz = np.compress(selected, values)
+def selected_mean_array(
+    values: np.ndarray, selected: np.ndarray, *, scratch: np.ndarray | None = None
+) -> tuple[float, bool]:
+    """Mean of the selected entries; (0.0, True) when none is selected.
+
+    The selected entries are gathered into the head of `scratch`, an array
+    of values' length, when given, else into a new array.
+    """
+    if scratch is None:
+        scratch = np.empty_like(values)
+    # compress picks the same entries as values[selected], in order, faster;
+    # a block at a time, since it builds an index array of what it picks
+    count = 0
+    for lo in range(0, values.size, BLOCK):
+        chosen = selected[lo : lo + BLOCK]
+        end = count + np.count_nonzero(chosen)
+        np.compress(chosen, values[lo : lo + BLOCK], out=scratch[count:end])
+        count = end
+    nz = scratch[:count]
     if nz.size == 0:
         return 0.0, True
     return float(np.add.reduce(nz) / nz.size), False
@@ -301,20 +323,29 @@ NORMALIZATION_SCOPES = ("per_tensor", "global")
 def scoped_arrays(scope: str, layout: Layout, *arrays: np.ndarray) -> list[tuple[np.ndarray, ...]]:
     """The units a statistic is taken over, as matching views of buffers laid
     out by `layout`: one tuple per tensor (per_tensor) or one of the whole
-    buffers (global)."""
+    buffers (global).  An array given as None is None in every unit."""
     if scope not in NORMALIZATION_SCOPES:
         raise ValueError(f"unknown normalization scope {scope!r}")
     if scope == "global":
         return [arrays]
-    return list(zip(*map(layout.split, arrays)))
+    none = [None] * len(layout.names)
+    return list(zip(*(none if a is None else layout.split(a) for a in arrays)))
 
 
-def zscore_map(tm: TensorMap, scope: str = "per_tensor") -> TensorMap:
+def zscore_map(
+    tm: TensorMap, scope: str = "per_tensor", *,
+    out: TensorMap | None = None, scratch: np.ndarray | None = None,
+) -> TensorMap:
     """Z-normalize each tensor, either on its own stats or on global ones.
 
-    The result is a fresh map.
+    The result goes to a fresh map, or into `out` (which may be `tm`).  The
+    squared deviations go into `scratch`, an array of the map's length, when
+    given (see zscore_array).
     """
-    out = tm.with_flat(np.empty(tm.total_size))
-    for values, dest in scoped_arrays(scope, tm.layout, tm.flat, out.flat):
-        zscore_array(values, dest)
+    if out is None:
+        out = tm.with_flat(np.empty(tm.total_size))
+    else:
+        tm.require_aligned(out, "zscore_map")
+    for values, dest, spare in scoped_arrays(scope, tm.layout, tm.flat, out.flat, scratch):
+        zscore_array(values, dest, scratch=spare)
     return out

@@ -28,13 +28,17 @@ ops over whole buffers, and the SGD step and the merge write into the
 model.  The tail's Layout and that view are built once when the tail is
 set, and every map of a run shares that one Layout object.
 Each batch derives its targets (label index and one-hot) once, for every
-epoch.  The chain writes into buffers that already exist wherever it can.  The SGD
-step consumes the gradient buffer (it holds the step afterwards), and the
-pid trace then reuses it for |w_pre|, whose norm is taken once per run.
-The accumulator fold and the merge run in cache-sized blocks through one
-small scratch (``tensors.blockwise``), not through a trainable-sized one.
+epoch.  A run allocates its step's buffers once, and no step allocates a
+trainable-sized array.  backward writes the gradient into one held map.  The SGD step consumes it (it holds the step afterwards),
+so the mask chain and then the pid trace (|w_pre|, whose norm is taken once
+per run) use it as scratch.  A comparison mask is built in one more held
+map, which takes the specialization scores and then the mask in place, and
+one held selection.  The accumulator fold, the weighted mask and the merge
+run in cache-sized blocks through one small scratch (``tensors.blockwise``).
 Every step checks the loss, the gradient and the updated weights once and
-raises DivergenceError on the first non-finite value.
+raises DivergenceError on the first non-finite value.  A masked run ends by
+checking that every changed weight lies in the final mask's support (else
+InvariantError), and its RunLog records both counts.
 
 Runs are deterministic: all randomness flows from the config seed.
 """
@@ -53,6 +57,7 @@ from .errors import (
     ConfigError,
     DimensionError,
     DivergenceError,
+    InvariantError,
     StaleCacheError,
 )
 from .importance import (
@@ -64,6 +69,7 @@ from .importance import (
 )
 from .masking import (
     DISCREPANCY_MASKS,
+    UpdateMask,
     dare_mask_and_rescale,
     merge,
     random_half_mask,
@@ -396,11 +402,18 @@ class RunLog:
     pid: list[float] = field(default_factory=list)
     persistent_aux_maps: int = 0
     final_accumulator: TensorMap | None = None
+    # after a masked run of at least one step: the tail weights that differ
+    # from the snapshot, and the final mask's support (equal unless an update
+    # was exactly zero); None otherwise
+    changed_weights: int | None = None
+    mask_support: int | None = None
 
 
 def batches_of(inputs: np.ndarray, labels: np.ndarray, batch_size: int) -> list[Batch]:
     """Chunk a dataset into sequential batches (last one may be short)."""
     n = inputs.shape[0]
+    if np.shape(labels) != (n,):
+        raise DimensionError("labels must be one integer per batch row")
     return [
         Batch(inputs[i : i + batch_size], labels[i : i + batch_size])
         for i in range(0, n, batch_size)
@@ -427,7 +440,10 @@ def _iteration_seeds(seed: int, count: int) -> Iterator[int]:
 
 
 def _require_finite(it: int, what: str, tm: TensorMap) -> None:
-    if np.logical_and.reduce(np.isfinite(tm.flat)):
+    # a nan or an inf entry makes the sum non-finite, so a finite sum clears
+    # the map without a trainable-sized mask; an overflowing one is checked
+    # entry by entry
+    if math.isfinite(np.add.reduce(tm.flat)) or np.logical_and.reduce(np.isfinite(tm.flat)):
         return
     name = next(t.name for t in tm if not np.isfinite(t.data).all())
     raise DivergenceError(f"training diverged at iteration {it}: non-finite {what} in {name!r}")
@@ -473,6 +489,29 @@ def _edit_gradient(
     return loss
 
 
+def _merged_support(
+    weights: TensorMap, pretrained: TensorMap, m: UpdateMask, scratch: np.ndarray
+) -> tuple[int, int]:
+    """The counts of changed weights and of the final mask's support.
+
+    The merge writes exactly w_pre where the mask is zero, so a weight that
+    changed outside the support is a bug: raises InvariantError naming its
+    tensor.  The flags go into `scratch`, a float64 array of the maps'
+    length, viewed as bools (eight per entry).
+    """
+    n = weights.total_size
+    flags = scratch.view(np.bool_)
+    changed = np.not_equal(weights.flat, pretrained.flat, out=flags[:n])
+    support = np.not_equal(m.mask.flat, 0.0, out=flags[n : 2 * n])
+    outside = np.greater(changed, support, out=flags[2 * n : 3 * n])  # changed, not in it
+    if np.logical_or.reduce(outside):
+        name, part = next((name, part) for name, part
+                          in zip(weights.layout.names, weights.layout.split(outside)) if part.any())
+        raise InvariantError(f"{name!r}: {np.count_nonzero(part)} changed weights lie "
+                             "outside the final mask's support")
+    return int(np.count_nonzero(changed)), int(np.count_nonzero(support))
+
+
 # the per-step checks report divergence; numpy's float warnings would only
 # repeat it on stderr
 @np.errstate(over="ignore", invalid="ignore")
@@ -498,31 +537,37 @@ def _finetune(
     seeds = _iteration_seeds(cfg.seed, cfg.epochs * len(data) + 1)
     w_norm = None  # ||w_pre||, fixed for the run
 
+    # the step's work buffers, allocated once per run; no step reads what an
+    # earlier one left in them: the gradient, and for a comparison mask the
+    # scores, which become the mask in place, and the mask's selection
+    grads = weights.with_flat(np.empty(weights.total_size))
+    if variant in DISCREPANCY_MASKS:
+        scores = weights.with_flat(np.empty(weights.total_size))
+        selection = np.empty(weights.total_size, dtype=bool)
+    mask = fixed if variant == "magnitude" else None
+
     it = 0
     for epoch in range(cfg.epochs):
         if cfg.accumulator_reset_per_epoch and epoch > 0:
-            accumulator = GradAccumulator.empty(pretrained, cfg.beta)
+            accumulator.initialized = False  # the next fold overwrites acc
         for batch in data:
             seed = next(seeds)
-            # a fresh gradient per step: one held across steps, as in pretrain,
-            # makes glibc trim and refault the heap top on a wide model
-            loss, grads = _loss_and_gradient(model, batch, it)
+            loss, _ = _loss_and_gradient(model, batch, it, out=grads)
             loss = _edit_gradient(cfg, loss, grads.flat, weights, pretrained, seed, log)
             accumulate_gradient(accumulator, grads)
 
-            # the previous step's mask is freed before the scores allocate
-            # (freed with the gradient instead, glibc trims and refaults it)
-            mask = fixed if variant == "magnitude" else None
+            # a mask reads only the accumulator and the fixed map, never the
+            # weights or the gradient, so the step goes first; the gradient
+            # buffer then holds lr * grad, which nothing reads again, and
+            # serves the mask chain as scratch
+            sgd_step(model, grads, cfg.learning_rate, cfg.lr_overrides)
             if variant in DISCREPANCY_MASKS:
-                # no name holds the scores, so select_mask frees them before
-                # the rescale and the step allocate
-                mask = select_mask(variant, specialization_importance(accumulator, scope),
-                                   fixed, scope)
+                g = specialization_importance(accumulator, scope, out=scores, scratch=grads.flat)
+                mask = select_mask(variant, g, fixed, scope, out=scores, selection=selection,
+                                   scratch=grads.flat)
             elif variant in ("random", "gradient"):
                 mask = select_mask(variant, accumulator.acc, pretrained,
                                    gamma=cfg.selection_gamma, seed=seed)
-
-            sgd_step(model, grads, cfg.learning_rate, cfg.lr_overrides)
             if mask is not None:
                 merge(weights, pretrained, mask, out=weights)  # writes the model
                 model.version += 1
@@ -537,8 +582,12 @@ def _finetune(
             if w_norm is None:
                 w_norm = float(np.linalg.norm(w_mag))
             log.pid.append(pid_of_magnitudes(w_mag, w_norm, accumulator.acc.flat))
-            del grads, w_mag  # freed before the next backward allocates
             it += 1
+
+    if variant is not None and it > 0:
+        # the spent gradient buffer is the check's scratch
+        log.changed_weights, log.mask_support = _merged_support(weights, pretrained, mask,
+                                                                grads.flat)
 
     if cfg.method == "dare" and cfg.dare_drop_p != 0.0 and it > 0:
         delta = weights.with_flat(weights.flat - pretrained.flat)

@@ -40,6 +40,7 @@ from spiderft.masking import (
     weighted_mask,
 )
 from spiderft.tensors import (
+    BLOCK,
     STD_EPS,
     Layout,
     TensorMap,
@@ -303,8 +304,8 @@ def test_selection_gives_the_density_and_rescale_mean_of_the_values(
     g, i = tmap_of(table, g_flat), tmap_of(table, i_flat)
     means = []
 
-    def recorded(values, selected):
-        out = selected_mean_array(values, selected)
+    def recorded(values, selected, *, scratch=None):
+        out = selected_mean_array(values, selected, scratch=scratch)
         means.append((values.copy(), out))
         return out
 
@@ -389,3 +390,93 @@ def test_pack_copy_and_views_keep_values(data):
     assert not np.shares_memory(rebuilt.flat, tm.flat)
     assert_bits(rebuilt, flat)
     assert np.array_equal(tm.flat, flat)
+
+
+# -- the in-place forms: held buffers give the fresh forms' bytes ------------
+
+
+@st.composite
+def held_buffer_cases(draw):
+    """Scores and accumulator payloads on segments below, at and above BLOCK
+    (most of them not a multiple of it), with one constant tensor at times
+    and, at times, no entry where G > I."""
+    sizes = draw(st.lists(st.one_of(
+        st.integers(1, 40), st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 9])),
+        min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = sum(sizes)
+    acc = rng.exponential(size=n)
+    g, i = rng.uniform(0.01, 0.99, size=n), rng.uniform(0.01, 0.99, size=n)
+    if draw(st.booleans()):  # a constant tensor: its spread is below STD_EPS
+        k = draw(st.integers(0, len(sizes) - 1))
+        lo = sum(sizes[:k])
+        acc[lo : lo + sizes[k]] = 0.25
+        g[lo : lo + sizes[k]] = 0.5
+    if draw(st.booleans()):  # nothing selected: G <= I everywhere
+        g = np.minimum(g, i)
+    return [(size,) for size in sizes], acc, g, i
+
+
+def held(n: int, dtype=np.float64) -> np.ndarray:
+    """A buffer full of values no stage may read."""
+    return np.full(n, np.nan if dtype == np.float64 else True, dtype=dtype)
+
+
+@settings(max_examples=25, deadline=None)
+@given(held_buffer_cases(), SCOPES)
+def test_in_place_forms_give_the_fresh_forms_bytes(case, scope):
+    table, acc_flat, g_flat, i_flat = case
+    n = acc_flat.size
+    acc, g, i = tmap_of(table, acc_flat), tmap_of(table, g_flat), tmap_of(table, i_flat)
+
+    out = held(n)
+    assert zscore_array(acc_flat, out, scratch=held(n)) is out
+    assert out.tobytes() == zscore_array(acc_flat).tobytes()
+    fresh = zscore_map(acc, scope)
+    out = tmap_of(table, held(n))
+    assert zscore_map(acc, scope, out=out, scratch=held(n)) is out
+    assert out.flat.tobytes() == fresh.flat.tobytes()
+
+    state = GradAccumulator(acc, 0.9, initialized=True)
+    fresh = specialization_importance(state, scope)
+    out = tmap_of(table, held(n))
+    assert specialization_importance(state, scope, out=out, scratch=held(n)) is out
+    assert out.flat.tobytes() == fresh.flat.tobytes()
+    assert acc.flat.tobytes() == acc_flat.tobytes()
+
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("spiderft.masking")
+    logger.addHandler(handler)
+    try:
+        for build in (binary_mask, weighted_mask):
+            fresh = build(g, i)
+            scores = g.copy()  # the in-place form writes over the scores
+            selection = held(n, bool)
+            m = build(scores, i, out=scores, selection=selection)
+            assert m.mask is scores and m.selection is selection
+            assert scores.flat.tobytes() == fresh.mask.flat.tobytes()
+            assert np.array_equal(selection, fresh.selection)
+
+        records.clear()
+        rescaled = rescale_mask(fresh, scope)
+        fresh_records = len(records)
+        in_place = rescale_mask(m, scope, out=m.mask, scratch=held(n))
+        assert in_place.mask is scores and in_place.selection is selection
+        assert scores.flat.tobytes() == rescaled.mask.flat.tobytes()
+        assert in_place.empty_selection == rescaled.empty_selection == (not selection.any())
+        # the empty selection is still logged, once per call
+        assert fresh_records == len(records) - fresh_records == int(in_place.empty_selection)
+
+        for variant in masking.DISCREPANCY_MASKS:
+            fresh = select_mask(variant, g, i, scope)
+            scores = g.copy()
+            m = select_mask(variant, scores, i, scope, out=scores, selection=held(n, bool),
+                            scratch=held(n))
+            assert m.mask is scores and scores.flat.tobytes() == fresh.mask.flat.tobytes()
+            assert np.array_equal(m.selection, fresh.selection)
+            assert m.empty_selection == fresh.empty_selection
+    finally:
+        logger.removeHandler(handler)
+    assert snapshot(g, i) == [g_flat.tobytes(), i_flat.tobytes()]

@@ -3,10 +3,12 @@
 On a map of more than 2^18 entries, the merge into an `out` map, a fold into
 an initialized accumulator and an SGD step each allocate less than one
 trainable-sized buffer: they write into buffers that already exist, and the
-blocked chains use one block-sized scratch.  A whole comparison-masked run
-holds its accumulator and fixed scores, and per step no more than the
-gradient, the scores, the z-score's deviations and one mask.  tracemalloc
-sees numpy's data buffers, so its peak bounds every temporary a stage makes.
+blocked chains use one block-sized scratch.  A run allocates its step's
+buffers once: one gradient, and for a comparison mask one map that holds the
+scores and then the mask, and one selection.  Every step writes into them,
+so a whole comparison-masked run holds its accumulator, its fixed scores and
+those buffers.  tracemalloc sees numpy's data buffers, so its peak bounds
+every temporary a stage makes.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spiderft import trainer
 from spiderft.benchmark import default_target, generate_task
 from spiderft.importance import GradAccumulator, accumulate_gradient
 from spiderft.masking import UpdateMask, merge
@@ -24,6 +27,7 @@ from spiderft.trainer import (
     TrainConfig,
     batches_of,
     build_model,
+    finetune_baseline,
     finetune_spider,
     set_trainable_tail,
     sgd_step,
@@ -104,3 +108,35 @@ def test_masked_run_frees_each_steps_mask(method):
     # selection: 5.125 buffers; the previous step's mask alive beside the
     # next one's makes it 6.25
     assert peak < 5.5 * BUFFER_BYTES
+
+
+@pytest.mark.parametrize("method", ["spider", "spider_binary", "spider_weighted_norescale",
+                                    "full_ft"])
+def test_a_run_allocates_one_gradient_and_one_mask_buffer(monkeypatch, method):
+    seen = {"gradient": [], "mask": []}  # kept alive, so no address is reused
+
+    def spy(fn, kind, array_of):
+        def wrapped(*args, **kwargs):
+            seen[kind].append(array_of(args))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(trainer, "accumulate_gradient", spy(
+        trainer.accumulate_gradient, "gradient", lambda args: args[1].flat))
+    monkeypatch.setattr(trainer, "merge", spy(
+        trainer.merge, "mask", lambda args: args[2].mask.flat))
+    model = build_model([8, 40, 30, 3], seed=4)
+    set_trainable_tail(model, 2)
+    target = generate_task(default_target())
+    data = batches_of(target.train_inputs, target.train_labels, 16)[:3]
+    driver = finetune_baseline if method == "full_ft" else finetune_spider
+    driver(model, model.tensor_map(trainable_only=True).copy(), data,
+           TrainConfig(method=method, epochs=1))
+
+    buffers = {kind: {a.ctypes.data for a in arrays} for kind, arrays in seen.items()}
+    assert len(seen["gradient"]) == 3 and len(buffers["gradient"]) == 1
+    if method == "full_ft":
+        assert not seen["mask"]
+    else:
+        assert len(seen["mask"]) == 3 and len(buffers["mask"]) == 1
+        assert buffers["mask"] != buffers["gradient"]

@@ -9,12 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spiderft import trainer
+from spiderft.benchmark import (
+    default_suite,
+    default_target,
+    finetune_cell,
+    generate_task,
+    pretrain,
+)
 from spiderft.checkpoint import load_checkpoint, save_checkpoint
 from spiderft.errors import (
     AlignmentError,
     ConfigError,
     DimensionError,
     DivergenceError,
+    InvariantError,
     StaleCacheError,
     ZeroNormError,
 )
@@ -128,6 +136,13 @@ def test_batch_validation():
         Batch(np.zeros((3, 2)), np.array([0, 1]))  # label count mismatch
     with pytest.raises(DimensionError):
         Batch(np.zeros((0, 2)), np.array([]))  # empty batch
+    with pytest.raises(DimensionError):
+        Batch(np.zeros((1, 2)), 0)  # 0-d labels
+    inputs = np.zeros((40, 2))
+    for labels, batch_size in ((np.zeros(41, int), 16), (np.zeros(48, int), 8),
+                               (np.zeros(39, int), 8), (np.zeros((40, 1), int), 8)):
+        with pytest.raises(DimensionError):  # label count != row count
+            batches_of(inputs, labels, batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -868,6 +883,53 @@ def test_changed_weights_are_the_last_merged_masks_support(monkeypatch):
         changed = model.tensor_map(trainable_only=True).flat != pretrained.flat
         assert np.array_equal(changed, at_merge != 0.0)
         assert log.mask_density[-1] == np.count_nonzero(at_merge) / at_merge.size
+
+
+@pytest.fixture(scope="module")
+def pretrained_models():
+    return {seed: pretrain(default_suite(), TrainConfig(epochs=10, seed=seed))[0]
+            for seed in range(4)}
+
+
+@pytest.mark.parametrize("method", ["spider", "spider_binary", "select_random",
+                                    "select_magnitude", "select_gradient"])
+def test_a_masked_run_reports_changed_weights_and_mask_support(pretrained_models, method):
+    target = generate_task(default_target())
+    for seed, base in pretrained_models.items():
+        model, log = finetune_cell(base, target.train_inputs, target.train_labels,
+                                   TrainConfig(method=method, seed=seed))
+        tuned = model.tensor_map(trainable_only=True)
+        before = base.tensor_map().copy()
+        changed = sum(int(np.count_nonzero(t.data != before[t.name].data)) for t in tuned)
+        assert log.changed_weights == changed == log.mask_support, (method, seed)
+        if method == "spider" and seed == 0:
+            assert (changed, tuned.total_size) == (168, 323)
+
+
+def test_a_baseline_run_reports_no_support():
+    for method in ("full_ft", "dare"):
+        model = small_model(seed=2)
+        inputs, labels = blob_data(2, n=32)
+        _, log = finetune_baseline(model, model.tensor_map(trainable_only=True).copy(),
+                                   batches_of(inputs, labels, 16), TrainConfig(method=method))
+        assert log.changed_weights is None and log.mask_support is None
+
+
+def test_a_weight_changed_outside_the_mask_raises(monkeypatch):
+    real_merge = trainer.merge
+    moved = []
+
+    def leaky_merge(current, pretrained, mask, **kwargs):
+        out = real_merge(current, pretrained, mask, **kwargs)
+        k = int(np.flatnonzero(mask.mask.flat == 0.0)[-1])  # a deselected entry
+        out.flat[k] += 1.0
+        moved.append(next(t.name for t in out if np.shares_memory(t.data, out.flat[k : k + 1])))
+        return out
+
+    monkeypatch.setattr(trainer, "merge", leaky_merge)
+    with pytest.raises(InvariantError, match="outside the final mask's support") as raised:
+        spider_run(seed=3, epochs=1)
+    assert str(raised.value).startswith(f"{moved[-1]!r}: 1 changed weights")
 
 
 @pytest.mark.parametrize("method", ["spider", "full_ft"])
