@@ -23,9 +23,10 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError
 from .tensors import TensorMap
-from .trainer import (
-    BASELINE_METHODS,
+from .trainer import (  # METHOD_CHOICES: re-exported for the CLI
+    METHOD_CHOICES,
     SPIDER_METHODS,
+    ZERO_SHOT,
     Batch,
     RunLog,
     ToyModel,
@@ -40,10 +41,6 @@ from .trainer import (
     set_trainable_tail,
     sgd_step,
 )
-
-ZERO_SHOT = "zero_shot"
-
-METHOD_CHOICES = (ZERO_SHOT,) + BASELINE_METHODS + SPIDER_METHODS
 
 DEFAULT_INPUT_DIM = 8
 DEFAULT_CLASS_COUNT = 3
@@ -246,7 +243,7 @@ def pretrain(
         for _epoch in range(cfg.epochs):
             for batch in batches:
                 _loss_and_gradient(model, batch, it, out=grads)
-                sgd_step(model, grads, cfg.learning_rate, cfg.lr_overrides)
+                sgd_step(model, grads, cfg.learning_rate)
                 _require_finite(it, "weights", weights)
                 it += 1
     return model, weights.copy()
@@ -377,23 +374,21 @@ def run_experiment(
     following the argument order; the sweep is deterministic in its arguments.
     """
     require_distinct_task_ids(suite, target)
-    for method in methods:
-        if method not in METHOD_CHOICES:
-            raise ConfigError(f"unknown method {method!r}")
+    # TrainConfig checks each method name, before anything is pretrained
+    method_cfgs = [replace(cfg, method=method) for method in methods]
 
     target_data = generate_task(target, n_per_task)
     suite_eval = [generate_task(s, n_eval) for s in suite]
     target_eval = generate_task(target, n_eval)
     by_cell: dict[tuple[str, int], MetricsReport] = {}
     for seed in seeds:
-        seed_cfg = replace(cfg, seed=seed)
         base_model, _ = pretrain(
-            suite, replace(seed_cfg, epochs=pretrain_epochs), n_per_task
+            suite, replace(cfg, seed=seed, epochs=pretrain_epochs), n_per_task
         )
-        for method in methods:
+        for method, method_cfg in zip(methods, method_cfgs):
             model, log = finetune_cell(
                 base_model, target_data.train_inputs, target_data.train_labels,
-                replace(seed_cfg, method=method),
+                replace(method_cfg, seed=seed),
             )
             source_accs = {d.spec.task_id: heldout_accuracy(model, d) for d in suite_eval}
             target_acc = heldout_accuracy(model, target_eval)

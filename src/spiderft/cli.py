@@ -62,8 +62,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         print(self.format_usage().rstrip(), file=sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        print(f"{self.prog}: error: {_one_line(message)}", file=sys.stderr)
         raise _UsageError(message)
+
+
+def _one_line(message: str) -> str:
+    """The message with its line breaks escaped: an argument or a file name
+    may hold one, and an error is reported on one line."""
+    return message.replace("\n", "\\n")
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +315,7 @@ def main(argv=None) -> int:
     except _UsageError:
         return 1
     except (SpiderftError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_one_line(str(exc))}", file=sys.stderr)
         return 2
 
 

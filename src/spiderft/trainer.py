@@ -9,8 +9,11 @@ Gradients are derived by hand so the whole training path stays
 dependency-free and checkable against finite differences.
 
 Every method runs the same fine-tuning loop: per iteration forward,
-backward, fold |grad| into the accumulator, SGD step, pid trace.  The
-method name alone picks up to three hooks on it:
+backward, fold |grad| into the accumulator, SGD step, pid trace.  The step
+takes one learning rate for every trainable tensor, and one accumulator
+runs across the whole run.  The method name alone picks up to three hooks
+on it (TrainConfig accepts only the names in METHOD_CHOICES: the families
+below, and ``zero_shot``, which fine-tunes nothing):
 
 * a gradient edit before accumulation -- the L2/L1 pull-back terms
   (``l2_reg``, ``l1_graft``) and random half-block gating (``half_ft``);
@@ -88,6 +91,9 @@ MASK_OF_METHOD = {
 }
 SPIDER_METHODS = tuple(MASK_OF_METHOD)
 BASELINE_METHODS = ("full_ft", "l2_reg", "l1_graft", "half_ft", "dare")
+ZERO_SHOT = "zero_shot"  # the pretrained model as is: no fine-tuning
+# every method name a TrainConfig accepts
+METHOD_CHOICES = (ZERO_SHOT,) + BASELINE_METHODS + SPIDER_METHODS
 
 
 # ---------------------------------------------------------------------------
@@ -326,24 +332,15 @@ def backward(model: ToyModel, cache: ForwardCache, out: TensorMap | None = None)
     return out
 
 
-def sgd_step(
-    model: ToyModel,
-    grads: TensorMap,
-    lr: float,
-    lr_overrides: dict[str, float] | None = None,
-) -> ToyModel:
-    """w <- w - lr * grad on the trainable tensors, in place.
+def sgd_step(model: ToyModel, grads: TensorMap, lr: float) -> ToyModel:
+    """w <- w - lr * grad on the trainable tensors, in place, at one rate
+    for all of them.
 
-    The step consumes the gradient: grads holds the step lr * grad on
-    return (each tensor scaled by its rate in lr_overrides, if named there).
+    The step consumes the gradient: grads holds the step lr * grad on return.
     """
     trainables = model.tensor_map(trainable_only=True)
     trainables.require_aligned(grads, "sgd_step")
-    if lr_overrides:
-        for g in grads:
-            g.data *= lr_overrides.get(g.name, lr)
-    else:
-        grads.flat *= lr
+    grads.flat *= lr
     trainables.flat -= grads.flat
     model.version += 1
     return model
@@ -367,9 +364,7 @@ class TrainConfig:
     seed: int = 0
     trainable_layer_count: int = 2
     normalization_scope: str = "per_tensor"
-    accumulator_reset_per_epoch: bool = False
     selection_gamma: float = 0.5
-    lr_overrides: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -390,6 +385,8 @@ class TrainConfig:
             raise ConfigError("trainable_layer_count must be >= 1")
         if self.normalization_scope not in NORMALIZATION_SCOPES:
             raise ConfigError(f"unknown normalization_scope {self.normalization_scope!r}")
+        if self.method not in METHOD_CHOICES:
+            raise ConfigError(f"unknown method {self.method!r}")
 
 
 @dataclass
@@ -547,9 +544,7 @@ def _finetune(
     mask = fixed if variant == "magnitude" else None
 
     it = 0
-    for epoch in range(cfg.epochs):
-        if cfg.accumulator_reset_per_epoch and epoch > 0:
-            accumulator.initialized = False  # the next fold overwrites acc
+    for _epoch in range(cfg.epochs):
         for batch in data:
             seed = next(seeds)
             loss, _ = _loss_and_gradient(model, batch, it, out=grads)
@@ -560,7 +555,7 @@ def _finetune(
             # weights or the gradient, so the step goes first; the gradient
             # buffer then holds lr * grad, which nothing reads again, and
             # serves the mask chain as scratch
-            sgd_step(model, grads, cfg.learning_rate, cfg.lr_overrides)
+            sgd_step(model, grads, cfg.learning_rate)
             if variant in DISCREPANCY_MASKS:
                 g = specialization_importance(accumulator, scope, out=scores, scratch=grads.flat)
                 mask = select_mask(variant, g, fixed, scope, out=scores, selection=selection,

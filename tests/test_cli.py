@@ -1,18 +1,24 @@
 """End-to-end command-line flows and exit-code contracts."""
 
+import contextlib
 import csv
+import io
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spiderft.benchmark import METHOD_CHOICES
 from spiderft.checkpoint import load_checkpoint, save_checkpoint
-from spiderft.cli import main
+from spiderft.cli import MERGE_STRATEGIES, main
 from spiderft.config import ExperimentConfig, config_to_dict
-from spiderft.tensors import FlatTensor, TensorMap
-from spiderft.trainer import TrainConfig
+from spiderft.tensors import NORMALIZATION_SCOPES, FlatTensor, TensorMap
+from spiderft.trainer import TrainConfig, build_model, set_trainable_tail
 
 from helpers import mapped, tmap
 
@@ -299,6 +305,11 @@ def test_usage_errors_exit_1(capsys):
     assert main(["no-such-command"]) == 1
     assert main(["finetune", "--config", "c", "--pretrained", "p", "--out", "o",
                  "--method", "boost"]) == 1
+    # a line break in an argument is escaped, so the error line stays one line
+    capsys.readouterr()
+    assert main(["pretrain", "--config", "x", "--out", "y", "--bo\ngus"]) == 1
+    assert capsys.readouterr().err.split("\n")[-2:] == [
+        "spiderft: error: unrecognized arguments: --bo\\ngus", ""]
 
 
 def test_missing_files_exit_2(tmp_path, capsys):
@@ -500,9 +511,14 @@ def test_foreign_tensor_names_exit_2(workspace, capsys, tensors, command):
     assert "each once" in err
 
 
-def test_report_on_empty_directory_exits_2(tmp_path):
+def test_report_on_empty_directory_exits_2(tmp_path, capsys):
     assert main(["report", "--logs", str(tmp_path), "--out",
                  str(tmp_path / "out.csv")]) == 2
+    # a line break in a file name is escaped: one error line
+    capsys.readouterr()
+    assert main(["report", "--logs", str(tmp_path / "no\nsuch"), "--out",
+                 str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == f"error: no .csv files under {tmp_path}/no\\nsuch\n"
 
 
 def test_report_rejects_foreign_csv(tmp_path, capsys):
@@ -559,3 +575,206 @@ def test_help_via_subprocess_exits_0():
     assert proc.returncode == 0
     assert "pretrain" in proc.stdout
     assert "merge" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# Any subcommand, with one bad argument or one damaged input
+# ---------------------------------------------------------------------------
+
+# each subcommand's valid invocation, as (flag, value) pairs; a value named in
+# INPUTS stands for that input's path, "out" for an output path
+INVOCATIONS = {
+    "pretrain": [("--config", "config"), ("--out", "out")],
+    "finetune": [("--config", "config"), ("--pretrained", "checkpoint"), ("--out", "out")],
+    "merge": [("--pretrained", "checkpoint"), ("--finetuned", "checkpoint"),
+              ("--grads", "grads"), ("--strategy", "rescaled"), ("--out", "out")],
+    "eval": [("--model", "checkpoint"), ("--config", "config")],
+    "pid": [("--pretrained", "checkpoint"), ("--grads", "grads")],
+    "report": [("--logs", "logs"), ("--out", "out")],
+}
+INPUTS = ("config", "checkpoint", "grads", "logs")
+
+
+def _accepts(convert, low=-math.inf, high=math.inf):
+    """Whether an option that converts its text with `convert` and requires
+    low <= value < high takes a given text."""
+
+    def accepts(text):
+        try:
+            return low <= convert(text) < high
+        except ValueError:
+            return False
+
+    return accepts
+
+
+# the options that check their value, by subcommand
+CHECKED_OPTIONS = {
+    "finetune": {"--method": METHOD_CHOICES.__contains__, "--seed": _accepts(int, 0)},
+    "merge": {"--strategy": MERGE_STRATEGIES.__contains__,
+              "--scope": NORMALIZATION_SCOPES.__contains__,
+              "--drop-p": _accepts(float, 0.0, 1.0), "--seed": _accepts(int, 0)},
+    "eval": {"--seed-label": _accepts(int)},
+}
+
+# any text a command line can carry: no NUL, and of the surrogates only those
+# that stand for bytes that are not UTF-8 (Python's surrogateescape)
+argv_text = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00")
+                    | st.sampled_from(["\udc80", "\udcff"]), max_size=8)
+# text that never parses as a number or names a method, a scope or a strategy
+letters = st.text(alphabet="xyz", max_size=3)
+# for a config key, by the type of its valid value: values of the wrong type
+WRONG_VALUES = {
+    int: st.none() | st.booleans() | st.floats() | letters | st.lists(st.integers(), max_size=2),
+    float: st.none() | st.booleans() | letters | st.sampled_from([math.nan, math.inf, -math.inf]),
+    str: st.none() | st.booleans() | st.integers() | st.just(""),
+    list: st.none() | letters | st.lists(letters, min_size=1, max_size=2),
+    dict: st.none() | letters | st.integers(),
+}
+VALID_CONFIG = config_to_dict(ExperimentConfig(train=TrainConfig(epochs=1)))
+VALID_CSV = ("method,seed,task,metric,value\n"
+             "spider,0,target,accuracy,0.5\nspider,0,,h_average,0.25\n")
+
+
+@st.composite
+def damaged_configs(draw) -> bytes:
+    obj = json.loads(json.dumps(VALID_CONFIG))
+    kind = draw(st.sampled_from(["truncate", "not_utf8", "root", "unknown_key", "wrong_value"]))
+    if kind == "truncate":
+        text = json.dumps(obj)
+        return text[: draw(st.integers(0, len(text) - 1))].encode()
+    if kind == "not_utf8":
+        return b"\xff" + json.dumps(obj).encode()
+    if kind == "root":
+        obj = draw(st.none() | st.integers() | letters | st.lists(st.integers(), max_size=2))
+    elif kind == "unknown_key":
+        obj[draw(argv_text.filter(lambda key: key not in obj))] = draw(st.integers())
+    else:
+        where = draw(st.sampled_from([obj, obj["target"], obj["suite"][0]]))
+        key = draw(st.sampled_from(sorted(where)))
+        where[key] = draw(WRONG_VALUES[type(where[key])])
+    return json.dumps(obj).encode()
+
+
+def damaged_checkpoints(valid: bytes):
+    @st.composite
+    def damaged(draw) -> bytes:
+        kind = draw(st.sampled_from(["truncate", "flip", "config"]))
+        if kind == "truncate":
+            return valid[: draw(st.integers(0, len(valid) - 1))]
+        if kind == "config":
+            return json.dumps(VALID_CONFIG).encode()
+        raw = bytearray(valid)
+        for at in draw(st.lists(st.integers(0, len(raw) - 1), min_size=1, max_size=4,
+                                unique=True)):
+            raw[at] ^= draw(st.integers(1, 255))
+        return bytes(raw)
+
+    return damaged()
+
+
+@st.composite
+def damaged_csvs(draw) -> bytes:
+    header, *rows = VALID_CSV.splitlines(keepends=True)
+    kind = draw(st.sampled_from(["header", "not_utf8", "value", "extra_field"]))
+    if kind == "header":  # a strict prefix of the header line, and nothing else
+        return header[: draw(st.integers(0, len(header) - 2))].encode()
+    if kind == "not_utf8":
+        return b"\xff" + VALID_CSV.encode()
+    i = draw(st.integers(0, len(rows) - 1))
+    fields_ = rows[i].rstrip("\n").split(",")
+    if kind == "value":
+        fields_[-1] = draw(letters)
+    else:
+        fields_.append(draw(letters))
+    rows[i] = ",".join(fields_) + "\n"
+    return (header + "".join(rows)).encode()
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A directory holding a valid file for each of INPUTS, by name, and the
+    strategy that damages each one."""
+    tmp = tmp_path_factory.mktemp("cli_inputs")
+    paths = {"config": tmp / "config.json", "checkpoint": tmp / "pre.ckpt",
+             "grads": tmp / "grads.ckpt", "logs": tmp / "logs"}
+    paths["config"].write_text(json.dumps(VALID_CONFIG))
+    model = build_model([8, 16, 16, 3], seed=0)
+    save_checkpoint(model.tensor_map(), paths["checkpoint"])
+    set_trainable_tail(model, 2)
+    save_checkpoint(mapped(model.tensor_map(trainable_only=True), np.abs), paths["grads"])
+    paths["logs"].mkdir()
+    (paths["logs"] / "metrics.csv").write_text(VALID_CSV)
+    damage = {"config": damaged_configs(), "logs": damaged_csvs(),
+              **{role: damaged_checkpoints(paths[role].read_bytes())
+                 for role in ("checkpoint", "grads")}}
+    return tmp, paths, damage
+
+
+@st.composite
+def bad_invocations(draw):
+    """A subcommand and its (flag, value) pairs, with one thing wrong: a bad
+    value, a dropped or unknown option, an unknown subcommand, or an input
+    marked (kind, role) to be damaged or left out.  A value of None is a
+    flag alone."""
+    command = draw(st.sampled_from(sorted(INVOCATIONS)))
+    pairs = list(INVOCATIONS[command])
+    if draw(st.booleans()):  # an input file
+        kinds = ["damaged_input", "missing_input"]
+    else:  # an argument
+        kinds = ["drop_option", "unknown_option", "unknown_command"] + (
+            ["bad_value"] if command in CHECKED_OPTIONS else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "bad_value":
+        flag, accepts = draw(st.sampled_from(sorted(CHECKED_OPTIONS[command].items())))
+        pairs = [p for p in pairs if p[0] != flag] + [(flag, draw(argv_text.filter(
+            lambda text: not accepts(text))))]
+    elif kind == "drop_option":
+        del pairs[draw(st.integers(0, len(pairs) - 1))]
+    elif kind == "unknown_option":
+        pairs.append(("--no-such-" + draw(argv_text), None))
+    elif kind == "unknown_command":
+        command = draw(argv_text.filter(lambda t: t not in INVOCATIONS and not t.startswith("-")))
+    elif kind in ("damaged_input", "missing_input"):
+        i = draw(st.sampled_from([i for i, (_, value) in enumerate(pairs) if value in INPUTS]))
+        pairs[i] = (pairs[i][0], (kind, pairs[i][1]))
+    return command, pairs
+
+
+@settings(max_examples=120, deadline=None)
+@given(invocation=bad_invocations(), data=st.data())
+def test_any_bad_argument_or_damaged_input_exits_1_or_2_without_a_traceback(
+        cli_inputs, invocation, data):
+    tmp, paths, damage = cli_inputs
+    command, pairs = invocation
+    argv = [command]
+    for flag, value in pairs:
+        if isinstance(value, tuple):  # the input this run damages or leaves out
+            kind, role = value
+            path = tmp / (f"missing{data.draw(argv_text)}" if kind == "missing_input"
+                          else f"damaged_{role}")
+            if kind == "damaged_input":
+                raw = data.draw(damage[role])
+                if role == "logs":
+                    path.mkdir(exist_ok=True)
+                    (path / "metrics.csv").write_bytes(raw)
+                else:
+                    path.write_bytes(raw)
+            value = path
+        elif value in INPUTS:
+            value = paths[value]
+        elif value == "out":
+            value = tmp / "out"
+        argv += [flag] if value is None else [flag, str(value)]
+
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)  # an exception escaping main fails the test with its traceback
+    err = err.getvalue()
+    lines = err.rstrip("\n").split("\n")  # a terminal breaks lines at "\n" alone
+    if code == 1:
+        assert lines[0].startswith("usage:"), err
+        assert [ln for ln in lines if "error:" in ln] == [lines[-1]], err
+    else:
+        assert code == 2, (code, err)
+        assert err.startswith("error: ") and err.count("\n") == 1, err

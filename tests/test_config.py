@@ -1,7 +1,8 @@
 """JSON experiment configs: defaults, closed key set, round trips."""
 
 import json
-from dataclasses import fields
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spiderft.benchmark import METHOD_CHOICES, TaskSpec
+from spiderft import benchmark
+from spiderft.benchmark import METHOD_CHOICES, TaskSpec, default_suite, default_target
 from spiderft.config import (
+    _JSON_KEY,
+    _NOT_IN_JSON,
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
@@ -86,12 +90,24 @@ def test_scalar_seed_normalizes_to_list():
         config_from_dict({"seeds": ["a"]})
 
 
-def test_method_and_scope_validation():
+def test_method_and_scope_validation(monkeypatch):
     with pytest.raises(ConfigError):
         config_from_dict({"method": "boost"})
     with pytest.raises(ConfigError):
         config_from_dict({"normalization_scope": "per_layer"})
     assert config_from_dict({"method": "select_random"}).train.method == "select_random"
+    # TrainConfig checks the name however it is built
+    with pytest.raises(ConfigError, match="unknown method 'boost'"):
+        TrainConfig(method="boost")
+    with pytest.raises(ConfigError, match="unknown method 'boost'"):
+        replace(TrainConfig(), method="boost")
+    # and a sweep rejects it before it pretrains anything
+    pretrained = []
+    monkeypatch.setattr(benchmark, "pretrain", lambda *args, **kw: pretrained.append(args))
+    with pytest.raises(ConfigError, match="unknown method 'boost'"):
+        benchmark.run_experiment(default_suite(), default_target(), ["spider", "boost"],
+                                 TrainConfig(epochs=1), [0])
+    assert pretrained == []
 
 
 def test_range_validation():
@@ -237,6 +253,33 @@ def test_json_key_set_is_closed_and_unchanged():
                 "accumulator_reset_per_epoch", "lr_overrides"):
         with pytest.raises(ConfigError, match="unknown keys"):
             config_from_dict({key: 1})
+
+
+def test_every_train_config_field_is_a_json_key_or_not_in_json():
+    # a stale _NOT_IN_JSON entry, for a field that is gone, would be ignored silently
+    names = {f.name for f in fields(TrainConfig)}
+    assert set(_NOT_IN_JSON) <= names
+    assert {_JSON_KEY.get(n, n) for n in names - set(_NOT_IN_JSON)} == (
+        CONFIG_KEYS - {"seeds", "suite", "target"})
+
+
+def test_integers_claiming_2_62_allocate_no_more_than_the_file(tmp_path):
+    obj = config_to_dict(ExperimentConfig())
+    obj.update(epochs=2**62, batch_size=2**62, trainable_layers=2**62, seeds=[2**62])
+    obj["target"].update(sample_seed=2**62, class_count=2**62)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        try:
+            load_config(path)
+        except ConfigError:
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * size + 64 * 1024
 
 
 json_values = st.recursive(

@@ -173,9 +173,7 @@ def ref_run(model, batches, cfg: TrainConfig, method: str):
     acc = None
     losses, densities, pids = [], [], []
     it = 0
-    for epoch in range(cfg.epochs):
-        if spider and cfg.accumulator_reset_per_epoch and epoch > 0:
-            acc = None
+    for _epoch in range(cfg.epochs):
         for batch in batches:
             loss, grads = ref_loss_and_grads(model, weights, batch.inputs, batch.labels)
             if method == "l2_reg":
@@ -215,7 +213,7 @@ def ref_run(model, batches, cfg: TrainConfig, method: str):
                     mask = ref_topk(acc, cfg.selection_gamma, True)
 
             for n, g in grads.items():
-                weights[n] = weights[n] - cfg.lr_overrides.get(n, cfg.learning_rate) * g
+                weights[n] = weights[n] - cfg.learning_rate * g
             if spider:
                 weights = {n: weights[n] * mask[n] + pretrained[n] * (1.0 - mask[n])
                            for n in weights}
@@ -252,10 +250,6 @@ CASES = (
     + [(m, tail, "per_tensor", {}) for m in SELECTION_ARMS for tail in (1, 3)]
     + [(m, tail, "per_tensor", {}) for m in ("full_ft", "l2_reg", "l1_graft", "half_ft", "dare")
        for tail in (1, 3)]
-    + [(m, 2, "per_tensor", {"lr_overrides": {"layer2.bias": 0.01, "layer1.weight": 0.3}})
-       for m in ("spider", "select_gradient", "full_ft")]
-    + [(m, 2, scope, {"accumulator_reset_per_epoch": True, "epochs": 3})
-       for m in ("spider", "spider_binary") for scope in ("per_tensor", "global")]
     + [("l2_reg", 2, "per_tensor", {"l2_lambda": 0.05}),
        ("l1_graft", 2, "per_tensor", {"l1_lambda": 0.01}),
        ("dare", 2, "per_tensor", {"dare_drop_p": 0.3})]
@@ -283,7 +277,7 @@ BLOCK_CASES = (
     [(m, scope, {}) for m in ("spider", "spider_binary", "spider_weighted_norescale")
      for scope in ("per_tensor", "global")]
     + [("full_ft", "per_tensor", {}),
-       ("l2_reg", "per_tensor", {"lr_overrides": {"layer2.bias": 0.01, "layer1.weight": 0.3}})]
+       ("l2_reg", "per_tensor", {})]
 )
 
 

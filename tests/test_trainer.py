@@ -328,19 +328,6 @@ def test_sgd_rejects_gradients_for_frozen_tensors():
         assert np.array_equal(a.data, b.data)
 
 
-def test_sgd_per_tensor_rate_overrides():
-    model = zero_model([2, 2])
-    grads = TensorMap.from_tensors(
-        [
-            FlatTensor.of("layer0.weight", np.ones((2, 2))),
-            FlatTensor.of("layer0.bias", np.ones(2)),
-        ]
-    )
-    sgd_step(model, grads, lr=0.1, lr_overrides={"layer0.bias": 0.0})
-    assert np.all(model.params["layer0.weight"].data == -0.1)
-    assert np.all(model.params["layer0.bias"].data == 0.0)
-
-
 def test_sgd_bumps_version():
     model = small_model()
     v = model.version
@@ -640,12 +627,6 @@ def test_binary_and_norescale_variants_run():
         assert len(log.losses) == 6
 
 
-def test_accumulator_reset_per_epoch_changes_the_run():
-    a, _, _ = spider_run(seed=11, epochs=3)
-    b, _, _ = spider_run(seed=11, epochs=3, accumulator_reset_per_epoch=True)
-    assert not np.array_equal(a.tensor_map().flat, b.tensor_map().flat)
-
-
 def test_final_accumulator_is_exposed_for_dumping():
     _, log, pretrained = spider_run(seed=12)
     assert log.final_accumulator is not None
@@ -933,11 +914,19 @@ def test_a_weight_changed_outside_the_mask_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("method", ["spider", "full_ft"])
-def test_non_finite_weights_raise_divergence_error(method):
+def test_non_finite_weights_raise_divergence_error(method, monkeypatch):
+    real_sgd_step = trainer.sgd_step
+
+    def poisoned(model, grads, lr):
+        # the gradient itself passed its check; only the step is infinite
+        grads["layer2.bias"].data[0] = -np.inf
+        return real_sgd_step(model, grads, lr)
+
+    monkeypatch.setattr(trainer, "sgd_step", poisoned)
     model = small_model(seed=19)
     pretrained = model.tensor_map(trainable_only=True).copy()
     inputs, labels = blob_data(19, n=32)
-    cfg = TrainConfig(method=method, batch_size=16, lr_overrides={"layer2.bias": math.inf})
+    cfg = TrainConfig(method=method, batch_size=16)
     driver = finetune_spider if method == "spider" else finetune_baseline
     with pytest.raises(DivergenceError, match=r"iteration 0: non-finite weights in 'layer2.bias'"):
         driver(model, pretrained, batches_of(inputs, labels, 16), cfg)
@@ -1156,23 +1145,6 @@ def test_baseline_logs_and_aux_budget():
     assert len(log.losses) == 6
     assert len(log.pid) == 6
     assert log.final_accumulator is not None
-
-
-def test_accumulator_reset_per_epoch_resets_baseline_accumulators_too():
-    # baselines share the one loop, so the option restarts their accumulator
-    # as well; it feeds only their pid trace, so the weights do not change
-    a, log_a, _ = baseline_run("full_ft", seed=52)
-    b, log_b, pretrained = baseline_run("full_ft", seed=52, accumulator_reset_per_epoch=True)
-    assert np.array_equal(a.tensor_map().flat, b.tensor_map().flat)
-    assert log_a.losses == log_b.losses
-    assert log_a.pid[:3] == log_b.pid[:3] and log_a.pid[3:] != log_b.pid[3:]
-
-    # the reset run's accumulator is that of a fresh run over the second epoch
-    first, _, _ = baseline_run("full_ft", seed=52, epochs=1)
-    inputs, labels = blob_data(52, n=48)
-    cfg = TrainConfig(method="full_ft", epochs=1, batch_size=16, seed=52)
-    _, second = finetune_baseline(first, pretrained, batches_of(inputs, labels, 16), cfg)
-    assert np.array_equal(second.final_accumulator.flat, log_b.final_accumulator.flat)
 
 
 def test_baseline_is_deterministic():
