@@ -64,6 +64,15 @@ TARGET_LIFT = 2.5
 
 @dataclass
 class TaskSpec:
+    """One Gaussian-mixture task, checked whole when it is built.
+
+    However a spec is made (the defaults, a config, `dataclasses.replace`),
+    a ConfigError names the task unless its fields fit together: at least
+    2 classes and 2 input dimensions, means of shape (class_count,
+    input_dim) with distinct rows, a positive covariance scale and a
+    non-negative sample seed.
+    """
+
     task_id: str
     class_count: int
     input_dim: int
@@ -76,6 +85,21 @@ class TaskSpec:
         self.means = np.asarray(self.means, dtype=np.float64)
         if self.sample_seed < 0:
             raise ConfigError(f"{self.task_id}: sample_seed must be >= 0, got {self.sample_seed}")
+        if self.class_count < 2:
+            raise ConfigError(f"{self.task_id}: need at least 2 classes")
+        if self.input_dim < 2:
+            raise ConfigError(f"{self.task_id}: rotation needs input_dim >= 2")
+        if self.means.shape != (self.class_count, self.input_dim):
+            raise ConfigError(
+                f"{self.task_id}: means shape {self.means.shape} != "
+                f"({self.class_count}, {self.input_dim})"
+            )
+        if self.covariance_scale <= 0:
+            raise ConfigError(f"{self.task_id}: covariance_scale must be positive")
+        for i in range(self.class_count):
+            for j in range(i + 1, self.class_count):
+                if not np.any(self.means[i] != self.means[j]):
+                    raise ConfigError(f"{self.task_id}: class means {i} and {j} coincide")
 
 
 def require_distinct_task_ids(suite: Sequence[TaskSpec], target: TaskSpec) -> None:
@@ -106,33 +130,14 @@ def _rotate_plane(points: np.ndarray, angle: float) -> np.ndarray:
     return out
 
 
-def _check_spec(spec: TaskSpec, n: int) -> None:
-    if spec.class_count < 2:
-        raise ConfigError(f"{spec.task_id}: need at least 2 classes")
-    if spec.input_dim < 2:
-        raise ConfigError(f"{spec.task_id}: rotation needs input_dim >= 2")
-    if spec.means.shape != (spec.class_count, spec.input_dim):
-        raise ConfigError(
-            f"{spec.task_id}: means shape {spec.means.shape} != "
-            f"({spec.class_count}, {spec.input_dim})"
-        )
-    if spec.covariance_scale <= 0:
-        raise ConfigError(f"{spec.task_id}: covariance_scale must be positive")
-    for i in range(spec.class_count):
-        for j in range(i + 1, spec.class_count):
-            if not np.any(spec.means[i] != spec.means[j]):
-                raise ConfigError(f"{spec.task_id}: class means {i} and {j} coincide")
-    if n < spec.class_count:
-        raise ConfigError(f"{spec.task_id}: need at least one sample per class")
-
-
 def generate_task(spec: TaskSpec, n: int = DEFAULT_SAMPLES) -> TaskData:
     """Sample n labeled points and split 80/20 by index stride.
 
     Labels are assigned round-robin so every prefix is class-balanced;
     every fifth sample goes to the test split.
     """
-    _check_spec(spec, n)
+    if n < spec.class_count:
+        raise ConfigError(f"{spec.task_id}: need at least one sample per class")
     rng = np.random.default_rng(spec.sample_seed)
     labels = np.arange(n, dtype=np.int64) % spec.class_count
     centers = _rotate_plane(spec.means, spec.rotation_angle)

@@ -24,8 +24,8 @@ from .trainer import TrainConfig
 
 # the one field whose JSON key differs from its name
 _JSON_KEY = {"trainable_layer_count": "trainable_layers"}
-# fields no key sets: `seeds` replaces `seed`, and `selection_gamma` is Python-API only
-_NOT_IN_JSON = ("seed", "selection_gamma")
+# the field no key sets: `seeds` replaces `seed`
+_NOT_IN_JSON = ("seed",)
 
 
 def _require_int(value, key: str) -> int:

@@ -41,7 +41,7 @@ class UpdateMask:
     empty_selection: bool = False
     # a comparison mask's G > I, over the mask's buffer: True exactly where
     # the mask is nonzero; None for a mask built from its values alone
-    selection: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    selection: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def density(self) -> float:
@@ -51,15 +51,6 @@ class UpdateMask:
             return 0.0
         chosen = self.mask.flat if self.selection is None else self.selection
         return int(np.count_nonzero(chosen)) / total
-
-
-def _compared(
-    mask: TensorMap, selection: np.ndarray | None, empty: bool = False
-) -> UpdateMask:
-    """A mask carrying its comparison's selection (None for no comparison)."""
-    out = UpdateMask(mask, empty)
-    out.selection = selection
-    return out
 
 
 def _mask_buffers(
@@ -89,7 +80,7 @@ def binary_mask(
     out, selection = _mask_buffers(g, out, selection, "binary_mask")
     np.greater(g.flat, i.flat, out=selection)
     np.copyto(out.flat, selection)
-    return _compared(out, selection)
+    return UpdateMask(out, False, selection)
 
 
 def weighted_mask(
@@ -103,7 +94,7 @@ def weighted_mask(
     g.require_aligned(i, "weighted_mask")
     out, selection = _mask_buffers(g, out, selection, "weighted_mask")
     blockwise(_weighted_kernel, out.flat, selection, g.flat, i.flat)
-    return _compared(out, selection)
+    return UpdateMask(out, False, selection)
 
 
 def _weighted_kernel(scratch, m, selection, g, i):
@@ -149,7 +140,7 @@ def rescale_mask(
         np.minimum(dest, 1.0, out=dest)
     if not any_selected:
         logger.warning("rescale_mask: empty selection, mask left all-zero")
-    return _compared(out, m.selection, not any_selected)
+    return UpdateMask(out, not any_selected, m.selection)
 
 
 def merge(

@@ -364,7 +364,6 @@ class TrainConfig:
     seed: int = 0
     trainable_layer_count: int = 2
     normalization_scope: str = "per_tensor"
-    selection_gamma: float = 0.5
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -379,8 +378,6 @@ class TrainConfig:
             raise ConfigError("dare_drop_p must be in [0, 1)")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 < self.selection_gamma <= 1.0:
-            raise ConfigError("selection_gamma must be in (0, 1]")
         if self.trainable_layer_count < 1:
             raise ConfigError("trainable_layer_count must be >= 1")
         if self.normalization_scope not in NORMALIZATION_SCOPES:
@@ -527,7 +524,7 @@ def _finetune(
     if variant in DISCREPANCY_MASKS:
         fixed = generalization_importance(pretrained, scope)
     elif variant == "magnitude":
-        fixed = select_mask(variant, pretrained, pretrained, gamma=cfg.selection_gamma)
+        fixed = select_mask(variant, pretrained, pretrained)
     # the snapshot and the accumulator, plus the fixed map
     log = RunLog(cfg.method, persistent_aux_maps=2 + (fixed is not None))
     # one word per iteration, then the post-run drop's
@@ -561,8 +558,7 @@ def _finetune(
                 mask = select_mask(variant, g, fixed, scope, out=scores, selection=selection,
                                    scratch=grads.flat)
             elif variant in ("random", "gradient"):
-                mask = select_mask(variant, accumulator.acc, pretrained,
-                                   gamma=cfg.selection_gamma, seed=seed)
+                mask = select_mask(variant, accumulator.acc, pretrained, seed=seed)
             if mask is not None:
                 merge(weights, pretrained, mask, out=weights)  # writes the model
                 model.version += 1

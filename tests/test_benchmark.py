@@ -106,20 +106,23 @@ def test_rotation_moves_points_in_first_plane_only():
 
 
 def test_generate_task_validation():
-    with pytest.raises(ConfigError):
-        generate_task(simple_spec(class_count=1, means=np.zeros((1, 4))), 10)
-    with pytest.raises(ConfigError):
-        generate_task(simple_spec(input_dim=1, means=np.zeros((3, 1))), 10)
-    with pytest.raises(ConfigError):
-        generate_task(simple_spec(means=np.zeros((2, 4))), 10)  # shape mismatch
-    with pytest.raises(ConfigError):
-        generate_task(simple_spec(covariance_scale=0.0), 10)
-    with pytest.raises(ConfigError):
-        generate_task(simple_spec(means=np.zeros((3, 4))), 10)  # coincident means
-    with pytest.raises(ConfigError):
-        generate_task(simple_spec(), 2)  # fewer samples than classes
-    with pytest.raises(ConfigError, match="sample_seed must be >= 0"):
-        simple_spec(sample_seed=-1)
+    # a spec checks its own fields when it is built
+    for overrides, message in [
+        (dict(sample_seed=-1), "sample_seed must be >= 0, got -1"),
+        (dict(class_count=1, means=np.zeros((1, 4))), "need at least 2 classes"),
+        (dict(input_dim=1, means=np.zeros((3, 1))), "rotation needs input_dim >= 2"),
+        (dict(means=np.zeros((2, 4))), r"means shape \(2, 4\) != \(3, 4\)"),
+        (dict(covariance_scale=0.0), "covariance_scale must be positive"),
+        (dict(means=np.zeros((3, 4))), "class means 0 and 1 coincide"),
+    ]:
+        with pytest.raises(ConfigError, match=f"^toy: {message}$"):
+            simple_spec(**overrides)
+    # and so does a copy with a field replaced
+    with pytest.raises(ConfigError, match=r"means shape \(3, 8\) != \(4, 8\)"):
+        replace(default_target(), class_count=4)
+    # generate_task checks what needs its sample count or its draws
+    with pytest.raises(ConfigError, match="need at least one sample per class"):
+        generate_task(simple_spec(), 2)
     with pytest.raises(ConfigError, match="sampled points are not finite"):
         generate_task(simple_spec(covariance_scale=1e308), 10)  # overflows
 

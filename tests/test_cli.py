@@ -401,6 +401,23 @@ def test_negative_task_sample_seed_exits_2_with_one_line(tmp_path, command, task
     assert "sample_seed must be >= 0, got -1" in proc.stderr
 
 
+@pytest.mark.parametrize("edit", [{"means": "1.5"}, {"class_count": 2**62}])
+def test_finetune_on_an_inconsistent_suite_task_exits_2_with_one_line(tmp_path, capsys, edit):
+    # finetune never generates the suite, so only the task itself can object
+    obj = config_to_dict(ExperimentConfig(train=TrainConfig(epochs=1)))
+    obj["suite"][0].update(edit)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(obj))
+    pre = tmp_path / "pre.ckpt"
+    save_checkpoint(build_model([8, 16, 16, 3], seed=0).tensor_map(), pre)
+    assert run_cli(["finetune", "--config", cfg, "--pretrained", pre,
+                    "--out", tmp_path / "tuned.ckpt"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: src_rot000: means shape ") and err.count("\n") == 1
+    assert not (tmp_path / "tuned.ckpt").exists()
+
+
 @pytest.mark.parametrize("repeat", ["suite", "target"])
 def test_repeated_task_ids_exit_2_with_one_line(tmp_path, repeat):
     obj = config_to_dict(ExperimentConfig(train=TrainConfig(epochs=1)))
@@ -639,7 +656,8 @@ VALID_CSV = ("method,seed,task,metric,value\n"
 @st.composite
 def damaged_configs(draw) -> bytes:
     obj = json.loads(json.dumps(VALID_CONFIG))
-    kind = draw(st.sampled_from(["truncate", "not_utf8", "root", "unknown_key", "wrong_value"]))
+    kind = draw(st.sampled_from(["truncate", "not_utf8", "root", "unknown_key", "wrong_value",
+                                 "inconsistent_task"]))
     if kind == "truncate":
         text = json.dumps(obj)
         return text[: draw(st.integers(0, len(text) - 1))].encode()
@@ -649,6 +667,21 @@ def damaged_configs(draw) -> bytes:
         obj = draw(st.none() | st.integers() | letters | st.lists(st.integers(), max_size=2))
     elif kind == "unknown_key":
         obj[draw(argv_text.filter(lambda key: key not in obj))] = draw(st.integers())
+    elif kind == "inconsistent_task":  # each value has the right JSON type
+        task = draw(st.sampled_from([obj["target"], *obj["suite"]]))
+        means = task["means"]
+        edit = draw(st.sampled_from(["means_shape", "class_count", "covariance", "equal_means"]))
+        if edit == "means_shape":
+            task["means"] = draw(st.sampled_from([means[0], means[:-1], [row[:-1] for row in means],
+                                                  [row + [0.0] for row in means]]))
+        elif edit == "class_count":
+            task["class_count"] = draw(st.integers(4, 2**62))
+        elif edit == "covariance":
+            task["covariance_scale"] = draw(st.sampled_from([0, 0.0, -0.0, -0.35]))
+        else:
+            i, j = draw(st.lists(st.integers(0, len(means) - 1), min_size=2, max_size=2,
+                                 unique=True))
+            means[j] = list(means[i])
     else:
         where = draw(st.sampled_from([obj, obj["target"], obj["suite"][0]]))
         key = draw(st.sampled_from(sorted(where)))

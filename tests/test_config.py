@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from spiderft import benchmark
 from spiderft.benchmark import METHOD_CHOICES, TaskSpec, default_suite, default_target
@@ -314,13 +313,18 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def task_specs(draw, task_id):
+    """A valid task: a positive covariance scale and distinct class means,
+    where -0.0 equals 0.0 (TaskSpec refuses anything else)."""
     classes, dim = draw(st.integers(2, 4)), draw(st.integers(2, 5))
+    rows = st.lists(finite, min_size=dim, max_size=dim)
+    means = draw(st.lists(rows, min_size=classes, max_size=classes,
+                          unique_by=lambda row: np.add(row, 0.0).tobytes()))
     return TaskSpec(
         task_id=task_id,
         class_count=classes,
         input_dim=dim,
-        means=draw(arrays(np.float64, (classes, dim), elements=finite)),
-        covariance_scale=draw(finite),
+        means=np.array(means),
+        covariance_scale=draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
         rotation_angle=draw(finite),
         sample_seed=draw(st.integers(0, 2**64)),
     )
@@ -355,6 +359,29 @@ def _same_task(a: TaskSpec, b: TaskSpec) -> bool:
         and np.array_equal(getattr(a, f.name), getattr(b, f.name))
         for f in fields(TaskSpec)
     )
+
+
+@pytest.mark.parametrize("edit,message", [
+    ({"covariance_scale": 0.0}, "covariance_scale must be positive"),
+    ({"covariance_scale": -0.0}, "covariance_scale must be positive"),
+    ({"covariance_scale": -1e-300}, "covariance_scale must be positive"),
+    ({"means": [[1.0, -0.0], [2.0, 2.0], [1.0, 0.0]]}, "class means 0 and 2 coincide"),
+])
+def test_config_rejects_the_tasks_task_specs_does_not_draw(edit, message):
+    task = {**task_to_dict(default_target()), "class_count": 3, "input_dim": 2,
+            "means": [[1.0, 0.0], [2.0, 2.0], [0.0, 1.0]], **edit}
+    with pytest.raises(ConfigError, match=f"target_rot120: {message}"):
+        config_from_dict({"target": task})
+
+
+@pytest.mark.parametrize("edit", [{"means": "1.5"}, {"class_count": 2**62}])
+def test_load_config_rejects_an_inconsistent_suite_task(tmp_path, edit):
+    obj = config_to_dict(ExperimentConfig())
+    obj["suite"][0].update(edit)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ConfigError, match=r"^src_rot000: means shape \("):
+        load_config(path)
 
 
 @settings(max_examples=50, deadline=None)

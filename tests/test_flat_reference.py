@@ -169,7 +169,7 @@ def ref_run(model, batches, cfg: TrainConfig, method: str):
     steps = cfg.epochs * len(batches)
     seeds = iteration_seeds(cfg.seed, steps if spider else steps + 1)
     gen = ref_scores({n: np.abs(w) for n, w in pretrained.items()}, cfg.normalization_scope)
-    fixed = ref_topk({n: np.abs(w) for n, w in pretrained.items()}, cfg.selection_gamma, False)
+    fixed = ref_topk({n: np.abs(w) for n, w in pretrained.items()}, 0.5, False)
     acc = None
     losses, densities, pids = [], [], []
     it = 0
@@ -206,11 +206,11 @@ def ref_run(model, batches, cfg: TrainConfig, method: str):
                         if method == "spider":
                             mask = ref_rescale(mask, cfg.normalization_scope)
                 elif selection == "random":
-                    mask = ref_random_gamma(weights, cfg.selection_gamma, int(seeds[it]))
+                    mask = ref_random_gamma(weights, 0.5, int(seeds[it]))
                 elif selection == "magnitude":
                     mask = fixed
                 else:
-                    mask = ref_topk(acc, cfg.selection_gamma, True)
+                    mask = ref_topk(acc, 0.5, True)
 
             for n, g in grads.items():
                 weights[n] = weights[n] - cfg.learning_rate * g

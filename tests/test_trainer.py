@@ -473,8 +473,6 @@ def test_train_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         TrainConfig(dare_drop_p=1.0)
     with pytest.raises(ConfigError):
-        TrainConfig(selection_gamma=0.0)
-    with pytest.raises(ConfigError):
         TrainConfig(seed=-1)
 
 
@@ -963,14 +961,11 @@ def test_non_finite_gradient_raises_divergence_error(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def arm_run(selection, gamma=0.5, seed=13):
+def arm_run(selection, seed=13):
     model = small_model(seed=seed)
     pretrained = model.tensor_map(trainable_only=True).copy()
     inputs, labels = blob_data(seed, n=16)
-    cfg = TrainConfig(
-        method=f"select_{selection}", selection_gamma=gamma,
-        epochs=1, batch_size=16,
-    )
+    cfg = TrainConfig(method=f"select_{selection}", epochs=1, batch_size=16)
     data = batches_of(inputs, labels, 16)
     model, log = finetune_spider(model, pretrained, data, cfg)
     return model, log, pretrained
