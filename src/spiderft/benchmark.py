@@ -102,14 +102,17 @@ class TaskSpec:
                     raise ConfigError(f"{self.task_id}: class means {i} and {j} coincide")
 
 
-def require_distinct_task_ids(suite: Sequence[TaskSpec], target: TaskSpec) -> None:
-    """ConfigError unless the suite's tasks and the target all have their own
-    ids: results are keyed by id, so a repeated one would drop a task."""
-    ids = Counter(spec.task_id for spec in (*suite, target))
-    repeated = sorted(task_id for task_id, n in ids.items() if n > 1)
-    if repeated:
-        raise ConfigError(f"task ids must be distinct across suite and target, "
-                          f"repeated: {repeated}")
+def require_distinct(seeds: Sequence[int], suite: Sequence[TaskSpec], target: TaskSpec) -> None:
+    """ConfigError unless the seeds are distinct, and so are the ids of the
+    suite's tasks and the target: a repeated seed would run its cells twice
+    and count them twice in a mean over seeds, and results are keyed by task
+    id, so a repeated id would drop a task."""
+    ids = [spec.task_id for spec in (*suite, target)]
+    for values, rule in ((seeds, "seeds must be distinct"),
+                         (ids, "task ids must be distinct across suite and target")):
+        repeated = sorted(value for value, n in Counter(values).items() if n > 1)
+        if repeated:
+            raise ConfigError(f"{rule}, repeated: {repeated}")
 
 
 @dataclass
@@ -378,7 +381,7 @@ def run_experiment(
     n_eval exceeds n_per_task.  Reports come back ordered by (method, seed)
     following the argument order; the sweep is deterministic in its arguments.
     """
-    require_distinct_task_ids(suite, target)
+    require_distinct(seeds, suite, target)
     # TrainConfig checks each method name, before anything is pretrained
     method_cfgs = [replace(cfg, method=method) for method in methods]
 

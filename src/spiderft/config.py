@@ -18,7 +18,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .benchmark import TaskSpec, default_suite, default_target, require_distinct_task_ids
+from .benchmark import TaskSpec, default_suite, default_target, require_distinct
 from .errors import ConfigError
 from .trainer import TrainConfig
 
@@ -126,7 +126,7 @@ class ExperimentConfig:
             raise ConfigError("seeds must be non-empty")
         for seed in self.seeds:  # TrainConfig checks the seed
             self.to_train_config(seed)
-        require_distinct_task_ids(self.suite, self.target)
+        require_distinct(self.seeds, self.suite, self.target)
 
     def to_train_config(self, seed: int | None = None, method: str | None = None) -> TrainConfig:
         return replace(

@@ -19,20 +19,12 @@ larger the value.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UninitializedError
-from .tensors import (
-    TensorMap,
-    blockwise,
-    cosine_array,
-    cosine_from_norms,
-    sigmoid_array,
-    zscore_map,
-)
+from .tensors import TensorMap, blockwise, cosine_from_norms, norm, sigmoid_array, zscore_map
 
 # cos of two nonnegative vectors is >= 0 but can be exactly 0; the clamp
 # keeps the inverse-square diagnostic finite (0 maps to 1e12).
@@ -113,15 +105,11 @@ def specialization_importance(
     return _sigmoid_of_zscore(state.acc, scope, out, scratch)
 
 
-def _pid_from_cos(c: float) -> float:
-    return max(c, PID_COS_FLOOR) ** -2
-
-
 def pid(pretrained: TensorMap, grad: TensorMap) -> float:
     """Importance-profile divergence over the concatenated trainable set."""
     pretrained.require_aligned(grad, "pid")
     w = np.abs(pretrained.flat)
-    return pid_of_magnitudes(w, float(np.linalg.norm(w)), np.abs(grad.flat))
+    return pid_of_magnitudes(w, norm(w), np.abs(grad.flat))
 
 
 def pid_of_magnitudes(w_mag: np.ndarray, w_norm: float, g_mag: np.ndarray) -> float:
@@ -131,18 +119,17 @@ def pid_of_magnitudes(w_mag: np.ndarray, w_norm: float, g_mag: np.ndarray) -> fl
     loop: its accumulator is its own magnitude, and the snapshot's norm is
     fixed for the run.  The result is bit for bit pid()'s.
     """
-    # np.linalg.norm's own computation for a 1-D float vector
-    cos = cosine_from_norms(w_mag, g_mag, w_norm, math.sqrt(g_mag.dot(g_mag)),
+    cos = cosine_from_norms(w_mag, g_mag, w_norm, norm(g_mag),
                             "weight_magnitude", "gradient_magnitude")
-    return _pid_from_cos(cos)
+    return max(cos, PID_COS_FLOOR) ** -2
 
 
 def pid_per_tensor(pretrained: TensorMap, grad: TensorMap) -> dict[str, float]:
     """Same diagnostic, one value per named tensor."""
     pretrained.require_aligned(grad, "pid")
-    return {
-        wt.name: _pid_from_cos(
-            cosine_array(np.abs(wt.data), np.abs(gt.data), wt.name, gt.name)
-        )
-        for wt, gt in zip(pretrained, grad)
-    }
+    pids = {}
+    for wt, gt in zip(pretrained, grad):
+        w, g = np.abs(wt.data), np.abs(gt.data)
+        cos = cosine_from_norms(w, g, norm(w), norm(g), wt.name, gt.name)
+        pids[wt.name] = max(cos, PID_COS_FLOOR) ** -2
+    return pids

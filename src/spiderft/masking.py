@@ -10,17 +10,16 @@ optimizer step the model is pulled back toward the pretrained weights:
 
 ``select_mask`` is the one entry point that picks a mask by name, for the
 fine-tuning loop and the offline merge alike; besides the three comparison
-masks it builds the ablation arms that update a fixed fraction gamma of
-each tensor (random, smallest pretrained magnitude, largest accumulated
-gradient).  Random baselines live here too: the half-block mask (a fresh
-random half of the named tensors each iteration) and the drop-and-rescale
-transform on delta parameters.
+masks it builds the ablation arms that update half of each tensor,
+floor(size / 2) entries (random, smallest pretrained magnitude, largest
+accumulated gradient).  Random baselines live here too: the half-block
+mask (a fresh random half of the named tensors each iteration) and the
+drop-and-rescale transform on delta parameters.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,26 +167,31 @@ def _merge_kernel(scratch, out, w, w_pre, mask):
     out += kept
 
 
+def random_half_blocks(count: int, rng_seed: int) -> list[int]:
+    """The indices of a uniformly random floor(count / 2) of `count` blocks,
+    in the order drawn from rng_seed."""
+    rng = np.random.default_rng(rng_seed)
+    return rng.choice(count, size=count // 2, replace=False).tolist()
+
+
 def random_half_mask(shape_of: TensorMap, rng_seed: int) -> UpdateMask:
     """All-ones masks on a uniformly random floor(B/2) of the B named tensors.
 
     Each named tensor is one selectable block (the toy-scale analog of the
     per-layer parameter blocks that half fine-tuning draws from).
     """
-    rng = np.random.default_rng(rng_seed)
-    chosen = rng.choice(len(shape_of), size=len(shape_of) // 2, replace=False)
     mask = shape_of.with_flat(np.zeros(shape_of.total_size))
     segments = mask.layout.split(mask.flat)
-    for idx in chosen.tolist():
+    for idx in random_half_blocks(len(segments), rng_seed):
         segments[idx].fill(1.0)
     return UpdateMask(mask)
 
 
-def _gamma_mask(tm: TensorMap, gamma: float, pick) -> UpdateMask:
-    """Binary mask on the floor(size * gamma) entries pick(values, k) of each tensor."""
+def _half_mask(tm: TensorMap, pick) -> UpdateMask:
+    """Binary mask on the floor(size / 2) entries pick(values, k) of each tensor."""
     mask = tm.with_flat(np.zeros(tm.total_size))
     for values, dest in zip(tm.layout.split(tm.flat), mask.layout.split(mask.flat)):
-        k = int(math.floor(values.size * gamma))
+        k = values.size // 2
         if k:
             dest[pick(values, k)] = 1.0
     return UpdateMask(mask)
@@ -199,7 +203,6 @@ def select_mask(
     i: TensorMap,
     scope: str = "per_tensor",
     *,
-    gamma: float = 0.5,
     seed: int = 0,
     out: TensorMap | None = None,
     selection: np.ndarray | None = None,
@@ -210,9 +213,10 @@ def select_mask(
 
     * ``binary`` / ``weighted`` / ``rescaled`` -- compare specialization
       scores g with generalization scores i; rescaling uses `scope`;
-    * ``gradient`` -- the gamma fraction of largest g (accumulated |grad|);
-    * ``magnitude`` -- the gamma fraction of smallest |i| (pretrained weights);
-    * ``random`` -- a random gamma fraction drawn from `seed`, shaped like g.
+    * ``gradient`` -- the half of each tensor with the largest g (accumulated
+      |grad|);
+    * ``magnitude`` -- the half with the smallest |i| (pretrained weights);
+    * ``random`` -- a random half drawn from `seed`, shaped like g.
 
     The comparison masks take `out`, `selection` (see binary_mask) and the
     rescale's `scratch` (see rescale_mask); the other variants allocate.
@@ -226,12 +230,12 @@ def select_mask(
             return m
         return rescale_mask(m, scope, out=m.mask, scratch=scratch)
     if variant == "gradient":
-        return _gamma_mask(g, gamma, lambda v, k: np.argsort(v, kind="stable")[-k:])
+        return _half_mask(g, lambda v, k: np.argsort(v, kind="stable")[-k:])
     if variant == "magnitude":
-        return _gamma_mask(i, gamma, lambda v, k: np.argsort(np.abs(v), kind="stable")[:k])
+        return _half_mask(i, lambda v, k: np.argsort(np.abs(v), kind="stable")[:k])
     if variant == "random":
         rng = np.random.default_rng(seed)
-        return _gamma_mask(g, gamma, lambda v, k: rng.choice(v.size, size=k, replace=False))
+        return _half_mask(g, lambda v, k: rng.choice(v.size, size=k, replace=False))
     raise ValueError(f"unknown mask variant {variant!r}")
 
 

@@ -66,10 +66,6 @@ class FlatTensor:
     def size(self) -> int:
         return int(math.prod(self.shape))
 
-    def view(self) -> np.ndarray:
-        """The data reshaped to `shape` (no copy)."""
-        return self.data.reshape(self.shape)
-
     @classmethod
     def _wrap(cls, name: str, shape: tuple[int, ...], data: np.ndarray) -> "FlatTensor":
         """A tensor over an existing float64 vector, neither copied nor scanned.
@@ -237,23 +233,24 @@ def sigmoid_array(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     return np.clip(out, _SIG_LO, _SIG_HI, out=out)
 
 
+def norm(values: np.ndarray) -> float:
+    """The L2 norm of a 1-D float64 vector, computed as np.linalg.norm does."""
+    return math.sqrt(values.dot(values))
+
+
 def cosine_similarity(a: FlatTensor, b: FlatTensor) -> float:
     if a.shape != b.shape:
         raise AlignmentError(
             f"cosine_similarity: shapes differ ({a.shape} vs {b.shape})"
         )
-    return cosine_array(a.data, b.data, a.name, b.name)
-
-
-def cosine_array(a: np.ndarray, b: np.ndarray, a_name: str = "a", b_name: str = "b") -> float:
-    return cosine_from_norms(a, b, float(np.linalg.norm(a)), float(np.linalg.norm(b)),
-                             a_name, b_name)
+    return cosine_from_norms(a.data, b.data, norm(a.data), norm(b.data), a.name, b.name)
 
 
 def cosine_from_norms(
     a: np.ndarray, b: np.ndarray, na: float, nb: float, a_name: str, b_name: str
 ) -> float:
-    """cosine_array given the norms of a and b, for a caller that already holds one."""
+    """The cosine of a and b given their norms (see norm), clamped to [-1, 1];
+    ZeroNormError names a and b if either norm is zero."""
     if na < NORM_EPS or nb < NORM_EPS:
         raise ZeroNormError(
             f"cosine_similarity: zero-norm input ({a_name!r}: {na:g}, {b_name!r}: {nb:g})"
@@ -264,11 +261,7 @@ def cosine_from_norms(
 
 def masked_mean(t: FlatTensor) -> tuple[float, bool]:
     """Mean over nonzero entries; (0.0, True) when nothing is nonzero."""
-    return masked_mean_array(t.data)
-
-
-def masked_mean_array(values: np.ndarray) -> tuple[float, bool]:
-    return selected_mean_array(values, values != 0.0)
+    return selected_mean_array(t.data, t.data != 0.0)
 
 
 def selected_mean_array(

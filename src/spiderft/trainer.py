@@ -32,8 +32,11 @@ model.  The tail's Layout and that view are built once when the tail is
 set, and every map of a run shares that one Layout object.
 Each batch derives its targets (label index and one-hot) once, for every
 epoch.  A run allocates its step's buffers once, and no step allocates a
-trainable-sized array.  backward writes the gradient into one held map.  The SGD step consumes it (it holds the step afterwards),
-so the mask chain and then the pid trace (|w_pre|, whose norm is taken once
+trainable-sized array, except for the temporaries that fix the bits of the
+select_random and select_gradient masks (rng.choice, a stable argsort) and
+of l2_reg's and l1_graft's drift.  backward writes the gradient into one
+held map.  The SGD step consumes it (it holds the step afterwards), so the
+mask chain and then the pid trace (|w_pre|, whose norm is taken once
 per run) use it as scratch.  A comparison mask is built in one more held
 map, which takes the specialization scores and then the mask in place, and
 one held selection.  The accumulator fold, the weighted mask and the merge
@@ -75,10 +78,10 @@ from .masking import (
     UpdateMask,
     dare_mask_and_rescale,
     merge,
-    random_half_mask,
+    random_half_blocks,
     select_mask,
 )
-from .tensors import NORMALIZATION_SCOPES, FlatTensor, Layout, TensorMap
+from .tensors import NORMALIZATION_SCOPES, FlatTensor, Layout, TensorMap, norm
 
 # masked methods: the masking.select_mask variant merged after each SGD step
 MASK_OF_METHOD = {
@@ -477,9 +480,14 @@ def _edit_gradient(
         drift *= cfg.l1_lambda
         g += drift
     elif cfg.method == "half_ft":
-        gate = random_half_mask(pretrained, seed)
-        g *= gate.mask.flat
-        log.mask_density.append(gate.density)
+        # random_half_mask's gate, in place: x * 0.0 keeps x's sign, so
+        # zeroing the tensors it leaves out gives the bits of g *= mask
+        segments = pretrained.layout.split(g)
+        chosen = random_half_blocks(len(segments), seed)
+        for k, segment in enumerate(segments):
+            if k not in chosen:
+                segment *= 0.0
+        log.mask_density.append(sum(segments[k].size for k in chosen) / g.size)
     return loss
 
 
@@ -571,7 +579,7 @@ def _finetune(
             # taken at the first step, where pid() would first reject a zero one
             w_mag = np.abs(pretrained.flat, out=grads.flat)
             if w_norm is None:
-                w_norm = float(np.linalg.norm(w_mag))
+                w_norm = norm(w_mag)
             log.pid.append(pid_of_magnitudes(w_mag, w_norm, accumulator.acc.flat))
             it += 1
 

@@ -53,7 +53,7 @@ def model_layers(model):
     """Extract (W, b, activation) triples from a ToyModel: tanh hidden
     layers, identity head."""
     return [
-        (model.params[f"layer{k}.weight"].view().copy(), model.params[f"layer{k}.bias"].data.copy(),
+        (model.params.views[2 * k].copy(), model.params.views[2 * k + 1].copy(),
          "identity" if k == model.layer_count - 1 else "tanh")
         for k in range(model.layer_count)
     ]

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from spiderft import benchmark
 from spiderft.benchmark import (
     CSV_HEADER,
     DEFAULT_SAMPLES,
@@ -320,6 +321,16 @@ def test_run_experiment_rejects_bad_inputs():
     repeated = [suite[0], replace(suite[1], task_id=suite[0].task_id), *suite[2:]]
     with pytest.raises(ConfigError, match="repeated"):
         run_experiment(repeated, default_target(), ["full_ft"], cfg, [0])
+
+
+def test_run_experiment_rejects_repeated_seeds_before_pretraining(monkeypatch):
+    # a seed given twice would be pretrained twice and counted twice in a mean over seeds
+    pretrained = []
+    monkeypatch.setattr(benchmark, "pretrain", lambda *args, **kwargs: pretrained.append(args))
+    with pytest.raises(ConfigError, match=r"seeds must be distinct, repeated: \[3\]"):
+        run_experiment(default_suite(), default_target(), ["full_ft"], TrainConfig(epochs=1),
+                       [3, 0, 3])
+    assert pretrained == []
 
 
 def test_run_experiment_rejects_a_target_the_head_does_not_fit():

@@ -383,6 +383,15 @@ def test_negative_config_seed_exits_2_with_one_line(tmp_path):
     assert proc.stderr == "error: seed must be >= 0, got -3\n"
 
 
+def test_repeated_config_seeds_exit_2_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"seeds": [1, 0, 1], "epochs": 1}')
+    assert run_cli(["pretrain", "--config", cfg, "--out", tmp_path / "pre.ckpt"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: seeds must be distinct, repeated: [1]\n"
+    assert not (tmp_path / "pre.ckpt").exists()
+
+
 @pytest.mark.parametrize("command,task", [("pretrain", "suite"), ("eval", "target")])
 def test_negative_task_sample_seed_exits_2_with_one_line(tmp_path, command, task):
     obj = config_to_dict(ExperimentConfig(train=TrainConfig(epochs=1)))

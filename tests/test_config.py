@@ -346,7 +346,7 @@ def experiment_configs(draw):
         normalization_scope=draw(st.sampled_from(NORMALIZATION_SCOPES)),
     )
     return ExperimentConfig(
-        seeds=draw(st.lists(st.integers(0, 2**64), min_size=1, max_size=4)),
+        seeds=draw(st.lists(st.integers(0, 2**64), min_size=1, max_size=4, unique=True)),
         suite=[draw(task_specs(task_id)) for task_id in ids[1:]],
         target=draw(task_specs(ids[0])),
         train=train,

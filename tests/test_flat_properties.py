@@ -44,7 +44,7 @@ from spiderft.tensors import (
     STD_EPS,
     Layout,
     TensorMap,
-    masked_mean_array,
+    norm,
     selected_mean_array,
     zscore_array,
     zscore_map,
@@ -191,7 +191,9 @@ def test_statistics_match_the_numpy_formulas_bit_for_bit(v):
     in_place = v.copy()
     assert zscore_array(in_place, in_place).tobytes() == expected
 
-    mean, empty = masked_mean_array(v)
+    assert np.float64(norm(v)).tobytes() == np.linalg.norm(v).tobytes()
+
+    mean, empty = selected_mean_array(v, v != 0.0)
     ref_mean, ref_empty = ref_masked_mean(v)
     assert empty == ref_empty
     assert np.float64(mean).tobytes() == np.float64(ref_mean).tobytes()
@@ -289,7 +291,7 @@ def test_all_deselected_mask_is_flagged_and_logged(data, scope):
 
 
 def rescaled_by_masked_mean(v):
-    mean, empty = masked_mean_array(v)
+    mean, empty = selected_mean_array(v, v != 0.0)
     return v.copy() if empty else np.minimum(v / mean, 1.0)
 
 
@@ -323,7 +325,7 @@ def test_selection_gives_the_density_and_rescale_mean_of_the_values(
     assert_bits(rescaled.mask, per_scope(rescaled_by_masked_mean, table, before, scope))
     assert means
     for values, (mean, empty) in means:
-        ref_mean, ref_empty = masked_mean_array(values)
+        ref_mean, ref_empty = selected_mean_array(values, values != 0.0)
         assert empty == ref_empty
         assert np.float64(mean).tobytes() == np.float64(ref_mean).tobytes()
 
@@ -372,9 +374,9 @@ def test_random_transforms_packed_match(data, drop_p, seed):
 def test_pack_copy_and_views_keep_values(data):
     table, flat = data
     tm = tmap_of(table, flat)
-    for t, v in zip(tm, segments(table, flat)):
+    for t, v, view in zip(tm, segments(table, flat), tm.views):
         assert t.data.tobytes() == v.tobytes()
-        assert t.view().shape == t.shape
+        assert view.shape == t.shape and np.shares_memory(view, tm.flat)
     # the layout's segments are the entries named by it
     split = tm.layout.split(tm.flat)
     assert len(split) == len(tm.names)

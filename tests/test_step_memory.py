@@ -7,8 +7,9 @@ blocked chains use one block-sized scratch.  A run allocates its step's
 buffers once: one gradient, and for a comparison mask one map that holds the
 scores and then the mask, and one selection.  Every step writes into them,
 so a whole comparison-masked run holds its accumulator, its fixed scores and
-those buffers.  tracemalloc sees numpy's data buffers, so its peak bounds
-every temporary a stage makes.
+those buffers.  half_ft zeroes the gradient of the tensors it leaves out in
+place, without a mask buffer.  tracemalloc sees numpy's data buffers, so its
+peak bounds every temporary a stage makes.
 """
 
 from __future__ import annotations
@@ -108,6 +109,32 @@ def test_masked_run_frees_each_steps_mask(method):
     # selection: 5.125 buffers; the previous step's mask alive beside the
     # next one's makes it 6.25
     assert peak < 5.5 * BUFFER_BYTES
+
+
+def test_half_ft_gates_its_gradient_in_place(monkeypatch):
+    base = build_model([8, 500, 600, 3], seed=5)
+    set_trainable_tail(base, 2)
+    target = generate_task(default_target())
+    data = batches_of(target.train_inputs, target.train_labels, 16)[:4]
+    steps, loss_and_gradient = [], trainer._loss_and_gradient
+
+    def traced_from_step_2(*args, **kwargs):
+        steps.append(args[2])
+        if len(steps) == 2:
+            tracemalloc.start()
+        return loss_and_gradient(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "_loss_and_gradient", traced_from_step_2)
+    model = base.copy()
+    try:
+        finetune_baseline(model, model.tensor_map(trainable_only=True).copy(), data,
+                          TrainConfig(method="half_ft", epochs=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert steps == [0, 1, 2, 3]
+    # over steps 2-4: a gate mask per step would be one whole buffer
+    assert peak < 0.5 * BUFFER_BYTES
 
 
 @pytest.mark.parametrize("method", ["spider", "spider_binary", "spider_weighted_norescale",

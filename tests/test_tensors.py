@@ -189,7 +189,7 @@ def test_flat_tensor_rejects_nonfinite():
 def test_flat_tensor_view_round_trip():
     t = FlatTensor.of("t", np.arange(6.0).reshape(2, 3))
     assert t.shape == (2, 3)
-    np.testing.assert_array_equal(t.view(), np.arange(6.0).reshape(2, 3))
+    np.testing.assert_array_equal(t.data.reshape(t.shape), np.arange(6.0).reshape(2, 3))
 
 
 def test_tensor_map_preserves_insertion_order():

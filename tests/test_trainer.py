@@ -349,7 +349,7 @@ def test_build_model_shapes_and_activations():
     assert model.params["layer0.weight"].shape == (16, 8)
     assert model.params["layer2.bias"].shape == (3,)
     # tanh hidden layers and a linear head, by position
-    layers = [(model.params[f"layer{k}.weight"].view(), model.params[f"layer{k}.bias"].data, act)
+    layers = [(model.params.views[2 * k], model.params.views[2 * k + 1], act)
               for k, act in enumerate(["tanh", "tanh", "identity"])]
     inputs, labels = blob_data(0, n=16, dim=8)
     loss, cache = forward(model, Batch(inputs, labels))
