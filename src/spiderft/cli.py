@@ -31,7 +31,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import load_config
 from .errors import AlignmentError, ConfigError, FormatError, SpiderftError
 from .importance import GradAccumulator, generalization_importance, pid, pid_per_tensor, specialization_importance
-from .masking import DISCREPANCY_MASKS, dare_mask_and_rescale, merge, select_mask
+from .masking import DISCREPANCY_MASKS, dare_merge, merge, select_mask
 from .tensors import NORMALIZATION_SCOPES, TensorMap
 from .trainer import RunLog, ToyModel
 
@@ -135,9 +135,7 @@ def _cmd_merge(args) -> int:
     finetuned.require_aligned(pretrained, "merge")
 
     if args.strategy == "dare":
-        delta = finetuned.with_flat(finetuned.flat - pretrained.flat)
-        kept = dare_mask_and_rescale(delta, args.drop_p, args.seed)
-        merged = pretrained.with_flat(pretrained.flat + kept.flat)
+        merged = dare_merge(finetuned, pretrained, args.drop_p, args.seed)
     else:
         if not args.grads:
             args.parser.error(f"--grads is required for strategy {args.strategy}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UninitializedError
+from .errors import ConfigError, UninitializedError
 from .tensors import TensorMap, blockwise, cosine_from_norms, norm, sigmoid_array, zscore_map
 
 # cos of two nonnegative vectors is >= 0 but can be exactly 0; the clamp
@@ -46,7 +46,7 @@ class GradAccumulator:
     @classmethod
     def empty(cls, like: TensorMap, beta: float = 0.9) -> "GradAccumulator":
         if not 0.0 <= beta < 1.0:
-            raise ValueError(f"beta must be in [0, 1), got {beta}")
+            raise ConfigError(f"beta must be in [0, 1), got {beta}")
         zeros = like.with_flat(np.zeros(like.total_size))
         return cls(acc=zeros, beta=beta, initialized=False)
 

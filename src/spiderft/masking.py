@@ -14,7 +14,7 @@ masks it builds the ablation arms that update half of each tensor,
 floor(size / 2) entries (random, smallest pretrained magnitude, largest
 accumulated gradient).  Random baselines live here too: the half-block
 mask (a fresh random half of the named tensors each iteration) and the
-drop-and-rescale transform on delta parameters.
+drop-and-rescale (DARE) merge, w_pre + dare(w - w_pre).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
 from .tensors import TensorMap, blockwise, scoped_arrays, selected_mean_array
 
 logger = logging.getLogger(__name__)
@@ -236,7 +237,7 @@ def select_mask(
     if variant == "random":
         rng = np.random.default_rng(seed)
         return _half_mask(g, lambda v, k: rng.choice(v.size, size=k, replace=False))
-    raise ValueError(f"unknown mask variant {variant!r}")
+    raise ConfigError(f"unknown mask variant {variant!r}")
 
 
 def dare_mask_and_rescale(delta: TensorMap, drop_p: float, rng_seed: int) -> TensorMap:
@@ -246,7 +247,7 @@ def dare_mask_and_rescale(delta: TensorMap, drop_p: float, rng_seed: int) -> Ten
     delta unchanged.  drop_p = 0 returns the delta untouched.
     """
     if not 0.0 <= drop_p < 1.0:
-        raise ValueError(f"drop_p must be in [0, 1), got {drop_p}")
+        raise ConfigError(f"drop_p must be in [0, 1), got {drop_p}")
     kept = delta.copy()
     if drop_p == 0.0:
         return kept
@@ -256,3 +257,23 @@ def dare_mask_and_rescale(delta: TensorMap, drop_p: float, rng_seed: int) -> Ten
         t.data *= rng.random(t.size) >= drop_p
         t.data *= scale
     return kept
+
+
+def dare_merge(
+    current: TensorMap, pretrained: TensorMap, drop_p: float, rng_seed: int, *,
+    out: TensorMap | None = None,
+) -> TensorMap:
+    """w_pre + dare(w - w_pre): the delta from the pretrained weights through
+    dare_mask_and_rescale, added back onto them.
+
+    The result goes to a fresh map, or into `out` (which may be `current`).
+    """
+    current.require_aligned(pretrained, "dare_merge")
+    if out is None:
+        out = current.with_flat(np.empty(current.total_size))
+    else:
+        current.require_aligned(out, "dare_merge")
+    delta = current.with_flat(current.flat - pretrained.flat)
+    kept = dare_mask_and_rescale(delta, drop_p, rng_seed)
+    np.add(pretrained.flat, kept.flat, out=out.flat)
+    return out

@@ -15,14 +15,19 @@ unless they take an ``out`` argument.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import module_from_spec, spec_from_file_location
 from itertools import accumulate
+from types import ModuleType
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import AlignmentError, ZeroNormError
+from .errors import AlignmentError, ConfigError, ZeroNormError
 
 # Degenerate-spread guard for zscore and the zero-direction guard for cosine.
 STD_EPS = 1e-12
@@ -219,11 +224,63 @@ def sigmoid(t: FlatTensor) -> FlatTensor:
 
 @cache
 def _expit():
-    # imported on first use: scipy.special is most of the package's start-up
-    # time, and most commands never take a sigmoid
-    from scipy.special import expit
+    """scipy's expit ufunc, loaded on first use: most commands take no sigmoid.
 
-    return expit
+    Importing scipy.special loads all of its modules for this one ufunc, so
+    unless it is already imported, only the extension that defines expit is
+    loaded (see _load_ufuncs).  The import is the fallback, for a scipy
+    whose files are laid out otherwise.
+    """
+    special = sys.modules.get("scipy.special")
+    if special is not None:
+        return special.expit
+    try:
+        return _load_ufuncs().expit
+    except (ImportError, OSError, AttributeError):
+        from scipy.special import expit
+
+        return expit
+
+
+def _ufuncs_file() -> str:
+    """The path of scipy's scipy.special._ufuncs extension module."""
+    import scipy
+
+    special = os.path.join(os.path.dirname(scipy.__file__), "special")
+    for suffix in EXTENSION_SUFFIXES:
+        path = os.path.join(special, "_ufuncs" + suffix)
+        if os.path.isfile(path):
+            return path
+    raise FileNotFoundError(f"no _ufuncs extension module in {special}")
+
+
+def _load_ufuncs() -> ModuleType:
+    """scipy.special._ufuncs, executed from its file without scipy.special.
+
+    While it initialises, the relative imports of its sibling extensions
+    find a bare scipy.special package, which is removed afterwards.  A later
+    ``import scipy.special`` then binds the loaded modules.  If the load
+    fails, the scipy.special modules it added are removed before the error
+    propagates.
+    """
+    path = _ufuncs_file()
+    before = set(sys.modules)
+    package = ModuleType("scipy.special")
+    package.__path__ = [os.path.dirname(path)]
+    sys.modules["scipy.special"] = package
+    try:
+        spec = spec_from_file_location("scipy.special._ufuncs", path)
+        module = module_from_spec(spec)
+        sys.modules[spec.name] = module
+        spec.loader.exec_module(module)
+    except (ImportError, OSError):
+        for name in sys.modules.keys() - before:
+            if name.startswith("scipy.special."):
+                del sys.modules[name]
+        raise
+    finally:
+        del sys.modules["scipy.special"]
+    return module
 
 
 def sigmoid_array(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -318,7 +375,7 @@ def scoped_arrays(scope: str, layout: Layout, *arrays: np.ndarray) -> list[tuple
     out by `layout`: one tuple per tensor (per_tensor) or one of the whole
     buffers (global).  An array given as None is None in every unit."""
     if scope not in NORMALIZATION_SCOPES:
-        raise ValueError(f"unknown normalization scope {scope!r}")
+        raise ConfigError(f"unknown normalization scope {scope!r}")
     if scope == "global":
         return [arrays]
     none = [None] * len(layout.names)

@@ -76,7 +76,7 @@ from .importance import (
 from .masking import (
     DISCREPANCY_MASKS,
     UpdateMask,
-    dare_mask_and_rescale,
+    dare_merge,
     merge,
     random_half_blocks,
     select_mask,
@@ -589,9 +589,7 @@ def _finetune(
                                                                 grads.flat)
 
     if cfg.method == "dare" and cfg.dare_drop_p != 0.0 and it > 0:
-        delta = weights.with_flat(weights.flat - pretrained.flat)
-        kept = dare_mask_and_rescale(delta, cfg.dare_drop_p, next(seeds))
-        np.add(pretrained.flat, kept.flat, out=weights.flat)
+        dare_merge(weights, pretrained, cfg.dare_drop_p, next(seeds), out=weights)
         model.version += 1
 
     if accumulator.initialized:

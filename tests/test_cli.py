@@ -561,8 +561,9 @@ def test_report_rejects_foreign_csv(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1 and "x.csv" in err
 
 
-def test_import_and_pid_never_load_scipy_special(workspace):
-    # nor do pretrain and eval, which take no sigmoid either
+def test_scipy_special_never_imported_and_sigmoid_loads_only_ufuncs(workspace):
+    # import, pid, pretrain and eval take no sigmoid; the first sigmoid loads
+    # the extension that defines expit, never the scipy.special package
     tmp, cfg = workspace
     pre = pretrained_checkpoint(workspace)
     grads = tmp / "g.ckpt"
@@ -576,12 +577,13 @@ def test_import_and_pid_never_load_scipy_special(workspace):
         "import json, sys\n"
         "import numpy as np\n"
         "import spiderft.cli\n"
-        "loaded = ['scipy.special' in sys.modules]\n"
+        "names = ('scipy.special', 'scipy.special._ufuncs')\n"
+        "loaded = [[n in sys.modules for n in names]]\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    assert spiderft.cli.main(argv) == 0, argv\n"
-        "    loaded.append('scipy.special' in sys.modules)\n"
+        "    loaded.append([n in sys.modules for n in names])\n"
         "spiderft.tensors.sigmoid_array(np.zeros(1))\n"
-        "loaded.append('scipy.special' in sys.modules)\n"
+        "loaded.append([n in sys.modules for n in names])\n"
         "print(json.dumps(loaded))\n"
     )
     proc = subprocess.run(
@@ -589,8 +591,8 @@ def test_import_and_pid_never_load_scipy_special(workspace):
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    # after the import and each command it is not loaded; the first sigmoid loads it
-    assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, False, True]
+    # scipy.special is never imported; _ufuncs is loaded by the sigmoid and only then
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[False, False]] * 4 + [[False, True]]
 
 
 def test_help_via_subprocess_exits_0():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spiderft.errors import AlignmentError, UninitializedError
+from spiderft.errors import AlignmentError, ConfigError, UninitializedError
 from spiderft.importance import (
     GradAccumulator,
     accumulate_gradient,
@@ -109,7 +109,7 @@ def test_accumulator_alignment_check():
 
 
 def test_accumulator_rejects_bad_beta():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         GradAccumulator.empty(tmap(w=[0.0]), beta=1.0)
 
 

@@ -5,12 +5,13 @@ import logging
 import numpy as np
 import pytest
 
-from spiderft.errors import AlignmentError
+from spiderft.errors import AlignmentError, ConfigError
 from spiderft.importance import generalization_importance
 from spiderft.masking import (
     UpdateMask,
     binary_mask,
     dare_mask_and_rescale,
+    dare_merge,
     merge,
     random_half_mask,
     rescale_mask,
@@ -219,7 +220,7 @@ def test_select_mask_arms_pick_half_of_each_tensor():
 
 def test_select_mask_rejects_unknown_variant():
     g, i = two_tensor_maps(63)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         select_mask("soft", g, i)
 
 
@@ -367,10 +368,28 @@ def test_dare_unbiased_over_many_seeds():
 
 
 def test_dare_rejects_bad_drop_probability():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         dare_mask_and_rescale(tmap(w=[1.0]), 1.0, rng_seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         dare_mask_and_rescale(tmap(w=[1.0]), -0.1, rng_seed=0)
+
+
+def test_dare_merge_adds_the_dropped_delta_to_pretrained():
+    rng = np.random.default_rng(12)
+    pretrained = tmap(a=rng.normal(size=40), b=rng.normal(size=(3, 5)))
+    current = pretrained.with_flat(pretrained.flat + rng.normal(size=pretrained.total_size))
+    before = current.flat.copy()
+    kept = dare_mask_and_rescale(current.with_flat(current.flat - pretrained.flat), 0.4, 13)
+    expected = (pretrained.flat + kept.flat).tobytes()
+    fresh = dare_merge(current, pretrained, 0.4, 13)
+    assert fresh.flat.tobytes() == expected and fresh.layout == current.layout
+    assert np.array_equal(current.flat, before)  # a fresh map leaves the inputs alone
+    assert dare_merge(current, pretrained, 0.4, 13, out=current) is current
+    assert current.flat.tobytes() == expected
+    with pytest.raises(AlignmentError):
+        dare_merge(tmap(w=[1.0]), tmap(v=[1.0]), 0.4, 13)
+    with pytest.raises(AlignmentError):
+        dare_merge(tmap(w=[1.0]), tmap(w=[1.0]), 0.4, 13, out=tmap(v=[1.0]))
 
 
 def test_masks_built_from_real_importance_pipeline():

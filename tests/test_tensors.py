@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spiderft.errors import AlignmentError, ZeroNormError
+from spiderft.errors import AlignmentError, ConfigError, ZeroNormError
 from spiderft.tensors import (
     FlatTensor,
     Layout,
@@ -272,5 +272,5 @@ def test_zscore_map_per_tensor_normalizes_each_alone():
 
 
 def test_zscore_map_unknown_scope():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         zscore_map(tmap(x=[1.0]), "per_layer")
