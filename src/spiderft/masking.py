@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .tensors import TensorMap, blockwise, scoped_arrays, selected_mean_array
+from .tensors import BLOCK, TensorMap, blockwise, scoped_arrays, selected_mean_array
 
 logger = logging.getLogger(__name__)
 
@@ -244,18 +244,12 @@ def dare_mask_and_rescale(delta: TensorMap, drop_p: float, rng_seed: int) -> Ten
     """Drop each delta entry with probability drop_p, rescale survivors.
 
     Survivors are multiplied by 1 / (1 - drop_p), keeping the expected
-    delta unchanged.  drop_p = 0 returns the delta untouched.
+    delta unchanged.  drop_p = 0 returns the delta untouched.  The result
+    is a fresh map.
     """
-    if not 0.0 <= drop_p < 1.0:
-        raise ConfigError(f"drop_p must be in [0, 1), got {drop_p}")
+    _require_drop_p(drop_p)
     kept = delta.copy()
-    if drop_p == 0.0:
-        return kept
-    rng = np.random.default_rng(rng_seed)
-    scale = 1.0 / (1.0 - drop_p)
-    for t in kept:  # one draw per tensor, in order
-        t.data *= rng.random(t.size) >= drop_p
-        t.data *= scale
+    _drop_and_rescale(kept, drop_p, rng_seed)
     return kept
 
 
@@ -266,14 +260,44 @@ def dare_merge(
     """w_pre + dare(w - w_pre): the delta from the pretrained weights through
     dare_mask_and_rescale, added back onto them.
 
-    The result goes to a fresh map, or into `out` (which may be `current`).
+    The result goes to a fresh map, or into `out` (which may be `current`);
+    the delta is dropped and rescaled there, in place, so with `out` only
+    block-sized scratch is allocated.
     """
+    _require_drop_p(drop_p)
     current.require_aligned(pretrained, "dare_merge")
     if out is None:
         out = current.with_flat(np.empty(current.total_size))
     else:
         current.require_aligned(out, "dare_merge")
-    delta = current.with_flat(current.flat - pretrained.flat)
-    kept = dare_mask_and_rescale(delta, drop_p, rng_seed)
-    np.add(pretrained.flat, kept.flat, out=out.flat)
+    np.subtract(current.flat, pretrained.flat, out=out.flat)
+    _drop_and_rescale(out, drop_p, rng_seed)
+    out.flat += pretrained.flat  # the sum is commutative: the bits of w_pre + kept
     return out
+
+
+def _require_drop_p(drop_p: float) -> None:
+    if not 0.0 <= drop_p < 1.0:
+        raise ConfigError(f"drop_p must be in [0, 1), got {drop_p}")
+
+
+def _drop_and_rescale(delta: TensorMap, drop_p: float, rng_seed: int) -> None:
+    """dare_mask_and_rescale in place on delta's buffer.
+
+    Each tensor's uniforms come from one generator, in order, a BLOCK at a
+    time: the generator yields the same doubles as one draw of the tensor's
+    size.  x * False is x * 0.0, so gating by the comparison gives the bits
+    of multiplying by the float mask.
+    """
+    if drop_p == 0.0:
+        return
+    rng = np.random.default_rng(rng_seed)
+    scale = 1.0 / (1.0 - drop_p)
+    size = min(delta.total_size, BLOCK)
+    uniforms, kept = np.empty(size), np.empty(size, dtype=bool)
+    for segment in delta.layout.split(delta.flat):
+        for lo in range(0, segment.size, BLOCK):
+            part = segment[lo : lo + BLOCK]
+            n = part.size
+            part *= np.greater_equal(rng.random(out=uniforms[:n]), drop_p, out=kept[:n])
+            part *= scale

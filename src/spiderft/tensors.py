@@ -90,19 +90,23 @@ class FlatTensor:
 @dataclass(frozen=True)
 class Layout:
     """Names and shapes of a map's tensors in buffer order; tensor k is the
-    segment bounds[k]:bounds[k + 1].  Equal when names and shapes are."""
+    segment bounds[k]:bounds[k + 1], slices[k].  Equal when names and shapes
+    are."""
 
     names: tuple[str, ...]
     shapes: tuple[tuple[int, ...], ...]
     bounds: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    slices: tuple[slice, ...] = field(init=False, repr=False, compare=False)
     index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index = {name: k for k, name in enumerate(self.names)}
         if len(index) != len(self.names):
             raise ValueError(f"duplicate tensor names in {self.names}")
+        bounds = (0, *accumulate(map(math.prod, self.shapes)))
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "bounds", (0, *accumulate(map(math.prod, self.shapes))))
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "slices", tuple(map(slice, bounds, bounds[1:])))
 
     @property
     def size(self) -> int:
@@ -110,7 +114,7 @@ class Layout:
 
     def split(self, flat: np.ndarray) -> list[np.ndarray]:
         """flat cut into the tensors' segments (views), in order."""
-        return [flat[lo:hi] for lo, hi in zip(self.bounds, self.bounds[1:])]
+        return [flat[s] for s in self.slices]
 
 
 @dataclass(eq=False)
@@ -137,9 +141,8 @@ class TensorMap:
         return cls(layout, flat)
 
     def _entry(self, k: int) -> FlatTensor:
-        b = self.layout.bounds
-        return FlatTensor._wrap(self.layout.names[k], self.layout.shapes[k],
-                                self.flat[b[k] : b[k + 1]])
+        layout = self.layout
+        return FlatTensor._wrap(layout.names[k], layout.shapes[k], self.flat[layout.slices[k]])
 
     def __len__(self) -> int:
         return len(self.layout.names)
@@ -337,7 +340,7 @@ def selected_mean_array(
     for lo in range(0, values.size, BLOCK):
         chosen = selected[lo : lo + BLOCK]
         end = count + np.count_nonzero(chosen)
-        np.compress(chosen, values[lo : lo + BLOCK], out=scratch[count:end])
+        values[lo : lo + BLOCK].compress(chosen, out=scratch[count:end])
         count = end
     nz = scratch[:count]
     if nz.size == 0:

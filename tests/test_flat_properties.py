@@ -5,6 +5,8 @@ numeric functions work on that buffer at once.  On random segment tables
 each result must equal, bit for bit, plain numpy arithmetic applied segment
 by segment (or to the whole vector where the scope is global), and no
 function may write into its inputs unless it is handed them as ``out``.
+The model step's GEMMs (ndarray.dot) must give the bits of ``@`` and
+np.matmul on every layer count, width, batch size and trainable tail.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import logging
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import expit
@@ -49,6 +51,7 @@ from spiderft.tensors import (
     zscore_array,
     zscore_map,
 )
+from spiderft.trainer import backward, batches_of, build_model, forward, set_trainable_tail
 
 SETTINGS = settings(max_examples=60, deadline=None)
 SCOPES = st.sampled_from(["per_tensor", "global"])
@@ -482,3 +485,69 @@ def test_in_place_forms_give_the_fresh_forms_bytes(case, scope):
     finally:
         logger.removeHandler(handler)
     assert snapshot(g, i) == [g_flat.tobytes(), i_flat.tobytes()]
+
+
+# -- the model step: ndarray.dot against @ and np.matmul ----------------------
+
+
+def matmul_step(model, batch) -> tuple[float, np.ndarray, np.ndarray]:
+    """forward's loss and probs and backward's trainable gradient, with the
+    step's arithmetic written around ``@`` and np.matmul."""
+    views = model.params.views
+    layers = list(zip(views[0::2], views[1::2]))
+    a, layer_inputs = batch.inputs, []
+    for k, (w, b) in enumerate(layers):
+        layer_inputs.append(a)
+        a = a @ w.T + b
+        if k < len(layers) - 1:
+            a = np.tanh(a)
+    shifted = a - np.maximum.reduce(a, axis=1, keepdims=True)
+    lse = np.log(np.add.reduce(np.exp(shifted), axis=1))
+    index, onehot = batch.targets(model.class_count)
+    loss = float(np.add.reduce(lse - shifted.take(index)) / len(batch))
+    probs = np.exp(shifted - lse[:, None])
+    dz = (probs - onehot) / len(batch)
+    grads, lowest = [], model.lowest_trainable
+    for k in range(len(layers) - 1, lowest - 1, -1):
+        w, a_in = layers[k][0], layer_inputs[k]
+        grads[:0] = [np.matmul(dz.T, a_in).reshape(-1), np.add.reduce(dz, axis=0)]
+        if k > lowest:
+            dz = (dz @ w) * (1.0 - a_in**2)
+    return loss, probs, np.concatenate(grads)
+
+
+@st.composite
+def step_cases(draw):
+    """Layer widths (2-4 layers), a trainable tail, a batch size, a row count
+    whose last batch may be short, and a seed."""
+    widths = tuple(draw(st.lists(st.integers(1, 40), min_size=3, max_size=5)))
+    tail = draw(st.integers(1, len(widths) - 1))
+    batch_size = draw(st.integers(1, 20))
+    rows = draw(st.integers(1, 3 * batch_size))
+    return widths, tail, batch_size, rows, draw(st.integers(0, 2**32 - 1))
+
+
+@SETTINGS
+@given(step_cases())
+@example(((16, 1024, 1024, 3), 3, 16, 40, 0))  # BLAS's blocked kernels at the wide size
+def test_step_gemms_give_the_bits_of_matmul(case):
+    widths, tail, batch_size, rows, seed = case
+    model = build_model(widths, seed)
+    set_trainable_tail(model, tail)
+    rng = np.random.default_rng(seed)
+    inputs = rng.normal(size=(rows, widths[0]))
+    labels = rng.integers(0, widths[-1], size=rows)
+    size = model.tensor_map(trainable_only=True).total_size
+    for batch in batches_of(inputs, labels, batch_size):
+        loss, probs, grad = matmul_step(model, batch)
+        got_loss, cache = forward(model, batch)
+        out = model.tensor_map(trainable_only=True).with_flat(held(size))
+        backward(model, cache, out=out)
+        assert got_loss == loss
+        # dot takes a (1, 1) by (1, 1) product as one multiply, which keeps
+        # the sign of a zero product; matmul adds it onto +0.0
+        scalar_gemm = len(batch) == 1 and any(d == e == 1 for d, e in zip(widths, widths[1:]))
+        for got, expected in ((cache.probs, probs), (out.flat, grad)):
+            if scalar_gemm:
+                got, expected = got + 0.0, expected + 0.0  # -0.0 + 0.0 is 0.0
+            assert got.tobytes() == expected.tobytes()

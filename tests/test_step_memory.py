@@ -8,7 +8,8 @@ buffers once: one gradient, and for a comparison mask one map that holds the
 scores and then the mask, and one selection.  Every step writes into them,
 so a whole comparison-masked run holds its accumulator, its fixed scores and
 those buffers.  half_ft zeroes the gradient of the tensors it leaves out in
-place, without a mask buffer.  tracemalloc sees numpy's data buffers, so its
+place, without a mask buffer, and the DARE merge drops and rescales the
+delta in its output map.  tracemalloc sees numpy's data buffers, so its
 peak bounds every temporary a stage makes.
 """
 
@@ -22,7 +23,7 @@ import pytest
 from spiderft import trainer
 from spiderft.benchmark import default_target, generate_task
 from spiderft.importance import GradAccumulator, accumulate_gradient
-from spiderft.masking import UpdateMask, merge
+from spiderft.masking import UpdateMask, dare_merge, merge
 from spiderft.tensors import BLOCK, Layout, TensorMap
 from spiderft.trainer import (
     TrainConfig,
@@ -79,6 +80,25 @@ def test_initialized_fold_allocates_less_than_one_buffer():
     expected = state.acc.flat * 0.9 + np.abs(g.flat) * (1.0 - 0.9)
     assert traced_peak(lambda: accumulate_gradient(state, g)) < BUFFER_BYTES
     assert state.acc.flat.tobytes() == expected.tobytes()
+
+
+def test_dare_merge_drops_the_delta_in_place():
+    # 2^20 entries in two tensors, neither a whole number of blocks
+    layout = Layout(("layer1.weight", "layer1.bias"), ((1024, 1023), (1024,)))
+    assert layout.size == 2**20
+    buffer_bytes = 8 * layout.size
+    rng = np.random.default_rng(7)
+    w = TensorMap.over(layout, rng.normal(size=layout.size))
+    pre = TensorMap.over(layout, rng.normal(size=layout.size))
+    draws = np.random.default_rng(11)
+    expected = np.concatenate([p + (c - p) * (draws.random(p.size) >= 0.3) * (1.0 / (1.0 - 0.3))
+                               for c, p in zip(layout.split(w.flat), layout.split(pre.flat))])
+
+    fresh = []
+    assert traced_peak(lambda: fresh.append(dare_merge(w, pre, 0.3, 11))) <= 1.1 * buffer_bytes
+    assert fresh[0].flat.tobytes() == expected.tobytes()
+    assert traced_peak(lambda: dare_merge(w, pre, 0.3, 11, out=w)) < 0.1 * buffer_bytes
+    assert w.flat.tobytes() == expected.tobytes()
 
 
 def test_sgd_step_allocates_less_than_one_buffer():
