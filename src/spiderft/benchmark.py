@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError
 from .tensors import TensorMap
-from .trainer import (  # METHOD_CHOICES: re-exported for the CLI
+from .trainer import (  # METHOD_CHOICES: re-exported only for the frozen tests/test_golden.py
     METHOD_CHOICES,
     SPIDER_METHODS,
     ZERO_SHOT,
@@ -160,10 +160,8 @@ def generate_task(spec: TaskSpec, n: int = DEFAULT_SAMPLES) -> TaskData:
     )
 
 
-def _base_means(class_count: int = DEFAULT_CLASS_COUNT, input_dim: int = DEFAULT_INPUT_DIM):
-    if class_count != len(_BASE_ANGLES_DEG):
-        raise ConfigError("default layout is defined for 3 classes")
-    means = np.zeros((class_count, input_dim))
+def _base_means():
+    means = np.zeros((DEFAULT_CLASS_COUNT, DEFAULT_INPUT_DIM))
     for c, deg in enumerate(_BASE_ANGLES_DEG):
         theta = math.radians(deg)
         means[c, 0] = _BASE_RADIUS * math.cos(theta)
@@ -257,11 +255,15 @@ def pretrain(
     return model, weights.copy()
 
 
-def heldout_accuracy(model: ToyModel, data: TaskData) -> float:
-    """Accuracy on a generated task's held-out split.  Read-only on the model."""
+def _require_test_split(data: TaskData) -> TaskData:
     if data.test_inputs.shape[0] == 0:
         raise ConfigError(f"{data.spec.task_id}: empty test split")
-    spec = data.spec
+    return data
+
+
+def heldout_accuracy(model: ToyModel, data: TaskData) -> float:
+    """Accuracy on a generated task's held-out split.  Read-only on the model."""
+    spec = _require_test_split(data).spec
     if (spec.input_dim, spec.class_count) != (model.input_dim, model.class_count):
         raise DimensionError(
             f"{spec.task_id}: task has input_dim {spec.input_dim} and class_count "
@@ -356,9 +358,9 @@ def finetune_cell(
     cfg: TrainConfig,
 ) -> tuple[ToyModel, RunLog]:
     """Fine-tune a copy of base_model by cfg.method, with its last
-    cfg.trainable_layer_count layers trainable."""
+    cfg.trainable_layers layers trainable."""
     model = base_model.copy()
-    set_trainable_tail(model, cfg.trainable_layer_count)
+    set_trainable_tail(model, cfg.trainable_layers)
     pretrained = model.tensor_map(trainable_only=True).copy()
     data = batches_of(train_inputs, train_labels, cfg.batch_size)
     return finetune_with_method(model, pretrained, data, cfg)
@@ -386,8 +388,9 @@ def run_experiment(
     method_cfgs = [replace(cfg, method=method) for method in methods]
 
     target_data = generate_task(target, n_per_task)
-    suite_eval = [generate_task(s, n_eval) for s in suite]
-    target_eval = generate_task(target, n_eval)
+    # the held-out splits are checked before anything is pretrained too
+    suite_eval = [_require_test_split(generate_task(s, n_eval)) for s in suite]
+    target_eval = _require_test_split(generate_task(target, n_eval))
     by_cell: dict[tuple[str, int], MetricsReport] = {}
     for seed in seeds:
         base_model, _ = pretrain(

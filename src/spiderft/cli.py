@@ -19,7 +19,6 @@ from pathlib import Path
 from .benchmark import (
     CSV_HEADER,
     DEFAULT_SAMPLES,
-    METHOD_CHOICES,
     build_report,
     evaluate,
     finetune_cell,
@@ -33,7 +32,7 @@ from .errors import AlignmentError, ConfigError, FormatError, SpiderftError
 from .importance import GradAccumulator, generalization_importance, pid, pid_per_tensor, specialization_importance
 from .masking import DISCREPANCY_MASKS, dare_merge, merge, select_mask
 from .tensors import NORMALIZATION_SCOPES, TensorMap
-from .trainer import RunLog, ToyModel
+from .trainer import METHOD_CHOICES, RunLog, ToyModel
 
 MERGE_STRATEGIES = DISCREPANCY_MASKS + ("dare",)
 

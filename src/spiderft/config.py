@@ -22,8 +22,6 @@ from .benchmark import TaskSpec, default_suite, default_target, require_distinct
 from .errors import ConfigError
 from .trainer import TrainConfig
 
-# the one field whose JSON key differs from its name
-_JSON_KEY = {"trainable_layer_count": "trainable_layers"}
 # the field no key sets: `seeds` replaces `seed`
 _NOT_IN_JSON = ("seed",)
 
@@ -67,10 +65,9 @@ _CHECKS = {int: _require_int, float: _require_number, str: _require_string,
 
 
 def _schema(cls) -> tuple:
-    """(JSON key, field, check) for each field of dataclass `cls` a config sets."""
+    """(field, check) for each field of dataclass `cls` a config sets, by name."""
     hints = get_type_hints(cls)
-    return tuple((_JSON_KEY.get(f.name, f.name), f, _CHECKS[hints[f.name]])
-                 for f in fields(cls) if f.name not in _NOT_IN_JSON)
+    return tuple((f, _CHECKS[hints[f.name]]) for f in fields(cls) if f.name not in _NOT_IN_JSON)
 
 
 _TRAIN_SCHEMA = _schema(TrainConfig)
@@ -83,19 +80,19 @@ def _read(schema: tuple, obj: dict, where: str, own_keys: tuple = ()) -> dict:
     Keys in own_keys are the caller's to read; a field without a default
     is a required key.
     """
-    unknown = set(obj) - {key for key, _, _ in schema} - set(own_keys)
+    unknown = set(obj) - {f.name for f, _ in schema} - set(own_keys)
     if unknown:
         raise ConfigError(f"{where}unknown keys {sorted(unknown)}")
-    missing = [key for key, f, _ in schema if key not in obj
+    missing = [f.name for f, _ in schema if f.name not in obj
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ConfigError(f"{where}missing keys {sorted(missing)}")
-    return {f.name: check(obj[key], where + key) for key, f, check in schema if key in obj}
+    return {f.name: check(obj[f.name], where + f.name) for f, check in schema if f.name in obj}
 
 
 def _write(schema: tuple, value) -> dict:
     """The flat JSON object that _read turns back into `value`'s fields."""
-    out = {key: getattr(value, f.name) for key, f, _ in schema}
+    out = {f.name: getattr(value, f.name) for f, _ in schema}
     return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in out.items()}
 
 

@@ -53,19 +53,6 @@ class UpdateMask:
         return int(np.count_nonzero(chosen)) / total
 
 
-def _mask_buffers(
-    g: TensorMap, out: TensorMap | None, selection: np.ndarray | None, op: str
-) -> tuple[TensorMap, np.ndarray]:
-    """A comparison mask's value map and selection: the given ones, or new."""
-    if out is None:
-        out = g.with_flat(np.empty(g.total_size))
-    else:
-        g.require_aligned(out, op)
-    if selection is None:
-        selection = np.empty(g.total_size, dtype=bool)
-    return out, selection
-
-
 def binary_mask(
     g: TensorMap, i: TensorMap, *,
     out: TensorMap | None = None, selection: np.ndarray | None = None,
@@ -77,7 +64,8 @@ def binary_mask(
     given.
     """
     g.require_aligned(i, "binary_mask")
-    out, selection = _mask_buffers(g, out, selection, "binary_mask")
+    out = g.result(out, "binary_mask")
+    selection = np.empty(g.total_size, dtype=bool) if selection is None else selection
     np.greater(g.flat, i.flat, out=selection)
     np.copyto(out.flat, selection)
     return UpdateMask(out, False, selection)
@@ -92,7 +80,8 @@ def weighted_mask(
     The buffers are binary_mask's.
     """
     g.require_aligned(i, "weighted_mask")
-    out, selection = _mask_buffers(g, out, selection, "weighted_mask")
+    out = g.result(out, "weighted_mask")
+    selection = np.empty(g.total_size, dtype=bool) if selection is None else selection
     blockwise(_weighted_kernel, out.flat, selection, g.flat, i.flat)
     return UpdateMask(out, False, selection)
 
@@ -121,10 +110,7 @@ def rescale_mask(
     A comparison mask's selection names its nonzero entries, and the
     result keeps it.
     """
-    if out is None:
-        out = m.mask.with_flat(np.empty(m.mask.total_size))
-    else:
-        m.mask.require_aligned(out, "rescale_mask")
+    out = m.mask.result(out, "rescale_mask")
     selection = m.mask.flat != 0.0 if m.selection is None else m.selection
 
     any_selected = False
@@ -152,10 +138,7 @@ def merge(
     """
     current.require_aligned(pretrained, "merge")
     current.require_aligned(m.mask, "merge")
-    if out is None:
-        out = current.with_flat(np.empty(current.total_size))
-    else:
-        current.require_aligned(out, "merge")
+    out = current.result(out, "merge")
     blockwise(_merge_kernel, out.flat, current.flat, pretrained.flat, m.mask.flat)
     return out
 
@@ -249,7 +232,7 @@ def dare_mask_and_rescale(delta: TensorMap, drop_p: float, rng_seed: int) -> Ten
     """
     _require_drop_p(drop_p)
     kept = delta.copy()
-    _drop_and_rescale(kept, drop_p, rng_seed)
+    _drop_and_rescale(kept.flat, drop_p, rng_seed)
     return kept
 
 
@@ -266,12 +249,9 @@ def dare_merge(
     """
     _require_drop_p(drop_p)
     current.require_aligned(pretrained, "dare_merge")
-    if out is None:
-        out = current.with_flat(np.empty(current.total_size))
-    else:
-        current.require_aligned(out, "dare_merge")
+    out = current.result(out, "dare_merge")
     np.subtract(current.flat, pretrained.flat, out=out.flat)
-    _drop_and_rescale(out, drop_p, rng_seed)
+    _drop_and_rescale(out.flat, drop_p, rng_seed)
     out.flat += pretrained.flat  # the sum is commutative: the bits of w_pre + kept
     return out
 
@@ -281,23 +261,22 @@ def _require_drop_p(drop_p: float) -> None:
         raise ConfigError(f"drop_p must be in [0, 1), got {drop_p}")
 
 
-def _drop_and_rescale(delta: TensorMap, drop_p: float, rng_seed: int) -> None:
-    """dare_mask_and_rescale in place on delta's buffer.
+def _drop_and_rescale(delta: np.ndarray, drop_p: float, rng_seed: int) -> None:
+    """dare_mask_and_rescale in place on a delta map's buffer.
 
-    Each tensor's uniforms come from one generator, in order, a BLOCK at a
-    time: the generator yields the same doubles as one draw of the tensor's
-    size.  x * False is x * 0.0, so gating by the comparison gives the bits
-    of multiplying by the float mask.
+    One generator feeds every tensor in buffer order, a BLOCK at a time:
+    it yields the same doubles as one draw per tensor.  x * False is
+    x * 0.0, so gating by the comparison gives the bits of multiplying by
+    the float mask.
     """
     if drop_p == 0.0:
         return
     rng = np.random.default_rng(rng_seed)
     scale = 1.0 / (1.0 - drop_p)
-    size = min(delta.total_size, BLOCK)
+    size = min(delta.size, BLOCK)
     uniforms, kept = np.empty(size), np.empty(size, dtype=bool)
-    for segment in delta.layout.split(delta.flat):
-        for lo in range(0, segment.size, BLOCK):
-            part = segment[lo : lo + BLOCK]
-            n = part.size
-            part *= np.greater_equal(rng.random(out=uniforms[:n]), drop_p, out=kept[:n])
-            part *= scale
+    for lo in range(0, delta.size, BLOCK):
+        part = delta[lo : lo + BLOCK]
+        n = part.size
+        part *= np.greater_equal(rng.random(out=uniforms[:n]), drop_p, out=kept[:n])
+        part *= scale

@@ -9,7 +9,7 @@ buffer (``flat``).  ``from_tensors`` copies into a new buffer; ``over`` and
 segment, made on access.  Elementwise work runs as one numpy op over the
 whole buffer, and statistics are taken per tensor on the layout's segments
 or over the whole buffer (the normalization scope).  Transforms are pure
-unless they take an ``out`` argument.
+unless given an ``out`` map of their input's layout (TensorMap.result).
 """
 
 from __future__ import annotations
@@ -61,11 +61,9 @@ class FlatTensor:
             raise ValueError(f"tensor {self.name!r}: non-finite entries")
 
     @classmethod
-    def of(cls, name: str, values, shape: tuple[int, ...] | None = None) -> "FlatTensor":
+    def of(cls, name: str, values) -> "FlatTensor":
         arr = np.asarray(values, dtype=np.float64)
-        if shape is None:
-            shape = arr.shape if arr.ndim > 0 else (1,)
-        return cls(name, tuple(shape), arr.reshape(-1))
+        return cls(name, arr.shape if arr.ndim > 0 else (1,), arr.reshape(-1))
 
     @property
     def size(self) -> int:
@@ -177,6 +175,14 @@ class TensorMap:
             raise AlignmentError(
                 f"{op}: tensor maps are not aligned ({self.layout} vs {other.layout})"
             )
+
+    def result(self, out: "TensorMap | None", op: str) -> "TensorMap":
+        """Where transform `op` writes its result: `out`, which must share
+        this map's layout, or a map over a fresh buffer."""
+        if out is None:
+            return self.with_flat(np.empty(self.total_size))
+        self.require_aligned(out, op)
+        return out
 
     def with_flat(self, flat: np.ndarray) -> "TensorMap":
         """Same layout, over the given buffer."""
@@ -395,10 +401,7 @@ def zscore_map(
     squared deviations go into `scratch`, an array of the map's length, when
     given (see zscore_array).
     """
-    if out is None:
-        out = tm.with_flat(np.empty(tm.total_size))
-    else:
-        tm.require_aligned(out, "zscore_map")
+    out = tm.result(out, "zscore_map")
     for values, dest, spare in scoped_arrays(scope, tm.layout, tm.flat, out.flat, scratch):
         zscore_array(values, dest, scratch=spare)
     return out

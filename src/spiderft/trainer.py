@@ -39,8 +39,8 @@ trainable-sized array, except for the temporaries that fix the bits of the
 select_random and select_gradient masks (rng.choice, a stable argsort) and
 of l2_reg's and l1_graft's drift.  backward writes the gradient into one
 held map.  The SGD step consumes it (it holds the step afterwards), so the
-mask chain and then the pid trace (|w_pre|, whose norm is taken once
-per run) use it as scratch.  A comparison mask is built in one more held
+mask chain and then the pid trace (|w_pre|, its norm taken once before
+the loop) use it as scratch.  A comparison mask is built in one more held
 map, which takes the specialization scores and then the mask in place, and
 one held selection.  The accumulator fold, the weighted mask and the merge
 run in cache-sized blocks through one small scratch (``tensors.blockwise``).
@@ -314,11 +314,8 @@ def backward(model: ToyModel, cache: ForwardCache, out: TensorMap | None = None)
     into `out` (laid out as the trainable tail) when given."""
     if cache.model is not model or cache.version != model.version:
         raise StaleCacheError("cache does not match the model's current weights")
-    tail, lowest = model.tensor_map(trainable_only=True), model.lowest_trainable
-    if out is None:
-        out = tail.with_flat(np.empty(tail.total_size))
-    else:
-        tail.require_aligned(out, "backward")
+    lowest = model.lowest_trainable
+    out = model.tensor_map(trainable_only=True).result(out, "backward")
 
     # p - 0.0 is p, so this is the old copy-then-subtract-one, bit for bit
     dz = np.subtract(cache.probs, cache.batch.targets(model.class_count)[1])
@@ -368,7 +365,7 @@ class TrainConfig:
     dare_drop_p: float = 0.5
     beta: float = 0.9
     seed: int = 0
-    trainable_layer_count: int = 2
+    trainable_layers: int = 2
     normalization_scope: str = "per_tensor"
 
     def __post_init__(self):
@@ -384,8 +381,8 @@ class TrainConfig:
             raise ConfigError("dare_drop_p must be in [0, 1)")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.trainable_layer_count < 1:
-            raise ConfigError("trainable_layer_count must be >= 1")
+        if self.trainable_layers < 1:
+            raise ConfigError("trainable_layers must be >= 1")
         if self.normalization_scope not in NORMALIZATION_SCOPES:
             raise ConfigError(f"unknown normalization_scope {self.normalization_scope!r}")
         if self.method not in METHOD_CHOICES:
@@ -450,10 +447,10 @@ def _require_finite(it: int, what: str, tm: TensorMap) -> None:
 
 
 def _loss_and_gradient(
-    model: ToyModel, batch: Batch, it: int, out: TensorMap | None = None
+    model: ToyModel, batch: Batch, it: int, out: TensorMap
 ) -> tuple[float, TensorMap]:
     """Loss and gradients of one batch, both checked finite; the gradients
-    go into `out` when given (see backward)."""
+    go into `out` (see backward)."""
     loss, cache = forward(model, batch)
     if not math.isfinite(loss):
         raise DivergenceError(f"training diverged at iteration {it}: loss is {loss}")
@@ -540,12 +537,12 @@ def _finetune(
     log = RunLog(cfg.method, persistent_aux_maps=2 + (fixed is not None))
     # one word per iteration, then the post-run drop's
     seeds = _iteration_seeds(cfg.seed, cfg.epochs * len(data) + 1)
-    w_norm = None  # ||w_pre||, fixed for the run
 
     # the step's work buffers, allocated once per run; no step reads what an
     # earlier one left in them: the gradient, and for a comparison mask the
     # scores, which become the mask in place, and the mask's selection
     grads = weights.with_flat(np.empty(weights.total_size))
+    w_norm = norm(np.abs(pretrained.flat, out=grads.flat))  # ||w_pre||, fixed for the run
     if variant in DISCREPANCY_MASKS:
         scores = weights.with_flat(np.empty(weights.total_size))
         selection = np.empty(weights.total_size, dtype=bool)
@@ -578,11 +575,8 @@ def _finetune(
 
             log.losses.append(loss)
             # pid(pretrained, acc), with |w_pre| in the spent gradient buffer
-            # (the accumulator is its own magnitude); the snapshot's norm is
-            # taken at the first step, where pid() would first reject a zero one
+            # (the accumulator is its own magnitude); a zero norm raises here
             w_mag = np.abs(pretrained.flat, out=grads.flat)
-            if w_norm is None:
-                w_norm = norm(w_mag)
             log.pid.append(pid_of_magnitudes(w_mag, w_norm, accumulator.acc.flat))
             it += 1
 

@@ -10,7 +10,6 @@ from spiderft import benchmark
 from spiderft.benchmark import (
     CSV_HEADER,
     DEFAULT_SAMPLES,
-    METHOD_CHOICES,
     MetricsReport,
     TaskSpec,
     build_report,
@@ -28,7 +27,7 @@ from spiderft.benchmark import (
     source_average,
 )
 from spiderft.errors import ConfigError, DimensionError, DomainError
-from spiderft.trainer import RunLog, TrainConfig, build_model
+from spiderft.trainer import METHOD_CHOICES, RunLog, TrainConfig, build_model
 
 from helpers import mapped
 
@@ -331,6 +330,18 @@ def test_run_experiment_rejects_repeated_seeds_before_pretraining(monkeypatch):
         run_experiment(default_suite(), default_target(), ["full_ft"], TrainConfig(epochs=1),
                        [3, 0, 3])
     assert pretrained == []
+
+
+def test_an_empty_heldout_split_is_rejected_before_pretraining(monkeypatch):
+    # 4 samples put none at the stride's fifth place, so no test split
+    pretrained = []
+    monkeypatch.setattr(benchmark, "pretrain", lambda *args, **kwargs: pretrained.append(args))
+    with pytest.raises(ConfigError, match="src_rot000: empty test split"):
+        run_experiment(default_suite(), default_target(), ["full_ft"], TrainConfig(), [0],
+                       n_eval=4)
+    assert pretrained == []
+    with pytest.raises(ConfigError, match="target_rot120: empty test split"):
+        evaluate(build_model([8, 3], seed=0), default_target(), 4)
 
 
 def test_run_experiment_rejects_a_target_the_head_does_not_fit():

@@ -13,12 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spiderft.benchmark import METHOD_CHOICES
 from spiderft.checkpoint import load_checkpoint, save_checkpoint
 from spiderft.cli import MERGE_STRATEGIES, main
 from spiderft.config import ExperimentConfig, config_to_dict
 from spiderft.tensors import NORMALIZATION_SCOPES, FlatTensor, TensorMap
-from spiderft.trainer import TrainConfig, build_model, set_trainable_tail
+from spiderft.trainer import METHOD_CHOICES, TrainConfig, build_model, set_trainable_tail
 
 from helpers import mapped, tmap
 

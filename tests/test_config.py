@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spiderft import benchmark
-from spiderft.benchmark import METHOD_CHOICES, TaskSpec, default_suite, default_target
+from spiderft.benchmark import TaskSpec, default_suite, default_target
 from spiderft.config import (
-    _JSON_KEY,
     _NOT_IN_JSON,
     ExperimentConfig,
     config_from_dict,
@@ -22,7 +21,7 @@ from spiderft.config import (
 )
 from spiderft.errors import ConfigError
 from spiderft.tensors import NORMALIZATION_SCOPES
-from spiderft.trainer import TrainConfig
+from spiderft.trainer import METHOD_CHOICES, TrainConfig
 
 CONFIG_KEYS = {
     "method", "seeds", "epochs", "batch_size", "learning_rate", "trainable_layers", "beta",
@@ -41,7 +40,7 @@ def test_defaults():
     assert cfg.train.epochs == 5
     assert cfg.train.batch_size == 16
     assert cfg.train.learning_rate == 0.12
-    assert cfg.train.trainable_layer_count == 2
+    assert cfg.train.trainable_layers == 2
     assert cfg.train.beta == 0.9
     assert cfg.train.normalization_scope == "per_tensor"
     assert cfg.train.dare_drop_p == 0.5
@@ -87,6 +86,8 @@ def test_scalar_seed_normalizes_to_list():
         config_from_dict({"seeds": []})
     with pytest.raises(ConfigError):
         config_from_dict({"seeds": ["a"]})
+    with pytest.raises(ConfigError, match="seeds must be non-empty"):
+        ExperimentConfig(seeds=[])
 
 
 def test_method_and_scope_validation(monkeypatch):
@@ -221,8 +222,10 @@ def test_to_train_config_keeps_the_method_name():
 def test_train_config_checks_scope_and_depth():
     with pytest.raises(ConfigError, match="normalization_scope"):
         TrainConfig(normalization_scope="per_layer")
-    with pytest.raises(ConfigError, match="trainable_layer_count"):
-        TrainConfig(trainable_layer_count=0)
+    with pytest.raises(ConfigError, match="trainable_layers"):
+        TrainConfig(trainable_layers=0)
+    with pytest.raises(TypeError, match="trainable_layer_count"):  # one name: the JSON key
+        TrainConfig(trainable_layer_count=2)
 
 
 def test_repeated_task_ids_are_rejected_when_read():
@@ -258,7 +261,7 @@ def test_every_train_config_field_is_a_json_key_or_not_in_json():
     # a stale _NOT_IN_JSON entry, for a field that is gone, would be ignored silently
     names = {f.name for f in fields(TrainConfig)}
     assert set(_NOT_IN_JSON) <= names
-    assert {_JSON_KEY.get(n, n) for n in names - set(_NOT_IN_JSON)} == (
+    assert names - set(_NOT_IN_JSON) == (
         CONFIG_KEYS - {"seeds", "suite", "target"})
 
 
@@ -342,7 +345,7 @@ def experiment_configs(draw):
         l1_lambda=draw(finite),
         dare_drop_p=draw(st.floats(0.0, 1.0, exclude_max=True)),
         beta=draw(st.floats(0.0, 1.0, exclude_max=True)),
-        trainable_layer_count=draw(st.integers(1, 8)),
+        trainable_layers=draw(st.integers(1, 8)),
         normalization_scope=draw(st.sampled_from(NORMALIZATION_SCOPES)),
     )
     return ExperimentConfig(

@@ -171,6 +171,7 @@ def test_rescale_only_clamps_from_above():
 def test_mask_density():
     mask = UpdateMask(tmap(w=[0.0, 1.0, 0.5, 0.0]))
     assert mask.density == 0.5
+    assert UpdateMask(tmap()).density == 0.0  # no entries: no division by zero
 
 
 # ---------------------------------------------------------------------------

@@ -371,6 +371,8 @@ def test_model_dimension_mismatch_rejected():
     b1 = FlatTensor.of("layer1.bias", np.zeros(2))
     with pytest.raises(DimensionError):
         ToyModel([w0, b0, w1, b1])
+    with pytest.raises(DimensionError, match="at least input and output dims"):
+        build_model([8], seed=0)
 
 
 def test_model_round_trip_through_tensor_map():
