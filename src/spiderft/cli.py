@@ -6,6 +6,9 @@ failed checksums, misaligned tensors, invalid configs).
 
 All randomness comes from config seeds, so every invocation is
 reproducible bit for bit.
+
+A process runs one subcommand, so each subcommand imports the modules it
+runs; the module itself imports only what the parser needs.
 """
 
 from __future__ import annotations
@@ -16,23 +19,10 @@ import math
 import sys
 from pathlib import Path
 
-from .benchmark import (
-    CSV_HEADER,
-    DEFAULT_SAMPLES,
-    build_report,
-    evaluate,
-    finetune_cell,
-    generate_task,
-    metrics_csv,
-    pretrain,
-)
-from .checkpoint import load_checkpoint, save_checkpoint
-from .config import load_config
 from .errors import AlignmentError, ConfigError, FormatError, SpiderftError
-from .importance import GradAccumulator, generalization_importance, pid, pid_per_tensor, specialization_importance
-from .masking import DISCREPANCY_MASKS, dare_merge, merge, select_mask
+from .masking import DISCREPANCY_MASKS
 from .tensors import NORMALIZATION_SCOPES, TensorMap
-from .trainer import METHOD_CHOICES, RunLog, ToyModel
+from .trainer import METHOD_CHOICES
 
 MERGE_STRATEGIES = DISCREPANCY_MASKS + ("dare",)
 
@@ -77,6 +67,10 @@ def _one_line(message: str) -> str:
 
 
 def _cmd_pretrain(args) -> int:
+    from .benchmark import evaluate, pretrain
+    from .checkpoint import save_checkpoint
+    from .config import load_config
+
     cfg = load_config(args.config)
     model, snapshot = pretrain(cfg.suite, cfg.to_train_config())
     save_checkpoint(snapshot, args.out)
@@ -87,6 +81,11 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_finetune(args) -> int:
+    from .benchmark import DEFAULT_SAMPLES, finetune_cell, generate_task
+    from .checkpoint import load_checkpoint, save_checkpoint
+    from .config import load_config
+    from .trainer import ToyModel
+
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seeds[0]
     tcfg = cfg.to_train_config(seed=seed, method=args.method)
@@ -94,19 +93,21 @@ def _cmd_finetune(args) -> int:
     model = ToyModel(load_checkpoint(args.pretrained))
     target = generate_task(cfg.target, DEFAULT_SAMPLES)
     model, log = finetune_cell(model, target.train_inputs, target.train_labels, tcfg)
+    # checked before any write, so that the failed command leaves no files
+    if args.grad_dump and log.final_accumulator is None:
+        raise ConfigError("no gradient trace to dump (no training iterations ran)")
     save_checkpoint(model.tensor_map(), args.out)
 
     if args.log:
         _write_run_log(log, args.log)
     if args.grad_dump:
-        if log.final_accumulator is None:
-            raise ConfigError("no gradient trace to dump (no training iterations ran)")
         save_checkpoint(log.final_accumulator, args.grad_dump)
     print(f"finetuned method={tcfg.method} seed={seed} steps={len(log.losses)} -> {args.out}")
     return 0
 
 
-def _write_run_log(log: RunLog, path: str) -> None:
+def _write_run_log(log, path: str) -> None:
+    """Write a trainer.RunLog's per-iteration trace as CSV."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("iteration", "loss", "mask_density", "pid"))
@@ -129,6 +130,10 @@ def _gradient_domain(full: TensorMap, grads: TensorMap, op: str) -> TensorMap:
 
 
 def _cmd_merge(args) -> int:
+    from .checkpoint import load_checkpoint, save_checkpoint
+    from .importance import GradAccumulator, generalization_importance, specialization_importance
+    from .masking import dare_merge, merge, select_mask
+
     pretrained = load_checkpoint(args.pretrained)
     finetuned = load_checkpoint(args.finetuned)
     finetuned.require_aligned(pretrained, "merge")
@@ -160,6 +165,11 @@ def _cmd_merge(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .benchmark import build_report, evaluate, metrics_csv
+    from .checkpoint import load_checkpoint
+    from .config import load_config
+    from .trainer import RunLog, ToyModel
+
     # checked before any work, so that a bad path prints no metrics
     if args.out and not (out_dir := Path(args.out).parent).is_dir():
         raise FileNotFoundError(f"--out: no directory {str(out_dir)!r}")
@@ -185,6 +195,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_pid(args) -> int:
+    from .checkpoint import load_checkpoint
+    from .importance import pid, pid_per_tensor
+
     grads = load_checkpoint(args.grads)
     pretrained = _gradient_domain(load_checkpoint(args.pretrained), grads, "pid")
     if args.per_tensor:
@@ -197,6 +210,8 @@ def _cmd_pid(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .benchmark import CSV_HEADER
+
     logs = sorted(Path(args.logs).glob("*.csv"))
     if not logs:
         raise ConfigError(f"no .csv files under {args.logs}")

@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from importlib.machinery import EXTENSION_SUFFIXES
-from importlib.util import module_from_spec, spec_from_file_location
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from itertools import accumulate
 from types import ModuleType
 from typing import Iterable, Iterator
@@ -235,10 +235,11 @@ def sigmoid(t: FlatTensor) -> FlatTensor:
 def _expit():
     """scipy's expit ufunc, loaded on first use: most commands take no sigmoid.
 
-    Importing scipy.special loads all of its modules for this one ufunc, so
-    unless it is already imported, only the extension that defines expit is
-    loaded (see _load_ufuncs).  The import is the fallback, for a scipy
-    whose files are laid out otherwise.
+    Importing scipy.special loads all of its modules for this one ufunc, and
+    importing scipy alone costs more than the ufunc's extension, so unless
+    scipy.special is already imported, only that extension is loaded (see
+    _load_ufuncs).  The import is the fallback, for a scipy whose files are
+    laid out otherwise.
     """
     special = sys.modules.get("scipy.special")
     if special is not None:
@@ -252,43 +253,33 @@ def _expit():
 
 
 def _ufuncs_file() -> str:
-    """The path of scipy's scipy.special._ufuncs extension module."""
-    import scipy
-
-    special = os.path.join(os.path.dirname(scipy.__file__), "special")
-    for suffix in EXTENSION_SUFFIXES:
-        path = os.path.join(special, "_ufuncs" + suffix)
-        if os.path.isfile(path):
-            return path
-    raise FileNotFoundError(f"no _ufuncs extension module in {special}")
+    """The path of scipy.special._special_ufuncs, the extension module that
+    defines expit, found without importing scipy."""
+    spec = find_spec("scipy")
+    for root in (spec and spec.submodule_search_locations) or ():
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(root, "special", "_special_ufuncs" + suffix)
+            if os.path.isfile(path):
+                return path
+    raise FileNotFoundError("no scipy.special._special_ufuncs extension module")
 
 
 def _load_ufuncs() -> ModuleType:
-    """scipy.special._ufuncs, executed from its file without scipy.special.
+    """scipy.special._special_ufuncs, executed from its file.
 
-    While it initialises, the relative imports of its sibling extensions
-    find a bare scipy.special package, which is removed afterwards.  A later
-    ``import scipy.special`` then binds the loaded modules.  If the load
-    fails, the scipy.special modules it added are removed before the error
-    propagates.
+    The extension imports no other scipy module, so neither scipy nor
+    scipy.special is imported, and a later ``import scipy.special`` binds
+    the loaded module.  If the load fails, the module is removed before the
+    error propagates.
     """
-    path = _ufuncs_file()
-    before = set(sys.modules)
-    package = ModuleType("scipy.special")
-    package.__path__ = [os.path.dirname(path)]
-    sys.modules["scipy.special"] = package
+    spec = spec_from_file_location("scipy.special._special_ufuncs", _ufuncs_file())
+    module = module_from_spec(spec)
+    sys.modules[spec.name] = module
     try:
-        spec = spec_from_file_location("scipy.special._ufuncs", path)
-        module = module_from_spec(spec)
-        sys.modules[spec.name] = module
         spec.loader.exec_module(module)
-    except (ImportError, OSError):
-        for name in sys.modules.keys() - before:
-            if name.startswith("scipy.special."):
-                del sys.modules[name]
+    except BaseException:
+        del sys.modules[spec.name]
         raise
-    finally:
-        del sys.modules["scipy.special"]
     return module
 
 

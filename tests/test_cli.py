@@ -117,11 +117,18 @@ def test_finetune_method_and_seed_overrides(workspace, capsys):
 def test_finetune_zero_shot_has_no_gradients_to_dump(workspace):
     tmp, cfg = workspace
     pre = pretrained_checkpoint(workspace)
-    code = run_cli(
-        ["finetune", "--config", cfg, "--pretrained", pre, "--method", "zero_shot",
-         "--out", tmp / "zs.ckpt", "--grad-dump", tmp / "acc.ckpt"]
-    )
-    assert code == 2
+    no_epochs = tmp / "no_epochs.json"
+    no_epochs.write_text(json.dumps({"epochs": 0, "seeds": [0]}))
+    # zero_shot, or a method that runs no iteration: the command fails
+    # before it writes any file
+    for config, method in [(cfg, "zero_shot"), (no_epochs, "spider")]:
+        outputs = [tmp / f"{method}.ckpt", tmp / f"{method}.csv", tmp / f"{method}.acc.ckpt"]
+        code = run_cli(
+            ["finetune", "--config", config, "--pretrained", pre, "--method", method,
+             "--out", outputs[0], "--log", outputs[1], "--grad-dump", outputs[2]]
+        )
+        assert code == 2
+        assert not any(path.exists() for path in outputs), method
 
 
 def test_pretrain_checkpoint_is_reproducible(workspace, tmp_path):
@@ -560,9 +567,9 @@ def test_report_rejects_foreign_csv(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1 and "x.csv" in err
 
 
-def test_scipy_special_never_imported_and_sigmoid_loads_only_ufuncs(workspace):
+def test_scipy_never_imported_and_sigmoid_loads_only_special_ufuncs(workspace):
     # import, pid, pretrain and eval take no sigmoid; the first sigmoid loads
-    # the extension that defines expit, never the scipy.special package
+    # the extension that defines expit, never the scipy package
     tmp, cfg = workspace
     pre = pretrained_checkpoint(workspace)
     grads = tmp / "g.ckpt"
@@ -576,13 +583,14 @@ def test_scipy_special_never_imported_and_sigmoid_loads_only_ufuncs(workspace):
         "import json, sys\n"
         "import numpy as np\n"
         "import spiderft.cli\n"
-        "names = ('scipy.special', 'scipy.special._ufuncs')\n"
-        "loaded = [[n in sys.modules for n in names]]\n"
+        "def scipy_modules():\n"
+        "    return sorted(n for n in sys.modules if n == 'scipy' or n.startswith('scipy.'))\n"
+        "loaded = [scipy_modules()]\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    assert spiderft.cli.main(argv) == 0, argv\n"
-        "    loaded.append([n in sys.modules for n in names])\n"
+        "    loaded.append(scipy_modules())\n"
         "spiderft.tensors.sigmoid_array(np.zeros(1))\n"
-        "loaded.append([n in sys.modules for n in names])\n"
+        "loaded.append(scipy_modules())\n"
         "print(json.dumps(loaded))\n"
     )
     proc = subprocess.run(
@@ -590,8 +598,53 @@ def test_scipy_special_never_imported_and_sigmoid_loads_only_ufuncs(workspace):
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    # scipy.special is never imported; _ufuncs is loaded by the sigmoid and only then
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[False, False]] * 4 + [[False, True]]
+    # no scipy module is imported; _special_ufuncs is loaded by the sigmoid,
+    # alone, and only then
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[]] * 4 + [["scipy.special._special_ufuncs"]]
+
+
+def test_each_subcommand_imports_only_what_it_runs(workspace):
+    # one fresh process per command, as a user runs them: pid, merge and
+    # --help load neither the benchmark nor the config loader, and no
+    # command imports the scipy package
+    tmp, cfg = workspace
+    pre, tuned, grads, logs = (tmp / name for name in ("pre.ckpt", "t.ckpt", "g.ckpt", "logs"))
+    logs.mkdir()
+    commands = {
+        "--help": ["--help"],
+        "pretrain": ["pretrain", "--config", cfg, "--out", pre],
+        "finetune": ["finetune", "--config", cfg, "--pretrained", pre, "--method", "spider",
+                     "--out", tuned, "--grad-dump", grads],
+        "merge": ["merge", "--pretrained", pre, "--finetuned", tuned, "--grads", grads,
+                  "--strategy", "rescaled", "--out", tmp / "m.ckpt"],
+        "eval": ["eval", "--model", tuned, "--config", cfg, "--out", logs / "m.csv"],
+        "pid": ["pid", "--pretrained", pre, "--grads", grads],
+        "report": ["report", "--logs", logs, "--out", tmp / "r.csv"],
+    }
+    script = (
+        "import json, sys\n"
+        "import spiderft.cli\n"
+        "try:\n"
+        "    code = spiderft.cli.main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "names = sorted(n for n in sys.modules if n.startswith(('spiderft.', 'scipy')))\n"
+        "print(json.dumps([code, names]))\n"
+    )
+    loaded = {}
+    for name, argv in commands.items():  # in pipeline order: each reads the last one's files
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *map(str, argv)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, loaded[name] = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0, (name, proc.stderr)
+    for name, modules in loaded.items():
+        assert "scipy" not in modules, (name, modules)
+    for name in ("--help", "merge", "pid"):
+        assert not {"spiderft.benchmark", "spiderft.config"} & set(loaded[name]), name
+    assert "scipy.special._special_ufuncs" in loaded["merge"]
 
 
 def test_help_via_subprocess_exits_0():

@@ -1,4 +1,4 @@
-"""The first sigmoid's expit: scipy's _ufuncs extension, or scipy.special.
+"""The first sigmoid's expit: scipy's _special_ufuncs extension, or scipy.special.
 
 The test process imports scipy.special while it collects the reference
 tests, so each loader path runs in a fresh interpreter here.
@@ -22,20 +22,20 @@ from spiderft import tensors
 mode = sys.argv[1]
 
 
-def special_modules():
-    return sorted(n for n in sys.modules if n == "scipy.special" or n.startswith("scipy.special."))
+def scipy_modules():
+    return sorted(n for n in sys.modules if n == "scipy" or n.startswith("scipy."))
 
 
+assert scipy_modules() == [], scipy_modules()
 if mode == "missing":
     def no_file():
-        raise FileNotFoundError("no _ufuncs extension module")
+        raise FileNotFoundError("no _special_ufuncs extension module")
     tensors._ufuncs_file = no_file
 elif mode == "broken":
-    # a module that loads a sibling of its own, then fails
-    folder = Path(sys.argv[2])
-    (folder / "_sibling.py").write_text("")
-    (folder / "_ufuncs.py").write_text("from . import _sibling\\nraise ImportError('broken')\\n")
-    tensors._ufuncs_file = lambda: str(folder / "_ufuncs.py")
+    # a module that fails while it initialises
+    path = Path(sys.argv[2]) / "_special_ufuncs.py"
+    path.write_text("expit = None\\nraise ImportError('broken')\\n")
+    tensors._ufuncs_file = lambda: str(path)
 
 if mode != "direct":
     try:
@@ -44,21 +44,24 @@ if mode != "direct":
         pass
     else:
         raise AssertionError("the direct load did not fail")
-    assert special_modules() == [], special_modules()
+    assert scipy_modules() == [], scipy_modules()
 
 x = np.random.default_rng(0).normal(0.0, 300.0, 1 << 20)
 grid = np.linspace(-800.0, 800.0, 100001)
-got = [tensors.sigmoid_array(v) for v in (x, grid)]
-loaded = special_modules()
+edges = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, -745.2, 709.8, 36.7, 37.5,
+                  -36.7, -37.5])
+got = [tensors.sigmoid_array(v) for v in (x, grid, edges)]
+loaded = scipy_modules()
 if mode == "direct":
-    assert "scipy.special._ufuncs" in loaded and "scipy.special" not in loaded, loaded
+    # the extension alone: not the scipy package, nor any other module of it
+    assert loaded == ["scipy.special._special_ufuncs"], loaded
 else:
     assert "scipy.special" in loaded, loaded
 
 import scipy.special
 
 assert scipy.special.expit is tensors._expit()
-for v, out in zip((x, grid), got):
+for v, out in zip((x, grid, edges), got):
     want = np.clip(scipy.special.expit(v), tensors._SIG_LO, tensors._SIG_HI)
     assert out.tobytes() == want.tobytes()
 print("ok")
@@ -68,8 +71,8 @@ print("ok")
 @pytest.mark.parametrize("mode", ["direct", "missing", "broken"])
 def test_both_loader_paths_give_scipy_special_expit(mode, tmp_path):
     # direct: the extension alone, and a later import of scipy.special binds
-    # the same ufunc; missing / broken: a failed direct load leaves no
-    # scipy.special module behind and falls back to the import
+    # the same ufunc; missing / broken: a failed direct load leaves no scipy
+    # module behind and falls back to the import
     proc = subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error", "-c", SCRIPT, mode, str(tmp_path)],
         capture_output=True, text=True, timeout=120,
