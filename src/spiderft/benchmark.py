@@ -238,10 +238,9 @@ def pretrain(
     datasets = [generate_task(spec, n_per_task) for spec in suite]
     inputs, labels = _interleaved_train_set(datasets)
     model = build_model([input_dim, *HIDDEN_DIMS, class_count], seed=cfg.seed)
-    weights = model.tensor_map()
-    # every layer is trainable: one gradient map, rewritten by every step
-    tail = model.tensor_map(trainable_only=True)
-    grads = tail.with_flat(np.empty_like(tail.flat))
+    # the trainable tail is every layer; one gradient map, rewritten by every step
+    weights = model.tensor_map(trainable_only=True)
+    grads = weights.with_flat(np.empty_like(weights.flat))
     batches = batches_of(inputs, labels, cfg.batch_size)
     it = 0
     # the per-step checks report divergence; numpy's float warnings would only repeat it

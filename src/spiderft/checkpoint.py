@@ -34,14 +34,10 @@ def save_checkpoint(tm: TensorMap, path: str | Path) -> None:
     for t in tm:
         with np.errstate(over="ignore"):
             payload = t.data.astype("<f4")
-        if t.data.size and not np.all(np.isfinite(payload)):
+        if not np.all(np.isfinite(payload)):
             raise FormatError(f"{t.name}: value out of 32-bit float range")
-        name = t.name.encode("utf-8")
-        chunks.append(struct.pack("<Q", len(name)))
-        chunks.append(name)
-        chunks.append(struct.pack("<Q", len(t.shape)))
-        chunks.append(struct.pack(f"<{len(t.shape)}Q", *t.shape))
-        chunks.append(payload)
+        name, rank = t.name.encode("utf-8"), len(t.shape)
+        chunks += struct.pack(f"<Q{len(name)}sQ{rank}Q", len(name), name, rank, *t.shape), payload
     # every chunk checked before the file is opened; the payloads are written
     # from their arrays, and the checksum is folded in chunk by chunk
     crc = 0
@@ -50,26 +46,6 @@ def save_checkpoint(tm: TensorMap, path: str | Path) -> None:
             f.write(chunk)
             crc = zlib.crc32(chunk, crc)
         f.write(struct.pack("<I", crc))
-
-
-class _Cursor:
-    def __init__(self, body: memoryview):
-        self.body = body
-        self.pos = 0
-
-    def take(self, n: int) -> memoryview:
-        if n < 0 or self.pos + n > len(self.body):
-            raise FormatError("checkpoint truncated")
-        out = self.body[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    @property
-    def exhausted(self) -> bool:
-        return self.pos == len(self.body)
 
 
 def load_checkpoint(path: str | Path) -> TensorMap:
@@ -84,29 +60,39 @@ def load_checkpoint(path: str | Path) -> TensorMap:
     if struct.unpack("<I", crc_bytes)[0] != zlib.crc32(body):
         raise CorruptCheckpointError(f"{path}: checksum mismatch")
 
-    cur = _Cursor(body)
-    cur.take(len(MAGIC))
-    count = cur.u64()
+    pos = len(MAGIC)
+
+    def take(n: int) -> memoryview:
+        nonlocal pos
+        if pos + n > len(body):
+            raise FormatError("checkpoint truncated")
+        pos += n
+        return body[pos - n : pos]
+
+    def u64() -> int:
+        return struct.unpack("<Q", take(8))[0]
+
+    count = u64()
     shapes: dict[str, tuple[int, ...]] = {}
     payloads = []
     for _ in range(count):
-        name_len = cur.u64()
+        name_len = u64()
         try:
-            name = bytes(cur.take(name_len)).decode("utf-8")
+            name = bytes(take(name_len)).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"tensor name is not valid utf-8: {exc}") from exc
-        rank = cur.u64()
+        rank = u64()
         if rank > _MAX_RANK:
             raise FormatError(f"{name}: implausible rank {rank}")
-        dims = tuple(cur.u64() for _ in range(rank))
-        payload = np.frombuffer(cur.take(4 * math.prod(dims)), dtype="<f4")
+        dims = tuple(u64() for _ in range(rank))
+        payload = np.frombuffer(take(4 * math.prod(dims)), dtype="<f4")
         if not np.isfinite(payload).all():
             raise FormatError(f"{name}: non-finite entries")
         if name in shapes:
             raise FormatError(f"duplicate tensor name {name!r}")
         shapes[name] = dims
         payloads.append(payload)
-    if not cur.exhausted:
+    if pos != len(body):
         raise FormatError("trailing bytes after tensor table")
     # one float64 buffer for every payload, in file order
     flat = np.concatenate(payloads, dtype=np.float64) if payloads else np.empty(0)

@@ -66,6 +66,14 @@ def _one_line(message: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _require_out_dirs(args, *flags: str) -> None:
+    """Before any work: each given output's directory must exist (else exit 2)."""
+    for flag in flags:
+        path = getattr(args, flag[2:].replace("-", "_"))
+        if path and not (out_dir := Path(path).parent).is_dir():
+            raise FileNotFoundError(f"{flag}: no directory {str(out_dir)!r}")
+
+
 def _cmd_pretrain(args) -> int:
     from .benchmark import evaluate, pretrain
     from .checkpoint import save_checkpoint
@@ -86,9 +94,9 @@ def _cmd_finetune(args) -> int:
     from .config import load_config
     from .trainer import ToyModel
 
+    _require_out_dirs(args, "--out", "--log", "--grad-dump")
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.seeds[0]
-    tcfg = cfg.to_train_config(seed=seed, method=args.method)
+    tcfg = cfg.to_train_config(seed=args.seed, method=args.method)
 
     model = ToyModel(load_checkpoint(args.pretrained))
     target = generate_task(cfg.target, DEFAULT_SAMPLES)
@@ -102,7 +110,7 @@ def _cmd_finetune(args) -> int:
         _write_run_log(log, args.log)
     if args.grad_dump:
         save_checkpoint(log.final_accumulator, args.grad_dump)
-    print(f"finetuned method={tcfg.method} seed={seed} steps={len(log.losses)} -> {args.out}")
+    print(f"finetuned method={tcfg.method} seed={tcfg.seed} steps={len(log.losses)} -> {args.out}")
     return 0
 
 
@@ -113,8 +121,7 @@ def _write_run_log(log, path: str) -> None:
         writer.writerow(("iteration", "loss", "mask_density", "pid"))
         for i, loss in enumerate(log.losses):
             density = repr(log.mask_density[i]) if i < len(log.mask_density) else ""
-            divergence = repr(log.pid[i]) if i < len(log.pid) else ""
-            writer.writerow((i, repr(loss), density, divergence))
+            writer.writerow((i, repr(loss), density, repr(log.pid[i])))
 
 
 def _gradient_domain(full: TensorMap, grads: TensorMap, op: str) -> TensorMap:
@@ -170,9 +177,7 @@ def _cmd_eval(args) -> int:
     from .config import load_config
     from .trainer import RunLog, ToyModel
 
-    # checked before any work, so that a bad path prints no metrics
-    if args.out and not (out_dir := Path(args.out).parent).is_dir():
-        raise FileNotFoundError(f"--out: no directory {str(out_dir)!r}")
+    _require_out_dirs(args, "--out")
     cfg = load_config(args.config)
     model = ToyModel(load_checkpoint(args.model))
 

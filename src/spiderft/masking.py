@@ -65,8 +65,7 @@ def binary_mask(
     """
     g.require_aligned(i, "binary_mask")
     out = g.result(out, "binary_mask")
-    selection = np.empty(g.total_size, dtype=bool) if selection is None else selection
-    np.greater(g.flat, i.flat, out=selection)
+    selection = np.greater(g.flat, i.flat, out=selection)
     np.copyto(out.flat, selection)
     return UpdateMask(out, False, selection)
 

@@ -88,12 +88,10 @@ class FlatTensor:
 @dataclass(frozen=True)
 class Layout:
     """Names and shapes of a map's tensors in buffer order; tensor k is the
-    segment bounds[k]:bounds[k + 1], slices[k].  Equal when names and shapes
-    are."""
+    segment slices[k].  Equal when names and shapes are."""
 
     names: tuple[str, ...]
     shapes: tuple[tuple[int, ...], ...]
-    bounds: tuple[int, ...] = field(init=False, repr=False, compare=False)
     slices: tuple[slice, ...] = field(init=False, repr=False, compare=False)
     index: dict[str, int] = field(init=False, repr=False, compare=False)
 
@@ -101,14 +99,13 @@ class Layout:
         index = {name: k for k, name in enumerate(self.names)}
         if len(index) != len(self.names):
             raise ValueError(f"duplicate tensor names in {self.names}")
-        bounds = (0, *accumulate(map(math.prod, self.shapes)))
+        stops = (0, *accumulate(map(math.prod, self.shapes)))
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "slices", tuple(map(slice, bounds, bounds[1:])))
+        object.__setattr__(self, "slices", tuple(map(slice, stops, stops[1:])))
 
     @property
     def size(self) -> int:
-        return self.bounds[-1]
+        return self.slices[-1].stop if self.slices else 0
 
     def split(self, flat: np.ndarray) -> list[np.ndarray]:
         """flat cut into the tensors' segments (views), in order."""
@@ -211,14 +208,12 @@ def zscore_array(
     The squared deviations go into `scratch`, an array of values' length,
     when given, else into a temporary.
     """
-    if out is None:
-        out = np.empty_like(values)
     n = values.size
     if n == 0:
-        return out
+        return np.empty_like(values) if out is None else out
     # np.std's own steps (mean, deviations, mean square, sqrt), with its
     # deviations reused for the z-score: the same bits as np.std and np.mean
-    np.subtract(values, np.add.reduce(values) / n, out=out)
+    out = np.subtract(values, np.add.reduce(values) / n, out=out)
     std = math.sqrt(np.add.reduce(np.square(out, out=scratch)) / n)
     if std < STD_EPS:
         out.fill(0.0)

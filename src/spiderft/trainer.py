@@ -189,7 +189,7 @@ class ToyModel:
         full, k = self.params.layout, 2 * lowest  # each layer holds a weight, then a bias
         layout = Layout(full.names[k:], full.shapes[k:])
         self._lowest = lowest
-        self._tail = TensorMap.over(layout, self.params.flat[full.bounds[k] :])
+        self._tail = TensorMap.over(layout, self.params.flat[full.slices[k].start :])
 
     @property
     def layer_count(self) -> int:
@@ -527,26 +527,22 @@ def _finetune(
 
     accumulator = GradAccumulator.empty(pretrained, cfg.beta)
     variant, scope = MASK_OF_METHOD.get(cfg.method), cfg.normalization_scope
-    # the method's one fixed trainable-sized map, if any
-    fixed = None
+    # the method's fixed trainable-sized map, if any (magnitude's is every step's
+    # mask), and the step's buffers, allocated once and rewritten before a read:
+    # the gradient, and for a comparison mask the scores (then mask) and selection
+    fixed = mask = None
     if variant in DISCREPANCY_MASKS:
         fixed = generalization_importance(pretrained, scope)
+        scores = weights.with_flat(np.empty(weights.total_size))
+        selection = np.empty(weights.total_size, dtype=bool)
     elif variant == "magnitude":
-        fixed = select_mask(variant, pretrained, pretrained)
+        fixed = mask = select_mask(variant, pretrained, pretrained)
+    grads = weights.with_flat(np.empty(weights.total_size))
+    w_norm = norm(np.abs(pretrained.flat, out=grads.flat))  # ||w_pre||, fixed for the run
     # the snapshot and the accumulator, plus the fixed map
     log = RunLog(cfg.method, persistent_aux_maps=2 + (fixed is not None))
     # one word per iteration, then the post-run drop's
     seeds = _iteration_seeds(cfg.seed, cfg.epochs * len(data) + 1)
-
-    # the step's work buffers, allocated once per run; no step reads what an
-    # earlier one left in them: the gradient, and for a comparison mask the
-    # scores, which become the mask in place, and the mask's selection
-    grads = weights.with_flat(np.empty(weights.total_size))
-    w_norm = norm(np.abs(pretrained.flat, out=grads.flat))  # ||w_pre||, fixed for the run
-    if variant in DISCREPANCY_MASKS:
-        scores = weights.with_flat(np.empty(weights.total_size))
-        selection = np.empty(weights.total_size, dtype=bool)
-    mask = fixed if variant == "magnitude" else None
 
     it = 0
     for _epoch in range(cfg.epochs):

@@ -86,6 +86,14 @@ def test_shapes_survive_round_trip(tmp_path):
     assert loaded["layer0.weight"].shape == (5, 4)
     assert loaded["layer0.bias"].shape == (5,)
     assert loaded.names == ["layer0.weight", "layer0.bias", "layer1.weight"]
+    # zero-size tensors (an empty payload is finite) and a rank-0 tensor
+    odd = TensorMap.from_tensors([FlatTensor("empty", (0,), np.empty(0)),
+                                  FlatTensor("no_columns", (2, 0), np.empty(0)),
+                                  FlatTensor("scalar", (), np.array([1.5]))])
+    save_checkpoint(odd, path)
+    loaded = load_checkpoint(path)
+    assert loaded.layout == odd.layout and [t.shape for t in loaded] == [(0,), (2, 0), ()]
+    assert loaded.flat.tolist() == [1.5]
 
 
 def test_save_is_deterministic(tmp_path):

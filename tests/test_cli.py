@@ -492,16 +492,28 @@ def test_eval_of_a_target_the_model_does_not_fit_exits_2_with_one_line(workspace
     assert f"{obj['target']['task_id']}: task has input_dim" in err
 
 
-def test_eval_out_into_a_missing_directory_exits_2_before_any_output(workspace, capsys):
+@pytest.mark.parametrize("command, flag", [
+    ("eval", "--out"), ("finetune", "--out"), ("finetune", "--log"), ("finetune", "--grad-dump"),
+], ids=["eval-out", "finetune-out", "finetune-log", "finetune-grad-dump"])
+def test_eval_out_into_a_missing_directory_exits_2_before_any_output(
+    workspace, capsys, command, flag
+):
     tmp, cfg = workspace
     pre = pretrained_checkpoint(workspace)
     capsys.readouterr()
-    out_path = tmp / "missing" / "metrics.csv"
-    assert run_cli(["eval", "--model", pre, "--config", cfg, "--out", out_path]) == 2
+    if command == "eval":
+        argv = ["eval", "--model", pre, "--config", cfg, "--out", tmp / "m.csv"]
+    else:
+        argv = ["finetune", "--config", cfg, "--pretrained", pre, "--out", tmp / "o.ckpt",
+                "--log", tmp / "l.csv", "--grad-dump", tmp / "g.ckpt"]
+    at = argv.index(flag) + 1
+    argv[at] = tmp / "missing" / argv[at].name
+    before = set(tmp.iterdir())
+    assert run_cli(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "no directory" in err and not out_path.parent.exists()
+    assert err.startswith(f"error: {flag}: no directory ") and err.count("\n") == 1
+    assert set(tmp.iterdir()) == before
 
 
 def test_corrupt_checkpoint_exits_2(workspace, tmp_path):
@@ -567,46 +579,11 @@ def test_report_rejects_foreign_csv(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1 and "x.csv" in err
 
 
-def test_scipy_never_imported_and_sigmoid_loads_only_special_ufuncs(workspace):
-    # import, pid, pretrain and eval take no sigmoid; the first sigmoid loads
-    # the extension that defines expit, never the scipy package
-    tmp, cfg = workspace
-    pre = pretrained_checkpoint(workspace)
-    grads = tmp / "g.ckpt"
-    save_checkpoint(mapped(load_checkpoint(pre), np.abs), grads)
-    commands = [
-        ["pid", "--pretrained", str(pre), "--grads", str(grads)],
-        ["pretrain", "--config", str(cfg), "--out", str(tmp / "again.ckpt")],
-        ["eval", "--model", str(pre), "--config", str(cfg)],
-    ]
-    script = (
-        "import json, sys\n"
-        "import numpy as np\n"
-        "import spiderft.cli\n"
-        "def scipy_modules():\n"
-        "    return sorted(n for n in sys.modules if n == 'scipy' or n.startswith('scipy.'))\n"
-        "loaded = [scipy_modules()]\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    assert spiderft.cli.main(argv) == 0, argv\n"
-        "    loaded.append(scipy_modules())\n"
-        "spiderft.tensors.sigmoid_array(np.zeros(1))\n"
-        "loaded.append(scipy_modules())\n"
-        "print(json.dumps(loaded))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(commands)],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    # no scipy module is imported; _special_ufuncs is loaded by the sigmoid,
-    # alone, and only then
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[]] * 4 + [["scipy.special._special_ufuncs"]]
-
-
 def test_each_subcommand_imports_only_what_it_runs(workspace):
     # one fresh process per command, as a user runs them: pid, merge and
     # --help load neither the benchmark nor the config loader, and no
-    # command imports the scipy package
+    # command imports the scipy package; the commands that take a sigmoid
+    # load the one extension that defines expit, the others no scipy module
     tmp, cfg = workspace
     pre, tuned, grads, logs = (tmp / name for name in ("pre.ckpt", "t.ckpt", "g.ckpt", "logs"))
     logs.mkdir()
@@ -641,10 +618,10 @@ def test_each_subcommand_imports_only_what_it_runs(workspace):
         code, loaded[name] = json.loads(proc.stdout.splitlines()[-1])
         assert code == 0, (name, proc.stderr)
     for name, modules in loaded.items():
-        assert "scipy" not in modules, (name, modules)
+        expected = ["scipy.special._special_ufuncs"] if name in ("finetune", "merge") else []
+        assert [n for n in modules if n.startswith("scipy")] == expected, (name, modules)
     for name in ("--help", "merge", "pid"):
         assert not {"spiderft.benchmark", "spiderft.config"} & set(loaded[name]), name
-    assert "scipy.special._special_ufuncs" in loaded["merge"]
 
 
 def test_help_via_subprocess_exits_0():
