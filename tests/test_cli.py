@@ -579,6 +579,42 @@ def test_report_rejects_foreign_csv(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1 and "x.csv" in err
 
 
+def test_scipy_never_imported_and_sigmoid_loads_only_special_ufuncs(workspace):
+    # import, pid, pretrain and eval take no sigmoid; the first sigmoid loads
+    # the extension that defines expit, never the scipy package
+    tmp, cfg = workspace
+    pre = pretrained_checkpoint(workspace)
+    grads = tmp / "g.ckpt"
+    save_checkpoint(mapped(load_checkpoint(pre), np.abs), grads)
+    commands = [
+        ["pid", "--pretrained", str(pre), "--grads", str(grads)],
+        ["pretrain", "--config", str(cfg), "--out", str(tmp / "again.ckpt")],
+        ["eval", "--model", str(pre), "--config", str(cfg)],
+    ]
+    script = (
+        "import json, sys\n"
+        "import numpy as np\n"
+        "import spiderft.cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(n for n in sys.modules if n == 'scipy' or n.startswith('scipy.'))\n"
+        "loaded = [scipy_modules()]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert spiderft.cli.main(argv) == 0, argv\n"
+        "    loaded.append(scipy_modules())\n"
+        "spiderft.tensors.sigmoid_array(np.zeros(1))\n"
+        "loaded.append(scipy_modules())\n"
+        "print(json.dumps(loaded))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # no scipy module is imported; _special_ufuncs is loaded by the sigmoid,
+    # alone, and only then
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[]] * 4 + [["scipy.special._special_ufuncs"]]
+
+
 def test_each_subcommand_imports_only_what_it_runs(workspace):
     # one fresh process per command, as a user runs them: pid, merge and
     # --help load neither the benchmark nor the config loader, and no
