@@ -209,9 +209,6 @@ HIDDEN_DIMS = (16, 16)
 
 
 def _interleaved_train_set(datasets: Sequence[TaskData]) -> tuple[np.ndarray, np.ndarray]:
-    sizes = {d.train_inputs.shape[0] for d in datasets}
-    if len(sizes) != 1:
-        raise ConfigError("suite tasks must have equal train sizes for interleaving")
     inputs = np.stack([d.train_inputs for d in datasets], axis=1)
     labels = np.stack([d.train_labels for d in datasets], axis=1)
     return inputs.reshape(-1, inputs.shape[-1]), labels.reshape(-1)

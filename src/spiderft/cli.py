@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -66,12 +67,19 @@ def _one_line(message: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _require_out_dirs(args, *flags: str) -> None:
-    """Before any work: each given output's directory must exist (else exit 2)."""
-    for flag in flags:
-        path = getattr(args, flag[2:].replace("-", "_"))
-        if path and not (out_dir := Path(path).parent).is_dir():
-            raise FileNotFoundError(f"{flag}: no directory {str(out_dir)!r}")
+def _require_outputs(args) -> None:
+    """Before any work: each given output is a file in an existing directory (else exit 2)."""
+    for flag in ("--out", "--log", "--grad-dump"):  # every file a subcommand writes
+        path = getattr(args, flag[2:].replace("-", "_"), None)
+        if path is not None and os.path.isdir(path):
+            raise IsADirectoryError(f"{flag}: {path!r} is a directory")
+        if path is not None and not os.path.isdir(out_dir := os.path.dirname(path) or "."):
+            raise FileNotFoundError(f"{flag}: no directory {out_dir!r}")
+
+
+def _write_csv(path: str, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def _cmd_pretrain(args) -> int:
@@ -94,7 +102,6 @@ def _cmd_finetune(args) -> int:
     from .config import load_config
     from .trainer import ToyModel
 
-    _require_out_dirs(args, "--out", "--log", "--grad-dump")
     cfg = load_config(args.config)
     tcfg = cfg.to_train_config(seed=args.seed, method=args.method)
 
@@ -107,21 +114,19 @@ def _cmd_finetune(args) -> int:
     save_checkpoint(model.tensor_map(), args.out)
 
     if args.log:
-        _write_run_log(log, args.log)
+        _write_csv(args.log, _run_log_rows(log))
     if args.grad_dump:
         save_checkpoint(log.final_accumulator, args.grad_dump)
     print(f"finetuned method={tcfg.method} seed={tcfg.seed} steps={len(log.losses)} -> {args.out}")
     return 0
 
 
-def _write_run_log(log, path: str) -> None:
-    """Write a trainer.RunLog's per-iteration trace as CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("iteration", "loss", "mask_density", "pid"))
-        for i, loss in enumerate(log.losses):
-            density = repr(log.mask_density[i]) if i < len(log.mask_density) else ""
-            writer.writerow((i, repr(loss), density, repr(log.pid[i])))
+def _run_log_rows(log):
+    """A trainer.RunLog's per-iteration trace, as CSV rows under a header."""
+    yield ("iteration", "loss", "mask_density", "pid")
+    for i, loss in enumerate(log.losses):
+        density = repr(log.mask_density[i]) if i < len(log.mask_density) else ""
+        yield (i, repr(loss), density, repr(log.pid[i]))
 
 
 def _gradient_domain(full: TensorMap, grads: TensorMap, op: str) -> TensorMap:
@@ -141,6 +146,8 @@ def _cmd_merge(args) -> int:
     from .importance import GradAccumulator, generalization_importance, specialization_importance
     from .masking import dare_merge, merge, select_mask
 
+    if args.strategy != "dare" and not args.grads:
+        args.parser.error(f"--grads is required for strategy {args.strategy}")
     pretrained = load_checkpoint(args.pretrained)
     finetuned = load_checkpoint(args.finetuned)
     finetuned.require_aligned(pretrained, "merge")
@@ -148,8 +155,6 @@ def _cmd_merge(args) -> int:
     if args.strategy == "dare":
         merged = dare_merge(finetuned, pretrained, args.drop_p, args.seed)
     else:
-        if not args.grads:
-            args.parser.error(f"--grads is required for strategy {args.strategy}")
         grads = load_checkpoint(args.grads)
         sub_pre = _gradient_domain(pretrained, grads, "merge")
         sub_fine = _gradient_domain(finetuned, grads, "merge")
@@ -172,12 +177,11 @@ def _cmd_merge(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .benchmark import build_report, evaluate, metrics_csv
+    from .benchmark import build_report, evaluate, metrics_csv_rows
     from .checkpoint import load_checkpoint
     from .config import load_config
     from .trainer import RunLog, ToyModel
 
-    _require_out_dirs(args, "--out")
     cfg = load_config(args.config)
     model = ToyModel(load_checkpoint(args.model))
 
@@ -195,7 +199,7 @@ def _cmd_eval(args) -> int:
     print(f"o_average {report.o_avg}")
 
     if args.out:
-        Path(args.out).write_text(metrics_csv([report]))
+        _write_csv(args.out, metrics_csv_rows([report]))
     return 0
 
 
@@ -238,10 +242,7 @@ def _cmd_report(args) -> int:
             # a non-numeric value, bytes that are not text, or an oversized field
             raise FormatError(f"{path}: {exc}") from exc
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows(rows)
+    _write_csv(args.out, [CSV_HEADER, *rows])
 
     # method x metric grid, metrics averaged over seeds
     methods: list[str] = []
@@ -276,7 +277,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pretrain", help="train the shared source-suite model")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_pretrain, parser=p)
+    p.set_defaults(func=_cmd_pretrain)
 
     p = sub.add_parser("finetune", help="fine-tune a pretrained checkpoint on the target task")
     p.add_argument("--config", required=True)
@@ -286,7 +287,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--log", default=None, help="per-iteration trace CSV")
     p.add_argument("--grad-dump", default=None, help="save the accumulated |grad| map")
-    p.set_defaults(func=_cmd_finetune, parser=p)
+    p.set_defaults(func=_cmd_finetune)
 
     p = sub.add_parser("merge", help="offline mask-and-merge on saved checkpoints")
     p.add_argument("--pretrained", required=True)
@@ -308,18 +309,18 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="write metrics CSV")
     p.add_argument("--method-label", default="eval")
     p.add_argument("--seed-label", type=int, default=0)
-    p.set_defaults(func=_cmd_eval, parser=p)
+    p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("pid", help="importance-profile divergence of grads vs weights")
     p.add_argument("--pretrained", required=True)
     p.add_argument("--grads", required=True)
     p.add_argument("--per-tensor", action="store_true")
-    p.set_defaults(func=_cmd_pid, parser=p)
+    p.set_defaults(func=_cmd_pid)
 
     p = sub.add_parser("report", help="combine metric CSVs and print the method grid")
     p.add_argument("--logs", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_report, parser=p)
+    p.set_defaults(func=_cmd_report)
 
     return parser
 
@@ -328,6 +329,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _require_outputs(args)
         return args.func(args)
     except _UsageError:
         return 1

@@ -33,6 +33,11 @@ def run_cli(argv):
     return main([str(a) for a in argv])
 
 
+def files_under(root):
+    """Every path under root, with a file's bytes (None for a directory)."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
 def pretrained_checkpoint(workspace):
     tmp, cfg = workspace
     out = tmp / "pre.ckpt"
@@ -243,14 +248,16 @@ def test_merge_requires_grads_for_importance_strategies(workspace, tmp_path, cap
     tmp, _ = workspace
     pre = pretrained_checkpoint(workspace)
     capsys.readouterr()
-    code = run_cli(
-        ["merge", "--pretrained", pre, "--finetuned", pre, "--strategy", "binary",
-         "--out", tmp / "m.ckpt"]
-    )
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "usage:" in err
-    assert "--grads" in err
+    # checked before any checkpoint is read, so a missing one does not hide it
+    for pretrained in (pre, tmp / "nope.ckpt"):
+        code = run_cli(
+            ["merge", "--pretrained", pretrained, "--finetuned", pre, "--strategy", "binary",
+             "--out", tmp / "m.ckpt"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "--grads" in err
 
 
 # ---------------------------------------------------------------------------
@@ -492,28 +499,42 @@ def test_eval_of_a_target_the_model_does_not_fit_exits_2_with_one_line(workspace
     assert f"{obj['target']['task_id']}: task has input_dim" in err
 
 
-@pytest.mark.parametrize("command, flag", [
-    ("eval", "--out"), ("finetune", "--out"), ("finetune", "--log"), ("finetune", "--grad-dump"),
-], ids=["eval-out", "finetune-out", "finetune-log", "finetune-grad-dump"])
-def test_eval_out_into_a_missing_directory_exits_2_before_any_output(
-    workspace, capsys, command, flag
+@pytest.mark.parametrize("command, flag, where", [
+    ("eval", "--out", "missing"), ("finetune", "--out", "missing"),
+    ("finetune", "--log", "missing"), ("finetune", "--grad-dump", "missing"),
+    ("pretrain", "--out", "missing"), ("merge", "--out", "missing"),
+    ("report", "--out", "missing"),
+    ("finetune", "--log", "directory"), ("pretrain", "--out", "directory"),
+], ids=lambda v: v.lstrip("-"))
+def test_an_output_in_a_missing_directory_or_at_a_directory_exits_2_before_any_work(
+    workspace, capsys, command, flag, where
 ):
     tmp, cfg = workspace
     pre = pretrained_checkpoint(workspace)
+    (tmp / "logs").mkdir()
+    (tmp / "logs" / "metrics.csv").write_text(VALID_CSV)
+    (tmp / "adir").mkdir()
     capsys.readouterr()
-    if command == "eval":
-        argv = ["eval", "--model", pre, "--config", cfg, "--out", tmp / "m.csv"]
-    else:
-        argv = ["finetune", "--config", cfg, "--pretrained", pre, "--out", tmp / "o.ckpt",
-                "--log", tmp / "l.csv", "--grad-dump", tmp / "g.ckpt"]
+    argv = {
+        "pretrain": ["pretrain", "--config", cfg, "--out", tmp / "o.ckpt"],
+        "finetune": ["finetune", "--config", cfg, "--pretrained", pre, "--out", tmp / "o.ckpt",
+                     "--log", tmp / "l.csv", "--grad-dump", tmp / "g.ckpt"],
+        "merge": ["merge", "--pretrained", pre, "--finetuned", pre, "--strategy", "dare",
+                  "--out", tmp / "m.ckpt"],
+        "eval": ["eval", "--model", pre, "--config", cfg, "--out", tmp / "m.csv"],
+        "report": ["report", "--logs", tmp / "logs", "--out", tmp / "r.csv"],
+    }[command]
     at = argv.index(flag) + 1
-    argv[at] = tmp / "missing" / argv[at].name
-    before = set(tmp.iterdir())
+    if where == "missing":
+        argv[at], expected = tmp / "missing" / argv[at].name, f"no directory '{tmp / 'missing'}'"
+    else:
+        argv[at], expected = tmp / "adir", f"'{tmp / 'adir'}' is a directory"
+    before = files_under(tmp)
     assert run_cli(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith(f"error: {flag}: no directory ") and err.count("\n") == 1
-    assert set(tmp.iterdir()) == before
+    assert err == f"error: {flag}: {expected}\n"
+    assert files_under(tmp) == before
 
 
 def test_corrupt_checkpoint_exits_2(workspace, tmp_path):
@@ -823,13 +844,15 @@ def cli_inputs(tmp_path_factory):
 @st.composite
 def bad_invocations(draw):
     """A subcommand and its (flag, value) pairs, with one thing wrong: a bad
-    value, a dropped or unknown option, an unknown subcommand, or an input
-    marked (kind, role) to be damaged or left out.  A value of None is a
-    flag alone."""
+    value, a dropped or unknown option, an unknown subcommand, an input
+    marked (kind, role) to be damaged or left out, or an output marked
+    (kind, "out") to be an existing directory.  A value of None is a flag
+    alone."""
     command = draw(st.sampled_from(sorted(INVOCATIONS)))
     pairs = list(INVOCATIONS[command])
-    if draw(st.booleans()):  # an input file
-        kinds = ["damaged_input", "missing_input"]
+    if draw(st.booleans()):  # a file
+        kinds = ["damaged_input", "missing_input"] + (
+            ["directory_output"] if ("--out", "out") in pairs else [])
     else:  # an argument
         kinds = ["drop_option", "unknown_option", "unknown_command"] + (
             ["bad_value"] if command in CHECKED_OPTIONS else [])
@@ -847,6 +870,8 @@ def bad_invocations(draw):
     elif kind in ("damaged_input", "missing_input"):
         i = draw(st.sampled_from([i for i, (_, value) in enumerate(pairs) if value in INPUTS]))
         pairs[i] = (pairs[i][0], (kind, pairs[i][1]))
+    elif kind == "directory_output":
+        pairs[pairs.index(("--out", "out"))] = ("--out", (kind, "out"))
     return command, pairs
 
 
@@ -858,11 +883,15 @@ def test_any_bad_argument_or_damaged_input_exits_1_or_2_without_a_traceback(
     command, pairs = invocation
     argv = [command]
     for flag, value in pairs:
-        if isinstance(value, tuple):  # the input this run damages or leaves out
+        if isinstance(value, tuple):  # the file this run damages, leaves out or makes a directory
             kind, role = value
-            path = tmp / (f"missing{data.draw(argv_text)}" if kind == "missing_input"
-                          else f"damaged_{role}")
-            if kind == "damaged_input":
+            if kind == "missing_input":
+                path = tmp / f"missing{data.draw(argv_text)}"
+            elif kind == "directory_output":
+                path = tmp / "out_dir"
+                path.mkdir(exist_ok=True)
+            else:
+                path = tmp / f"damaged_{role}"
                 raw = data.draw(damage[role])
                 if role == "logs":
                     path.mkdir(exist_ok=True)
@@ -876,6 +905,7 @@ def test_any_bad_argument_or_damaged_input_exits_1_or_2_without_a_traceback(
             value = tmp / "out"
         argv += [flag] if value is None else [flag, str(value)]
 
+    before = files_under(tmp)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)  # an exception escaping main fails the test with its traceback
@@ -887,3 +917,4 @@ def test_any_bad_argument_or_damaged_input_exits_1_or_2_without_a_traceback(
     else:
         assert code == 2, (code, err)
         assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert files_under(tmp) == before, argv  # a failed command changes no file
