@@ -499,16 +499,7 @@ def test_eval_of_a_target_the_model_does_not_fit_exits_2_with_one_line(workspace
     assert f"{obj['target']['task_id']}: task has input_dim" in err
 
 
-@pytest.mark.parametrize("command, flag, where", [
-    ("eval", "--out", "missing"), ("finetune", "--out", "missing"),
-    ("finetune", "--log", "missing"), ("finetune", "--grad-dump", "missing"),
-    ("pretrain", "--out", "missing"), ("merge", "--out", "missing"),
-    ("report", "--out", "missing"),
-    ("finetune", "--log", "directory"), ("pretrain", "--out", "directory"),
-], ids=lambda v: v.lstrip("-"))
-def test_an_output_in_a_missing_directory_or_at_a_directory_exits_2_before_any_work(
-    workspace, capsys, command, flag, where
-):
+def assert_bad_output_exits_2_before_any_work(workspace, capsys, command, flag, where):
     tmp, cfg = workspace
     pre = pretrained_checkpoint(workspace)
     (tmp / "logs").mkdir()
@@ -535,6 +526,26 @@ def test_an_output_in_a_missing_directory_or_at_a_directory_exits_2_before_any_w
     assert out == ""
     assert err == f"error: {flag}: {expected}\n"
     assert files_under(tmp) == before
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("eval", "--out"), ("finetune", "--out"), ("finetune", "--log"), ("finetune", "--grad-dump"),
+], ids=["eval-out", "finetune-out", "finetune-log", "finetune-grad-dump"])
+def test_eval_out_into_a_missing_directory_exits_2_before_any_output(
+    workspace, capsys, command, flag
+):
+    assert_bad_output_exits_2_before_any_work(workspace, capsys, command, flag, "missing")
+
+
+@pytest.mark.parametrize("command, flag, where", [
+    ("pretrain", "--out", "missing"), ("merge", "--out", "missing"),
+    ("report", "--out", "missing"),
+    ("finetune", "--log", "directory"), ("pretrain", "--out", "directory"),
+], ids=lambda v: v.lstrip("-"))
+def test_an_output_in_a_missing_directory_or_at_a_directory_exits_2_before_any_work(
+    workspace, capsys, command, flag, where
+):
+    assert_bad_output_exits_2_before_any_work(workspace, capsys, command, flag, where)
 
 
 def test_corrupt_checkpoint_exits_2(workspace, tmp_path):
