@@ -68,13 +68,21 @@ def _one_line(message: str) -> str:
 
 
 def _require_outputs(args) -> None:
-    """Before any work: each given output is a file in an existing directory (else exit 2)."""
+    """Before any work: each given output is a file of its own in an existing
+    directory (else exit 2)."""
+    flag_of = {}  # real path -> the flag that writes it
     for flag in ("--out", "--log", "--grad-dump"):  # every file a subcommand writes
         path = getattr(args, flag[2:].replace("-", "_"), None)
-        if path is not None and os.path.isdir(path):
+        if path is None:
+            continue
+        if not path:
+            raise FileNotFoundError(f"{flag}: empty path")
+        if os.path.isdir(path):
             raise IsADirectoryError(f"{flag}: {path!r} is a directory")
-        if path is not None and not os.path.isdir(out_dir := os.path.dirname(path) or "."):
+        if not os.path.isdir(out_dir := os.path.dirname(path) or "."):
             raise FileNotFoundError(f"{flag}: no directory {out_dir!r}")
+        if (other := flag_of.setdefault(os.path.realpath(path), flag)) != flag:
+            raise ConfigError(f"{flag}: {path!r} is also the {other} file")
 
 
 def _write_csv(path: str, rows) -> None:
@@ -109,13 +117,13 @@ def _cmd_finetune(args) -> int:
     target = generate_task(cfg.target, DEFAULT_SAMPLES)
     model, log = finetune_cell(model, target.train_inputs, target.train_labels, tcfg)
     # checked before any write, so that the failed command leaves no files
-    if args.grad_dump and log.final_accumulator is None:
+    if args.grad_dump is not None and log.final_accumulator is None:
         raise ConfigError("no gradient trace to dump (no training iterations ran)")
     save_checkpoint(model.tensor_map(), args.out)
 
-    if args.log:
+    if args.log is not None:
         _write_csv(args.log, _run_log_rows(log))
-    if args.grad_dump:
+    if args.grad_dump is not None:
         save_checkpoint(log.final_accumulator, args.grad_dump)
     print(f"finetuned method={tcfg.method} seed={tcfg.seed} steps={len(log.losses)} -> {args.out}")
     return 0
@@ -143,8 +151,8 @@ def _gradient_domain(full: TensorMap, grads: TensorMap, op: str) -> TensorMap:
 
 def _cmd_merge(args) -> int:
     from .checkpoint import load_checkpoint, save_checkpoint
-    from .importance import GradAccumulator, generalization_importance, specialization_importance
-    from .masking import dare_merge, merge, select_mask
+    from .importance import GradAccumulator
+    from .masking import MaskRule, dare_merge, merge
 
     if args.strategy != "dare" and not args.grads:
         args.parser.error(f"--grads is required for strategy {args.strategy}")
@@ -159,12 +167,8 @@ def _cmd_merge(args) -> int:
         sub_pre = _gradient_domain(pretrained, grads, "merge")
         sub_fine = _gradient_domain(finetuned, grads, "merge")
         state = GradAccumulator(acc=grads, beta=0.9, initialized=True)
-        mask = select_mask(
-            args.strategy,
-            specialization_importance(state, args.scope),
-            generalization_importance(sub_pre, args.scope),
-            args.scope,
-        )
+        # the fine-tuning loop's mask rule, called once on the dumped accumulator
+        mask = MaskRule(args.strategy, sub_pre, args.scope)(state)
         masked = merge(sub_fine, sub_pre, mask)
         # tensors without gradient evidence stay at the pretrained values
         merged = TensorMap.from_tensors(
@@ -198,7 +202,7 @@ def _cmd_eval(args) -> int:
     print(f"h_average {report.h_avg}")
     print(f"o_average {report.o_avg}")
 
-    if args.out:
+    if args.out is not None:
         _write_csv(args.out, metrics_csv_rows([report]))
     return 0
 
@@ -221,7 +225,9 @@ def _cmd_pid(args) -> int:
 def _cmd_report(args) -> int:
     from .benchmark import CSV_HEADER
 
-    logs = sorted(Path(args.logs).glob("*.csv"))
+    # a previous run's output under --logs is not an input
+    own = os.path.realpath(args.out)
+    logs = sorted(p for p in Path(args.logs).glob("*.csv") if os.path.realpath(p) != own)
     if not logs:
         raise ConfigError(f"no .csv files under {args.logs}")
 

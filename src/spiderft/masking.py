@@ -8,13 +8,14 @@ optimizer step the model is pulled back toward the pretrained weights:
 
     w  <-  w * M + w_pre * (1 - M)
 
-``select_mask`` is the one entry point that picks a mask by name, for the
-fine-tuning loop and the offline merge alike; besides the three comparison
-masks it builds the ablation arms that update half of each tensor,
-floor(size / 2) entries (random, smallest pretrained magnitude, largest
-accumulated gradient).  Random baselines live here too: the half-block
-mask (a fresh random half of the named tensors each iteration) and the
-drop-and-rescale (DARE) merge, w_pre + dare(w - w_pre).
+``MaskRule`` is the one owner of the mask variants, for the fine-tuning
+loop and the offline merge alike: built once per run by name, it holds the
+variant's fixed map and buffers and gives each step's mask.  Besides the
+three comparison masks it builds the ablation arms that update half of
+each tensor, floor(size / 2) entries (random, smallest pretrained
+magnitude, largest accumulated gradient).  Random baselines live here too:
+the half-block mask (a fresh random half of the named tensors each
+iteration) and the drop-and-rescale (DARE) merge, w_pre + dare(w - w_pre).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .importance import GradAccumulator, generalization_importance, specialization_importance
 from .tensors import BLOCK, TensorMap, blockwise, scoped_arrays, selected_mean_array
 
 logger = logging.getLogger(__name__)
@@ -180,46 +182,59 @@ def _half_mask(tm: TensorMap, pick) -> UpdateMask:
     return UpdateMask(mask)
 
 
-def select_mask(
-    variant: str,
-    g: TensorMap,
-    i: TensorMap,
-    scope: str = "per_tensor",
-    *,
-    seed: int = 0,
-    out: TensorMap | None = None,
-    selection: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
-) -> UpdateMask:
-    """The update mask named by `variant`, from the evidence for updating (g)
-    and for keeping the pretrained value (i).
+class MaskRule:
+    """One run's update mask named by `variant`, built once from the
+    pretrained weights; each call gives a step's mask.
 
-    * ``binary`` / ``weighted`` / ``rescaled`` -- compare specialization
-      scores g with generalization scores i; rescaling uses `scope`;
-    * ``gradient`` -- the half of each tensor with the largest g (accumulated
-      |grad|);
-    * ``magnitude`` -- the half with the smallest |i| (pretrained weights);
-    * ``random`` -- a random half drawn from `seed`, shaped like g.
+    * ``binary`` / ``weighted`` / ``rescaled`` -- compare the specialization
+      scores of the accumulator with the generalization scores of the
+      pretrained weights; both and the rescale use `scope`;
+    * ``gradient`` -- the half of each tensor with the largest accumulated
+      |grad|;
+    * ``magnitude`` -- the half with the smallest pretrained |w|, the same
+      mask at every step;
+    * ``random`` -- a random half drawn from the step's seed.
 
-    The comparison masks take `out`, `selection` (see binary_mask) and the
-    rescale's `scratch` (see rescale_mask); the other variants allocate.
+    `fixed` is the run's fixed map (the generalization scores, or the
+    magnitude mask), None for the other variants.  A comparison mask is
+    written into one map (scores, then mask) and one selection held by the
+    rule, so a mask is valid until the next call; `scratch`, an array of
+    the maps' length, takes the z-score's and the rescale's temporaries.
+    The other variants allocate.
     """
-    if variant == "binary":
-        return binary_mask(g, i, out=out, selection=selection)
-    if variant in ("weighted", "rescaled"):
-        m = weighted_mask(g, i, out=out, selection=selection)
-        del g  # a caller that passes fresh scores gets them freed before the rescale
+
+    def __init__(self, variant: str, pretrained: TensorMap, scope: str = "per_tensor"):
+        self.variant, self.scope, self.fixed = variant, scope, None
+        n = pretrained.total_size
+        if variant in DISCREPANCY_MASKS:
+            self.fixed = generalization_importance(pretrained, scope)
+            self._scores = pretrained.with_flat(np.empty(n))
+            self._selection = np.empty(n, dtype=bool)
+        elif variant == "magnitude":
+            self.fixed = _half_mask(pretrained,
+                                    lambda v, k: np.argsort(np.abs(v), kind="stable")[:k])
+        elif variant not in ("gradient", "random"):
+            raise ConfigError(f"unknown mask variant {variant!r}")
+
+    def __call__(
+        self, accumulator: GradAccumulator, seed: int = 0, scratch: np.ndarray | None = None
+    ) -> UpdateMask:
+        variant = self.variant
+        if variant == "magnitude":
+            return self.fixed
+        if variant == "gradient":
+            return _half_mask(accumulator.acc, lambda v, k: np.argsort(v, kind="stable")[-k:])
+        if variant == "random":
+            rng = np.random.default_rng(seed)
+            return _half_mask(accumulator.acc,
+                              lambda v, k: rng.choice(v.size, size=k, replace=False))
+        g = specialization_importance(accumulator, self.scope, out=self._scores, scratch=scratch)
+        if variant == "binary":
+            return binary_mask(g, self.fixed, out=g, selection=self._selection)
+        m = weighted_mask(g, self.fixed, out=g, selection=self._selection)
         if variant == "weighted":
             return m
-        return rescale_mask(m, scope, out=m.mask, scratch=scratch)
-    if variant == "gradient":
-        return _half_mask(g, lambda v, k: np.argsort(v, kind="stable")[-k:])
-    if variant == "magnitude":
-        return _half_mask(i, lambda v, k: np.argsort(np.abs(v), kind="stable")[:k])
-    if variant == "random":
-        rng = np.random.default_rng(seed)
-        return _half_mask(g, lambda v, k: rng.choice(v.size, size=k, replace=False))
-    raise ConfigError(f"unknown mask variant {variant!r}")
+        return rescale_mask(m, self.scope, out=g, scratch=scratch)
 
 
 def dare_mask_and_rescale(delta: TensorMap, drop_p: float, rng_seed: int) -> TensorMap:

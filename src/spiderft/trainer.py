@@ -22,7 +22,7 @@ below, and ``zero_shot``, which fine-tunes nothing):
   (``l2_reg``, ``l1_graft``) and random half-block gating (``half_ft``);
 * a mask merged after the SGD step, pulling deselected weights back to the
   pretrained snapshot (the ``spider`` family and the ``select_*`` arms; see
-  ``masking.select_mask``);
+  ``masking.MaskRule``);
 * a drop-and-rescale of the final delta after the run (``dare``).
 
 ``finetune_spider`` runs the masked methods and ``finetune_baseline`` the
@@ -40,10 +40,11 @@ select_random and select_gradient masks (rng.choice, a stable argsort) and
 of l2_reg's and l1_graft's drift.  backward writes the gradient into one
 held map.  The SGD step consumes it (it holds the step afterwards), so the
 mask chain and then the pid trace (|w_pre|, its norm taken once before
-the loop) use it as scratch.  A comparison mask is built in one more held
-map, which takes the specialization scores and then the mask in place, and
-one held selection.  The accumulator fold, the weighted mask and the merge
-run in cache-sized blocks through one small scratch (``tensors.blockwise``).
+the loop) use it as scratch.  The run's MaskRule holds a comparison mask's
+one more map, which takes the specialization scores and then the mask in
+place, and one selection.  The accumulator fold, the weighted mask and the
+merge run in cache-sized blocks through one small scratch
+(``tensors.blockwise``).
 Every step checks the loss, the gradient and the updated weights once and
 raises DivergenceError on the first non-finite value.  A masked run ends by
 checking that every changed weight lies in the final mask's support (else
@@ -69,24 +70,11 @@ from .errors import (
     InvariantError,
     StaleCacheError,
 )
-from .importance import (
-    GradAccumulator,
-    accumulate_gradient,
-    generalization_importance,
-    pid_of_magnitudes,
-    specialization_importance,
-)
-from .masking import (
-    DISCREPANCY_MASKS,
-    UpdateMask,
-    dare_merge,
-    merge,
-    random_half_blocks,
-    select_mask,
-)
+from .importance import GradAccumulator, accumulate_gradient, pid_of_magnitudes
+from .masking import MaskRule, UpdateMask, dare_merge, merge, random_half_blocks
 from .tensors import NORMALIZATION_SCOPES, FlatTensor, Layout, TensorMap, norm
 
-# masked methods: the masking.select_mask variant merged after each SGD step
+# masked methods: the masking.MaskRule variant merged after each SGD step
 MASK_OF_METHOD = {
     "spider": "rescaled",
     "spider_binary": "binary",
@@ -526,21 +514,15 @@ def _finetune(
     weights.require_aligned(pretrained, "finetune")
 
     accumulator = GradAccumulator.empty(pretrained, cfg.beta)
-    variant, scope = MASK_OF_METHOD.get(cfg.method), cfg.normalization_scope
-    # the method's fixed trainable-sized map, if any (magnitude's is every step's
-    # mask), and the step's buffers, allocated once and rewritten before a read:
-    # the gradient, and for a comparison mask the scores (then mask) and selection
-    fixed = mask = None
-    if variant in DISCREPANCY_MASKS:
-        fixed = generalization_importance(pretrained, scope)
-        scores = weights.with_flat(np.empty(weights.total_size))
-        selection = np.empty(weights.total_size, dtype=bool)
-    elif variant == "magnitude":
-        fixed = mask = select_mask(variant, pretrained, pretrained)
+    # the method's mask, with its fixed map and buffers, if any; the gradient
+    # buffer is allocated once and rewritten before a read
+    variant, mask = MASK_OF_METHOD.get(cfg.method), None
+    rule = None if variant is None else MaskRule(variant, pretrained, cfg.normalization_scope)
     grads = weights.with_flat(np.empty(weights.total_size))
     w_norm = norm(np.abs(pretrained.flat, out=grads.flat))  # ||w_pre||, fixed for the run
-    # the snapshot and the accumulator, plus the fixed map
-    log = RunLog(cfg.method, persistent_aux_maps=2 + (fixed is not None))
+    # the snapshot and the accumulator, plus the mask's fixed map
+    log = RunLog(cfg.method,
+                 persistent_aux_maps=2 + (rule is not None and rule.fixed is not None))
     # one word per iteration, then the post-run drop's
     seeds = _iteration_seeds(cfg.seed, cfg.epochs * len(data) + 1)
 
@@ -557,13 +539,8 @@ def _finetune(
             # buffer then holds lr * grad, which nothing reads again, and
             # serves the mask chain as scratch
             sgd_step(model, grads, cfg.learning_rate)
-            if variant in DISCREPANCY_MASKS:
-                g = specialization_importance(accumulator, scope, out=scores, scratch=grads.flat)
-                mask = select_mask(variant, g, fixed, scope, out=scores, selection=selection,
-                                   scratch=grads.flat)
-            elif variant in ("random", "gradient"):
-                mask = select_mask(variant, accumulator.acc, pretrained, seed=seed)
-            if mask is not None:
+            if rule is not None:
+                mask = rule(accumulator, seed, grads.flat)
                 merge(weights, pretrained, mask, out=weights)  # writes the model
                 model.version += 1
                 log.mask_density.append(mask.density)
@@ -576,7 +553,7 @@ def _finetune(
             log.pid.append(pid_of_magnitudes(w_mag, w_norm, accumulator.acc.flat))
             it += 1
 
-    if variant is not None and it > 0:
+    if rule is not None and it > 0:
         # the spent gradient buffer is the check's scratch
         log.changed_weights, log.mask_support = _merged_support(weights, pretrained, mask,
                                                                 grads.flat)

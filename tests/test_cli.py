@@ -518,8 +518,13 @@ def assert_bad_output_exits_2_before_any_work(workspace, capsys, command, flag, 
     at = argv.index(flag) + 1
     if where == "missing":
         argv[at], expected = tmp / "missing" / argv[at].name, f"no directory '{tmp / 'missing'}'"
-    else:
+    elif where == "directory":
         argv[at], expected = tmp / "adir", f"'{tmp / 'adir'}' is a directory"
+    elif where == "empty":
+        argv[at], expected = "", "empty path"
+    else:  # the file another output flag names
+        argv[at] = argv[argv.index("--out") + 1]
+        expected = f"'{argv[at]}' is also the --out file"
     before = files_under(tmp)
     assert run_cli(argv) == 2
     out, err = capsys.readouterr()
@@ -543,6 +548,16 @@ def test_eval_out_into_a_missing_directory_exits_2_before_any_output(
     ("finetune", "--log", "directory"), ("pretrain", "--out", "directory"),
 ], ids=lambda v: v.lstrip("-"))
 def test_an_output_in_a_missing_directory_or_at_a_directory_exits_2_before_any_work(
+    workspace, capsys, command, flag, where
+):
+    assert_bad_output_exits_2_before_any_work(workspace, capsys, command, flag, where)
+
+
+@pytest.mark.parametrize("command, flag, where", [
+    ("pretrain", "--out", "empty"), ("finetune", "--log", "empty"),
+    ("finetune", "--log", "same"), ("finetune", "--grad-dump", "same"),
+], ids=lambda v: v.lstrip("-"))
+def test_an_empty_output_path_or_one_file_for_two_outputs_exits_2_before_any_work(
     workspace, capsys, command, flag, where
 ):
     assert_bad_output_exits_2_before_any_work(workspace, capsys, command, flag, where)
@@ -600,15 +615,29 @@ def test_report_on_empty_directory_exits_2(tmp_path, capsys):
 def test_report_rejects_foreign_csv(tmp_path, capsys):
     (tmp_path / "logs").mkdir()
     header = b"method,seed,task,metric,value\n"
-    # a foreign header, a non-numeric value, bytes that are not UTF-8, a field over csv's limit
+    # a foreign header, a non-numeric value, bytes that are not UTF-8, a field over csv's
+    # limit, a row of the wrong length
     for content in [b"a,b\n1,2\n", header + b"spider,0,,h_average,abc\n",
                     header + b"spider,0,,h_average,\xff\n",
-                    header + b"spider,0,,h_average," + b"1" * 200_000 + b"\n"]:
+                    header + b"spider,0,,h_average," + b"1" * 200_000 + b"\n",
+                    header + b"spider,0,t\n"]:
         (tmp_path / "logs" / "x.csv").write_bytes(content)
         assert main(["report", "--logs", str(tmp_path / "logs"),
                      "--out", str(tmp_path / "out.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "x.csv" in err
+
+
+def test_report_skips_its_own_output_under_logs(tmp_path, capsys):
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / "metrics.csv").write_text(VALID_CSV)
+    runs = []
+    for _ in range(2):
+        assert main(["report", "--logs", str(logs), "--out", str(logs / "c.csv")]) == 0
+        runs.append(((logs / "c.csv").read_bytes(), capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == VALID_CSV.encode()
 
 
 def test_scipy_never_imported_and_sigmoid_loads_only_special_ufuncs(workspace):

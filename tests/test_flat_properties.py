@@ -32,13 +32,13 @@ from spiderft.importance import (
 )
 from spiderft import masking
 from spiderft.masking import (
+    MaskRule,
     UpdateMask,
     binary_mask,
     dare_mask_and_rescale,
     merge,
     random_half_mask,
     rescale_mask,
-    select_mask,
     weighted_mask,
 )
 from spiderft.tensors import (
@@ -298,6 +298,18 @@ def rescaled_by_masked_mean(v):
     return v.copy() if empty else np.minimum(v / mean, 1.0)
 
 
+def mask_of(variant, g, i, scope, seed):
+    """The variant's mask on arbitrary scores: a comparison mask from its
+    primitives on G = g and I = i, an arm from a MaskRule that takes g as
+    the accumulator and i as the pretrained weights."""
+    if variant == "binary":
+        return binary_mask(g, i)
+    if variant in ("weighted", "rescaled"):
+        m = weighted_mask(g, i)
+        return m if variant == "weighted" else rescale_mask(m, scope)
+    return MaskRule(variant, i, scope)(GradAccumulator(g, 0.9, initialized=True), seed)
+
+
 @SETTINGS
 @given(two_payloads(scores, scores), SCOPES, st.sampled_from(MASK_VARIANTS), st.booleans(),
        st.integers(0, 2**32 - 1))
@@ -315,7 +327,7 @@ def test_selection_gives_the_density_and_rescale_mean_of_the_values(
         return out
 
     with mock.patch.object(masking, "selected_mean_array", recorded):
-        m = select_mask(variant, g, i, scope, seed=seed)
+        m = mask_of(variant, g, i, scope, seed)
         before = m.mask.flat.copy()
         rescaled = rescale_mask(m, scope)
 
@@ -474,17 +486,24 @@ def test_in_place_forms_give_the_fresh_forms_bytes(case, scope):
         # the empty selection is still logged, once per call
         assert fresh_records == len(records) - fresh_records == int(in_place.empty_selection)
 
+        # a rule over acc and i as the pretrained weights: each call writes
+        # its one map and selection, with the bits of the fresh primitives
+        g_fresh = specialization_importance(state, scope)
+        i_fresh = generalization_importance(i, scope)
         for variant in masking.DISCREPANCY_MASKS:
-            fresh = select_mask(variant, g, i, scope)
-            scores = g.copy()
-            m = select_mask(variant, scores, i, scope, out=scores, selection=held(n, bool),
-                            scratch=held(n))
-            assert m.mask is scores and scores.flat.tobytes() == fresh.mask.flat.tobytes()
-            assert np.array_equal(m.selection, fresh.selection)
-            assert m.empty_selection == fresh.empty_selection
+            fresh = mask_of(variant, g_fresh, i_fresh, scope, 0)
+            rule = MaskRule(variant, i, scope)
+            first = rule(state, scratch=held(n))
+            first_bytes = first.mask.flat.tobytes()
+            second = rule(state, scratch=held(n))
+            assert second.mask is first.mask and second.selection is first.selection
+            assert first_bytes == second.mask.flat.tobytes() == fresh.mask.flat.tobytes()
+            assert np.array_equal(second.selection, fresh.selection)
+            assert second.empty_selection == fresh.empty_selection
     finally:
         logger.removeHandler(handler)
     assert snapshot(g, i) == [g_flat.tobytes(), i_flat.tobytes()]
+    assert acc.flat.tobytes() == acc_flat.tobytes()
 
 
 # -- the model step: ndarray.dot against @ and np.matmul ----------------------

@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 
 from spiderft.errors import AlignmentError, ConfigError
-from spiderft.importance import generalization_importance
+from spiderft.importance import (
+    GradAccumulator,
+    generalization_importance,
+    specialization_importance,
+)
 from spiderft.masking import (
+    MaskRule,
     UpdateMask,
     binary_mask,
     dare_mask_and_rescale,
@@ -15,7 +20,6 @@ from spiderft.masking import (
     merge,
     random_half_mask,
     rescale_mask,
-    select_mask,
     weighted_mask,
 )
 from helpers import tmap
@@ -186,43 +190,50 @@ def two_tensor_maps(seed):
     return g, i
 
 
+def accumulator_of(acc):
+    return GradAccumulator(acc=acc, beta=0.9, initialized=True)
+
+
 @pytest.mark.parametrize("scope", ["per_tensor", "global"])
-def test_select_mask_builds_the_comparison_masks(scope):
-    g, i = two_tensor_maps(60)
-    i = generalization_importance(i, scope)
-    before = (g.flat.copy(), i.flat.copy())
+def test_mask_rule_builds_the_comparison_masks(scope):
+    acc, pretrained = two_tensor_maps(60)
+    before = (acc.flat.copy(), pretrained.flat.copy())
+    g = specialization_importance(accumulator_of(acc), scope)
+    i = generalization_importance(pretrained, scope)
     expected = {
         "binary": binary_mask(g, i),
         "weighted": weighted_mask(g, i),
         "rescaled": rescale_mask(weighted_mask(g, i), scope),
     }
     for variant, want in expected.items():
-        got = select_mask(variant, g, i, scope)
+        got = MaskRule(variant, pretrained, scope)(accumulator_of(acc))
         assert np.array_equal(got.mask.flat, want.mask.flat), variant
+        assert np.array_equal(got.selection, want.selection)
         assert got.empty_selection == want.empty_selection
-    assert np.array_equal(g.flat, before[0]) and np.array_equal(i.flat, before[1])
+    assert np.array_equal(acc.flat, before[0]) and np.array_equal(pretrained.flat, before[1])
 
 
-def test_select_mask_arms_pick_half_of_each_tensor():
-    g, i = two_tensor_maps(61)
-    largest_g = select_mask("gradient", g, i)
-    smallest_i = select_mask("magnitude", g, i)
-    drawn = select_mask("random", g, i, seed=4)
-    for gt, it, mg, mm, mr in zip(g, i, largest_g.mask, smallest_i.mask, drawn.mask):
+def test_mask_rule_arms_pick_half_of_each_tensor():
+    acc, pretrained = two_tensor_maps(61)
+    state = accumulator_of(acc)
+    largest_g = MaskRule("gradient", pretrained)(state)
+    smallest_i = MaskRule("magnitude", pretrained)(state)
+    drawn = MaskRule("random", pretrained)(state, seed=4)
+    for gt, it, mg, mm, mr in zip(acc, pretrained, largest_g.mask, smallest_i.mask, drawn.mask):
         k = gt.size // 2
         assert set(np.flatnonzero(mg.data)) == set(np.argsort(gt.data)[gt.size - k:])
         assert set(np.flatnonzero(mm.data)) == set(np.argsort(np.abs(it.data))[:k])
         assert np.count_nonzero(mr.data) == k
     # the random draw is a function of the seed
-    again, other = (select_mask("random", g, i, seed=s).mask.flat for s in (4, 5))
+    again, other = (MaskRule("random", pretrained)(state, seed=s).mask.flat for s in (4, 5))
     assert np.array_equal(again, drawn.mask.flat)
     assert not np.array_equal(other, again)  # many possible draws: another seed, another one
 
 
-def test_select_mask_rejects_unknown_variant():
-    g, i = two_tensor_maps(63)
+def test_mask_rule_rejects_unknown_variant():
+    _, pretrained = two_tensor_maps(63)
     with pytest.raises(ConfigError):
-        select_mask("soft", g, i)
+        MaskRule("soft", pretrained)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spiderft import trainer
+from spiderft import masking, trainer
 from spiderft.benchmark import (
     default_suite,
     default_target,
@@ -831,8 +831,8 @@ def test_a_spider_step_shares_one_layout(monkeypatch):
 
     monkeypatch.setattr(trainer, "accumulate_gradient", recording(
         trainer.accumulate_gradient, lambda args, out: (args[0].acc, args[1])))
-    monkeypatch.setattr(trainer, "specialization_importance", recording(
-        trainer.specialization_importance, lambda args, out: (out,)))
+    monkeypatch.setattr(masking, "specialization_importance", recording(
+        masking.specialization_importance, lambda args, out: (out,)))
     monkeypatch.setattr(trainer, "merge", recording(
         trainer.merge, lambda args, out: (args[0], args[1], args[2].mask, out)))
     model = small_model(seed=5)
