@@ -22,11 +22,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError
-from .tensors import TensorMap
-from .trainer import (  # METHOD_CHOICES: re-exported only for the frozen tests/test_golden.py
+from .methods import (  # METHOD_CHOICES: re-exported only for the frozen tests/test_golden.py
     METHOD_CHOICES,
     SPIDER_METHODS,
     ZERO_SHOT,
+)
+from .tensors import TensorMap
+from .trainer import (
     Batch,
     RunLog,
     ToyModel,

@@ -8,24 +8,24 @@ All randomness comes from config seeds, so every invocation is
 reproducible bit for bit.
 
 A process runs one subcommand, so each subcommand imports the modules it
-runs; the module itself imports only what the parser needs.
+runs; the module itself imports only what the parser needs.  The program's
+entry point is ``run``, for ``python -m spiderft.cli`` and the installed
+``spiderft`` script alike; ``main`` is the same command without its exit.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import math
 import os
 import sys
 from pathlib import Path
 
 from .errors import AlignmentError, ConfigError, FormatError, SpiderftError
-from .masking import DISCREPANCY_MASKS
+from .methods import MERGE_STRATEGIES, METHOD_CHOICES
 from .tensors import NORMALIZATION_SCOPES, TensorMap
-from .trainer import METHOD_CHOICES
-
-MERGE_STRATEGIES = DISCREPANCY_MASKS + ("dare",)
 
 
 class _UsageError(Exception):
@@ -344,5 +344,19 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> int:
+    """The program: `main` on sys.argv, then the process ends.
+
+    Whichever way main leaves (a return, --help's SystemExit, an
+    exception), the heap it leaves behind is frozen, so the interpreter's
+    shutdown still runs atexit handlers and flushes the streams but skips
+    the collector's passes over every object numpy and spiderft created.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

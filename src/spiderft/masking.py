@@ -27,12 +27,10 @@ import numpy as np
 
 from .errors import ConfigError
 from .importance import GradAccumulator, generalization_importance, specialization_importance
+from .methods import DISCREPANCY_MASKS
 from .tensors import BLOCK, TensorMap, blockwise, scoped_arrays, selected_mean_array
 
 logger = logging.getLogger(__name__)
-
-# the masks that compare specialization scores G with generalization scores I
-DISCREPANCY_MASKS = ("binary", "weighted", "rescaled")
 
 
 @dataclass

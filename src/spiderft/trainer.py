@@ -72,22 +72,8 @@ from .errors import (
 )
 from .importance import GradAccumulator, accumulate_gradient, pid_of_magnitudes
 from .masking import MaskRule, UpdateMask, dare_merge, merge, random_half_blocks
+from .methods import BASELINE_METHODS, MASK_OF_METHOD, METHOD_CHOICES, SPIDER_METHODS
 from .tensors import NORMALIZATION_SCOPES, FlatTensor, Layout, TensorMap, norm
-
-# masked methods: the masking.MaskRule variant merged after each SGD step
-MASK_OF_METHOD = {
-    "spider": "rescaled",
-    "spider_binary": "binary",
-    "spider_weighted_norescale": "weighted",
-    "select_random": "random",
-    "select_magnitude": "magnitude",
-    "select_gradient": "gradient",
-}
-SPIDER_METHODS = tuple(MASK_OF_METHOD)
-BASELINE_METHODS = ("full_ft", "l2_reg", "l1_graft", "half_ft", "dare")
-ZERO_SHOT = "zero_shot"  # the pretrained model as is: no fine-tuning
-# every method name a TrainConfig accepts
-METHOD_CHOICES = (ZERO_SHOT,) + BASELINE_METHODS + SPIDER_METHODS
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,23 @@
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spiderft import benchmark, masking, methods, trainer
 from spiderft.checkpoint import load_checkpoint, save_checkpoint
-from spiderft.cli import MERGE_STRATEGIES, main
+from spiderft.cli import MERGE_STRATEGIES, build_parser, main
 from spiderft.config import ExperimentConfig, config_to_dict
 from spiderft.tensors import NORMALIZATION_SCOPES, FlatTensor, TensorMap
 from spiderft.trainer import METHOD_CHOICES, TrainConfig, build_model, set_trainable_tail
@@ -719,6 +723,23 @@ def test_each_subcommand_imports_only_what_it_runs(workspace):
         assert [n for n in modules if n.startswith("scipy")] == expected, (name, modules)
     for name in ("--help", "merge", "pid"):
         assert not {"spiderft.benchmark", "spiderft.config"} & set(loaded[name]), name
+    # the parser's names come from spiderft.methods, so pid and --help load
+    # neither the trainer nor masking, and merge not the trainer
+    for name in ("--help", "pid"):
+        assert not {"spiderft.trainer", "spiderft.masking"} & set(loaded[name]), name
+    assert "spiderft.trainer" not in loaded["merge"]
+
+    def choices(command, flag):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        return next(a.choices for a in sub.choices[command]._actions if flag in a.option_strings)
+
+    # one owner for each name list: the very objects the trainer, masking
+    # and benchmark modules use
+    assert choices("finetune", "--method") is methods.METHOD_CHOICES is trainer.METHOD_CHOICES
+    assert benchmark.METHOD_CHOICES is methods.METHOD_CHOICES
+    assert choices("merge", "--strategy") is methods.MERGE_STRATEGIES is MERGE_STRATEGIES
+    assert masking.DISCREPANCY_MASKS is methods.DISCREPANCY_MASKS
+    assert MERGE_STRATEGIES == masking.DISCREPANCY_MASKS + ("dare",)
 
 
 def test_help_via_subprocess_exits_0():
@@ -729,6 +750,53 @@ def test_help_via_subprocess_exits_0():
     assert proc.returncode == 0
     assert "pretrain" in proc.stdout
     assert "merge" in proc.stdout
+
+
+def test_the_program_freezes_the_heap_on_every_way_out(workspace):
+    # run as `python -m spiderft.cli`: a success, --help and an exit-2
+    # failure all end through run(), whose frozen heap the shutdown's
+    # collector passes skip; atexit handlers still run and stdout is flushed
+    tmp, _ = workspace
+    pre = tmp / "pre.ckpt"
+    save_checkpoint(tmap(w=[0.5, -2.0], b=[1.0]), pre)
+    grads = tmp / "g.ckpt"
+    save_checkpoint(tmap(w=[0.25, 1.0]), grads)
+    script = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('freeze count', gc.get_freeze_count()))\n"
+        "runpy.run_module('spiderft.cli', run_name='__main__')\n"
+    )
+    cases = {  # argv, exit code, the command's own stdout before the probe's line
+        "pid": (["pid", "--pretrained", pre, "--grads", grads], 0, lambda out: float(*out) >= 0),
+        "--help": (["--help"], 0, lambda out: out[0].startswith("usage: spiderft")),
+        "missing input": (["pid", "--pretrained", tmp / "absent.ckpt", "--grads", grads], 2,
+                          lambda out: out == []),
+    }
+    for name, (argv, code, printed) in cases.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *map(str, argv)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == code, (name, proc.stderr)
+        *out, probe = proc.stdout.splitlines()
+        assert printed(out), (name, proc.stdout)
+        probe = probe.split()
+        assert probe[:2] == ["freeze", "count"] and int(probe[2]) > 0, (name, proc.stdout)
+
+
+def test_main_in_process_freezes_nothing(workspace):
+    # tests and the benchmark's traced passes call main in-process: their
+    # cyclic garbage must stay collectable
+    before = gc.get_freeze_count()
+    pretrained_checkpoint(workspace)
+    assert main(["--bogus"]) == 1
+    assert gc.get_freeze_count() == before
+
+
+def test_the_installed_script_is_the_programs_entry_point():
+    # pyproject's [project.scripts] names run, which `python -m` also calls
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    assert re.search(r'^spiderft = "spiderft\.cli:run"$', pyproject, re.MULTILINE)
 
 
 # ---------------------------------------------------------------------------
