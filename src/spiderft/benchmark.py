@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError
 from .methods import (  # METHOD_CHOICES: re-exported only for the frozen tests/test_golden.py
+    CSV_HEADER,
     METHOD_CHOICES,
     SPIDER_METHODS,
     ZERO_SHOT,
@@ -98,10 +99,13 @@ class TaskSpec:
             )
         if self.covariance_scale <= 0:
             raise ConfigError(f"{self.task_id}: covariance_scale must be positive")
-        for i in range(self.class_count):
-            for j in range(i + 1, self.class_count):
-                if not np.any(self.means[i] != self.means[j]):
-                    raise ConfigError(f"{self.task_id}: class means {i} and {j} coincide")
+        # lexsort is stable, so equal rows sort next to each other in index order
+        order = np.lexsort(self.means.T)
+        rows = self.means[order]
+        same = np.flatnonzero(np.all(rows[1:] == rows[:-1], axis=1))
+        if same.size:  # report the equal pair whose first row comes first
+            k = same[np.argmin(order[same])]
+            raise ConfigError(f"{self.task_id}: class means {order[k]} and {order[k + 1]} coincide")
 
 
 def require_distinct(seeds: Sequence[int], suite: Sequence[TaskSpec], target: TaskSpec) -> None:
@@ -344,7 +348,7 @@ def finetune_with_method(
 ) -> tuple[ToyModel, RunLog]:
     """Fine-tune by cfg.method; zero_shot runs nothing, unknown names raise ConfigError."""
     if cfg.method == ZERO_SHOT:
-        return model, RunLog(method=ZERO_SHOT)
+        return model, RunLog()
     run = finetune_spider if cfg.method in SPIDER_METHODS else finetune_baseline
     return run(model, pretrained, data, cfg)
 
@@ -448,9 +452,6 @@ def measure_pid_direction(
 # ---------------------------------------------------------------------------
 # CSV reporting
 # ---------------------------------------------------------------------------
-
-CSV_HEADER = ("method", "seed", "task", "metric", "value")
-
 
 def metrics_csv_rows(reports: Sequence[MetricsReport]) -> list[tuple[str, ...]]:
     """Flatten reports to (method, seed, task, metric, value) rows."""

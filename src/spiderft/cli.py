@@ -8,9 +8,9 @@ All randomness comes from config seeds, so every invocation is
 reproducible bit for bit.
 
 A process runs one subcommand, so each subcommand imports the modules it
-runs; the module itself imports only what the parser needs.  The program's
-entry point is ``run``, for ``python -m spiderft.cli`` and the installed
-``spiderft`` script alike; ``main`` is the same command without its exit.
+runs; the module itself imports only errors and methods, and no numpy.  The
+program's entry point is ``run``, for ``python -m spiderft.cli`` and the
+installed ``spiderft`` script alike; ``main`` is the command without its exit.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ import sys
 from pathlib import Path
 
 from .errors import AlignmentError, ConfigError, FormatError, SpiderftError
-from .methods import MERGE_STRATEGIES, METHOD_CHOICES
-from .tensors import NORMALIZATION_SCOPES, TensorMap
+from .methods import CSV_HEADER, MERGE_STRATEGIES, METHOD_CHOICES, NORMALIZATION_SCOPES
 
 
 class _UsageError(Exception):
@@ -143,6 +142,8 @@ def _gradient_domain(full: TensorMap, grads: TensorMap, op: str) -> TensorMap:
     A dump from a run with frozen layers legitimately covers only the
     trainable tensors; anything it omits is treated as frozen.
     """
+    from .tensors import TensorMap
+
     bad = [t.name for t in grads if t.name not in full or full[t.name].shape != t.shape]
     if bad:
         raise AlignmentError(f"{op}: gradient tensors not in the model: {bad}")
@@ -153,6 +154,7 @@ def _cmd_merge(args) -> int:
     from .checkpoint import load_checkpoint, save_checkpoint
     from .importance import GradAccumulator
     from .masking import MaskRule, dare_merge, merge
+    from .tensors import TensorMap
 
     if args.strategy != "dare" and not args.grads:
         args.parser.error(f"--grads is required for strategy {args.strategy}")
@@ -191,8 +193,7 @@ def _cmd_eval(args) -> int:
 
     source_accs = {spec.task_id: evaluate(model, spec) for spec in cfg.suite}
     report = build_report(
-        args.method_label, args.seed_label, source_accs, evaluate(model, cfg.target),
-        RunLog(method=args.method_label),
+        args.method_label, args.seed_label, source_accs, evaluate(model, cfg.target), RunLog()
     )
     for task_id, acc in report.per_source_accuracy.items():
         print(f"accuracy {task_id} {acc}")
@@ -223,8 +224,6 @@ def _cmd_pid(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from .benchmark import CSV_HEADER
-
     # a previous run's output under --logs is not an input
     own = os.path.realpath(args.out)
     logs = sorted(p for p in Path(args.logs).glob("*.csv") if os.path.realpath(p) != own)
@@ -250,22 +249,20 @@ def _cmd_report(args) -> int:
 
     _write_csv(args.out, [CSV_HEADER, *rows])
 
-    # method x metric grid, metrics averaged over seeds
-    methods: list[str] = []
-    cells: dict[tuple[str, str], list[float]] = {}
+    # method x metric grid, metrics averaged over seeds; methods in row order
+    grid: dict[str, dict[str, list[float]]] = {}
     for method, _seed, task, metric, value in rows:
-        if method not in methods:
-            methods.append(method)
+        cells = grid.setdefault(method, {})
         if metric in ("source_avg", "h_average", "o_average"):
-            cells.setdefault((method, metric), []).append(float(value))
+            cells.setdefault(metric, []).append(float(value))
         elif metric == "accuracy" and task == "target":
-            cells.setdefault((method, "target_accuracy"), []).append(float(value))
+            cells.setdefault("target_accuracy", []).append(float(value))
 
     print("method source_avg target_accuracy h_average o_average")
-    for method in methods:
+    for method, cells in grid.items():
         parts = [method]
         for metric in ("source_avg", "target_accuracy", "h_average", "o_average"):
-            values = cells.get((method, metric))
+            values = cells.get(metric)
             parts.append(f"{sum(values) / len(values):.4f}" if values else "-")
         print(" ".join(parts))
     return 0

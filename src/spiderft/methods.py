@@ -1,8 +1,8 @@
-"""The names a run is configured by: fine-tuning methods, mask variants and
-merge strategies.
+"""The names a run is configured by and reported under: fine-tuning methods,
+mask variants, merge strategies, normalization scopes and the CSV columns.
 
-Their one owner, which imports nothing: the CLI's parser offers these
-names without loading the trainer or masking modules that run them.
+Their one owner, which imports nothing: the CLI's parser and ``report`` use
+them without loading numpy or the modules that run them.
 """
 
 # the masks that compare specialization scores G with generalization scores I
@@ -24,3 +24,6 @@ BASELINE_METHODS = ("full_ft", "l2_reg", "l1_graft", "half_ft", "dare")
 ZERO_SHOT = "zero_shot"  # the pretrained model as is: no fine-tuning
 # every method name a TrainConfig accepts
 METHOD_CHOICES = (ZERO_SHOT,) + BASELINE_METHODS + SPIDER_METHODS
+
+NORMALIZATION_SCOPES = ("per_tensor", "global")  # a statistic per tensor, or over the map
+CSV_HEADER = ("method", "seed", "task", "metric", "value")  # the metrics CSV's columns

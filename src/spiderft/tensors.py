@@ -8,8 +8,9 @@ buffer (``flat``).  ``from_tensors`` copies into a new buffer; ``over`` and
 ``with_flat`` put a layout over a given one.  An entry is a view of its
 segment, made on access.  Elementwise work runs as one numpy op over the
 whole buffer, and statistics are taken per tensor on the layout's segments
-or over the whole buffer (the normalization scope).  Transforms are pure
-unless given an ``out`` map of their input's layout (TensorMap.result).
+or over the whole buffer (the normalization scope, one of
+``methods.NORMALIZATION_SCOPES``).  Transforms are pure unless given an
+``out`` map of their input's layout (TensorMap.result).
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import os
 import sys
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from importlib.machinery import EXTENSION_SUFFIXES
-from importlib.util import find_spec, module_from_spec, spec_from_file_location
+from importlib.machinery import PathFinder
+from importlib.util import find_spec, module_from_spec
 from itertools import accumulate
 from types import ModuleType
 from typing import Iterable, Iterator
@@ -28,6 +29,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import AlignmentError, ConfigError, ZeroNormError
+from .methods import NORMALIZATION_SCOPES
 
 # Degenerate-spread guard for zscore and the zero-direction guard for cosine.
 STD_EPS = 1e-12
@@ -231,14 +233,10 @@ def _expit():
     """scipy's expit ufunc, loaded on first use: most commands take no sigmoid.
 
     Importing scipy.special loads all of its modules for this one ufunc, and
-    importing scipy alone costs more than the ufunc's extension, so unless
-    scipy.special is already imported, only that extension is loaded (see
-    _load_ufuncs).  The import is the fallback, for a scipy whose files are
-    laid out otherwise.
+    importing scipy alone costs more than the ufunc's extension, so only that
+    extension is loaded (see _load_ufuncs).  The import is the fallback, for a
+    scipy whose files are laid out otherwise.
     """
-    special = sys.modules.get("scipy.special")
-    if special is not None:
-        return special.expit
     try:
         return _load_ufuncs().expit
     except (ImportError, OSError, AttributeError):
@@ -247,33 +245,28 @@ def _expit():
         return expit
 
 
-def _ufuncs_file() -> str:
-    """The path of scipy.special._special_ufuncs, the extension module that
-    defines expit, found without importing scipy."""
-    spec = find_spec("scipy")
-    for root in (spec and spec.submodule_search_locations) or ():
-        for suffix in EXTENSION_SUFFIXES:
-            path = os.path.join(root, "special", "_special_ufuncs" + suffix)
-            if os.path.isfile(path):
-                return path
-    raise FileNotFoundError("no scipy.special._special_ufuncs extension module")
-
-
 def _load_ufuncs() -> ModuleType:
-    """scipy.special._special_ufuncs, executed from its file.
+    """scipy.special._special_ufuncs, the extension module that defines expit.
 
-    The extension imports no other scipy module, so neither scipy nor
-    scipy.special is imported, and a later ``import scipy.special`` binds
-    the loaded module.  If the load fails, the module is removed before the
-    error propagates.
+    Unless it is imported already, the import system's path finder finds it
+    in scipy's special/ directory, and it is executed alone: neither scipy nor
+    scipy.special is imported, and a later ``import scipy.special`` binds it.
+    If the load fails, the module is removed before the error propagates.
     """
-    spec = spec_from_file_location("scipy.special._special_ufuncs", _ufuncs_file())
+    name = "scipy.special._special_ufuncs"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = find_spec("scipy")
+    roots = (scipy and scipy.submodule_search_locations) or ()
+    spec = PathFinder.find_spec(name, [os.path.join(root, "special") for root in roots])
+    if spec is None:
+        raise ModuleNotFoundError(f"no module named {name!r}", name=name)
     module = module_from_spec(spec)
-    sys.modules[spec.name] = module
+    sys.modules[name] = module
     try:
         spec.loader.exec_module(module)
     except BaseException:
-        del sys.modules[spec.name]
+        del sys.modules[name]
         raise
     return module
 
@@ -361,9 +354,6 @@ def blockwise(kernel, *arrays: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # Map-level normalization (scope switch shared by importance and masking)
 # ---------------------------------------------------------------------------
-
-NORMALIZATION_SCOPES = ("per_tensor", "global")
-
 
 def scoped_arrays(scope: str, layout: Layout, *arrays: np.ndarray) -> list[tuple[np.ndarray, ...]]:
     """The units a statistic is taken over, as matching views of buffers laid

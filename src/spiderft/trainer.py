@@ -72,8 +72,9 @@ from .errors import (
 )
 from .importance import GradAccumulator, accumulate_gradient, pid_of_magnitudes
 from .masking import MaskRule, UpdateMask, dare_merge, merge, random_half_blocks
-from .methods import BASELINE_METHODS, MASK_OF_METHOD, METHOD_CHOICES, SPIDER_METHODS
-from .tensors import NORMALIZATION_SCOPES, FlatTensor, Layout, TensorMap, norm
+from .methods import (BASELINE_METHODS, MASK_OF_METHOD, METHOD_CHOICES, NORMALIZATION_SCOPES,
+                      SPIDER_METHODS)
+from .tensors import FlatTensor, Layout, TensorMap, norm
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +368,6 @@ class TrainConfig:
 class RunLog:
     """Per-iteration trace of one fine-tuning run."""
 
-    method: str
     losses: list[float] = field(default_factory=list)
     mask_density: list[float] = field(default_factory=list)
     pid: list[float] = field(default_factory=list)
@@ -507,8 +507,7 @@ def _finetune(
     grads = weights.with_flat(np.empty(weights.total_size))
     w_norm = norm(np.abs(pretrained.flat, out=grads.flat))  # ||w_pre||, fixed for the run
     # the snapshot and the accumulator, plus the mask's fixed map
-    log = RunLog(cfg.method,
-                 persistent_aux_maps=2 + (rule is not None and rule.fixed is not None))
+    log = RunLog(persistent_aux_maps=2 + (rule is not None and rule.fixed is not None))
     # one word per iteration, then the post-run drop's
     seeds = _iteration_seeds(cfg.seed, cfg.epochs * len(data) + 1)
 

@@ -1,6 +1,7 @@
 """Task generation, metrics, and the experiment pipeline."""
 
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -125,6 +126,19 @@ def test_generate_task_validation():
         generate_task(simple_spec(), 2)
     with pytest.raises(ConfigError, match="sampled points are not finite"):
         generate_task(simple_spec(covariance_scale=1e308), 10)  # overflows
+
+
+def test_distinct_means_check_scales_to_thousands_of_classes():
+    # the check sorts the rows instead of comparing every pair: 5,000
+    # classes take milliseconds
+    means = np.random.default_rng(0).normal(size=(5000, 4))
+    start = time.monotonic()
+    simple_spec(class_count=5000, means=means)
+    assert time.monotonic() - start < 2.0
+    # an equal pair far apart is found and named by its rows
+    means[4900] = means[5]
+    with pytest.raises(ConfigError, match="^toy: class means 5 and 4900 coincide$"):
+        simple_spec(class_count=5000, means=means)
 
 
 def test_default_suite_and_target_layout():
@@ -257,14 +271,14 @@ def test_source_average_is_plain_mean():
 
 
 def test_build_report_zeroes_harmonic_when_target_fails_completely():
-    report = build_report("full_ft", 0, {"a": 0.5, "b": 0.7}, 0.0, RunLog(method="full_ft"))
+    report = build_report("full_ft", 0, {"a": 0.5, "b": 0.7}, 0.0, RunLog())
     assert report.h_avg == 0.0
     assert report.o_avg == 0.3
     assert report.source_avg == pytest.approx(0.6)
 
 
 def test_build_report_carries_traces():
-    log = RunLog(method="spider", losses=[1.0], mask_density=[0.4], pid=[1.5])
+    log = RunLog(losses=[1.0], mask_density=[0.4], pid=[1.5])
     report = build_report("spider", 3, {"a": 0.8}, 0.9, log)
     assert report.pid_trace == [(0, 1.5)]
     assert report.mask_density_trace == [(0, 0.4)]

@@ -9,6 +9,7 @@ import math
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -644,6 +645,21 @@ def test_report_skips_its_own_output_under_logs(tmp_path, capsys):
     assert runs[0][0] == VALID_CSV.encode()
 
 
+def test_report_grid_scales_to_many_methods(tmp_path, capsys):
+    # one grid row per method, in first-seen order, found by a dict lookup:
+    # 50,000 distinct methods take well under a second
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    names = [f"m{i}" for i in range(50_000)]
+    rows = "".join(f"{name},0,,h_average,0.5\n" for name in reversed(names))
+    (logs / "metrics.csv").write_text("method,seed,task,metric,value\n" + rows)
+    start = time.monotonic()
+    assert main(["report", "--logs", str(logs), "--out", str(tmp_path / "c.csv")]) == 0
+    assert time.monotonic() - start < 5.0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:] == [f"{name} - - 0.5000 -" for name in reversed(names)]
+
+
 def test_scipy_never_imported_and_sigmoid_loads_only_special_ufuncs(workspace):
     # import, pid, pretrain and eval take no sigmoid; the first sigmoid loads
     # the extension that defines expit, never the scipy package
@@ -684,7 +700,8 @@ def test_each_subcommand_imports_only_what_it_runs(workspace):
     # one fresh process per command, as a user runs them: pid, merge and
     # --help load neither the benchmark nor the config loader, and no
     # command imports the scipy package; the commands that take a sigmoid
-    # load the one extension that defines expit, the others no scipy module
+    # load the one extension that defines expit, the others no scipy module;
+    # --help, report and a usage error load no numpy
     tmp, cfg = workspace
     pre, tuned, grads, logs = (tmp / name for name in ("pre.ckpt", "t.ckpt", "g.ckpt", "logs"))
     logs.mkdir()
@@ -698,6 +715,8 @@ def test_each_subcommand_imports_only_what_it_runs(workspace):
         "eval": ["eval", "--model", tuned, "--config", cfg, "--out", logs / "m.csv"],
         "pid": ["pid", "--pretrained", pre, "--grads", grads],
         "report": ["report", "--logs", logs, "--out", tmp / "r.csv"],
+        "usage error": ["merge", "--pretrained", pre, "--finetuned", tuned,
+                        "--strategy", "nope", "--out", tmp / "u.ckpt"],
     }
     script = (
         "import json, sys\n"
@@ -706,7 +725,8 @@ def test_each_subcommand_imports_only_what_it_runs(workspace):
         "    code = spiderft.cli.main(sys.argv[1:])\n"
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
-        "names = sorted(n for n in sys.modules if n.startswith(('spiderft.', 'scipy')))\n"
+        "names = sorted(n for n in sys.modules\n"
+        "               if n.startswith(('spiderft.', 'scipy')) or n == 'numpy')\n"
         "print(json.dumps([code, names]))\n"
     )
     loaded = {}
@@ -717,7 +737,7 @@ def test_each_subcommand_imports_only_what_it_runs(workspace):
         )
         assert proc.returncode == 0, proc.stderr
         code, loaded[name] = json.loads(proc.stdout.splitlines()[-1])
-        assert code == 0, (name, proc.stderr)
+        assert code == (1 if name == "usage error" else 0), (name, proc.stderr)
     for name, modules in loaded.items():
         expected = ["scipy.special._special_ufuncs"] if name in ("finetune", "merge") else []
         assert [n for n in modules if n.startswith("scipy")] == expected, (name, modules)
@@ -728,6 +748,10 @@ def test_each_subcommand_imports_only_what_it_runs(workspace):
     for name in ("--help", "pid"):
         assert not {"spiderft.trainer", "spiderft.masking"} & set(loaded[name]), name
     assert "spiderft.trainer" not in loaded["merge"]
+    # the parser's and report's names need no numpy: methods owns them all
+    for name in ("--help", "report"):
+        assert loaded[name] == ["spiderft.cli", "spiderft.errors", "spiderft.methods"], name
+    assert "numpy" not in loaded["usage error"]
 
     def choices(command, flag):
         sub = next(a for a in build_parser()._actions if a.dest == "command")

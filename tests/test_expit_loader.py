@@ -15,11 +15,13 @@ import pytest
 SCRIPT = """
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 from spiderft import tensors
 
 mode = sys.argv[1]
+UFUNCS = "scipy.special._special_ufuncs"
 
 
 def scipy_modules():
@@ -28,16 +30,24 @@ def scipy_modules():
 
 assert scipy_modules() == [], scipy_modules()
 if mode == "missing":
-    def no_file():
-        raise FileNotFoundError("no _special_ufuncs extension module")
-    tensors._ufuncs_file = no_file
+    # no scipy package on the path
+    tensors.find_spec = lambda name: None
 elif mode == "broken":
-    # a module that fails while it initialises
-    path = Path(sys.argv[2]) / "_special_ufuncs.py"
-    path.write_text("expit = None\\nraise ImportError('broken')\\n")
-    tensors._ufuncs_file = lambda: str(path)
+    # a scipy root whose module fails while it initialises
+    root = Path(sys.argv[2])
+    (root / "special").mkdir()
+    (root / "special" / "_special_ufuncs.py").write_text(
+        "expit = None\\nraise ImportError('broken')\\n")
+    tensors.find_spec = lambda name: SimpleNamespace(submodule_search_locations=[str(root)])
+elif mode == "imported":
+    import scipy.special
 
-if mode != "direct":
+    before = sys.modules[UFUNCS]
+    tensors.find_spec = None  # the imported module is used: no search for its file
+    assert tensors._expit() is scipy.special.expit
+    assert sys.modules[UFUNCS] is before
+
+if mode in ("missing", "broken"):
     try:
         tensors._load_ufuncs()
     except (ImportError, OSError):
@@ -54,7 +64,7 @@ got = [tensors.sigmoid_array(v) for v in (x, grid, edges)]
 loaded = scipy_modules()
 if mode == "direct":
     # the extension alone: not the scipy package, nor any other module of it
-    assert loaded == ["scipy.special._special_ufuncs"], loaded
+    assert loaded == [UFUNCS], loaded
 else:
     assert "scipy.special" in loaded, loaded
 
@@ -68,11 +78,12 @@ print("ok")
 """
 
 
-@pytest.mark.parametrize("mode", ["direct", "missing", "broken"])
+@pytest.mark.parametrize("mode", ["direct", "missing", "broken", "imported"])
 def test_both_loader_paths_give_scipy_special_expit(mode, tmp_path):
     # direct: the extension alone, and a later import of scipy.special binds
     # the same ufunc; missing / broken: a failed direct load leaves no scipy
-    # module behind and falls back to the import
+    # module behind and falls back to the import; imported: scipy.special's
+    # own extension module is used as it is
     proc = subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error", "-c", SCRIPT, mode, str(tmp_path)],
         capture_output=True, text=True, timeout=120,
