@@ -34,15 +34,13 @@ from .trainer import (
     RunLog,
     ToyModel,
     TrainConfig,
-    _loss_and_gradient,
-    _require_finite,
     batches_of,
     build_model,
     finetune_baseline,
     finetune_spider,
     forward,
     set_trainable_tail,
-    sgd_step,
+    train,
 )
 
 DEFAULT_INPUT_DIM = 8
@@ -72,8 +70,8 @@ class TaskSpec:
     However a spec is made (the defaults, a config, `dataclasses.replace`),
     a ConfigError names the task unless its fields fit together: at least
     2 classes and 2 input dimensions, means of shape (class_count,
-    input_dim) with distinct rows, a positive covariance scale and a
-    non-negative sample seed.
+    input_dim) with distinct rows, a finite positive covariance scale, a
+    finite rotation angle and a non-negative sample seed.
     """
 
     task_id: str
@@ -97,6 +95,9 @@ class TaskSpec:
                 f"{self.task_id}: means shape {self.means.shape} != "
                 f"({self.class_count}, {self.input_dim})"
             )
+        for name in ("covariance_scale", "rotation_angle"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ConfigError(f"{self.task_id}: {name} must be finite, got {value}")
         if self.covariance_scale <= 0:
             raise ConfigError(f"{self.task_id}: covariance_scale must be positive")
         # lexsort is stable, so equal rows sort next to each other in index order
@@ -227,9 +228,9 @@ def pretrain(
 ) -> tuple[ToyModel, TensorMap]:
     """Train one shared model on the interleaved union of the source tasks.
 
-    Plain SGD on all layers (freezing happens at fine-tuning time), with
-    the same per-step divergence checks as fine-tuning.  Returns the model
-    and a frozen copy of its weights; cfg.method is not used.
+    trainer.train on all layers (freezing happens at fine-tuning time):
+    plain SGD with fine-tuning's per-step divergence checks.  Returns the
+    model and a frozen copy of its weights; cfg.method is not used.
     """
     if not suite:
         raise ConfigError("pretrain needs a non-empty suite")
@@ -241,20 +242,8 @@ def pretrain(
     datasets = [generate_task(spec, n_per_task) for spec in suite]
     inputs, labels = _interleaved_train_set(datasets)
     model = build_model([input_dim, *HIDDEN_DIMS, class_count], seed=cfg.seed)
-    # the trainable tail is every layer; one gradient map, rewritten by every step
-    weights = model.tensor_map(trainable_only=True)
-    grads = weights.with_flat(np.empty_like(weights.flat))
-    batches = batches_of(inputs, labels, cfg.batch_size)
-    it = 0
-    # the per-step checks report divergence; numpy's float warnings would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _epoch in range(cfg.epochs):
-            for batch in batches:
-                _loss_and_gradient(model, batch, it, out=grads)
-                sgd_step(model, grads, cfg.learning_rate)
-                _require_finite(it, "weights", weights)
-                it += 1
-    return model, weights.copy()
+    train(model, batches_of(inputs, labels, cfg.batch_size), cfg)
+    return model, model.tensor_map(trainable_only=True).copy()
 
 
 def _require_test_split(data: TaskData) -> TaskData:

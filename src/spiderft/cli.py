@@ -241,7 +241,8 @@ def _cmd_report(args) -> int:
                 for row in reader:
                     if len(row) != len(CSV_HEADER):
                         raise FormatError(f"{path}: malformed row {row}")
-                    float(row[-1])  # every value is a number
+                    if not math.isfinite(float(row[-1])):  # every value is a finite number
+                        raise FormatError(f"{path}: non-finite value in row {row}")
                     rows.append(tuple(row))
         except (ValueError, csv.Error) as exc:
             # a non-numeric value, bytes that are not text, or an oversized field

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConfigError
 from .importance import GradAccumulator, generalization_importance, specialization_importance
 from .methods import DISCREPANCY_MASKS
-from .tensors import BLOCK, TensorMap, blockwise, scoped_arrays, selected_mean_array
+from .tensors import TensorMap, blockwise, scoped_arrays, selected_mean_array
 
 logger = logging.getLogger(__name__)
 
@@ -276,19 +276,17 @@ def _require_drop_p(drop_p: float) -> None:
 def _drop_and_rescale(delta: np.ndarray, drop_p: float, rng_seed: int) -> None:
     """dare_mask_and_rescale in place on a delta map's buffer.
 
-    One generator feeds every tensor in buffer order, a BLOCK at a time:
-    it yields the same doubles as one draw per tensor.  x * False is
-    x * 0.0, so gating by the comparison gives the bits of multiplying by
-    the float mask.
+    One generator feeds every tensor in buffer order, a block at a time
+    (tensors.blockwise): it yields the same doubles as one draw per tensor.
+    x * False is x * 0.0, so gating by the comparison gives the bits of
+    multiplying by the float mask.
     """
     if drop_p == 0.0:
         return
     rng = np.random.default_rng(rng_seed)
     scale = 1.0 / (1.0 - drop_p)
-    size = min(delta.size, BLOCK)
-    uniforms, kept = np.empty(size), np.empty(size, dtype=bool)
-    for lo in range(0, delta.size, BLOCK):
-        part = delta[lo : lo + BLOCK]
-        n = part.size
-        part *= np.greater_equal(rng.random(out=uniforms[:n]), drop_p, out=kept[:n])
+    def kernel(scratch, part):
+        part *= rng.random(part.size, out=scratch) >= drop_p
         part *= scale
+
+    blockwise(kernel, delta)

@@ -1,4 +1,4 @@
-"""Toy dense classifier with manual gradients, plus the fine-tuning drivers.
+"""Toy dense classifier with manual gradients, plus the training loops.
 
 The model is its parameter map: tensors named layer{k}.weight and
 layer{k}.bias fix its layers and widths, and a layer's position fixes its
@@ -26,7 +26,8 @@ below, and ``zero_shot``, which fine-tunes nothing):
 * a drop-and-rescale of the final delta after the run (``dare``).
 
 ``finetune_spider`` runs the masked methods and ``finetune_baseline`` the
-counterparts; both are thin checks in front of the one loop.
+counterparts; both are thin checks in front of the one loop.  ``train``,
+pretraining's loop, is plain SGD with the same per-step checks and no hooks.
 
 The trainable tensors are the model's last layers, a tail of its buffer,
 so a run works on one view of it: the per-iteration chain is a few numpy
@@ -344,8 +345,11 @@ class TrainConfig:
     normalization_scope: str = "per_tensor"
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0 < (lr := self.learning_rate) < math.inf:  # NaN fails every comparison
+            raise ConfigError(f"learning_rate must be positive and finite, got {lr}")
+        for name in ("l2_lambda", "l1_lambda"):
+            if not 0 <= (value := getattr(self, name)) < math.inf:
+                raise ConfigError(f"{name} must be >= 0 and finite, got {value}")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if self.batch_size < 1:
@@ -408,6 +412,11 @@ def _iteration_seeds(seed: int, count: int) -> Iterator[int]:
         for word in seq.generate_state(n, dtype=np.uint64)[done:]:
             yield int(word)
         done = n
+
+
+def _iterations(data: Sequence[Batch], epochs: int) -> Iterator[tuple[int, Batch]]:
+    """(iteration, batch) for `epochs` passes over the data, in order."""
+    return enumerate(batch for _epoch in range(epochs) for batch in data)
 
 
 def _require_finite(it: int, what: str, tm: TensorMap) -> None:
@@ -491,6 +500,19 @@ def _merged_support(
 # the per-step checks report divergence; numpy's float warnings would only
 # repeat it on stderr
 @np.errstate(over="ignore", invalid="ignore")
+def train(model: ToyModel, data: Sequence[Batch], cfg: TrainConfig) -> ToyModel:
+    """Plain SGD on the trainable tensors, in place, for cfg.epochs passes
+    over the data, with _finetune's per-step checks; cfg.method is not used."""
+    weights = model.tensor_map(trainable_only=True)
+    grads = weights.with_flat(np.empty_like(weights.flat))  # rewritten by every step
+    for it, batch in _iterations(data, cfg.epochs):
+        _loss_and_gradient(model, batch, it, out=grads)
+        sgd_step(model, grads, cfg.learning_rate)
+        _require_finite(it, "weights", weights)
+    return model
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _finetune(
     model: ToyModel, pretrained: TensorMap, data: Sequence[Batch], cfg: TrainConfig
 ) -> tuple[ToyModel, RunLog]:
@@ -508,42 +530,38 @@ def _finetune(
     w_norm = norm(np.abs(pretrained.flat, out=grads.flat))  # ||w_pre||, fixed for the run
     # the snapshot and the accumulator, plus the mask's fixed map
     log = RunLog(persistent_aux_maps=2 + (rule is not None and rule.fixed is not None))
-    # one word per iteration, then the post-run drop's
+    # one word per iteration, then the post-run drop's (zip asks the walk first: none is lost)
     seeds = _iteration_seeds(cfg.seed, cfg.epochs * len(data) + 1)
 
-    it = 0
-    for _epoch in range(cfg.epochs):
-        for batch in data:
-            seed = next(seeds)
-            loss, _ = _loss_and_gradient(model, batch, it, out=grads)
-            loss = _edit_gradient(cfg, loss, grads.flat, weights, pretrained, seed, log)
-            accumulate_gradient(accumulator, grads)
+    for (it, batch), seed in zip(_iterations(data, cfg.epochs), seeds):
+        loss, _ = _loss_and_gradient(model, batch, it, out=grads)
+        loss = _edit_gradient(cfg, loss, grads.flat, weights, pretrained, seed, log)
+        accumulate_gradient(accumulator, grads)
 
-            # a mask reads only the accumulator and the fixed map, never the
-            # weights or the gradient, so the step goes first; the gradient
-            # buffer then holds lr * grad, which nothing reads again, and
-            # serves the mask chain as scratch
-            sgd_step(model, grads, cfg.learning_rate)
-            if rule is not None:
-                mask = rule(accumulator, seed, grads.flat)
-                merge(weights, pretrained, mask, out=weights)  # writes the model
-                model.version += 1
-                log.mask_density.append(mask.density)
-            _require_finite(it, "weights", weights)
+        # a mask reads only the accumulator and the fixed map, never the
+        # weights or the gradient, so the step goes first; the gradient
+        # buffer then holds lr * grad, which nothing reads again, and
+        # serves the mask chain as scratch
+        sgd_step(model, grads, cfg.learning_rate)
+        if rule is not None:
+            mask = rule(accumulator, seed, grads.flat)
+            merge(weights, pretrained, mask, out=weights)  # writes the model
+            model.version += 1
+            log.mask_density.append(mask.density)
+        _require_finite(it, "weights", weights)
 
-            log.losses.append(loss)
-            # pid(pretrained, acc), with |w_pre| in the spent gradient buffer
-            # (the accumulator is its own magnitude); a zero norm raises here
-            w_mag = np.abs(pretrained.flat, out=grads.flat)
-            log.pid.append(pid_of_magnitudes(w_mag, w_norm, accumulator.acc.flat))
-            it += 1
+        log.losses.append(loss)
+        # pid(pretrained, acc), with |w_pre| in the spent gradient buffer
+        # (the accumulator is its own magnitude); a zero norm raises here
+        w_mag = np.abs(pretrained.flat, out=grads.flat)
+        log.pid.append(pid_of_magnitudes(w_mag, w_norm, accumulator.acc.flat))
 
-    if rule is not None and it > 0:
+    if rule is not None and accumulator.initialized:  # i.e. after a step
         # the spent gradient buffer is the check's scratch
         log.changed_weights, log.mask_support = _merged_support(weights, pretrained, mask,
                                                                 grads.flat)
 
-    if cfg.method == "dare" and cfg.dare_drop_p != 0.0 and it > 0:
+    if cfg.method == "dare" and cfg.dare_drop_p != 0.0 and accumulator.initialized:
         dare_merge(weights, pretrained, cfg.dare_drop_p, next(seeds), out=weights)
         model.version += 1
 

@@ -114,6 +114,10 @@ def test_generate_task_validation():
         (dict(input_dim=1, means=np.zeros((3, 1))), "rotation needs input_dim >= 2"),
         (dict(means=np.zeros((2, 4))), r"means shape \(2, 4\) != \(3, 4\)"),
         (dict(covariance_scale=0.0), "covariance_scale must be positive"),
+        (dict(covariance_scale=math.nan), "covariance_scale must be finite, got nan"),
+        (dict(covariance_scale=math.inf), "covariance_scale must be finite, got inf"),
+        (dict(rotation_angle=math.nan), "rotation_angle must be finite, got nan"),
+        (dict(rotation_angle=-math.inf), "rotation_angle must be finite, got -inf"),
         (dict(means=np.zeros((3, 4))), "class means 0 and 1 coincide"),
     ]:
         with pytest.raises(ConfigError, match=f"^toy: {message}$"):
@@ -121,6 +125,8 @@ def test_generate_task_validation():
     # and so does a copy with a field replaced
     with pytest.raises(ConfigError, match=r"means shape \(3, 8\) != \(4, 8\)"):
         replace(default_target(), class_count=4)
+    with pytest.raises(ConfigError, match="rotation_angle must be finite, got inf"):
+        replace(default_target(), rotation_angle=math.inf)
     # generate_task checks what needs its sample count or its draws
     with pytest.raises(ConfigError, match="need at least one sample per class"):
         generate_task(simple_spec(), 2)

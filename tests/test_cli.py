@@ -7,6 +7,7 @@ import io
 import json
 import math
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -110,6 +111,40 @@ def test_full_pipeline(workspace, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == ["method", "seed", "task", "metric", "value"]
     assert all(row[0] == "spider" for row in rows[1:])
+
+
+def readme_cli_chain():
+    """The commands of the sh block under README.md's "## CLI", in order: a
+    line ending in a backslash joins the next, and comments and blank lines
+    are left out."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text[text.index("\n## CLI\n"):]
+    block = section[section.index("```sh\n") + len("```sh\n"):]
+    block = block[: block.index("```")].replace("\\\n", " ")
+    return [line.strip() for line in block.splitlines()
+            if line.strip() and not line.lstrip().startswith("#")]
+
+
+def test_the_readme_cli_chain_runs_as_written(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_cli_chain()
+    assert sum(line.startswith("spiderft ") for line in commands) >= 6
+    for line in commands:
+        words = shlex.split(line)
+        if words[0] == "echo":
+            text, redirect, target = words[1:]
+            assert redirect == ">", line
+            Path(target).write_text(text + "\n")
+        elif words[:2] == ["mkdir", "-p"]:
+            for directory in words[2:]:
+                Path(directory).mkdir(parents=True, exist_ok=True)
+        else:
+            assert words[0] == "spiderft", line
+            code = main(words[1:])
+            assert code == 0, (line, capsys.readouterr().err)
+            for flag, value in zip(words, words[1:]):
+                if flag in ("--out", "--log", "--grad-dump"):
+                    assert Path(value).is_file(), (line, value)
 
 
 def test_finetune_method_and_seed_overrides(workspace, capsys):
@@ -389,6 +424,19 @@ def test_out_of_range_seed_or_drop_p_is_a_usage_error(argv, flag):
     assert f"error: argument {flag}: expected a value in" in lines[-1]
 
 
+def test_negative_l2_lambda_exits_2_with_one_line(workspace, capsys):
+    tmp, _ = workspace
+    pre = pretrained_checkpoint(workspace)
+    cfg = tmp / "negative.json"
+    cfg.write_text('{"l2_lambda": -5, "seeds": [0], "epochs": 1}')
+    capsys.readouterr()
+    assert run_cli(["finetune", "--config", cfg, "--pretrained", pre, "--method", "l2_reg",
+                    "--out", tmp / "ft.ckpt"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: l2_lambda must be >= 0 and finite, got -5.0\n"
+    assert not (tmp / "ft.ckpt").exists()
+
+
 def test_negative_config_seed_exits_2_with_one_line(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text('{"seeds": [-3], "epochs": 1}')
@@ -620,9 +668,11 @@ def test_report_on_empty_directory_exits_2(tmp_path, capsys):
 def test_report_rejects_foreign_csv(tmp_path, capsys):
     (tmp_path / "logs").mkdir()
     header = b"method,seed,task,metric,value\n"
-    # a foreign header, a non-numeric value, bytes that are not UTF-8, a field over csv's
-    # limit, a row of the wrong length
+    # a foreign header, a non-numeric or non-finite value, bytes that are not UTF-8, a field
+    # over csv's limit, a row of the wrong length
     for content in [b"a,b\n1,2\n", header + b"spider,0,,h_average,abc\n",
+                    header + b"spider,0,,h_average,nan\n", header + b"spider,0,,source_avg,inf\n",
+                    header + b"spider,0,target,accuracy,-inf\n",
                     header + b"spider,0,,h_average,\xff\n",
                     header + b"spider,0,,h_average," + b"1" * 200_000 + b"\n",
                     header + b"spider,0,t\n"]:

@@ -341,8 +341,8 @@ def experiment_configs(draw):
         epochs=draw(st.integers(0, 100)),
         batch_size=draw(st.integers(1, 1024)),
         method=draw(st.sampled_from(METHOD_CHOICES)),
-        l2_lambda=draw(finite),
-        l1_lambda=draw(finite),
+        l2_lambda=draw(st.floats(0.0, allow_infinity=False)),
+        l1_lambda=draw(st.floats(0.0, allow_infinity=False)),
         dare_drop_p=draw(st.floats(0.0, 1.0, exclude_max=True)),
         beta=draw(st.floats(0.0, 1.0, exclude_max=True)),
         trainable_layers=draw(st.integers(1, 8)),

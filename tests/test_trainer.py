@@ -464,8 +464,13 @@ def test_batches_of_chunking():
 
 
 def test_train_config_rejects_bad_values():
-    with pytest.raises(ConfigError):
-        TrainConfig(learning_rate=0.0)
+    for rate in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="^learning_rate must be positive"):
+            TrainConfig(learning_rate=rate)
+    for name in ("l2_lambda", "l1_lambda"):
+        for value in (-5.0, -math.inf, math.inf, math.nan):
+            with pytest.raises(ConfigError, match=f"^{name} must be >= 0 and finite"):
+                TrainConfig(**{name: value})
     with pytest.raises(ConfigError):
         TrainConfig(epochs=-1)
     with pytest.raises(ConfigError):
