@@ -146,6 +146,8 @@ def generate_task(spec: TaskSpec, n: int = DEFAULT_SAMPLES) -> TaskData:
     Labels are assigned round-robin so every prefix is class-balanced;
     every fifth sample goes to the test split.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ConfigError(f"{spec.task_id}: n must be an integer, got {type(n).__name__}")
     if n < spec.class_count:
         raise ConfigError(f"{spec.task_id}: need at least one sample per class")
     rng = np.random.default_rng(spec.sample_seed)

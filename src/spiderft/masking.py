@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConfigError
 from .importance import GradAccumulator, generalization_importance, specialization_importance
 from .methods import DISCREPANCY_MASKS
-from .tensors import TensorMap, blockwise, scoped_arrays, selected_mean_array
+from .tensors import TensorMap, blockwise, gather
 
 logger = logging.getLogger(__name__)
 
@@ -104,28 +104,27 @@ def rescale_mask(
     over the whole map with scope="global".  A mask with no selected
     entries is returned unchanged (flagged, and logged as a warning).
     The result goes to a fresh map, or into `out` (which may be m.mask).
-    The selected entries are gathered for their mean into `scratch`, an
-    array of the mask's length, when given (see selected_mean_array).
-    A comparison mask's selection names its nonzero entries, and the
-    result keeps it.
+    The selected entries are gathered once, in buffer order, into `scratch`
+    (see tensors.gather), and each unit's mean is selected_mean_array's of
+    its own run of them.  A comparison mask's selection names its nonzero
+    entries, and the result keeps it.
     """
     out = m.mask.result(out, "rescale_mask")
     selection = m.mask.flat != 0.0 if m.selection is None else m.selection
-
-    any_selected = False
-    for values, dest, chosen, spare in scoped_arrays(scope, m.mask.layout, m.mask.flat,
-                                                     out.flat, selection, scratch):
-        mean, empty = selected_mean_array(values, chosen, scratch=spare)
-        if empty:
-            np.copyto(dest, values)
-            continue
-        any_selected = True
-        # zeros stay zero: the mean of positive weights is positive
-        np.divide(values, mean, out=dest)
-        np.minimum(dest, 1.0, out=dest)
-    if not any_selected:
+    chosen = gather(m.mask.flat, selection, scratch)
+    slices, values = m.mask.units(scope)
+    lo = 0
+    for s, v, dest in zip(slices, values, out.units(scope)[1]):
+        # a unit that ends the buffer holds every entry not yet taken
+        hi = lo + np.count_nonzero(selection[s]) if s.stop < selection.size else chosen.size
+        # zeros stay zero: the mean of positive weights is positive; a unit
+        # that selects nothing is all zeros, and x / 1.0 is x
+        np.divide(v, np.add.reduce(chosen[lo:hi]) / (hi - lo) if hi > lo else 1.0, out=dest)
+        lo = hi
+    np.minimum(out.flat, 1.0, out=out.flat)
+    if not lo:
         logger.warning("rescale_mask: empty selection, mask left all-zero")
-    return UpdateMask(out, not any_selected, m.selection)
+    return UpdateMask(out, not lo, m.selection)
 
 
 def merge(
@@ -164,16 +163,15 @@ def random_half_mask(shape_of: TensorMap, rng_seed: int) -> UpdateMask:
     per-layer parameter blocks that half fine-tuning draws from).
     """
     mask = shape_of.with_flat(np.zeros(shape_of.total_size))
-    segments = mask.layout.split(mask.flat)
-    for idx in random_half_blocks(len(segments), rng_seed):
-        segments[idx].fill(1.0)
+    for idx in random_half_blocks(len(mask), rng_seed):
+        mask.segments[idx].fill(1.0)
     return UpdateMask(mask)
 
 
 def _half_mask(tm: TensorMap, pick) -> UpdateMask:
     """Binary mask on the floor(size / 2) entries pick(values, k) of each tensor."""
     mask = tm.with_flat(np.zeros(tm.total_size))
-    for values, dest in zip(tm.layout.split(tm.flat), mask.layout.split(mask.flat)):
+    for values, dest in zip(tm.segments, mask.segments):
         k = values.size // 2
         if k:
             dest[pick(values, k)] = 1.0

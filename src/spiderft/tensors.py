@@ -6,11 +6,12 @@ gradients, importance scores or update masks) is a Layout, built once per
 set of tensors and shared by every map over it, and one contiguous float64
 buffer (``flat``).  ``from_tensors`` copies into a new buffer; ``over`` and
 ``with_flat`` put a layout over a given one.  An entry is a view of its
-segment, made on access.  Elementwise work runs as one numpy op over the
-whole buffer, and statistics are taken per tensor on the layout's segments
-or over the whole buffer (the normalization scope, one of
-``methods.NORMALIZATION_SCOPES``).  Transforms are pure unless given an
-``out`` map of their input's layout (TensorMap.result).
+segment, made on access; a map builds its tuple of segment views once, on
+first use.  Elementwise work runs as one numpy op over the whole buffer, and
+statistics are taken per tensor on the segments or over the whole buffer
+(the normalization scope, one of ``methods.NORMALIZATION_SCOPES``; see
+TensorMap.units).  Transforms are pure unless given an ``out`` map of their
+input's layout (TensorMap.result).
 """
 
 from __future__ import annotations
@@ -116,8 +117,8 @@ class Layout:
 
 @dataclass(eq=False)
 class TensorMap:
-    """A layout over one buffer.  Build maps with ``from_tensors`` (copies)
-    or ``over`` (views); entries are views of ``flat``, made on access."""
+    """A layout over one buffer, built by ``from_tensors`` (copies) or ``over``
+    (views); entries are views of ``flat`` made on access, ``segments`` and ``views`` once."""
 
     layout: Layout
     flat: np.ndarray = field(repr=False)
@@ -162,11 +163,24 @@ class TensorMap:
         return self.flat.size
 
     @cached_property
+    def segments(self) -> tuple[np.ndarray, ...]:
+        """Each tensor's segment of ``flat`` (1-D views), in order; built on first access."""
+        return tuple(self.layout.split(self.flat))
+
+    @cached_property
     def views(self) -> tuple[np.ndarray, ...]:
         """Each tensor's segment of ``flat`` in its shape (views), in order;
         built on first access."""
-        return tuple(data.reshape(shape) for data, shape
-                     in zip(self.layout.split(self.flat), self.layout.shapes))
+        return tuple(data.reshape(shape) for data, shape in zip(self.segments, self.layout.shapes))
+
+    def units(self, scope: str) -> tuple[tuple[slice, ...], tuple[np.ndarray, ...]]:
+        """The slices of ``flat`` a statistic of `scope` is taken over, and
+        their views: each tensor's segment (per_tensor) or the whole buffer."""
+        if scope == "per_tensor":
+            return self.layout.slices, self.segments
+        if scope not in NORMALIZATION_SCOPES:
+            raise ConfigError(f"unknown normalization scope {scope!r}")
+        return (slice(0, self.flat.size),), (self.flat,)
 
     def require_aligned(self, other: "TensorMap", op: str) -> None:
         # the maps of one run share one Layout object
@@ -205,23 +219,28 @@ def zscore(t: FlatTensor) -> FlatTensor:
 def zscore_array(
     values: np.ndarray, out: np.ndarray | None = None, *, scratch: np.ndarray | None = None
 ) -> np.ndarray:
-    """The z-score of values, into `out` (which may be values) when given.
+    """The z-score of values, into `out` (which may be values) when given; the
+    squared deviations go into `scratch`, an array of values' length, or a temporary."""
+    out = np.empty_like(values) if out is None else out
+    _zscore_units((slice(0, values.size),), (values,), (out,), out, scratch)
+    return out
 
-    The squared deviations go into `scratch`, an array of values' length,
-    when given, else into a temporary.
-    """
-    n = values.size
-    if n == 0:
-        return np.empty_like(values) if out is None else out
+
+def _zscore_units(slices, values, dests, out: np.ndarray, scratch: np.ndarray | None) -> None:
+    """Each values[k]'s z-score into dests[k], out[slices[k]], for units that
+    cover `out`; the squared deviations go into `scratch` (see zscore_array)."""
     # np.std's own steps (mean, deviations, mean square, sqrt), with its
     # deviations reused for the z-score: the same bits as np.std and np.mean
-    out = np.subtract(values, np.add.reduce(values) / n, out=out)
-    std = math.sqrt(np.add.reduce(np.square(out, out=scratch)) / n)
-    if std < STD_EPS:
-        out.fill(0.0)
-        return out
-    out /= std
-    return out
+    for v, dest in zip(values, dests):
+        if v.size:
+            np.subtract(v, np.add.reduce(v) / v.size, out=dest)
+    squares = np.square(out, out=scratch)
+    for s, dest in zip(slices, dests):
+        std = math.sqrt(np.add.reduce(squares[s]) / dest.size) if dest.size else 0.0
+        if std < STD_EPS:
+            dest.fill(0.0)
+        else:
+            dest /= std
 
 
 def sigmoid(t: FlatTensor) -> FlatTensor:
@@ -275,7 +294,7 @@ def sigmoid_array(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     # expit saturates to exactly 0.0/1.0 in float64 past |x| ~ 37; clamp to
     # the nearest interior representable so outputs stay strictly in (0, 1).
     out = _expit()(values, out=out)
-    return np.clip(out, _SIG_LO, _SIG_HI, out=out)
+    return out.clip(_SIG_LO, _SIG_HI, out=out)
 
 
 def norm(values: np.ndarray) -> float:
@@ -312,13 +331,18 @@ def masked_mean(t: FlatTensor) -> tuple[float, bool]:
 def selected_mean_array(
     values: np.ndarray, selected: np.ndarray, *, scratch: np.ndarray | None = None
 ) -> tuple[float, bool]:
-    """Mean of the selected entries; (0.0, True) when none is selected.
+    """Mean of the selected entries, gathered into `scratch` (see gather);
+    (0.0, True) when none is selected."""
+    nz = gather(values, selected, scratch)
+    if nz.size == 0:
+        return 0.0, True
+    return float(np.add.reduce(nz) / nz.size), False
 
-    The selected entries are gathered into the head of `scratch`, an array
-    of values' length, when given, else into a new array.
-    """
-    if scratch is None:
-        scratch = np.empty_like(values)
+
+def gather(values: np.ndarray, selected: np.ndarray, scratch: np.ndarray | None) -> np.ndarray:
+    """The selected entries of values, in order, as the head of `scratch`, an
+    array of values' length, or of a new array."""
+    scratch = np.empty_like(values) if scratch is None else scratch
     # compress picks the same entries as values[selected], in order, faster;
     # a block at a time, since it builds an index array of what it picks
     count = 0
@@ -327,10 +351,7 @@ def selected_mean_array(
         end = count + np.count_nonzero(chosen)
         values[lo : lo + BLOCK].compress(chosen, out=scratch[count:end])
         count = end
-    nz = scratch[:count]
-    if nz.size == 0:
-        return 0.0, True
-    return float(np.add.reduce(nz) / nz.size), False
+    return scratch[:count]
 
 
 def blockwise(kernel, *arrays: np.ndarray) -> None:
@@ -355,18 +376,6 @@ def blockwise(kernel, *arrays: np.ndarray) -> None:
 # Map-level normalization (scope switch shared by importance and masking)
 # ---------------------------------------------------------------------------
 
-def scoped_arrays(scope: str, layout: Layout, *arrays: np.ndarray) -> list[tuple[np.ndarray, ...]]:
-    """The units a statistic is taken over, as matching views of buffers laid
-    out by `layout`: one tuple per tensor (per_tensor) or one of the whole
-    buffers (global).  An array given as None is None in every unit."""
-    if scope not in NORMALIZATION_SCOPES:
-        raise ConfigError(f"unknown normalization scope {scope!r}")
-    if scope == "global":
-        return [arrays]
-    none = [None] * len(layout.names)
-    return list(zip(*(none if a is None else layout.split(a) for a in arrays)))
-
-
 def zscore_map(
     tm: TensorMap, scope: str = "per_tensor", *,
     out: TensorMap | None = None, scratch: np.ndarray | None = None,
@@ -378,6 +387,6 @@ def zscore_map(
     given (see zscore_array).
     """
     out = tm.result(out, "zscore_map")
-    for values, dest, spare in scoped_arrays(scope, tm.layout, tm.flat, out.flat, scratch):
-        zscore_array(values, dest, scratch=spare)
+    slices, values = tm.units(scope)
+    _zscore_units(slices, values, out.units(scope)[1], out.flat, scratch)
     return out

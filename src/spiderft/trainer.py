@@ -279,8 +279,9 @@ def forward(model: ToyModel, batch: Batch) -> tuple[float, ForwardCache]:
     # the ufunc reductions that np.max/np.sum/np.mean wrap, called directly
     shifted = a - np.maximum.reduce(a, axis=1, keepdims=True)
     lse = np.log(np.add.reduce(np.exp(shifted), axis=1))
-    loss = float(np.add.reduce(lse - shifted.take(label_index)) / len(batch))
     shifted -= lse[:, None]
+    # fl(s - l) == -fl(l - s): the bits of sum(lse - shifted); 0.0 - x keeps a zero sum +0.0
+    loss = (0.0 - float(np.add.reduce(shifted.take(label_index)))) / len(batch)
     probs = np.exp(shifted, out=shifted)
     return loss, ForwardCache(model, model.version, batch, layer_inputs, probs)
 
@@ -290,8 +291,8 @@ def backward(model: ToyModel, cache: ForwardCache, out: TensorMap | None = None)
     into `out` (laid out as the trainable tail) when given."""
     if cache.model is not model or cache.version != model.version:
         raise StaleCacheError("cache does not match the model's current weights")
-    lowest = model.lowest_trainable
-    out = model.tensor_map(trainable_only=True).result(out, "backward")
+    lowest = model._lowest
+    out = model._tail.result(out, "backward")
 
     # p - 0.0 is p, so this is the old copy-then-subtract-one, bit for bit
     dz = np.subtract(cache.probs, cache.batch.targets(model.class_count)[1])
@@ -317,7 +318,7 @@ def sgd_step(model: ToyModel, grads: TensorMap, lr: float) -> ToyModel:
 
     The step consumes the gradient: grads holds the step lr * grad on return.
     """
-    trainables = model.tensor_map(trainable_only=True)
+    trainables = model._tail
     trainables.require_aligned(grads, "sgd_step")
     grads.flat *= lr
     trainables.flat -= grads.flat

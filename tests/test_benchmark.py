@@ -130,6 +130,19 @@ def test_generate_task_validation():
     # generate_task checks what needs its sample count or its draws
     with pytest.raises(ConfigError, match="need at least one sample per class"):
         generate_task(simple_spec(), 2)
+    # a sample count that is not an integer is named by its type, bools too;
+    # pretrain's n_per_task and run_experiment's n_eval reach the same check
+    for n, kind in [(3.5, "float"), (2.5, "float"), (True, "bool"), ("5", "str")]:
+        with pytest.raises(ConfigError, match=f"^toy: n must be an integer, got {kind}$"):
+            generate_task(simple_spec(), n)
+    with pytest.raises(ConfigError, match="^target_rot120: n must be an integer, got float$"):
+        generate_task(default_target(), 3.5)
+    with pytest.raises(ConfigError, match="n must be an integer, got float"):
+        pretrain([simple_spec()], TrainConfig(epochs=1), n_per_task=30.0)
+    with pytest.raises(ConfigError, match="n must be an integer, got float"):
+        run_experiment(default_suite(), default_target(), ["full_ft"], TrainConfig(), [0],
+                       n_eval=100.5)
+    assert generate_task(simple_spec(), np.int64(10)).train_labels.size == 8  # numpy ints pass
     with pytest.raises(ConfigError, match="sampled points are not finite"):
         generate_task(simple_spec(covariance_scale=1e308), 10)  # overflows
 
