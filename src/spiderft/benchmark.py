@@ -30,12 +30,14 @@ from .methods import (  # METHOD_CHOICES: re-exported only for the frozen tests/
 )
 from .tensors import TensorMap
 from .trainer import (
+    FIELD_CHECKS,
     Batch,
     RunLog,
     ToyModel,
     TrainConfig,
     batches_of,
     build_model,
+    check_fields,
     finetune_baseline,
     finetune_spider,
     forward,
@@ -68,10 +70,10 @@ class TaskSpec:
     """One Gaussian-mixture task, checked whole when it is built.
 
     However a spec is made (the defaults, a config, `dataclasses.replace`),
-    a ConfigError names the task unless its fields fit together: at least
-    2 classes and 2 input dimensions, means of shape (class_count,
-    input_dim) with distinct rows, a finite positive covariance scale, a
-    finite rotation angle and a non-negative sample seed.
+    a ConfigError names the task unless each field has its annotated type
+    (trainer.FIELD_CHECKS) and the fields fit together: at least 2 classes
+    and 2 input dimensions, means of shape (class_count, input_dim) with
+    distinct rows, a positive covariance scale and a non-negative sample seed.
     """
 
     task_id: str
@@ -83,7 +85,8 @@ class TaskSpec:
     sample_seed: int
 
     def __post_init__(self):
-        self.means = np.asarray(self.means, dtype=np.float64)
+        FIELD_CHECKS["str"](self.task_id, "task_id")  # it names the task in the messages
+        check_fields(self, f"{self.task_id}: ")
         if self.sample_seed < 0:
             raise ConfigError(f"{self.task_id}: sample_seed must be >= 0, got {self.sample_seed}")
         if self.class_count < 2:
@@ -95,9 +98,6 @@ class TaskSpec:
                 f"{self.task_id}: means shape {self.means.shape} != "
                 f"({self.class_count}, {self.input_dim})"
             )
-        for name in ("covariance_scale", "rotation_angle"):
-            if not math.isfinite(value := getattr(self, name)):
-                raise ConfigError(f"{self.task_id}: {name} must be finite, got {value}")
         if self.covariance_scale <= 0:
             raise ConfigError(f"{self.task_id}: covariance_scale must be positive")
         # lexsort is stable, so equal rows sort next to each other in index order
@@ -146,8 +146,7 @@ def generate_task(spec: TaskSpec, n: int = DEFAULT_SAMPLES) -> TaskData:
     Labels are assigned round-robin so every prefix is class-balanced;
     every fifth sample goes to the test split.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ConfigError(f"{spec.task_id}: n must be an integer, got {type(n).__name__}")
+    n = FIELD_CHECKS["int"](n, f"{spec.task_id}: n")  # an int field's type rule
     if n < spec.class_count:
         raise ConfigError(f"{spec.task_id}: need at least one sample per class")
     rng = np.random.default_rng(spec.sample_seed)
@@ -376,9 +375,10 @@ def run_experiment(
     n_eval exceeds n_per_task.  Reports come back ordered by (method, seed)
     following the argument order; the sweep is deterministic in its arguments.
     """
-    require_distinct(seeds, suite, target)
-    # TrainConfig checks each method name, before anything is pretrained
+    # TrainConfig checks each seed and method name, before anything is pretrained
+    seeds = [replace(cfg, seed=seed).seed for seed in seeds]
     method_cfgs = [replace(cfg, method=method) for method in methods]
+    require_distinct(seeds, suite, target)
 
     target_data = generate_task(target, n_per_task)
     # the held-out splits are checked before anything is pretrained too

@@ -4,82 +4,39 @@ Configs are JSON documents with a closed key set; unknown keys are an
 error so typos fail loudly instead of silently using a default.  The keys
 are `seeds`, `suite`, `target` and the fields of `TrainConfig`; each task
 object holds the fields of `TaskSpec`, all required.  Both are read and
-written by walking the dataclass fields, and each field's annotated type
-picks its check.
+written by walking the dataclass fields.  The dataclasses check each
+field's type (`trainer.FIELD_CHECKS`) and range; reading a key runs the
+same type check first, to name the key's path.  This module checks only
+the JSON's shape: objects, a list `suite`, and one seed or a list.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, replace
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
 from .benchmark import TaskSpec, default_suite, default_target, require_distinct
 from .errors import ConfigError
-from .trainer import TrainConfig
+from .trainer import TrainConfig, field_checks
 
 # the field no key sets: `seeds` replaces `seed`
 _NOT_IN_JSON = ("seed",)
+# (field, check) for each field a config sets
+_TRAIN_SCHEMA = tuple(fc for fc in field_checks(TrainConfig) if fc[0].name not in _NOT_IN_JSON)
+_TASK_SCHEMA = field_checks(TaskSpec)
 
 
-def _require_int(value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _require_number(value, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{key} must be finite, got {value!r}")
-    return number
-
-
-def _require_string(value, key: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise ConfigError(f"{key} must be a non-empty string")
-    return value
-
-
-def _require_matrix(value, key: str) -> np.ndarray:
-    try:
-        matrix = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key} is not a numeric matrix: {exc}") from exc
-    if not np.isfinite(matrix).all():
-        raise ConfigError(f"{key} must be finite")
-    return matrix
-
-
-_CHECKS = {int: _require_int, float: _require_number, str: _require_string,
-           np.ndarray: _require_matrix}
-
-
-def _schema(cls) -> tuple:
-    """(field, check) for each field of dataclass `cls` a config sets, by name."""
-    hints = get_type_hints(cls)
-    return tuple((f, _CHECKS[hints[f.name]]) for f in fields(cls) if f.name not in _NOT_IN_JSON)
-
-
-_TRAIN_SCHEMA = _schema(TrainConfig)
-_TASK_SCHEMA = _schema(TaskSpec)
-
-
-def _read(schema: tuple, obj: dict, where: str, own_keys: tuple = ()) -> dict:
+def _read(schema: tuple, obj, where: str, own_keys: tuple = ()) -> dict:
     """The checked field values a flat JSON object sets, by field name.
 
     Keys in own_keys are the caller's to read; a field without a default
     is a required key.
     """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where or 'config root: '}must be a JSON object")
     unknown = set(obj) - {f.name for f, _ in schema} - set(own_keys)
     if unknown:
         raise ConfigError(f"{where}unknown keys {sorted(unknown)}")
@@ -94,12 +51,6 @@ def _write(schema: tuple, value) -> dict:
     """The flat JSON object that _read turns back into `value`'s fields."""
     out = {f.name: getattr(value, f.name) for f, _ in schema}
     return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in out.items()}
-
-
-def _parse_task(obj, where: str) -> TaskSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    return TaskSpec(**_read(_TASK_SCHEMA, obj, f"{where}: "))
 
 
 def task_to_dict(spec: TaskSpec) -> dict:
@@ -119,10 +70,16 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ConfigError("seeds must be non-empty")
-        for seed in self.seeds:  # TrainConfig checks the seed
-            self.to_train_config(seed)
+        for name, kind in (("train", TrainConfig), ("target", TaskSpec)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name} must be a {kind.__name__}")
+        if not (isinstance(self.suite, list) and self.suite
+                and all(isinstance(spec, TaskSpec) for spec in self.suite)):
+            raise ConfigError("suite must be a non-empty list of TaskSpec")
+        if not isinstance(self.seeds, list) or not self.seeds:
+            raise ConfigError("seeds must be non-empty, a list of integers")
+        # TrainConfig checks each seed, and stores it as an int
+        self.seeds = [replace(self.train, seed=seed).seed for seed in self.seeds]
         require_distinct(self.seeds, self.suite, self.target)
 
     def to_train_config(self, seed: int | None = None, method: str | None = None) -> TrainConfig:
@@ -134,25 +91,17 @@ class ExperimentConfig:
 
 
 def config_from_dict(obj: dict) -> ExperimentConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError("config root must be a JSON object")
     train = _read(_TRAIN_SCHEMA, obj, "", own_keys=("seeds", "suite", "target"))
     kwargs = {"train": TrainConfig(**train)}
-    if "seeds" in obj:
-        seeds = obj["seeds"]
-        if isinstance(seeds, int) and not isinstance(seeds, bool):
-            seeds = [seeds]
-        if not isinstance(seeds, list) or not seeds:
-            raise ConfigError("seeds must be an integer or non-empty list of integers")
-        kwargs["seeds"] = [_require_int(s, "seeds[]") for s in seeds]
+    if "seeds" in obj:  # one seed, or a list of them
+        kwargs["seeds"] = obj["seeds"] if isinstance(obj["seeds"], list) else [obj["seeds"]]
     if "suite" in obj:
-        if not isinstance(obj["suite"], list) or not obj["suite"]:
-            raise ConfigError("suite must be a non-empty list of task objects")
-        kwargs["suite"] = [
-            _parse_task(t, f"suite[{i}]") for i, t in enumerate(obj["suite"])
-        ]
+        if not isinstance(obj["suite"], list):
+            raise ConfigError("suite must be a list of task objects")
+        kwargs["suite"] = [TaskSpec(**_read(_TASK_SCHEMA, t, f"suite[{i}]: "))
+                           for i, t in enumerate(obj["suite"])]
     if "target" in obj:
-        kwargs["target"] = _parse_task(obj["target"], "target")
+        kwargs["target"] = TaskSpec(**_read(_TASK_SCHEMA, obj["target"], "target: "))
     return ExperimentConfig(**kwargs)
 
 

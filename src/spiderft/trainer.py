@@ -56,8 +56,9 @@ Runs are deterministic: all randomness flows from the config seed.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -331,8 +332,65 @@ def sgd_step(model: ToyModel, grads: TensorMap, lr: float) -> ToyModel:
 # ---------------------------------------------------------------------------
 
 
+def _require_int(value, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):  # numpy's too
+        raise ConfigError(f"{key} must be an integer, got {type(value).__name__}")
+    return int(value)
+
+
+def _require_number(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (float, np.floating, int, np.integer)):
+        raise ConfigError(f"{key} must be a number, got {type(value).__name__}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be finite, got {number}")
+    return number
+
+
+def _require_string(value, key: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{key} must be a non-empty string")
+    return value
+
+
+def _require_matrix(value, key: str) -> np.ndarray:
+    try:
+        matrix = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} is not a numeric matrix: {exc}") from exc
+    if not np.isfinite(matrix).all():
+        raise ConfigError(f"{key} must be finite")
+    return matrix
+
+
+# the one type rule of a config field, keyed by its annotation (a string under postponed
+# evaluation): each check returns the value to store, or raises a ConfigError naming `key`
+FIELD_CHECKS = {"int": _require_int, "float": _require_number, "str": _require_string,
+                "np.ndarray": _require_matrix}
+
+
+@functools.cache
+def field_checks(cls) -> tuple:
+    """(field, check) for each field of dataclass `cls`, in field order."""
+    return tuple((f, FIELD_CHECKS[f.type]) for f in fields(cls))
+
+
+def check_fields(obj, prefix: str = "") -> None:
+    """Replace each field of `obj` by its checked value; the first bad one raises."""
+    for f, check in field_checks(type(obj)):
+        setattr(obj, f.name, check(getattr(obj, f.name), prefix + f.name))
+
+
 @dataclass
 class TrainConfig:
+    """One run's training settings, checked whole however they are built
+    (directly, `dataclasses.replace`, a config file): each field first by
+    FIELD_CHECKS for its annotated type, then its range.
+    """
+
     learning_rate: float = 0.12
     epochs: int = 5
     batch_size: int = 16
@@ -346,23 +404,16 @@ class TrainConfig:
     normalization_scope: str = "per_tensor"
 
     def __post_init__(self):
-        if not 0 < (lr := self.learning_rate) < math.inf:  # NaN fails every comparison
-            raise ConfigError(f"learning_rate must be positive and finite, got {lr}")
-        for name in ("l2_lambda", "l1_lambda"):
-            if not 0 <= (value := getattr(self, name)) < math.inf:
-                raise ConfigError(f"{name} must be >= 0 and finite, got {value}")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if not 0.0 <= self.beta < 1.0:
-            raise ConfigError("beta must be in [0, 1)")
-        if not 0.0 <= self.dare_drop_p < 1.0:
-            raise ConfigError("dare_drop_p must be in [0, 1)")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.trainable_layers < 1:
-            raise ConfigError("trainable_layers must be >= 1")
+        check_fields(self)
+        if self.learning_rate <= 0:
+            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        for name, low in (("l2_lambda", 0), ("l1_lambda", 0), ("epochs", 0), ("seed", 0),
+                          ("batch_size", 1), ("trainable_layers", 1)):
+            if (value := getattr(self, name)) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
+        for name in ("beta", "dare_drop_p"):
+            if not 0 <= (value := getattr(self, name)) < 1:
+                raise ConfigError(f"{name} must be in [0, 1), got {value}")
         if self.normalization_scope not in NORMALIZATION_SCOPES:
             raise ConfigError(f"unknown normalization_scope {self.normalization_scope!r}")
         if self.method not in METHOD_CHOICES:

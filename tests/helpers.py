@@ -2,10 +2,13 @@
 
 Everything here is written from the math, on purpose, without calling
 into the package's own forward/backward/importance code, so the tests
-compare two separately derived answers.
+compare two separately derived answers.  The one exception reads the code
+blocks of README.md, so tests can run them as written.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 
@@ -132,3 +135,17 @@ def spider_step_by_hand(w_pre, grad, acc_prev, beta, lr, initialized):
         m = np.where(m != 0.0, np.minimum(1.0, m / nz.mean()), 0.0)
     stepped = w_pre - lr * grad
     return stepped * m + w_pre * (1.0 - m), acc
+
+
+# ---------------------------------------------------------------------------
+# README.md's code blocks
+# ---------------------------------------------------------------------------
+
+
+def readme_block(heading: str, language: str) -> str:
+    """The text of the first ```language block after README.md's `heading` line."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text[text.index(f"\n{heading}\n"):]
+    fence = f"```{language}\n"
+    block = section[section.index(fence) + len(fence):]
+    return block[: block.index("```")]

@@ -30,7 +30,7 @@ from spiderft.benchmark import (
 from spiderft.errors import ConfigError, DimensionError, DomainError
 from spiderft.trainer import METHOD_CHOICES, RunLog, TrainConfig, build_model
 
-from helpers import mapped
+from helpers import mapped, readme_block
 
 TOL = 0.005 + 1e-9  # two-decimal reporting band plus representation slack
 
@@ -438,3 +438,11 @@ def test_metrics_csv_round_trip():
     lines = text.splitlines()
     assert lines[0] == "method,seed,task,metric,value"
     assert len(lines) == 1 + 2 + 1 + 3  # header, sources, target, aggregates
+
+
+def test_the_readme_python_block_runs_as_written(capsys):
+    exec(compile(readme_block("## Python API", "python"), "README.md", "exec"), {})
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines() if line]
+    assert rows[0] == ["method", "seed", "task", "metric", "value"]
+    assert {row[0] for row in rows[1:]} == {"zero_shot", "full_ft", "spider"}
+    assert {row[1] for row in rows[1:]} == {str(seed) for seed in range(10)}

@@ -25,7 +25,7 @@ from spiderft.config import ExperimentConfig, config_to_dict
 from spiderft.tensors import NORMALIZATION_SCOPES, FlatTensor, TensorMap
 from spiderft.trainer import METHOD_CHOICES, TrainConfig, build_model, set_trainable_tail
 
-from helpers import mapped, tmap
+from helpers import mapped, readme_block, tmap
 
 
 @pytest.fixture()
@@ -117,10 +117,7 @@ def readme_cli_chain():
     """The commands of the sh block under README.md's "## CLI", in order: a
     line ending in a backslash joins the next, and comments and blank lines
     are left out."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = text[text.index("\n## CLI\n"):]
-    block = section[section.index("```sh\n") + len("```sh\n"):]
-    block = block[: block.index("```")].replace("\\\n", " ")
+    block = readme_block("## CLI", "sh").replace("\\\n", " ")
     return [line.strip() for line in block.splitlines()
             if line.strip() and not line.lstrip().startswith("#")]
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spiderft import benchmark
-from spiderft.benchmark import TaskSpec, default_suite, default_target
+from spiderft.benchmark import TaskSpec, default_suite, default_target, finetune_cell, generate_task
 from spiderft.config import (
     _NOT_IN_JSON,
     ExperimentConfig,
@@ -19,9 +19,9 @@ from spiderft.config import (
     load_config,
     task_to_dict,
 )
-from spiderft.errors import ConfigError
+from spiderft.errors import ConfigError, DivergenceError
 from spiderft.tensors import NORMALIZATION_SCOPES
-from spiderft.trainer import METHOD_CHOICES, TrainConfig
+from spiderft.trainer import METHOD_CHOICES, TrainConfig, build_model
 
 CONFIG_KEYS = {
     "method", "seeds", "epochs", "batch_size", "learning_rate", "trainable_layers", "beta",
@@ -101,12 +101,15 @@ def test_method_and_scope_validation(monkeypatch):
         TrainConfig(method="boost")
     with pytest.raises(ConfigError, match="unknown method 'boost'"):
         replace(TrainConfig(), method="boost")
-    # and a sweep rejects it before it pretrains anything
+    # and a sweep rejects it, or a bad seed, before it pretrains anything
     pretrained = []
     monkeypatch.setattr(benchmark, "pretrain", lambda *args, **kw: pretrained.append(args))
-    with pytest.raises(ConfigError, match="unknown method 'boost'"):
-        benchmark.run_experiment(default_suite(), default_target(), ["spider", "boost"],
-                                 TrainConfig(epochs=1), [0])
+    for methods, seeds, message in ((["spider", "boost"], [0], "unknown method 'boost'"),
+                                    (["spider"], [0, -1], "seed must be >= 0, got -1"),
+                                    (["spider"], [0, 1.5], "seed must be an integer, got float")):
+        with pytest.raises(ConfigError, match=message):
+            benchmark.run_experiment(default_suite(), default_target(), methods,
+                                     TrainConfig(epochs=1), seeds)
     assert pretrained == []
 
 
@@ -309,6 +312,71 @@ def test_any_value_at_a_task_key_gives_a_config_or_a_config_error(key, value, wh
         config_from_dict(obj)
     except ConfigError:
         pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([f.name for f in fields(TrainConfig)]), json_values)
+def test_any_value_at_a_train_config_field_gives_a_runnable_config_or_a_config_error(name, value):
+    # the Python API's counterpart of the JSON test above: the dataclass
+    # checks the type itself, so a value that passes is stored as its
+    # annotated type and runs a one-step fine-tuning cell
+    try:
+        cfg = TrainConfig(**{name: value})
+    except ConfigError:
+        return
+    kind = {"int": int, "float": float, "str": str}[TrainConfig.__dataclass_fields__[name].type]
+    assert type(getattr(cfg, name)) is kind
+    model = build_model([3, 4, 2], seed=0)
+    try:
+        one_step = replace(cfg, epochs=min(cfg.epochs, 1))
+        finetune_cell(model, np.ones((1, 3)), np.array([1]), one_step)
+    except ConfigError:  # a tail deeper than the 2-layer model
+        assert name == "trainable_layers"
+    except DivergenceError:  # a finite rate or lambda so large that one step overflows
+        assert name in ("learning_rate", "l2_lambda", "l1_lambda")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([f.name for f in fields(TaskSpec)]), json_values)
+def test_any_value_at_a_task_spec_field_gives_a_task_or_a_config_error(name, value):
+    try:
+        generate_task(replace(default_target(), **{name: value}), 10)
+    except ConfigError:
+        pass
+
+
+@pytest.mark.parametrize("name,value,stored", [
+    # a bool is neither an integer nor a number, from JSON or from Python
+    ("epochs", True, None), ("seed", np.bool_(True), None), ("learning_rate", False, None),
+    # a float is no integer, however whole
+    ("epochs", 3.0, None), ("batch_size", np.float64(2.0), None),
+    # a numpy integer is an integer, stored as an int
+    ("seed", np.int64(3), 3), ("epochs", np.uint8(2), 2),
+    # an integer stands for a float, and a numpy float is one: stored as a float
+    ("learning_rate", 1, 1.0), ("beta", np.int64(0), 0.0), ("l2_lambda", np.float32(0.5), 0.5),
+])
+def test_edge_types_get_one_answer_from_python_and_json(name, value, stored):
+    if stored is None:
+        with pytest.raises(ConfigError, match=f"^{name} must be an? (integer|number), got"):
+            TrainConfig(**{name: value})
+    else:
+        got = getattr(TrainConfig(**{name: value}), name)
+        assert got == stored and type(got) is type(stored)
+    if type(value) in (bool, int, float) and name != "seed":  # a value JSON can hold
+        try:
+            got = getattr(config_from_dict({name: value}).train, name)
+        except ConfigError:
+            got = None
+        assert got == stored and type(got) is type(stored)
+
+
+def test_a_task_and_a_sample_count_follow_the_same_edge_types():
+    spec = replace(default_target(), sample_seed=np.int64(5))
+    assert type(spec.sample_seed) is int
+    assert type(replace(spec, covariance_scale=1).covariance_scale) is float
+    with pytest.raises(ConfigError, match="class_count must be an integer, got bool"):
+        replace(spec, class_count=True)
+    assert generate_task(spec, np.int64(10)).train_labels.size == 8
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -464,12 +464,15 @@ def test_batches_of_chunking():
 
 
 def test_train_config_rejects_bad_values():
-    for rate in (0.0, math.nan, math.inf):
-        with pytest.raises(ConfigError, match="^learning_rate must be positive"):
+    # a non-finite value fails the type rule of a float field, before its range
+    for rate, message in ((0.0, "must be positive"), (math.nan, "must be finite"),
+                          (math.inf, "must be finite")):
+        with pytest.raises(ConfigError, match=f"^learning_rate {message}"):
             TrainConfig(learning_rate=rate)
     for name in ("l2_lambda", "l1_lambda"):
-        for value in (-5.0, -math.inf, math.inf, math.nan):
-            with pytest.raises(ConfigError, match=f"^{name} must be >= 0 and finite"):
+        for value, message in ((-5.0, "must be >= 0"), (-math.inf, "must be finite"),
+                               (math.inf, "must be finite"), (math.nan, "must be finite")):
+            with pytest.raises(ConfigError, match=f"^{name} {message}"):
                 TrainConfig(**{name: value})
     with pytest.raises(ConfigError):
         TrainConfig(epochs=-1)
