@@ -50,6 +50,13 @@ class GradAccumulator:
         zeros = like.with_flat(np.zeros(like.total_size))
         return cls(acc=zeros, beta=beta, initialized=False)
 
+    def _fold(self, scratch, acc, g):
+        # b * acc + (1 - b) * |g|, each product rounded before the sum
+        fresh = np.abs(g, out=scratch)
+        fresh *= 1.0 - self.beta
+        acc *= self.beta
+        acc += fresh
+
 
 def accumulate_gradient(state: GradAccumulator, grad: TensorMap) -> GradAccumulator:
     """Fold one gradient observation into the accumulator (in place).
@@ -58,19 +65,10 @@ def accumulate_gradient(state: GradAccumulator, grad: TensorMap) -> GradAccumula
     gradient, then sums of products of such values with b and 1 - b.
     """
     state.acc.require_aligned(grad, "accumulate_gradient")
-    b = state.beta
-
-    def fold(scratch, acc, g):
-        # b * acc + (1 - b) * |g|, each product rounded before the sum
-        fresh = np.abs(g, out=scratch)
-        fresh *= 1.0 - b
-        acc *= b
-        acc += fresh
-
     if not state.initialized:
         np.abs(grad.flat, out=state.acc.flat)
     else:
-        blockwise(fold, state.acc.flat, grad.flat)
+        blockwise(state._fold, state.acc.flat, grad.flat)
     state.initialized = True
     return state
 

@@ -45,12 +45,9 @@ class UpdateMask:
 
     @property
     def density(self) -> float:
-        """Fraction of nonzero entries across all tensors."""
-        total = self.mask.total_size
-        if not total:
-            return 0.0
+        """Fraction of nonzero entries across all tensors (0.0 for none)."""
         chosen = self.mask.flat if self.selection is None else self.selection
-        return int(np.count_nonzero(chosen)) / total
+        return int(np.count_nonzero(chosen)) / chosen.size if chosen.size else 0.0
 
 
 def binary_mask(
@@ -113,18 +110,21 @@ def rescale_mask(
     selection = m.mask.flat != 0.0 if m.selection is None else m.selection
     chosen = gather(m.mask.flat, selection, scratch)
     slices, values = m.mask.units(scope)
+    runs = [chosen.size]  # a lone unit takes every selected entry
+    if len(slices) > 1:  # the largest unit's run is what the others leave
+        big = m.mask.layout.largest
+        runs = [int(np.count_nonzero(selection[s])) for s in slices[:big] + slices[big + 1 :]]
+        runs.insert(big, chosen.size - sum(runs))
     lo = 0
-    for s, v, dest in zip(slices, values, out.units(scope)[1]):
-        # a unit that ends the buffer holds every entry not yet taken
-        hi = lo + np.count_nonzero(selection[s]) if s.stop < selection.size else chosen.size
+    for n, v, dest in zip(runs, values, out.units(scope)[1]):
         # zeros stay zero: the mean of positive weights is positive; a unit
         # that selects nothing is all zeros, and x / 1.0 is x
-        np.divide(v, np.add.reduce(chosen[lo:hi]) / (hi - lo) if hi > lo else 1.0, out=dest)
-        lo = hi
+        np.divide(v, np.add.reduce(chosen[lo : lo + n]) / n if n else 1.0, out=dest)
+        lo += n
     np.minimum(out.flat, 1.0, out=out.flat)
-    if not lo:
+    if not chosen.size:
         logger.warning("rescale_mask: empty selection, mask left all-zero")
-    return UpdateMask(out, not lo, m.selection)
+    return UpdateMask(out, not chosen.size, m.selection)
 
 
 def merge(

@@ -97,14 +97,17 @@ class Layout:
     shapes: tuple[tuple[int, ...], ...]
     slices: tuple[slice, ...] = field(init=False, repr=False, compare=False)
     index: dict[str, int] = field(init=False, repr=False, compare=False)
+    largest: int = field(init=False, repr=False, compare=False)  # the first longest tensor, or 0
 
     def __post_init__(self):
         index = {name: k for k, name in enumerate(self.names)}
         if len(index) != len(self.names):
             raise ValueError(f"duplicate tensor names in {self.names}")
-        stops = (0, *accumulate(map(math.prod, self.shapes)))
+        sizes = tuple(map(math.prod, self.shapes))
+        stops = (0, *accumulate(sizes))
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "slices", tuple(map(slice, stops, stops[1:])))
+        object.__setattr__(self, "largest", sizes.index(max(sizes)) if sizes else 0)
 
     @property
     def size(self) -> int:
@@ -180,6 +183,10 @@ class TensorMap:
             return self.layout.slices, self.segments
         if scope not in NORMALIZATION_SCOPES:
             raise ConfigError(f"unknown normalization scope {scope!r}")
+        return self._whole
+
+    @cached_property
+    def _whole(self) -> tuple[tuple[slice], tuple[np.ndarray]]:  # the global scope's one unit
         return (slice(0, self.flat.size),), (self.flat,)
 
     def require_aligned(self, other: "TensorMap", op: str) -> None:
@@ -319,7 +326,7 @@ def cosine_from_norms(
         raise ZeroNormError(
             f"cosine_similarity: zero-norm input ({a_name!r}: {na:g}, {b_name!r}: {nb:g})"
         )
-    c = float(np.dot(a, b)) / (na * nb)
+    c = float(a.dot(b)) / (na * nb)
     return min(1.0, max(-1.0, c))
 
 

@@ -40,16 +40,17 @@ trainable-sized array, except for the temporaries that fix the bits of the
 select_random and select_gradient masks (rng.choice, a stable argsort) and
 of l2_reg's and l1_graft's drift.  backward writes the gradient into one
 held map.  The SGD step consumes it (it holds the step afterwards), so the
-mask chain and then the pid trace (|w_pre|, its norm taken once before
-the loop) use it as scratch.  The run's MaskRule holds a comparison mask's
-one more map, which takes the specialization scores and then the mask in
-place, and one selection.  The accumulator fold, the weighted mask and the
-merge run in cache-sized blocks through one small scratch
-(``tensors.blockwise``).
+mask chain (whose other buffers MaskRule and blockwise hold) and then the
+pid trace (|w_pre|, its norm taken once before the loop) use it as scratch.
 Every step checks the loss, the gradient and the updated weights once and
 raises DivergenceError on the first non-finite value.  A masked run ends by
 checking that every changed weight lies in the final mask's support (else
 InvariantError), and its RunLog records both counts.
+
+A sweep-model step is about 40 numpy calls on 16-row arrays, so forward and
+backward read the model's layer views once per call, through no property.
+forward, backward, sgd_step, _loss_and_gradient, accumulate_gradient and
+merge stay module lookups, not inlined: perfbench's tracer and tests patch them.
 
 Runs are deterministic: all randomness flows from the config seed.
 """
@@ -262,15 +263,13 @@ class ForwardCache:
 
 def forward(model: ToyModel, batch: Batch) -> tuple[float, ForwardCache]:
     """Mean softmax cross-entropy over the batch, plus the backward cache."""
-    if batch.inputs.shape[1] != model.input_dim:
-        raise DimensionError(
-            f"batch width {batch.inputs.shape[1]} != model input dim {model.input_dim}"
-        )
-    label_index, _ = batch.targets(model.class_count)
+    layers, a = model._layers, batch.inputs
+    if a.shape[1] != layers[0][0].shape[1]:
+        raise DimensionError(f"batch width {a.shape[1]} != model input dim {model.input_dim}")
+    label_index, _ = batch.targets(layers[-1][0].shape[0])
 
-    a = batch.inputs
-    layer_inputs, head = [], model.layer_count - 1
-    for k, (w, b) in enumerate(model._layers):
+    layer_inputs, head = [], len(layers) - 1
+    for k, (w, b) in enumerate(layers):
         layer_inputs.append(a)
         a = a.dot(w.T)
         a += b
@@ -279,10 +278,9 @@ def forward(model: ToyModel, batch: Batch) -> tuple[float, ForwardCache]:
 
     # the ufunc reductions that np.max/np.sum/np.mean wrap, called directly
     shifted = a - np.maximum.reduce(a, axis=1, keepdims=True)
-    lse = np.log(np.add.reduce(np.exp(shifted), axis=1))
-    shifted -= lse[:, None]
+    shifted -= np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
     # fl(s - l) == -fl(l - s): the bits of sum(lse - shifted); 0.0 - x keeps a zero sum +0.0
-    loss = (0.0 - float(np.add.reduce(shifted.take(label_index)))) / len(batch)
+    loss = (0.0 - float(np.add.reduce(shifted.take(label_index)))) / len(label_index)
     probs = np.exp(shifted, out=shifted)
     return loss, ForwardCache(model, model.version, batch, layer_inputs, probs)
 
@@ -292,18 +290,17 @@ def backward(model: ToyModel, cache: ForwardCache, out: TensorMap | None = None)
     into `out` (laid out as the trainable tail) when given."""
     if cache.model is not model or cache.version != model.version:
         raise StaleCacheError("cache does not match the model's current weights")
-    lowest = model._lowest
+    layers, lowest, probs = model._layers, model._lowest, cache.probs
     out = model._tail.result(out, "backward")
 
-    # p - 0.0 is p, so this is the old copy-then-subtract-one, bit for bit
-    dz = np.subtract(cache.probs, cache.batch.targets(model.class_count)[1])
-    dz /= len(cache.batch)
+    dz = np.subtract(probs, cache.batch.targets(probs.shape[1])[1])
+    dz /= float(len(probs))  # an int n gives the same bits, slower
 
     # one buffer; the driver checks its values once per step
     grads = out.views  # each trainable layer's weight, then its bias
     # no layer below the lowest trainable one needs its gradient
-    for k in range(model.layer_count - 1, lowest - 1, -1):
-        w, a_in = model._layers[k][0], cache.layer_inputs[k]
+    for k in range(len(layers) - 1, lowest - 1, -1):
+        w, a_in = layers[k][0], cache.layer_inputs[k]
         j = 2 * (k - lowest)
         dz.T.dot(a_in, out=grads[j])
         np.add.reduce(dz, axis=0, out=grads[j + 1])
@@ -357,12 +354,13 @@ def _require_string(value, key: str) -> str:
 
 
 def _require_matrix(value, key: str) -> np.ndarray:
-    try:
-        matrix = np.asarray(value, dtype=np.float64)
+    try:  # a read-only copy: no caller's array, and no later edit, bypasses the checks
+        matrix = np.array(value, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} is not a numeric matrix: {exc}") from exc
     if not np.isfinite(matrix).all():
         raise ConfigError(f"{key} must be finite")
+    matrix.flags.writeable = False
     return matrix
 
 
@@ -472,26 +470,22 @@ def _iterations(data: Sequence[Batch], epochs: int) -> Iterator[tuple[int, Batch
 
 
 def _require_finite(it: int, what: str, tm: TensorMap) -> None:
-    # a nan or an inf entry makes the sum non-finite, so a finite sum clears
-    # the map without a trainable-sized mask; an overflowing one is checked
-    # entry by entry
-    if math.isfinite(np.add.reduce(tm.flat)) or np.logical_and.reduce(np.isfinite(tm.flat)):
+    # a nan or an inf entry makes the sum of squares (a dot, half a sum's cost) non-finite, so
+    # a finite one clears the map with no trainable-sized mask; an overflow is checked per entry
+    if math.isfinite(tm.flat.dot(tm.flat)) or np.logical_and.reduce(np.isfinite(tm.flat)):
         return
     name = next(t.name for t in tm if not np.isfinite(t.data).all())
     raise DivergenceError(f"training diverged at iteration {it}: non-finite {what} in {name!r}")
 
 
-def _loss_and_gradient(
-    model: ToyModel, batch: Batch, it: int, out: TensorMap
-) -> tuple[float, TensorMap]:
-    """Loss and gradients of one batch, both checked finite; the gradients
-    go into `out` (see backward)."""
+def _loss_and_gradient(model: ToyModel, batch: Batch, it: int, out: TensorMap) -> float:
+    """The loss of one batch, its gradients written into `out` (see
+    backward); both checked finite."""
     loss, cache = forward(model, batch)
     if not math.isfinite(loss):
         raise DivergenceError(f"training diverged at iteration {it}: loss is {loss}")
-    grads = backward(model, cache, out=out)
-    _require_finite(it, "gradient", grads)
-    return loss, grads
+    _require_finite(it, "gradient", backward(model, cache, out=out))
+    return loss
 
 
 def _edit_gradient(
@@ -586,7 +580,7 @@ def _finetune(
     seeds = _iteration_seeds(cfg.seed, cfg.epochs * len(data) + 1)
 
     for (it, batch), seed in zip(_iterations(data, cfg.epochs), seeds):
-        loss, _ = _loss_and_gradient(model, batch, it, out=grads)
+        loss = _loss_and_gradient(model, batch, it, out=grads)
         loss = _edit_gradient(cfg, loss, grads.flat, weights, pretrained, seed, log)
         accumulate_gradient(accumulator, grads)
 

@@ -174,6 +174,21 @@ def test_default_suite_and_target_layout():
     assert np.all(target.means[:, 2] != suite[0].means[:, 2])
 
 
+def test_a_spec_keeps_a_read_only_copy_of_its_means():
+    specs = [*default_suite(), default_target()]
+    for k, a in enumerate(specs):
+        for b in specs[k + 1:]:
+            assert not np.shares_memory(a.means, b.means), (a.task_id, b.task_id)
+    # an in-place write would skip the distinct-rows check, so it raises
+    with pytest.raises(ValueError, match="read-only"):
+        specs[0].means[1] = specs[0].means[0]
+    given = np.array(specs[0].means)
+    spec = replace(specs[0], means=given)
+    given[1] = given[0]  # the caller's array, not the spec's
+    assert not np.array_equal(spec.means[1], spec.means[0])
+    replace(spec)  # still a valid spec
+
+
 # ---------------------------------------------------------------------------
 # Pretraining and evaluation
 # ---------------------------------------------------------------------------

@@ -1131,6 +1131,32 @@ def test_dare_final_weights_are_pretrained_plus_sparse_delta():
     assert 0.3 < dropped < 0.7  # about half the entries revert exactly
 
 
+@pytest.mark.parametrize("loop", ["train", "finetune"])
+def test_a_step_calls_forward_backward_and_sgd_step_once_by_module_name(monkeypatch, loop):
+    # the seams perfbench's tracer and these tests patch: the loops look the
+    # three up in the module at every step, and call each once per step
+    calls = {"forward": 0, "backward": 0, "sgd_step": 0}
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(trainer, name, counting(name, getattr(trainer, name)))
+    inputs, labels = blob_data(43, n=48)
+    data = batches_of(inputs, labels, 16)
+    model = small_model(seed=43)
+    cfg = TrainConfig(method="spider", epochs=2, batch_size=16, seed=43)
+    if loop == "train":
+        trainer.train(model, data, cfg)
+    else:
+        trainer._finetune(model, model.tensor_map(trainable_only=True).copy(), data, cfg)
+    steps = cfg.epochs * len(data)
+    assert calls == {"forward": steps, "backward": steps, "sgd_step": steps}
+
+
 def test_the_loop_writes_the_model_without_load_values(monkeypatch):
     # the merge and the dare add write through the trainable view, so the
     # loop only bumps the version where load_values would copy onto itself
