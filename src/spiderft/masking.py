@@ -102,7 +102,7 @@ def rescale_mask(
     entries is returned unchanged (flagged, and logged as a warning).
     The result goes to a fresh map, or into `out` (which may be m.mask).
     The selected entries are gathered once, in buffer order, into `scratch`
-    (see tensors.gather), and each unit's mean is selected_mean_array's of
+    (see tensors.gather), and each unit's mean is masked_mean's, taken on
     its own run of them.  A comparison mask's selection names its nonzero
     entries, and the result keeps it.
     """

@@ -10,7 +10,8 @@ segment, made on access; a map builds its tuple of segment views once, on
 first use.  Elementwise work runs as one numpy op over the whole buffer, and
 statistics are taken per tensor on the segments or over the whole buffer
 (the normalization scope, one of ``methods.NORMALIZATION_SCOPES``; see
-TensorMap.units).  Transforms are pure unless given an ``out`` map of their
+TensorMap.units): the z-score by zscore_map alone, a lone tensor's as a
+one-tensor map's.  Transforms are pure unless given an ``out`` map of their
 input's layout (TensorMap.result).
 """
 
@@ -220,34 +221,7 @@ class TensorMap:
 
 def zscore(t: FlatTensor) -> FlatTensor:
     """Center and scale by the population std; constant inputs map to zeros."""
-    return t.with_data(zscore_array(t.data))
-
-
-def zscore_array(
-    values: np.ndarray, out: np.ndarray | None = None, *, scratch: np.ndarray | None = None
-) -> np.ndarray:
-    """The z-score of values, into `out` (which may be values) when given; the
-    squared deviations go into `scratch`, an array of values' length, or a temporary."""
-    out = np.empty_like(values) if out is None else out
-    _zscore_units((slice(0, values.size),), (values,), (out,), out, scratch)
-    return out
-
-
-def _zscore_units(slices, values, dests, out: np.ndarray, scratch: np.ndarray | None) -> None:
-    """Each values[k]'s z-score into dests[k], out[slices[k]], for units that
-    cover `out`; the squared deviations go into `scratch` (see zscore_array)."""
-    # np.std's own steps (mean, deviations, mean square, sqrt), with its
-    # deviations reused for the z-score: the same bits as np.std and np.mean
-    for v, dest in zip(values, dests):
-        if v.size:
-            np.subtract(v, np.add.reduce(v) / v.size, out=dest)
-    squares = np.square(out, out=scratch)
-    for s, dest in zip(slices, dests):
-        std = math.sqrt(np.add.reduce(squares[s]) / dest.size) if dest.size else 0.0
-        if std < STD_EPS:
-            dest.fill(0.0)
-        else:
-            dest /= std
+    return t.with_data(zscore_map(TensorMap.from_tensors([t])).flat)
 
 
 def sigmoid(t: FlatTensor) -> FlatTensor:
@@ -332,15 +306,7 @@ def cosine_from_norms(
 
 def masked_mean(t: FlatTensor) -> tuple[float, bool]:
     """Mean over nonzero entries; (0.0, True) when nothing is nonzero."""
-    return selected_mean_array(t.data, t.data != 0.0)
-
-
-def selected_mean_array(
-    values: np.ndarray, selected: np.ndarray, *, scratch: np.ndarray | None = None
-) -> tuple[float, bool]:
-    """Mean of the selected entries, gathered into `scratch` (see gather);
-    (0.0, True) when none is selected."""
-    nz = gather(values, selected, scratch)
+    nz = gather(t.data, t.data != 0.0, None)
     if nz.size == 0:
         return 0.0, True
     return float(np.add.reduce(nz) / nz.size), False
@@ -387,13 +353,22 @@ def zscore_map(
     tm: TensorMap, scope: str = "per_tensor", *,
     out: TensorMap | None = None, scratch: np.ndarray | None = None,
 ) -> TensorMap:
-    """Z-normalize each tensor, either on its own stats or on global ones.
-
-    The result goes to a fresh map, or into `out` (which may be `tm`).  The
-    squared deviations go into `scratch`, an array of the map's length, when
-    given (see zscore_array).
-    """
+    """Z-normalize each tensor, on its own stats or on global ones, into a fresh
+    map or `out` (which may be `tm`); the squared deviations go into `scratch`,
+    an array of the map's length, when given."""
     out = tm.result(out, "zscore_map")
     slices, values = tm.units(scope)
-    _zscore_units(slices, values, out.units(scope)[1], out.flat, scratch)
+    dests = out.units(scope)[1]
+    # np.std's own steps (mean, deviations, mean square, sqrt), with its
+    # deviations reused for the z-score: the same bits as np.std and np.mean
+    for v, dest in zip(values, dests):
+        if v.size:
+            np.subtract(v, np.add.reduce(v) / v.size, out=dest)
+    squares = np.square(out.flat, out=scratch)
+    for s, dest in zip(slices, dests):
+        std = math.sqrt(np.add.reduce(squares[s]) / dest.size) if dest.size else 0.0
+        if std < STD_EPS:
+            dest.fill(0.0)
+        else:
+            dest /= std
     return out

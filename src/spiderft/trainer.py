@@ -96,7 +96,10 @@ class Batch:
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.labels = np.array(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        if not np.issubdtype(labels.dtype, np.integer):  # no bool, no float to truncate
+            raise DimensionError(f"labels must be integers, got dtype {labels.dtype}")
+        self.labels = labels.astype(np.int64)
         self.labels.flags.writeable = False
         if self.inputs.ndim != 2 or self.inputs.shape[0] < 1:
             raise DimensionError(f"batch inputs must be (B>=1, d), got {self.inputs.shape}")
@@ -226,9 +229,11 @@ class ToyModel:
 
 def build_model(layer_dims: Sequence[int], seed: int) -> ToyModel:
     """Random init: tanh hidden layers, linear head, all layers trainable."""
+    layer_dims = [_int_at_least(d, f"layer_dims[{k}]", 1, DimensionError)
+                  for k, d in enumerate(layer_dims)]
     if len(layer_dims) < 2:
         raise DimensionError("need at least input and output dims")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_int_at_least(seed, "seed", 0))
     tensors = []
     for k, (d_in, d_out) in enumerate(zip(layer_dims, layer_dims[1:])):
         w = rng.normal(0.0, 1.0 / math.sqrt(d_in), size=(d_out, d_in))
@@ -239,7 +244,7 @@ def build_model(layer_dims: Sequence[int], seed: int) -> ToyModel:
 
 def set_trainable_tail(model: ToyModel, layer_count: int) -> None:
     """Make the last `layer_count` layers trainable and freeze the rest."""
-    if not 1 <= layer_count <= model.layer_count:
+    if not 1 <= _require_int(layer_count, "trainable layer count") <= model.layer_count:
         raise ConfigError(
             f"trainable layer count {layer_count} out of range for "
             f"{model.layer_count}-layer model"
@@ -333,6 +338,13 @@ def _require_int(value, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):  # numpy's too
         raise ConfigError(f"{key} must be an integer, got {type(value).__name__}")
     return int(value)
+
+
+def _int_at_least(value, key: str, low: int, error: type = ConfigError) -> int:
+    """value by the int rule, as an int; `error` unless it is at least `low`."""
+    if (value := _require_int(value, key)) < low:
+        raise error(f"{key} must be >= {low}, got {value}")
+    return value
 
 
 def _require_number(value, key: str) -> float:
@@ -436,6 +448,7 @@ class RunLog:
 
 def batches_of(inputs: np.ndarray, labels: np.ndarray, batch_size: int) -> list[Batch]:
     """Chunk a dataset into sequential batches (last one may be short)."""
+    batch_size = _int_at_least(batch_size, "batch_size", 1)
     n = inputs.shape[0]
     if np.shape(labels) != (n,):
         raise DimensionError("labels must be one integer per batch row")

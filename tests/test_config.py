@@ -170,6 +170,17 @@ def test_suite_must_be_non_empty_list():
         config_from_dict({"suite": "default"})
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"train": 5}, "train must be a TrainConfig"),
+    ({"target": 5}, "target must be a TaskSpec"),
+    ({"suite": []}, "suite must be a non-empty list of TaskSpec"),
+    ({"seeds": 3}, "seeds must be non-empty, a list of integers"),
+])
+def test_experiment_config_from_python_rejects_bad_fields(kwargs, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        ExperimentConfig(**kwargs)
+
+
 def test_dict_round_trip():
     cfg = ExperimentConfig(seeds=[3, 4],
                            train=TrainConfig(method="dare", epochs=2, learning_rate=0.05))

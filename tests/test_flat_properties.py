@@ -43,11 +43,12 @@ from spiderft.masking import (
 from spiderft.tensors import (
     BLOCK,
     STD_EPS,
+    FlatTensor,
     Layout,
     TensorMap,
+    masked_mean,
     norm,
-    selected_mean_array,
-    zscore_array,
+    zscore,
     zscore_map,
 )
 from spiderft.trainer import backward, batches_of, build_model, forward, set_trainable_tail
@@ -186,16 +187,12 @@ def statistic_inputs(draw):
 @settings(max_examples=300, deadline=None)
 @given(statistic_inputs())
 def test_statistics_match_the_numpy_formulas_bit_for_bit(v):
-    expected = ref_zscore(v).tobytes()
-    assert zscore_array(v).tobytes() == expected
-    out = np.full_like(v, np.nan)
-    assert zscore_array(v, out) is out and out.tobytes() == expected
-    in_place = v.copy()
-    assert zscore_array(in_place, in_place).tobytes() == expected
+    t = FlatTensor.of("v", v)
+    assert zscore(t).data.tobytes() == ref_zscore(v).tobytes()
 
     assert np.float64(norm(v)).tobytes() == np.linalg.norm(v).tobytes()
 
-    mean, empty = selected_mean_array(v, v != 0.0)
+    mean, empty = masked_mean(t)
     ref_mean, ref_empty = ref_masked_mean(v)
     assert empty == ref_empty
     assert np.float64(mean).tobytes() == np.float64(ref_mean).tobytes()
@@ -293,7 +290,7 @@ def test_all_deselected_mask_is_flagged_and_logged(data, scope):
 
 
 def rescaled_by_masked_mean(v):
-    mean, empty = selected_mean_array(v, v != 0.0)
+    mean, empty = masked_mean(FlatTensor.of("v", v))
     return v.copy() if empty else np.minimum(v / mean, 1.0)
 
 
@@ -328,7 +325,7 @@ def test_selection_gives_the_density_and_rescale_mean_of_the_values(
     if variant == "rescaled":
         weighted = np.where(g_flat > i_flat, g_flat / (g_flat + i_flat), 0.0)
         assert_bits(m.mask, per_scope(rescaled_by_masked_mean, table, weighted, scope))
-    # the reference rescales by selected_mean_array's mean, so this pins its bits
+    # the reference rescales by masked_mean's mean, so this pins its bits
     assert_bits(rescaled.mask, per_scope(rescaled_by_masked_mean, table, before, scope))
 
 
@@ -435,13 +432,13 @@ def test_in_place_forms_give_the_fresh_forms_bytes(case, scope):
     n = acc_flat.size
     acc, g, i = tmap_of(table, acc_flat), tmap_of(table, g_flat), tmap_of(table, i_flat)
 
-    out = held(n)
-    assert zscore_array(acc_flat, out, scratch=held(n)) is out
-    assert out.tobytes() == zscore_array(acc_flat).tobytes()
     fresh = zscore_map(acc, scope)
     out = tmap_of(table, held(n))
     assert zscore_map(acc, scope, out=out, scratch=held(n)) is out
     assert out.flat.tobytes() == fresh.flat.tobytes()
+    same = acc.copy()  # the in-place form
+    assert zscore_map(same, scope, out=same) is same
+    assert same.flat.tobytes() == fresh.flat.tobytes()
 
     state = GradAccumulator(acc, 0.9, initialized=True)
     fresh = specialization_importance(state, scope)

@@ -145,6 +145,23 @@ def test_batch_validation():
             batches_of(inputs, labels, batch_size)
 
 
+@pytest.mark.parametrize("labels", [[0.7, 2.9], [np.nan, 1], [True, False], ["0", "1"]])
+def test_batch_labels_must_have_an_integer_dtype(labels):
+    # a float label is not truncated, and a bool is not an integer
+    with pytest.raises(DimensionError, match="labels must be integers, got dtype"):
+        Batch(np.zeros((2, 3)), labels)
+    assert Batch(np.zeros((2, 3)), np.array([2, 1], dtype=np.uint8)).labels.tolist() == [2, 1]
+
+
+@pytest.mark.parametrize("batch_size,message", [
+    (0, "batch_size must be >= 1, got 0"), (-1, "batch_size must be >= 1, got -1"),
+    (1.5, "batch_size must be an integer, got float"),
+])
+def test_batches_of_rejects_a_bad_batch_size(batch_size, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        batches_of(np.zeros((4, 3)), np.zeros(4, int), batch_size)
+
+
 # ---------------------------------------------------------------------------
 # Backward pass
 # ---------------------------------------------------------------------------
@@ -436,8 +453,23 @@ def test_load_values_rejects_unknown_or_misshaped():
         )
 
 
+@pytest.mark.parametrize("dims,seed,error,message", [
+    ([8, 0, 3], 0, DimensionError, r"layer_dims\[1\] must be >= 1, got 0"),
+    ([8, 3.5], 0, ConfigError, r"layer_dims\[1\] must be an integer, got float"),
+    ([8, True], 0, ConfigError, r"layer_dims\[1\] must be an integer, got bool"),
+    ([8, 3], -1, ConfigError, "seed must be >= 0, got -1"),
+    ([8, 3], 1.0, ConfigError, "seed must be an integer, got float"),
+])
+def test_build_model_rejects_bad_widths_and_seeds(dims, seed, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build_model(dims, seed)
+
+
 def test_set_trainable_tail_bounds():
     model = build_model([4, 5, 3], seed=0)
+    for count in (1.0, True):  # the int rule: no float, however whole, and no bool
+        with pytest.raises(ConfigError, match="trainable layer count must be an integer"):
+            set_trainable_tail(model, count)
     with pytest.raises(ConfigError):
         set_trainable_tail(model, 0)
     with pytest.raises(ConfigError):
