@@ -30,7 +30,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError, ZeroNormError
+from .errors import AlignmentError, ConfigError, DimensionError, ZeroNormError
 from .methods import NORMALIZATION_SCOPES
 
 # Degenerate-spread guard for zscore and the zero-direction guard for cosine.
@@ -56,13 +56,13 @@ class FlatTensor:
     def __post_init__(self):
         self.shape = tuple(int(d) for d in self.shape)
         self.data = np.ascontiguousarray(self.data, dtype=np.float64).reshape(-1)
-        if self.data.size != self.size:
-            raise ValueError(
+        if self.data.size != self.size or min(self.shape, default=0) < 0:
+            raise DimensionError(
                 f"tensor {self.name!r}: data length {self.data.size} does not "
                 f"match shape {self.shape}"
             )
         if not np.all(np.isfinite(self.data)):
-            raise ValueError(f"tensor {self.name!r}: non-finite entries")
+            raise ConfigError(f"tensor {self.name!r}: non-finite entries")
 
     @classmethod
     def of(cls, name: str, values) -> "FlatTensor":
@@ -103,7 +103,7 @@ class Layout:
     def __post_init__(self):
         index = {name: k for k, name in enumerate(self.names)}
         if len(index) != len(self.names):
-            raise ValueError(f"duplicate tensor names in {self.names}")
+            raise AlignmentError(f"duplicate tensor names in {self.names}")
         sizes = tuple(map(math.prod, self.shapes))
         stops = (0, *accumulate(sizes))
         object.__setattr__(self, "index", index)
@@ -139,7 +139,7 @@ class TensorMap:
     def over(cls, layout: Layout, flat: np.ndarray) -> "TensorMap":
         """A map over `flat`, which is neither copied nor scanned."""
         if flat.size != layout.size:
-            raise ValueError(f"layout covers {layout.size} entries, buffer has {flat.size}")
+            raise DimensionError(f"layout covers {layout.size} entries, buffer has {flat.size}")
         return cls(layout, flat)
 
     def _entry(self, k: int) -> FlatTensor:

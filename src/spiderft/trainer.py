@@ -95,8 +95,10 @@ class Batch:
     labels: np.ndarray  # (B,) int
 
     def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        labels = np.asarray(self.labels)
+        try:  # NaN inputs pass: the loop's per-step check raises DivergenceError on them
+            self.inputs, labels = np.asarray(self.inputs, dtype=np.float64), np.asarray(self.labels)
+        except (TypeError, ValueError, OverflowError) as exc:  # text, ragged rows, a huge int
+            raise DimensionError(f"batch is not a numeric array: {exc}") from exc
         if not np.issubdtype(labels.dtype, np.integer):  # no bool, no float to truncate
             raise DimensionError(f"labels must be integers, got dtype {labels.dtype}")
         self.labels = labels.astype(np.int64)
@@ -229,6 +231,8 @@ class ToyModel:
 
 def build_model(layer_dims: Sequence[int], seed: int) -> ToyModel:
     """Random init: tanh hidden layers, linear head, all layers trainable."""
+    if not isinstance(layer_dims, Iterable):
+        raise DimensionError(f"layer_dims must be widths, got {type(layer_dims).__name__}")
     layer_dims = [_int_at_least(d, f"layer_dims[{k}]", 1, DimensionError)
                   for k, d in enumerate(layer_dims)]
     if len(layer_dims) < 2:
@@ -447,14 +451,14 @@ class RunLog:
 
 
 def batches_of(inputs: np.ndarray, labels: np.ndarray, batch_size: int) -> list[Batch]:
-    """Chunk a dataset into sequential batches (last one may be short)."""
+    """Chunk a dataset into sequential batches (last one may be short):
+    slices of one Batch over the whole set, so every batch passes its checks
+    and has its width."""
     batch_size = _int_at_least(batch_size, "batch_size", 1)
-    n = inputs.shape[0]
-    if np.shape(labels) != (n,):
-        raise DimensionError("labels must be one integer per batch row")
+    whole = Batch(inputs, labels)
     return [
-        Batch(inputs[i : i + batch_size], labels[i : i + batch_size])
-        for i in range(0, n, batch_size)
+        Batch(whole.inputs[i : i + batch_size], whole.labels[i : i + batch_size])
+        for i in range(0, len(whole), batch_size)
     ]
 
 

@@ -1,9 +1,19 @@
 """Elementwise transforms and the TensorMap container."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from spiderft.errors import AlignmentError, ConfigError, ZeroNormError
+from spiderft.errors import (
+    AlignmentError,
+    ConfigError,
+    DimensionError,
+    SpiderftError,
+    ZeroNormError,
+)
 from spiderft.tensors import (
     FlatTensor,
     Layout,
@@ -175,14 +185,31 @@ def test_masked_mean_no_zeros_is_plain_mean():
 
 
 def test_flat_tensor_shape_data_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionError):
         FlatTensor("t", (2, 3), np.zeros(5))
+    for shape, size in (((2, -1), 0), ((-1, -2), 2)):  # a negative dim, whatever the product
+        with pytest.raises(DimensionError, match="does not match shape"):
+            FlatTensor("t", shape, np.zeros(size))
+
+
+@settings(deadline=None)
+@given(shape=st.lists(st.integers(-3, 4), max_size=3).map(tuple),
+       data=st.lists(st.floats(), max_size=12))  # floats include NaN and inf
+@example(shape=(-1, -2), data=[1.0, 2.0])
+def test_flat_tensor_is_a_finite_vector_of_its_shape_or_a_package_error(shape, data):
+    try:
+        t = FlatTensor("t", shape, data)
+    except SpiderftError:
+        return
+    assert t.data.dtype == np.float64 and t.data.ndim == 1 and t.data.flags.c_contiguous
+    assert min(t.shape, default=0) >= 0 and t.data.size == math.prod(t.shape)
+    assert np.isfinite(t.data).all() and t.data.reshape(t.shape).shape == t.shape
 
 
 def test_flat_tensor_rejects_nonfinite():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         FlatTensor.of("t", [1.0, np.nan])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         FlatTensor.of("t", [np.inf])
 
 
@@ -199,9 +226,9 @@ def test_tensor_map_preserves_insertion_order():
 
 
 def test_tensor_map_rejects_duplicate_names():
-    with pytest.raises(ValueError):
+    with pytest.raises(AlignmentError):
         TensorMap.from_tensors([FlatTensor.of("a", [1.0]), FlatTensor.of("a", [2.0])])
-    with pytest.raises(ValueError):
+    with pytest.raises(AlignmentError):
         Layout(("a", "a"), ((1,), (1,)))
 
 
@@ -251,7 +278,7 @@ def test_packed_map_views_one_buffer():
     assert not np.shares_memory(copied.flat, m.flat)
     assert all(np.shares_memory(t.data, copied.flat) for t in copied)
     assert TensorMap.from_tensors([]).flat.size == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionError):
         m.with_flat(np.zeros(4))
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spiderft import masking, trainer
@@ -23,6 +23,7 @@ from spiderft.errors import (
     DimensionError,
     DivergenceError,
     InvariantError,
+    SpiderftError,
     StaleCacheError,
     ZeroNormError,
 )
@@ -151,6 +152,47 @@ def test_batch_labels_must_have_an_integer_dtype(labels):
     with pytest.raises(DimensionError, match="labels must be integers, got dtype"):
         Batch(np.zeros((2, 3)), labels)
     assert Batch(np.zeros((2, 3)), np.array([2, 1], dtype=np.uint8)).labels.tolist() == [2, 1]
+
+
+@pytest.mark.parametrize("inputs,labels", [
+    ([["a", "b"]], [0]),  # text
+    ([[1.0], [2.0, 3.0]], [0, 1]),  # ragged inputs
+    ([[1.0], [2.0]], [[0], [1, 2]]),  # ragged labels
+    ([[10**400]], [0]),  # an int too large for a float
+])
+def test_batch_rejects_data_numpy_cannot_make_an_array_of(inputs, labels):
+    with pytest.raises(DimensionError, match="^batch is not a numeric array: "):
+        Batch(inputs, labels)
+    with pytest.raises(DimensionError, match="^batch is not a numeric array: "):
+        batches_of(inputs, labels, 1)  # the whole set is checked, not each row alone
+
+
+def test_batches_of_takes_lists_and_passes_nan_inputs_on():
+    (batch,) = batches_of([[1.0, 2.0]], [0], 1)
+    assert batch.inputs.dtype == np.float64 and batch.inputs.tolist() == [[1.0, 2.0]]
+    # a NaN input is the loop's DivergenceError (see the non-finite loss test), not the batch's
+    assert np.isnan(batches_of([[np.nan, 1.0]], [0], 1)[0].inputs[0, 0])
+
+
+CELLS = st.one_of(st.floats(), st.text(max_size=3), st.none())  # floats include NaN and inf
+LABELS = st.one_of(st.integers(-2, 5), st.lists(st.integers(0, 2), max_size=2))
+
+
+@settings(deadline=None)
+@given(inputs=st.lists(st.lists(CELLS, max_size=3), max_size=4),  # ragged when lengths differ
+       labels=st.lists(LABELS, max_size=4), batch_size=st.integers(1, 3))
+@example(inputs=[[1.0], [2.0, 3.0]], labels=[0, 1], batch_size=1)
+def test_batch_data_is_float_rows_or_a_package_error(inputs, labels, batch_size):
+    for build in (lambda: [Batch(inputs, labels)], lambda: batches_of(inputs, labels, batch_size)):
+        try:
+            batches = build()
+        except SpiderftError:
+            continue
+        assert sum(map(len, batches)) == len(inputs) and batches
+        for batch in batches:  # float64 (B, d), one width for the whole set
+            assert batch.inputs.dtype == np.float64 and len(batch) >= 1
+            assert batch.inputs.shape == (len(batch), len(inputs[0]))
+            assert batch.labels.dtype == np.int64 and batch.labels.shape == (len(batch),)
 
 
 @pytest.mark.parametrize("batch_size,message", [
@@ -459,6 +501,7 @@ def test_load_values_rejects_unknown_or_misshaped():
     ([8, True], 0, ConfigError, r"layer_dims\[1\] must be an integer, got bool"),
     ([8, 3], -1, ConfigError, "seed must be >= 0, got -1"),
     ([8, 3], 1.0, ConfigError, "seed must be an integer, got float"),
+    (5, 0, DimensionError, "layer_dims must be widths, got int"),
 ])
 def test_build_model_rejects_bad_widths_and_seeds(dims, seed, error, message):
     with pytest.raises(error, match=f"^{message}$"):
