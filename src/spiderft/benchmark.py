@@ -28,16 +28,15 @@ from .methods import (  # METHOD_CHOICES: re-exported only for the frozen tests/
     SPIDER_METHODS,
     ZERO_SHOT,
 )
-from .tensors import TensorMap
+from .tensors import (TensorMap, check_fields, int_at_least, require_int, require_matrix,
+                      require_number, require_string)
 from .trainer import (
-    FIELD_CHECKS,
     Batch,
     RunLog,
     ToyModel,
     TrainConfig,
     batches_of,
     build_model,
-    check_fields,
     finetune_baseline,
     finetune_spider,
     forward,
@@ -71,7 +70,7 @@ class TaskSpec:
 
     However a spec is made (the defaults, a config, `dataclasses.replace`),
     a ConfigError names the task unless each field has its annotated type
-    (trainer.FIELD_CHECKS) and the fields fit together: at least 2 classes
+    (tensors.FIELD_CHECKS) and the fields fit together: at least 2 classes
     and 2 input dimensions, means of shape (class_count, input_dim) with
     distinct rows, a positive covariance scale and a non-negative sample seed.
     """
@@ -85,10 +84,9 @@ class TaskSpec:
     sample_seed: int
 
     def __post_init__(self):
-        FIELD_CHECKS["str"](self.task_id, "task_id")  # it names the task in the messages
+        require_string(self.task_id, "task_id")  # it names the task in the messages
         check_fields(self, f"{self.task_id}: ")
-        if self.sample_seed < 0:
-            raise ConfigError(f"{self.task_id}: sample_seed must be >= 0, got {self.sample_seed}")
+        int_at_least(self.sample_seed, f"{self.task_id}: sample_seed", 0)
         if self.class_count < 2:
             raise ConfigError(f"{self.task_id}: need at least 2 classes")
         if self.input_dim < 2:
@@ -146,16 +144,17 @@ def generate_task(spec: TaskSpec, n: int = DEFAULT_SAMPLES) -> TaskData:
     Labels are assigned round-robin so every prefix is class-balanced;
     every fifth sample goes to the test split.
     """
-    n = FIELD_CHECKS["int"](n, f"{spec.task_id}: n")  # an int field's type rule
+    n = require_int(n, f"{spec.task_id}: n")
     if n < spec.class_count:
         raise ConfigError(f"{spec.task_id}: need at least one sample per class")
-    rng = np.random.default_rng(spec.sample_seed)
-    labels = np.arange(n, dtype=np.int64) % spec.class_count
     centers = _rotate_plane(spec.means, spec.rotation_angle)
+    try:  # a count numpy cannot hold: too large an array, or more than memory
+        labels = np.arange(n, dtype=np.int64) % spec.class_count
+        noise = np.random.default_rng(spec.sample_seed).standard_normal((n, spec.input_dim))
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"{spec.task_id}: cannot sample {n} points: {exc}") from exc
     with np.errstate(over="ignore"):  # an overflow is the error below, not a warning
-        points = centers[labels] + spec.covariance_scale * rng.standard_normal(
-            (n, spec.input_dim)
-        )
+        points = centers[labels] + spec.covariance_scale * noise
     if not np.isfinite(points).all():
         raise ConfigError(f"{spec.task_id}: sampled points are not finite")
     test = np.arange(n) % 5 == 4
@@ -278,20 +277,21 @@ def evaluate(model: ToyModel, task: TaskSpec, n: int = DEFAULT_SAMPLES) -> float
 
 def h_average(a_s: float, a_t: float) -> float:
     """Harmonic mean of the source and target scores."""
-    if a_s <= 0 or a_t <= 0:
+    if require_number(a_s, "a_s") <= 0 or require_number(a_t, "a_t") <= 0:
         raise DomainError(f"harmonic mean needs positive inputs, got ({a_s}, {a_t})")
     return 2.0 * a_s * a_t / (a_s + a_t)
 
 
 def o_average(a_s: float, a_t: float) -> float:
     """Arithmetic mean of the source and target scores."""
-    return (a_s + a_t) / 2.0
+    return (require_number(a_s, "a_s") + require_number(a_t, "a_t")) / 2.0
 
 
 def source_average(values: Sequence[float]) -> float:
-    if len(values) == 0:
+    if (values := require_matrix(values, "source accuracies")).size == 0:
         raise DomainError("source average over an empty suite")
-    return float(np.mean(np.asarray(values, dtype=np.float64)))
+    with np.errstate(over="ignore"):  # a sum past the float range is inf, as in o_average
+        return float(np.mean(values))
 
 
 @dataclass

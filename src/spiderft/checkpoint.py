@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CorruptCheckpointError, FormatError
-from .tensors import Layout, TensorMap
+from .tensors import Layout, TensorMap, require_path
 
 MAGIC = b"SPIDRCK1"
 _MAX_RANK = 32
@@ -41,7 +41,7 @@ def save_checkpoint(tm: TensorMap, path: str | Path) -> None:
     # every chunk checked before the file is opened; the payloads are written
     # from their arrays, and the checksum is folded in chunk by chunk
     crc = 0
-    with open(path, "wb") as f:
+    with open(require_path(path, "checkpoint path"), "wb") as f:
         for chunk in chunks:
             f.write(chunk)
             crc = zlib.crc32(chunk, crc)
@@ -49,7 +49,7 @@ def save_checkpoint(tm: TensorMap, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> TensorMap:
-    raw = Path(path).read_bytes()
+    raw = Path(require_path(path, "checkpoint path")).read_bytes()
     if len(raw) < len(MAGIC) + 8 + 4:
         raise FormatError("file too short to be a checkpoint")
     if raw[: len(MAGIC)] != MAGIC:

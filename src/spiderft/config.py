@@ -5,7 +5,7 @@ error so typos fail loudly instead of silently using a default.  The keys
 are `seeds`, `suite`, `target` and the fields of `TrainConfig`; each task
 object holds the fields of `TaskSpec`, all required.  Both are read and
 written by walking the dataclass fields.  The dataclasses check each
-field's type (`trainer.FIELD_CHECKS`) and range; reading a key runs the
+field's type (`tensors.FIELD_CHECKS`) and range; reading a key runs the
 same type check first, to name the key's path.  This module checks only
 the JSON's shape: objects, a list `suite`, and one seed or a list.
 """
@@ -20,7 +20,8 @@ import numpy as np
 
 from .benchmark import TaskSpec, default_suite, default_target, require_distinct
 from .errors import ConfigError
-from .trainer import TrainConfig, field_checks
+from .tensors import field_checks, require_path
+from .trainer import TrainConfig
 
 # the field no key sets: `seeds` replaces `seed`
 _NOT_IN_JSON = ("seed",)
@@ -107,7 +108,7 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(Path(require_path(path, "config path")).read_text())
     except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8 text, or nested too deep
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return config_from_dict(obj)

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, UninitializedError
-from .tensors import TensorMap, blockwise, cosine_from_norms, norm, sigmoid_array, zscore_map
+from .errors import UninitializedError
+from .tensors import (TensorMap, blockwise, cosine_from_norms, fraction, norm, require_string,
+                      sigmoid_array, zscore_map)
 
 # cos of two nonnegative vectors is >= 0 but can be exactly 0; the clamp
 # keeps the inverse-square diagnostic finite (0 maps to 1e12).
@@ -45,8 +46,7 @@ class GradAccumulator:
 
     @classmethod
     def empty(cls, like: TensorMap, beta: float = 0.9) -> "GradAccumulator":
-        if not 0.0 <= beta < 1.0:
-            raise ConfigError(f"beta must be in [0, 1), got {beta}")
+        beta = fraction(beta, "beta")
         zeros = like.with_flat(np.zeros(like.total_size))
         return cls(acc=zeros, beta=beta, initialized=False)
 
@@ -84,7 +84,7 @@ def _sigmoid_of_zscore(
 def generalization_importance(pretrained: TensorMap, scope: str = "per_tensor") -> TensorMap:
     """sigmoid(zscore(|w_pre|)) per tensor (or with global stats), in (0, 1)."""
     magnitudes = pretrained.with_flat(np.abs(pretrained.flat))
-    return _sigmoid_of_zscore(magnitudes, scope)
+    return _sigmoid_of_zscore(magnitudes, require_string(scope, "scope"))
 
 
 def specialization_importance(

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConfigError
 from .importance import GradAccumulator, generalization_importance, specialization_importance
 from .methods import DISCREPANCY_MASKS
-from .tensors import TensorMap, blockwise, gather
+from .tensors import TensorMap, blockwise, fraction, gather, int_at_least, require_string
 
 logger = logging.getLogger(__name__)
 
@@ -163,7 +163,7 @@ def random_half_mask(shape_of: TensorMap, rng_seed: int) -> UpdateMask:
     per-layer parameter blocks that half fine-tuning draws from).
     """
     mask = shape_of.with_flat(np.zeros(shape_of.total_size))
-    for idx in random_half_blocks(len(mask), rng_seed):
+    for idx in random_half_blocks(len(mask), int_at_least(rng_seed, "rng_seed", 0)):
         mask.segments[idx].fill(1.0)
     return UpdateMask(mask)
 
@@ -200,9 +200,9 @@ class MaskRule:
     """
 
     def __init__(self, variant: str, pretrained: TensorMap, scope: str = "per_tensor"):
-        self.variant, self.scope, self.fixed = variant, scope, None
+        self.variant, self.scope, self.fixed = variant, require_string(scope, "scope"), None
         n = pretrained.total_size
-        if variant in DISCREPANCY_MASKS:
+        if require_string(variant, "mask variant") in DISCREPANCY_MASKS:
             self.fixed = generalization_importance(pretrained, scope)
             self._scores = pretrained.with_flat(np.empty(n))
             self._selection = np.empty(n, dtype=bool)
@@ -240,7 +240,7 @@ def dare_mask_and_rescale(delta: TensorMap, drop_p: float, rng_seed: int) -> Ten
     delta unchanged.  drop_p = 0 returns the delta untouched.  The result
     is a fresh map.
     """
-    _require_drop_p(drop_p)
+    drop_p, rng_seed = fraction(drop_p, "drop_p"), int_at_least(rng_seed, "rng_seed", 0)
     kept = delta.copy()
     _drop_and_rescale(kept.flat, drop_p, rng_seed)
     return kept
@@ -257,18 +257,13 @@ def dare_merge(
     the delta is dropped and rescaled there, in place, so with `out` only
     block-sized scratch is allocated.
     """
-    _require_drop_p(drop_p)
+    drop_p, rng_seed = fraction(drop_p, "drop_p"), int_at_least(rng_seed, "rng_seed", 0)
     current.require_aligned(pretrained, "dare_merge")
     out = current.result(out, "dare_merge")
     np.subtract(current.flat, pretrained.flat, out=out.flat)
     _drop_and_rescale(out.flat, drop_p, rng_seed)
     out.flat += pretrained.flat  # the sum is commutative: the bits of w_pre + kept
     return out
-
-
-def _require_drop_p(drop_p: float) -> None:
-    if not 0.0 <= drop_p < 1.0:
-        raise ConfigError(f"drop_p must be in [0, 1), got {drop_p}")
 
 
 def _drop_and_rescale(delta: np.ndarray, drop_p: float, rng_seed: int) -> None:

@@ -1,4 +1,4 @@
-"""Flat-vector tensor primitives shared by every other module.
+"""Flat-vector tensor primitives and the scalar type rules, shared by every other module.
 
 A FlatTensor is a named, contiguous float64 vector plus the shape it was
 flattened from.  A TensorMap (a model's trainable-parameter set, its
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
 from importlib.machinery import PathFinder
 from importlib.util import find_spec, module_from_spec
@@ -45,6 +45,80 @@ _SIG_HI = np.nextafter(1.0, 0.0)
 BLOCK = 1 << 15
 
 
+# the type rules of the scalars a caller passes, config fields and arguments alike
+def require_int(value, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):  # numpy's too
+        raise ConfigError(f"{key} must be an integer, got {type(value).__name__}")
+    return int(value)
+
+
+def int_at_least(value, key: str, low: int, error: type = ConfigError) -> int:
+    """value by the int rule, as an int; `error` unless it is at least `low`."""
+    if (value := require_int(value, key)) < low:
+        raise error(f"{key} must be >= {low}, got {value}")
+    return value
+
+
+def require_number(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (float, np.floating, int, np.integer)):
+        raise ConfigError(f"{key} must be a number, got {type(value).__name__}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be finite, got {number}")
+    return number
+
+
+def fraction(value, key: str) -> float:
+    """value by the number rule, as a float; ConfigError unless it is in [0, 1)."""
+    if not 0.0 <= (number := require_number(value, key)) < 1.0:
+        raise ConfigError(f"{key} must be in [0, 1), got {value}")
+    return number
+
+
+def require_string(value, key: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{key} must be a non-empty string")
+    return value
+
+
+def require_matrix(value, key: str) -> np.ndarray:
+    try:  # a read-only copy: no caller's array, and no later edit, bypasses the checks
+        matrix = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} is not a numeric matrix: {exc}") from exc
+    if not np.isfinite(matrix).all():
+        raise ConfigError(f"{key} must be finite")
+    matrix.flags.writeable = False
+    return matrix
+
+
+def require_path(value, key: str) -> str | os.PathLike:
+    if not isinstance(value, (str, os.PathLike)):  # an int or a bool would open a descriptor
+        raise ConfigError(f"{key} must be a str or os.PathLike, got {type(value).__name__}")
+    return value
+
+
+# the one type rule of a config field, keyed by its annotation (a string under postponed
+# evaluation): each check returns the value to store, or raises a ConfigError naming `key`
+FIELD_CHECKS = {"int": require_int, "float": require_number, "str": require_string,
+                "np.ndarray": require_matrix}
+
+
+@cache
+def field_checks(cls) -> tuple:
+    """(field, check) for each field of dataclass `cls`, in field order."""
+    return tuple((f, FIELD_CHECKS[f.type]) for f in fields(cls))
+
+
+def check_fields(obj, prefix: str = "") -> None:
+    """Replace each field of `obj` by its checked value; the first bad one raises."""
+    for f, check in field_checks(type(obj)):
+        setattr(obj, f.name, check(getattr(obj, f.name), prefix + f.name))
+
+
 @dataclass
 class FlatTensor:
     """A named 1-D float64 vector with the shape it represents."""
@@ -54,8 +128,11 @@ class FlatTensor:
     data: np.ndarray
 
     def __post_init__(self):
-        self.shape = tuple(int(d) for d in self.shape)
-        self.data = np.ascontiguousarray(self.data, dtype=np.float64).reshape(-1)
+        try:  # as Batch: text, ragged rows and a huge int are not float64 data
+            self.shape = tuple(require_int(d, f"tensor {self.name!r}: shape") for d in self.shape)
+            self.data = np.ascontiguousarray(self.data, dtype=np.float64).reshape(-1)
+        except (TypeError, ValueError, OverflowError) as exc:  # the shape may not be iterable
+            raise DimensionError(f"tensor {self.name!r}: non-numeric shape or data: {exc}") from exc
         if self.data.size != self.size or min(self.shape, default=0) < 0:
             raise DimensionError(
                 f"tensor {self.name!r}: data length {self.data.size} does not "
@@ -66,7 +143,10 @@ class FlatTensor:
 
     @classmethod
     def of(cls, name: str, values) -> "FlatTensor":
-        arr = np.asarray(values, dtype=np.float64)
+        try:
+            arr = np.asarray(values, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DimensionError(f"tensor {name!r}: data is not numeric: {exc}") from exc
         return cls(name, arr.shape if arr.ndim > 0 else (1,), arr.reshape(-1))
 
     @property

@@ -57,9 +57,8 @@ Runs are deterministic: all randomness flows from the config seed.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -77,7 +76,8 @@ from .importance import GradAccumulator, accumulate_gradient, pid_of_magnitudes
 from .masking import MaskRule, UpdateMask, dare_merge, merge, random_half_blocks
 from .methods import (BASELINE_METHODS, MASK_OF_METHOD, METHOD_CHOICES, NORMALIZATION_SCOPES,
                       SPIDER_METHODS)
-from .tensors import FlatTensor, Layout, TensorMap, norm
+from .tensors import (FlatTensor, Layout, TensorMap, check_fields, fraction, int_at_least, norm,
+                      require_int)
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +233,11 @@ def build_model(layer_dims: Sequence[int], seed: int) -> ToyModel:
     """Random init: tanh hidden layers, linear head, all layers trainable."""
     if not isinstance(layer_dims, Iterable):
         raise DimensionError(f"layer_dims must be widths, got {type(layer_dims).__name__}")
-    layer_dims = [_int_at_least(d, f"layer_dims[{k}]", 1, DimensionError)
+    layer_dims = [int_at_least(d, f"layer_dims[{k}]", 1, DimensionError)
                   for k, d in enumerate(layer_dims)]
     if len(layer_dims) < 2:
         raise DimensionError("need at least input and output dims")
-    rng = np.random.default_rng(_int_at_least(seed, "seed", 0))
+    rng = np.random.default_rng(int_at_least(seed, "seed", 0))
     tensors = []
     for k, (d_in, d_out) in enumerate(zip(layer_dims, layer_dims[1:])):
         w = rng.normal(0.0, 1.0 / math.sqrt(d_in), size=(d_out, d_in))
@@ -248,7 +248,7 @@ def build_model(layer_dims: Sequence[int], seed: int) -> ToyModel:
 
 def set_trainable_tail(model: ToyModel, layer_count: int) -> None:
     """Make the last `layer_count` layers trainable and freeze the rest."""
-    if not 1 <= _require_int(layer_count, "trainable layer count") <= model.layer_count:
+    if not 1 <= require_int(layer_count, "trainable layer count") <= model.layer_count:
         raise ConfigError(
             f"trainable layer count {layer_count} out of range for "
             f"{model.layer_count}-layer model"
@@ -338,71 +338,11 @@ def sgd_step(model: ToyModel, grads: TensorMap, lr: float) -> ToyModel:
 # ---------------------------------------------------------------------------
 
 
-def _require_int(value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):  # numpy's too
-        raise ConfigError(f"{key} must be an integer, got {type(value).__name__}")
-    return int(value)
-
-
-def _int_at_least(value, key: str, low: int, error: type = ConfigError) -> int:
-    """value by the int rule, as an int; `error` unless it is at least `low`."""
-    if (value := _require_int(value, key)) < low:
-        raise error(f"{key} must be >= {low}, got {value}")
-    return value
-
-
-def _require_number(value, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (float, np.floating, int, np.integer)):
-        raise ConfigError(f"{key} must be a number, got {type(value).__name__}")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{key} must be finite, got {number}")
-    return number
-
-
-def _require_string(value, key: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise ConfigError(f"{key} must be a non-empty string")
-    return value
-
-
-def _require_matrix(value, key: str) -> np.ndarray:
-    try:  # a read-only copy: no caller's array, and no later edit, bypasses the checks
-        matrix = np.array(value, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key} is not a numeric matrix: {exc}") from exc
-    if not np.isfinite(matrix).all():
-        raise ConfigError(f"{key} must be finite")
-    matrix.flags.writeable = False
-    return matrix
-
-
-# the one type rule of a config field, keyed by its annotation (a string under postponed
-# evaluation): each check returns the value to store, or raises a ConfigError naming `key`
-FIELD_CHECKS = {"int": _require_int, "float": _require_number, "str": _require_string,
-                "np.ndarray": _require_matrix}
-
-
-@functools.cache
-def field_checks(cls) -> tuple:
-    """(field, check) for each field of dataclass `cls`, in field order."""
-    return tuple((f, FIELD_CHECKS[f.type]) for f in fields(cls))
-
-
-def check_fields(obj, prefix: str = "") -> None:
-    """Replace each field of `obj` by its checked value; the first bad one raises."""
-    for f, check in field_checks(type(obj)):
-        setattr(obj, f.name, check(getattr(obj, f.name), prefix + f.name))
-
-
 @dataclass
 class TrainConfig:
     """One run's training settings, checked whole however they are built
     (directly, `dataclasses.replace`, a config file): each field first by
-    FIELD_CHECKS for its annotated type, then its range.
+    tensors.FIELD_CHECKS for its annotated type, then its range.
     """
 
     learning_rate: float = 0.12
@@ -426,8 +366,7 @@ class TrainConfig:
             if (value := getattr(self, name)) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {value}")
         for name in ("beta", "dare_drop_p"):
-            if not 0 <= (value := getattr(self, name)) < 1:
-                raise ConfigError(f"{name} must be in [0, 1), got {value}")
+            fraction(getattr(self, name), name)
         if self.normalization_scope not in NORMALIZATION_SCOPES:
             raise ConfigError(f"unknown normalization_scope {self.normalization_scope!r}")
         if self.method not in METHOD_CHOICES:
@@ -454,7 +393,7 @@ def batches_of(inputs: np.ndarray, labels: np.ndarray, batch_size: int) -> list[
     """Chunk a dataset into sequential batches (last one may be short):
     slices of one Batch over the whole set, so every batch passes its checks
     and has its width."""
-    batch_size = _int_at_least(batch_size, "batch_size", 1)
+    batch_size = int_at_least(batch_size, "batch_size", 1)
     whole = Batch(inputs, labels)
     return [
         Batch(whole.inputs[i : i + batch_size], whole.labels[i : i + batch_size])

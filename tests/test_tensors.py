@@ -193,14 +193,23 @@ def test_flat_tensor_shape_data_mismatch():
 
 
 @settings(deadline=None)
-@given(shape=st.lists(st.integers(-3, 4), max_size=3).map(tuple),
-       data=st.lists(st.floats(), max_size=12))  # floats include NaN and inf
-@example(shape=(-1, -2), data=[1.0, 2.0])
-def test_flat_tensor_is_a_finite_vector_of_its_shape_or_a_package_error(shape, data):
+@given(shape=st.lists(st.integers(-3, 4) | st.floats(0, 4) | st.text(max_size=1),
+                      max_size=3).map(tuple) | st.integers(0, 4),  # dims, or not a sequence
+       data=st.lists(st.floats(), max_size=12)  # floats include NaN and inf
+       | st.lists(st.text(max_size=1), min_size=1, max_size=2),
+       via_of=st.booleans())
+@example(shape=(-1, -2), data=[1.0, 2.0], via_of=False)
+@example(shape=(2.5,), data=[0.0, 0.0], via_of=False)
+@example(shape=3, data=[0.0, 0.0, 0.0], via_of=False)
+@example(shape=("x",), data=[0.0], via_of=False)
+@example(shape=(1,), data=["a"], via_of=False)
+@example(shape=(1,), data=["a"], via_of=True)
+def test_flat_tensor_is_a_finite_vector_of_its_shape_or_a_package_error(shape, data, via_of):
     try:
-        t = FlatTensor("t", shape, data)
+        t = FlatTensor.of("t", data) if via_of else FlatTensor("t", shape, data)
     except SpiderftError:
         return
+    assert via_of or t.shape == shape  # the dims as given, none truncated
     assert t.data.dtype == np.float64 and t.data.ndim == 1 and t.data.flags.c_contiguous
     assert min(t.shape, default=0) >= 0 and t.data.size == math.prod(t.shape)
     assert np.isfinite(t.data).all() and t.data.reshape(t.shape).shape == t.shape
