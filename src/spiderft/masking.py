@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError
 from .importance import GradAccumulator, generalization_importance, specialization_importance
 from .methods import DISCREPANCY_MASKS
-from .tensors import TensorMap, blockwise, fraction, gather, int_at_least, require_string
+from .tensors import (BLOCK, TensorMap, blockwise, fraction, gather, int_at_least,
+                      require_string)
 
 logger = logging.getLogger(__name__)
 
@@ -115,16 +117,27 @@ def rescale_mask(
         big = m.mask.layout.largest
         runs = [int(np.count_nonzero(selection[s])) for s in slices[:big] + slices[big + 1 :]]
         runs.insert(big, chosen.size - sum(runs))
+    split = out.flat.size > BLOCK  # then the divide and the cap are one pass
     lo = 0
     for n, v, dest in zip(runs, values, out.units(scope)[1]):
         # zeros stay zero: the mean of positive weights is positive; a unit
         # that selects nothing is all zeros, and x / 1.0 is x
-        np.divide(v, np.add.reduce(chosen[lo : lo + n]) / n if n else 1.0, out=dest)
+        mean = np.add.reduce(chosen[lo : lo + n]) / n if n else 1.0
+        if split:
+            blockwise(partial(_divide_capped, mean), dest, v)
+        else:
+            np.divide(v, mean, out=dest)
         lo += n
-    np.minimum(out.flat, 1.0, out=out.flat)
+    if not split:
+        np.minimum(out.flat, 1.0, out=out.flat)
     if not chosen.size:
         logger.warning("rescale_mask: empty selection, mask left all-zero")
     return UpdateMask(out, not chosen.size, m.selection)
+
+
+def _divide_capped(mean, scratch, dest, v):
+    np.divide(v, mean, out=dest)
+    np.minimum(dest, 1.0, out=dest)
 
 
 def merge(
@@ -269,17 +282,18 @@ def dare_merge(
 def _drop_and_rescale(delta: np.ndarray, drop_p: float, rng_seed: int) -> None:
     """dare_mask_and_rescale in place on a delta map's buffer.
 
-    One generator feeds every tensor in buffer order, a block at a time
-    (tensors.blockwise): it yields the same doubles as one draw per tensor.
-    x * False is x * 0.0, so gating by the comparison gives the bits of
-    multiplying by the float mask.
+    One generator feeds every tensor in buffer order, a block at a time, on
+    the calling thread (its draws depend on their order, so this is no
+    tensors.blockwise kernel): it yields the same doubles as one draw per
+    tensor.  x * False is x * 0.0, so gating by the comparison gives the
+    bits of multiplying by the float mask.
     """
     if drop_p == 0.0:
         return
     rng = np.random.default_rng(rng_seed)
     scale = 1.0 / (1.0 - drop_p)
-    def kernel(scratch, part):
-        part *= rng.random(part.size, out=scratch) >= drop_p
+    draws = np.empty(min(BLOCK, delta.size))
+    for lo in range(0, delta.size, BLOCK):
+        part = delta[lo : lo + BLOCK]
+        part *= rng.random(part.size, out=draws[: part.size]) >= drop_p
         part *= scale
-
-    blockwise(kernel, delta)

@@ -12,7 +12,9 @@ statistics are taken per tensor on the segments or over the whole buffer
 (the normalization scope, one of ``methods.NORMALIZATION_SCOPES``; see
 TensorMap.units): the z-score by zscore_map alone, a lone tensor's as a
 one-tensor map's.  Transforms are pure unless given an ``out`` map of their
-input's layout (TensorMap.result).
+input's layout (TensorMap.result).  An elementwise pass over more than BLOCK
+entries runs through blockwise, which spreads it over the usable CPUs with
+the same bits; every reduction runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ from __future__ import annotations
 import math
 import os
 import sys
+import threading
+from contextvars import copy_context
 from dataclasses import dataclass, field, fields
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from importlib.machinery import PathFinder
 from importlib.util import find_spec, module_from_spec
 from itertools import accumulate
@@ -43,6 +47,27 @@ _SIG_HI = np.nextafter(1.0, 0.0)
 # Entries per block of a blocked elementwise chain: 256 KB of float64, so a
 # block and its scratch stay in a core's L2 cache between the chain's ops.
 BLOCK = 1 << 15
+
+# blockwise's runs: at most one per usable CPU, and each of at least MIN_RUN
+# blocks, since handing a run to a pool thread costs tens of microseconds
+try:
+    WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity call on this platform
+    WORKERS = os.cpu_count() or 1
+MIN_RUN = 4
+_pool = None  # blockwise's thread pool, started on the first split
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    # a forked child has the pool object but none of its threads, and a lock
+    # that a thread of its parent may hold
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 # the type rules of the scalars a caller passes, config fields and arguments alike
@@ -128,6 +153,7 @@ class FlatTensor:
     data: np.ndarray
 
     def __post_init__(self):
+        require_string(self.name, "tensor name")
         try:  # as Batch: text, ragged rows and a huge int are not float64 data
             self.shape = tuple(require_int(d, f"tensor {self.name!r}: shape") for d in self.shape)
             self.data = np.ascontiguousarray(self.data, dtype=np.float64).reshape(-1)
@@ -260,6 +286,8 @@ class TensorMap:
     def units(self, scope: str) -> tuple[tuple[slice, ...], tuple[np.ndarray, ...]]:
         """The slices of ``flat`` a statistic of `scope` is taken over, and
         their views: each tensor's segment (per_tensor) or the whole buffer."""
+        if not isinstance(scope, str):  # an array would compare elementwise below
+            raise ConfigError(f"scope must be a string, got {type(scope).__name__}")
         if scope == "per_tensor":
             return self.layout.slices, self.segments
         if scope not in NORMALIZATION_SCOPES:
@@ -354,8 +382,18 @@ def _load_ufuncs() -> ModuleType:
 def sigmoid_array(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # expit saturates to exactly 0.0/1.0 in float64 past |x| ~ 37; clamp to
     # the nearest interior representable so outputs stay strictly in (0, 1).
-    out = _expit()(values, out=out)
+    expit = _expit()  # loaded here, on the calling thread: the loader is not thread-safe
+    if values.size > BLOCK:
+        out = np.empty(values.shape) if out is None else out
+        blockwise(partial(_sigmoid_kernel, expit), out, values)
+        return out
+    out = expit(values, out=out)
     return out.clip(_SIG_LO, _SIG_HI, out=out)
+
+
+def _sigmoid_kernel(expit, scratch, out, values):
+    expit(values, out=out)
+    out.clip(_SIG_LO, _SIG_HI, out=out)
 
 
 def norm(values: np.ndarray) -> float:
@@ -408,21 +446,54 @@ def gather(values: np.ndarray, selected: np.ndarray, scratch: np.ndarray | None)
 
 
 def blockwise(kernel, *arrays: np.ndarray) -> None:
-    """kernel(scratch, *views) over equal-length arrays, one BLOCK at a time.
+    """kernel(scratch, *views) over equal-length 1-D arrays, one BLOCK at a time.
 
-    The kernel writes its results into the views and may use scratch, a
-    float64 array of the views' length, for one intermediate.  An input of
-    one block or less is one call on the whole arrays with scratch None,
-    for the kernel's ufuncs to allocate as they would unblocked.
+    The kernel must be elementwise: each entry it writes depends only on the
+    inputs' entries at that index, so the blocks may run in any order, on any
+    thread, with the same bits.  It writes its results into the views and
+    may use scratch, a float64 array of the views' length, for one
+    intermediate.  An input of one block or less is one call on the whole
+    arrays with scratch None, for the kernel's ufuncs to allocate as they
+    would unblocked.  A larger one is cut into contiguous runs of at least
+    MIN_RUN blocks, at most one per usable CPU (WORKERS), each with its own
+    scratch.  The calling thread does the first run and a thread pool the
+    others, each in a copy of the caller's context, so the caller's
+    np.errstate holds in every run.  The call returns, or raises the first
+    run's error, once every run has finished.
     """
+    global _pool
     n = arrays[0].size
     if n <= BLOCK:
         kernel(None, *arrays)
         return
+    blocks = -(-n // BLOCK)
+    runs = min(WORKERS, blocks // MIN_RUN)
+    if runs < 2:
+        _run(kernel, arrays, 0, n)
+        return
+    with _pool_lock:  # one pool, however many threads split at once
+        if _pool is None:  # the first split: only a large map pays the import
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="spiderft-blockwise")
+    cuts = [BLOCK * (blocks * k // runs) for k in range(runs)] + [n]
+    futures = [_pool.submit(copy_context().run, _run, kernel, arrays, lo, hi)
+               for lo, hi in zip(cuts[1:], cuts[2:])]
+    try:
+        _run(kernel, arrays, 0, cuts[1])
+    finally:
+        for future in futures:
+            future.exception()  # waits for the run to finish
+    for future in futures:
+        future.result()  # raises the run's error, if any
+
+
+def _run(kernel, arrays: tuple[np.ndarray, ...], lo: int, hi: int) -> None:
+    """kernel over entries [lo, hi) of the arrays, a block at a time, with one scratch."""
     scratch = np.empty(BLOCK)
-    for lo in range(0, n, BLOCK):
-        hi = min(lo + BLOCK, n)
-        kernel(scratch[: hi - lo], *(a[lo:hi] for a in arrays))
+    for start in range(lo, hi, BLOCK):
+        stop = min(start + BLOCK, hi)
+        kernel(scratch[: stop - start], *(a[start:stop] for a in arrays))
 
 
 # ---------------------------------------------------------------------------
@@ -440,15 +511,36 @@ def zscore_map(
     slices, values = tm.units(scope)
     dests = out.units(scope)[1]
     # np.std's own steps (mean, deviations, mean square, sqrt), with its
-    # deviations reused for the z-score: the same bits as np.std and np.mean
-    for v, dest in zip(values, dests):
-        if v.size:
-            np.subtract(v, np.add.reduce(v) / v.size, out=dest)
-    squares = np.square(out.flat, out=scratch)
+    # deviations reused for the z-score: the same bits as np.std and np.mean;
+    # on a large map each unit's deviations and their squares are one pass
+    split = out.flat.size > BLOCK
+    if split:
+        squares = np.empty(out.flat.size) if scratch is None else scratch
+    for s, v, dest in zip(slices, values, dests):
+        if not v.size:
+            continue
+        mean = np.add.reduce(v) / v.size
+        if split:
+            blockwise(partial(_deviations, mean), dest, squares[s], v)
+        else:
+            np.subtract(v, mean, out=dest)
+    if not split:
+        squares = np.square(out.flat, out=scratch)
     for s, dest in zip(slices, dests):
         std = math.sqrt(np.add.reduce(squares[s]) / dest.size) if dest.size else 0.0
         if std < STD_EPS:
             dest.fill(0.0)
+        elif split:
+            blockwise(partial(_divide, std), dest)
         else:
             dest /= std
     return out
+
+
+def _deviations(mean, scratch, dest, squares, v):
+    np.subtract(v, mean, out=dest)
+    np.square(dest, out=squares)
+
+
+def _divide(divisor, scratch, dest):
+    np.divide(dest, divisor, out=dest)

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -76,8 +77,8 @@ from .importance import GradAccumulator, accumulate_gradient, pid_of_magnitudes
 from .masking import MaskRule, UpdateMask, dare_merge, merge, random_half_blocks
 from .methods import (BASELINE_METHODS, MASK_OF_METHOD, METHOD_CHOICES, NORMALIZATION_SCOPES,
                       SPIDER_METHODS)
-from .tensors import (FlatTensor, Layout, TensorMap, check_fields, fraction, int_at_least, norm,
-                      require_int)
+from .tensors import (BLOCK, FlatTensor, Layout, TensorMap, blockwise, check_fields, fraction,
+                      int_at_least, norm, require_int)
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +328,18 @@ def sgd_step(model: ToyModel, grads: TensorMap, lr: float) -> ToyModel:
     """
     trainables = model._tail
     trainables.require_aligned(grads, "sgd_step")
-    grads.flat *= lr
-    trainables.flat -= grads.flat
+    if grads.flat.size > BLOCK:
+        blockwise(partial(_sgd_kernel, lr), trainables.flat, grads.flat)
+    else:
+        grads.flat *= lr
+        trainables.flat -= grads.flat
     model.version += 1
     return model
+
+
+def _sgd_kernel(lr, scratch, w, g):
+    g *= lr
+    w -= g
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +564,11 @@ def _finetune(
         log.losses.append(loss)
         # pid(pretrained, acc), with |w_pre| in the spent gradient buffer
         # (the accumulator is its own magnitude); a zero norm raises here
-        w_mag = np.abs(pretrained.flat, out=grads.flat)
+        w_mag = grads.flat
+        if w_mag.size > BLOCK:
+            blockwise(_abs_kernel, w_mag, pretrained.flat)
+        else:
+            np.abs(pretrained.flat, out=w_mag)
         log.pid.append(pid_of_magnitudes(w_mag, w_norm, accumulator.acc.flat))
 
     if rule is not None and accumulator.initialized:  # i.e. after a step
@@ -570,6 +583,10 @@ def _finetune(
     if accumulator.initialized:
         log.final_accumulator = accumulator.acc
     return model, log
+
+
+def _abs_kernel(scratch, out, values):
+    np.abs(values, out=out)
 
 
 def finetune_spider(

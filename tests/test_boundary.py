@@ -39,6 +39,10 @@ def _dare_merge(tmp):
             "rng_seed": 0, "out": current}
 
 
+def _accumulator():
+    return importance.accumulate_gradient(importance.GradAccumulator.empty(_map()), _map())
+
+
 def _task(tmp):
     spec = benchmark.default_target()
     return {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
@@ -64,6 +68,12 @@ ROWS = [
        lambda tmp: {"delta": _map(), "drop_p": 0.5, "rng_seed": 0}, p) for p in ("drop_p", "rng_seed")),
     *((masking.dare_merge, _dare_merge, p) for p in ("drop_p", "rng_seed")),
     (importance.GradAccumulator.empty, lambda tmp: {"like": _map(), "beta": 0.9}, "beta"),
+    (tensors.FlatTensor, lambda tmp: {"name": "t", "shape": (2,), "data": [0.5, 1.0]}, "name"),
+    (tensors.zscore_map, lambda tmp: {"tm": _map(), "scope": "global"}, "scope"),
+    (importance.specialization_importance, lambda tmp: {"state": _accumulator(), "scope": "global"},
+     "scope"),
+    (masking.rescale_mask, lambda tmp: {"m": masking.UpdateMask(tmap(a=[0.0, 0.75, 0.5], b=[0.6])),
+                                        "scope": "global"}, "scope"),
     *((masking.MaskRule, lambda tmp: {"variant": "rescaled", "pretrained": _map(), "scope": "global"},
        p) for p in ("variant", "scope")),
     (importance.generalization_importance,
@@ -94,10 +104,7 @@ STEP_PATH = {
     trainer.forward: "takes no scalar; the model and batch are objects",
     trainer.backward: "takes no scalar; the model and cache are objects",
     trainer.sgd_step: "lr is TrainConfig.learning_rate",
-    tensors.zscore_map: "scope is TrainConfig's or MaskRule's",
-    importance.specialization_importance: "scope is MaskRule's",
     importance.pid_of_magnitudes: "w_norm is the norm the loop takes once",
-    masking.rescale_mask: "scope is MaskRule's",
     masking.MaskRule.__call__: "seed is a word of the run's seed stream",
     masking.random_half_blocks: "half_ft passes its tensor count and a seed word",
 }

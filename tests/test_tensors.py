@@ -197,18 +197,23 @@ def test_flat_tensor_shape_data_mismatch():
                       max_size=3).map(tuple) | st.integers(0, 4),  # dims, or not a sequence
        data=st.lists(st.floats(), max_size=12)  # floats include NaN and inf
        | st.lists(st.text(max_size=1), min_size=1, max_size=2),
-       via_of=st.booleans())
-@example(shape=(-1, -2), data=[1.0, 2.0], via_of=False)
-@example(shape=(2.5,), data=[0.0, 0.0], via_of=False)
-@example(shape=3, data=[0.0, 0.0, 0.0], via_of=False)
-@example(shape=("x",), data=[0.0], via_of=False)
-@example(shape=(1,), data=["a"], via_of=False)
-@example(shape=(1,), data=["a"], via_of=True)
-def test_flat_tensor_is_a_finite_vector_of_its_shape_or_a_package_error(shape, data, via_of):
+       via_of=st.booleans(),
+       name=st.just("t") | st.sampled_from(["", None, 3, b"t", ("t",)]))
+@example(shape=(-1, -2), data=[1.0, 2.0], via_of=False, name="t")
+@example(shape=(2.5,), data=[0.0, 0.0], via_of=False, name="t")
+@example(shape=3, data=[0.0, 0.0, 0.0], via_of=False, name="t")
+@example(shape=("x",), data=[0.0], via_of=False, name="t")
+@example(shape=(1,), data=["a"], via_of=False, name="t")
+@example(shape=(1,), data=["a"], via_of=True, name="t")
+@example(shape=(1,), data=[0.0], via_of=False, name=None)
+@example(shape=(1,), data=[0.0], via_of=True, name="")
+def test_flat_tensor_is_a_finite_vector_of_its_shape_or_a_package_error(shape, data, via_of,
+                                                                        name):
     try:
-        t = FlatTensor.of("t", data) if via_of else FlatTensor("t", shape, data)
+        t = FlatTensor.of(name, data) if via_of else FlatTensor(name, shape, data)
     except SpiderftError:
         return
+    assert t.name == name and isinstance(name, str) and name
     assert via_of or t.shape == shape  # the dims as given, none truncated
     assert t.data.dtype == np.float64 and t.data.ndim == 1 and t.data.flags.c_contiguous
     assert min(t.shape, default=0) >= 0 and t.data.size == math.prod(t.shape)
