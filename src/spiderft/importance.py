@@ -19,13 +19,14 @@ larger the value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UninitializedError
-from .tensors import (TensorMap, blockwise, cosine_from_norms, fraction, norm, require_string,
-                      sigmoid_array, zscore_map)
+from .tensors import (SPLIT, TensorMap, blockwise, cosine_from_norms, fraction, norm,
+                      require_string, sigmoid_array, spread, zscore_map)
 
 # cos of two nonnegative vectors is >= 0 but can be exactly 0; the clamp
 # keeps the inverse-square diagnostic finite (0 maps to 1e12).
@@ -115,10 +116,15 @@ def pid_of_magnitudes(w_mag: np.ndarray, w_norm: float, g_mag: np.ndarray) -> fl
 
     For a caller that holds the magnitudes already, such as the fine-tuning
     loop: its accumulator is its own magnitude, and the snapshot's norm is
-    fixed for the run.  The result is bit for bit pid()'s.
+    fixed for the run.  The result is bit for bit pid()'s: from SPLIT
+    entries on, its two dot products (g.g for |g|'s norm, and w.g) run side
+    by side, each the call it is on one thread.
     """
-    cos = cosine_from_norms(w_mag, g_mag, w_norm, norm(g_mag),
-                            "weight_magnitude", "gradient_magnitude")
+    if g_mag.size < SPLIT:
+        gg, wg = g_mag.dot(g_mag), w_mag.dot(g_mag)
+    else:
+        gg, wg = spread([(g_mag.dot, g_mag), (w_mag.dot, g_mag)])
+    cos = cosine_from_norms(wg, w_norm, math.sqrt(gg), "weight_magnitude", "gradient_magnitude")
     return max(cos, PID_COS_FLOOR) ** -2
 
 
@@ -128,6 +134,6 @@ def pid_per_tensor(pretrained: TensorMap, grad: TensorMap) -> dict[str, float]:
     pids = {}
     for wt, gt in zip(pretrained, grad):
         w, g = np.abs(wt.data), np.abs(gt.data)
-        cos = cosine_from_norms(w, g, norm(w), norm(g), wt.name, gt.name)
+        cos = cosine_from_norms(w.dot(g), norm(w), norm(g), wt.name, gt.name)
         pids[wt.name] = max(cos, PID_COS_FLOOR) ** -2
     return pids

@@ -14,7 +14,10 @@ TensorMap.units): the z-score by zscore_map alone, a lone tensor's as a
 one-tensor map's.  Transforms are pure unless given an ``out`` map of their
 input's layout (TensorMap.result).  An elementwise pass over more than BLOCK
 entries runs through blockwise, which spreads it over the usable CPUs with
-the same bits; every reduction runs on the calling thread.
+the same bits.  On a vector of at least SPLIT entries, add_reduce takes a
+sum at numpy's own pairwise cut, gather compresses each run at its offset,
+and the dot products of pid and of the finiteness checks run side by side;
+each keeps numpy's bits.  All of them hand their runs to spread.
 """
 
 from __future__ import annotations
@@ -55,7 +58,9 @@ try:
 except AttributeError:  # no affinity call on this platform
     WORKERS = os.cpu_count() or 1
 MIN_RUN = 4
-_pool = None  # blockwise's thread pool, started on the first split
+# the least length a sum, a gather or a dot product is split at: two runs of MIN_RUN blocks
+SPLIT = 2 * MIN_RUN * BLOCK
+_pool = None  # spread's thread pool, started on the first split
 _pool_lock = threading.Lock()
 
 
@@ -406,19 +411,18 @@ def cosine_similarity(a: FlatTensor, b: FlatTensor) -> float:
         raise AlignmentError(
             f"cosine_similarity: shapes differ ({a.shape} vs {b.shape})"
         )
-    return cosine_from_norms(a.data, b.data, norm(a.data), norm(b.data), a.name, b.name)
+    return cosine_from_norms(a.data.dot(b.data), norm(a.data), norm(b.data), a.name, b.name)
 
 
-def cosine_from_norms(
-    a: np.ndarray, b: np.ndarray, na: float, nb: float, a_name: str, b_name: str
-) -> float:
-    """The cosine of a and b given their norms (see norm), clamped to [-1, 1];
-    ZeroNormError names a and b if either norm is zero."""
+def cosine_from_norms(dot: float, na: float, nb: float, a_name: str, b_name: str) -> float:
+    """The cosine of a and b given their dot product a.dot(b) and their norms
+    (see norm), clamped to [-1, 1]; ZeroNormError names a and b if either
+    norm is zero."""
     if na < NORM_EPS or nb < NORM_EPS:
         raise ZeroNormError(
             f"cosine_similarity: zero-norm input ({a_name!r}: {na:g}, {b_name!r}: {nb:g})"
         )
-    c = float(a.dot(b)) / (na * nb)
+    c = float(dot) / (na * nb)
     return min(1.0, max(-1.0, c))
 
 
@@ -432,17 +436,63 @@ def masked_mean(t: FlatTensor) -> tuple[float, bool]:
 
 def gather(values: np.ndarray, selected: np.ndarray, scratch: np.ndarray | None) -> np.ndarray:
     """The selected entries of values, in order, as the head of `scratch`, an
-    array of values' length, or of a new array."""
+    array of values' length, or of a new array.  From SPLIT entries on, each
+    of blockwise's runs compresses its own entries, at the count of those
+    selected before it."""
     scratch = np.empty_like(values) if scratch is None else scratch
+    if values.size < SPLIT:
+        return scratch[: _compress(values, selected, scratch, 0, values.size, 0)]
+    parts = runs(values.size)
+    starts = accumulate((np.count_nonzero(selected[lo:hi]) for lo, hi in parts[:-1]), initial=0)
+    ends = spread([(_compress, values, selected, scratch, lo, hi, at)
+                   for (lo, hi), at in zip(parts, starts)])
+    return scratch[: ends[-1]]
+
+
+def _compress(values, selected, out, lo: int, hi: int, at: int) -> int:
+    """The selected entries of values[lo:hi] written to out from index `at`;
+    returns the index after the last."""
     # compress picks the same entries as values[selected], in order, faster;
     # a block at a time, since it builds an index array of what it picks
-    count = 0
-    for lo in range(0, values.size, BLOCK):
-        chosen = selected[lo : lo + BLOCK]
-        end = count + np.count_nonzero(chosen)
-        values[lo : lo + BLOCK].compress(chosen, out=scratch[count:end])
-        count = end
-    return scratch[:count]
+    for start in range(lo, hi, BLOCK):
+        chosen = selected[start : min(start + BLOCK, hi)]
+        end = at + np.count_nonzero(chosen)
+        values[start : start + chosen.size].compress(chosen, out=out[at:end])
+        at = end
+    return at
+
+
+def add_reduce(values: np.ndarray) -> np.float64:
+    """np.add.reduce(values) of a contiguous float64 vector, bit for bit.
+
+    numpy sums pairwise: a vector of more than 128 entries is cut at
+    h = n // 2 less h % 8, and the sums of the two halves are added.  Cut
+    there, the halves' sums (each np.add.reduce's, from +0.0) add up to the
+    same bits.  A half is cut again while the runs are fewer than WORKERS and
+    each new half keeps MIN_RUN blocks, and the runs go to spread.
+    """
+    leaves = []
+    tree = _pairwise(0, values.size, WORKERS, leaves)
+    return _join(tree, spread([(np.add.reduce, values[lo:hi]) for lo, hi in leaves]))
+
+
+def _pairwise(lo: int, hi: int, count: int, leaves: list):
+    """numpy's pairwise tree over [lo, hi), cut into at most `count` leaves,
+    each appended to `leaves`: a leaf's index there, or its halves' trees."""
+    half = (hi - lo) // 2
+    half -= half % 8
+    if count < 2 or half < MIN_RUN * BLOCK:
+        leaves.append((lo, hi))
+        return len(leaves) - 1
+    return (_pairwise(lo, lo + half, count - count // 2, leaves),
+            _pairwise(lo + half, hi, count // 2, leaves))
+
+
+def _join(tree, sums: list) -> np.float64:
+    """The leaves' sums added up as the tree pairs them."""
+    if isinstance(tree, int):
+        return sums[tree]
+    return _join(tree[0], sums) + _join(tree[1], sums)
 
 
 def blockwise(kernel, *arrays: np.ndarray) -> None:
@@ -454,38 +504,14 @@ def blockwise(kernel, *arrays: np.ndarray) -> None:
     may use scratch, a float64 array of the views' length, for one
     intermediate.  An input of one block or less is one call on the whole
     arrays with scratch None, for the kernel's ufuncs to allocate as they
-    would unblocked.  A larger one is cut into contiguous runs of at least
-    MIN_RUN blocks, at most one per usable CPU (WORKERS), each with its own
-    scratch.  The calling thread does the first run and a thread pool the
-    others, each in a copy of the caller's context, so the caller's
-    np.errstate holds in every run.  The call returns, or raises the first
-    run's error, once every run has finished.
+    would unblocked.  A larger one is cut into runs (see runs), each with
+    its own scratch, and the runs go to spread.
     """
-    global _pool
     n = arrays[0].size
     if n <= BLOCK:
         kernel(None, *arrays)
         return
-    blocks = -(-n // BLOCK)
-    runs = min(WORKERS, blocks // MIN_RUN)
-    if runs < 2:
-        _run(kernel, arrays, 0, n)
-        return
-    with _pool_lock:  # one pool, however many threads split at once
-        if _pool is None:  # the first split: only a large map pays the import
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="spiderft-blockwise")
-    cuts = [BLOCK * (blocks * k // runs) for k in range(runs)] + [n]
-    futures = [_pool.submit(copy_context().run, _run, kernel, arrays, lo, hi)
-               for lo, hi in zip(cuts[1:], cuts[2:])]
-    try:
-        _run(kernel, arrays, 0, cuts[1])
-    finally:
-        for future in futures:
-            future.exception()  # waits for the run to finish
-    for future in futures:
-        future.result()  # raises the run's error, if any
+    spread([(_run, kernel, arrays, lo, hi) for lo, hi in runs(n)])
 
 
 def _run(kernel, arrays: tuple[np.ndarray, ...], lo: int, hi: int) -> None:
@@ -494,6 +520,45 @@ def _run(kernel, arrays: tuple[np.ndarray, ...], lo: int, hi: int) -> None:
     for start in range(lo, hi, BLOCK):
         stop = min(start + BLOCK, hi)
         kernel(scratch[: stop - start], *(a[start:stop] for a in arrays))
+
+
+def runs(n: int) -> list[tuple[int, int]]:
+    """The [lo, hi) runs that n entries are cut into: contiguous, of whole
+    blocks but the last, each of at least MIN_RUN blocks and at most WORKERS
+    of them (read at each call); one run if two would not fit."""
+    blocks = -(-n // BLOCK)
+    count = max(1, min(WORKERS, blocks // MIN_RUN))
+    cuts = [BLOCK * (blocks * k // count) for k in range(count)] + [n]
+    return list(zip(cuts, cuts[1:]))
+
+
+def spread(calls: list[tuple]) -> list:
+    """The results of calls, each a (function, *args) tuple, in order.
+
+    With two calls or more and more than one usable CPU (WORKERS, read at
+    each call), the calling thread makes the first call and a thread pool
+    the others, each in a copy of the caller's context, so the caller's
+    np.errstate holds in every call.  It returns, or raises the first
+    call's error (in call order), once every call has finished.  Otherwise
+    the calling thread makes the calls in turn.  The pool is started on the
+    first split, so only a large map pays the import.  No call may itself
+    split: a pool thread that waits on the pool could wait forever.
+    """
+    global _pool
+    if len(calls) < 2 or WORKERS < 2:
+        return [function(*args) for function, *args in calls]
+    with _pool_lock:  # one pool, however many threads split at once
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="spiderft-blockwise")
+    futures = [_pool.submit(copy_context().run, *call) for call in calls[1:]]
+    try:
+        first = calls[0][0](*calls[0][1:])
+    finally:
+        for future in futures:
+            future.exception()  # waits for the call to finish
+    return [first, *(future.result() for future in futures)]
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +584,7 @@ def zscore_map(
     for s, v, dest in zip(slices, values, dests):
         if not v.size:
             continue
-        mean = np.add.reduce(v) / v.size
+        mean = (np.add.reduce(v) if v.size < SPLIT else add_reduce(v)) / v.size
         if split:
             blockwise(partial(_deviations, mean), dest, squares[s], v)
         else:
@@ -527,7 +592,9 @@ def zscore_map(
     if not split:
         squares = np.square(out.flat, out=scratch)
     for s, dest in zip(slices, dests):
-        std = math.sqrt(np.add.reduce(squares[s]) / dest.size) if dest.size else 0.0
+        unit = squares[s]
+        total = np.add.reduce(unit) if unit.size < SPLIT else add_reduce(unit)
+        std = math.sqrt(total / unit.size) if unit.size else 0.0
         if std < STD_EPS:
             dest.fill(0.0)
         elif split:

@@ -9,7 +9,9 @@ Gradients are derived by hand so the whole training path stays
 dependency-free and checkable against finite differences.  The step's
 GEMMs call ndarray.dot, which makes the same BLAS call as ``@`` at a lower
 fixed cost; tests/test_flat_properties.py pins the equal bits (a (1, 1) by
-(1, 1) product aside, where dot keeps the sign of a zero product).
+(1, 1) product aside, where dot keeps the sign of a zero product).  A
+weight gradient larger than BLOCK comes from np.matmul, with dot's bits and
+without its zero fill of the output.
 
 Every method runs the same fine-tuning loop: per iteration forward,
 backward, fold |grad| into the accumulator, SGD step, pid trace.  The step
@@ -43,7 +45,10 @@ held map.  The SGD step consumes it (it holds the step afterwards), so the
 mask chain (whose other buffers MaskRule and blockwise hold) and then the
 pid trace (|w_pre|, its norm taken once before the loop) use it as scratch.
 Every step checks the loss, the gradient and the updated weights once and
-raises DivergenceError on the first non-finite value.  A masked run ends by
+raises DivergenceError on the first non-finite value.  On a tail larger than
+BLOCK the elementwise passes run on every usable CPU (tensors.blockwise), and
+from tensors.SPLIT entries on so do the sums, the rescale's gather and the
+dot products of the checks and of pid, with the same bits.  A masked run ends by
 checking that every changed weight lies in the final mask's support (else
 InvariantError), and its RunLog records both counts.
 
@@ -77,8 +82,8 @@ from .importance import GradAccumulator, accumulate_gradient, pid_of_magnitudes
 from .masking import MaskRule, UpdateMask, dare_merge, merge, random_half_blocks
 from .methods import (BASELINE_METHODS, MASK_OF_METHOD, METHOD_CHOICES, NORMALIZATION_SCOPES,
                       SPIDER_METHODS)
-from .tensors import (BLOCK, FlatTensor, Layout, TensorMap, blockwise, check_fields, fraction,
-                      int_at_least, norm, require_int)
+from .tensors import (BLOCK, SPLIT, FlatTensor, Layout, TensorMap, blockwise, check_fields,
+                      fraction, int_at_least, norm, require_int, runs, spread)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +317,10 @@ def backward(model: ToyModel, cache: ForwardCache, out: TensorMap | None = None)
     for k in range(len(layers) - 1, lowest - 1, -1):
         w, a_in = layers[k][0], cache.layer_inputs[k]
         j = 2 * (k - lowest)
-        dz.T.dot(a_in, out=grads[j])
+        if grads[j].size > BLOCK:  # matmul skips dot's zero fill of its output; same bits
+            np.matmul(dz.T, a_in, out=grads[j])
+        else:
+            dz.T.dot(a_in, out=grads[j])
         np.add.reduce(dz, axis=0, out=grads[j + 1])
         if k > lowest:
             dz = dz.dot(w)
@@ -436,8 +444,16 @@ def _iterations(data: Sequence[Batch], epochs: int) -> Iterator[tuple[int, Batch
 
 def _require_finite(it: int, what: str, tm: TensorMap) -> None:
     # a nan or an inf entry makes the sum of squares (a dot, half a sum's cost) non-finite, so
-    # a finite one clears the map with no trainable-sized mask; an overflow is checked per entry
-    if math.isfinite(tm.flat.dot(tm.flat)) or np.logical_and.reduce(np.isfinite(tm.flat)):
+    # a finite one clears the map with no trainable-sized mask; an overflow is checked per
+    # entry.  Only the sum's finiteness is read, so a large map takes one dot per run, and
+    # adds them as Python floats, which overflow to inf with no numpy warning.
+    flat = tm.flat
+    if flat.size < SPLIT:
+        squares = flat.dot(flat)
+    else:
+        parts = [flat[lo:hi] for lo, hi in runs(flat.size)]
+        squares = sum(map(float, spread([(part.dot, part) for part in parts])))
+    if math.isfinite(squares) or np.logical_and.reduce(np.isfinite(flat)):
         return
     name = next(t.name for t in tm if not np.isfinite(t.data).all())
     raise DivergenceError(f"training diverged at iteration {it}: non-finite {what} in {name!r}")

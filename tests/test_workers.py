@@ -1,10 +1,12 @@
-"""blockwise's runs on several threads: the same bits, and safe to share.
+"""blockwise's runs and the split sums, gather and dot products on several
+threads: the same bits, and safe to share.
 
 A map larger than BLOCK is cut into runs of blocks, one per usable CPU
-(tensors.WORKERS), and the runs go to a thread pool.  Fine-tuning a tail of
-several runs gives the same weights, RunLog lists and final accumulator
-whatever the worker count; a process limited to one CPU starts no pool
-thread.  Each run sees the caller's np.errstate, a run's error reaches the
+(tensors.WORKERS), and the runs go to a thread pool (tensors.spread), as do
+the halves of a sum and the runs of a gather or a dot product on a vector of
+at least SPLIT entries.  Fine-tuning a tail of several runs gives the same
+weights, RunLog lists and final accumulator whatever the worker count, and
+reaches every split; a process limited to one CPU starts no pool thread.  Each run sees the caller's np.errstate, a run's error reaches the
 caller only once every run has finished, and a forked child starts its own
 pool.
 """
@@ -76,6 +78,29 @@ def test_outputs_do_not_depend_on_the_worker_count(monkeypatch, method, scope):
         runs[workers] = outputs(method, scope)
     assert runs[2] == runs[1]
     assert runs[3] == runs[1]
+
+
+def test_a_run_hands_every_split_to_the_pool(monkeypatch):
+    # at two workers, each split gives the pool one call: the elementwise
+    # passes (_run), the z-score's sums (np.add.reduce), the rescale's gather
+    # (_compress), and one dot product per step in each finiteness check
+    # (gradient and weights) and in pid
+    handed = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            handed.append(args[0].__name__)  # fn is a context's run, args[0] the call
+            return super().submit(fn, *args, **kwargs)
+
+    pool = Recording(1)
+    monkeypatch.setattr(tensors, "WORKERS", 2)
+    monkeypatch.setattr(tensors, "_pool", pool)
+    try:
+        outputs("spider", "per_tensor")
+    finally:
+        pool.shutdown()
+    assert {"_run", "reduce", "_compress"} <= set(handed)
+    assert handed.count("dot") == 3 * 3
 
 
 def test_one_usable_cpu_gives_the_same_digest_and_starts_no_pool_thread():
