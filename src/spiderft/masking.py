@@ -29,8 +29,8 @@ import numpy as np
 from .errors import ConfigError
 from .importance import GradAccumulator, generalization_importance, specialization_importance
 from .methods import DISCREPANCY_MASKS
-from .tensors import (BLOCK, SPLIT, TensorMap, add_reduce, blockwise, fraction, gather,
-                      int_at_least, require_string)
+from .tensors import (BLOCK, TensorMap, add_reduce, blockwise, fraction, gather, int_at_least,
+                      require_string)
 
 logger = logging.getLogger(__name__)
 
@@ -117,13 +117,13 @@ def rescale_mask(
         big = m.mask.layout.largest
         runs = [int(np.count_nonzero(selection[s])) for s in slices[:big] + slices[big + 1 :]]
         runs.insert(big, chosen.size - sum(runs))
-    split = out.flat.size > BLOCK  # then the divide and the cap are one pass
+    split = out.flat.size > BLOCK  # one divide-and-cap pass; a small mask caps all at once, faster
     lo = 0
     for n, v, dest in zip(runs, values, out.units(scope)[1]):
         # zeros stay zero: the mean of positive weights is positive; a unit
         # that selects nothing is all zeros, and x / 1.0 is x
         run = chosen[lo : lo + n]
-        mean = (np.add.reduce(run) if n < SPLIT else add_reduce(run)) / n if n else 1.0
+        mean = add_reduce(run) / n if n else 1.0
         if split:
             blockwise(partial(_divide_capped, mean), dest, v)
         else:

@@ -12,12 +12,12 @@ statistics are taken per tensor on the segments or over the whole buffer
 (the normalization scope, one of ``methods.NORMALIZATION_SCOPES``; see
 TensorMap.units): the z-score by zscore_map alone, a lone tensor's as a
 one-tensor map's.  Transforms are pure unless given an ``out`` map of their
-input's layout (TensorMap.result).  An elementwise pass over more than BLOCK
-entries runs through blockwise, which spreads it over the usable CPUs with
-the same bits.  On a vector of at least SPLIT entries, add_reduce takes a
-sum at numpy's own pairwise cut, gather compresses each run at its offset,
-and the dot products of pid and of the finiteness checks run side by side;
-each keeps numpy's bits.  All of them hand their runs to spread.
+input's layout (TensorMap.result).  This module alone decides when work
+splits over the usable CPUs: each primitive takes any size and tests it.
+blockwise splits an elementwise pass of more than BLOCK entries; from SPLIT
+entries on, add_reduce cuts a sum at numpy's own pairwise cut, gather
+compresses each run at its offset, and all_finite and dots take their dot
+products side by side.  Each keeps numpy's bits; all hand runs to spread.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ try:
 except AttributeError:  # no affinity call on this platform
     WORKERS = os.cpu_count() or 1
 MIN_RUN = 4
-# the least length a sum, a gather or a dot product is split at: two runs of MIN_RUN blocks
+# the least length any work is split at: two runs of MIN_RUN blocks
 SPLIT = 2 * MIN_RUN * BLOCK
 _pool = None  # spread's thread pool, started on the first split
 _pool_lock = threading.Lock()
@@ -388,12 +388,9 @@ def sigmoid_array(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     # expit saturates to exactly 0.0/1.0 in float64 past |x| ~ 37; clamp to
     # the nearest interior representable so outputs stay strictly in (0, 1).
     expit = _expit()  # loaded here, on the calling thread: the loader is not thread-safe
-    if values.size > BLOCK:
-        out = np.empty(values.shape) if out is None else out
-        blockwise(partial(_sigmoid_kernel, expit), out, values)
-        return out
-    out = expit(values, out=out)
-    return out.clip(_SIG_LO, _SIG_HI, out=out)
+    out = np.empty(values.shape) if out is None else out
+    blockwise(partial(_sigmoid_kernel, expit), out, values)
+    return out
 
 
 def _sigmoid_kernel(expit, scratch, out, values):
@@ -465,12 +462,15 @@ def _compress(values, selected, out, lo: int, hi: int, at: int) -> int:
 def add_reduce(values: np.ndarray) -> np.float64:
     """np.add.reduce(values) of a contiguous float64 vector, bit for bit.
 
-    numpy sums pairwise: a vector of more than 128 entries is cut at
-    h = n // 2 less h % 8, and the sums of the two halves are added.  Cut
-    there, the halves' sums (each np.add.reduce's, from +0.0) add up to the
-    same bits.  A half is cut again while the runs are fewer than WORKERS and
-    each new half keeps MIN_RUN blocks, and the runs go to spread.
+    Below SPLIT entries it is that one call.  numpy sums pairwise: a vector
+    of more than 128 entries is cut at h = n // 2 less h % 8, and the sums
+    of the two halves are added.  Cut there, the halves' sums (each
+    np.add.reduce's, from +0.0) add up to the same bits.  A half is cut again
+    while the runs are fewer than WORKERS and each new half keeps MIN_RUN
+    blocks, and the runs go to spread.
     """
+    if values.size < SPLIT:
+        return np.add.reduce(values)
     leaves = []
     tree = _pairwise(0, values.size, WORKERS, leaves)
     return _join(tree, spread([(np.add.reduce, values[lo:hi]) for lo, hi in leaves]))
@@ -493,6 +493,28 @@ def _join(tree, sums: list) -> np.float64:
     if isinstance(tree, int):
         return sums[tree]
     return _join(tree[0], sums) + _join(tree[1], sums)
+
+
+def all_finite(values: np.ndarray) -> bool:
+    """Whether every entry of a 1-D float64 vector is finite."""
+    # a nan or an inf entry makes the sum of squares (a dot, half a sum's cost) non-finite, so
+    # a finite one clears the vector with no mask of its length; an overflow is checked per
+    # entry.  Only the sum's finiteness is read, so from SPLIT entries on it takes one dot
+    # per run, and adds them as Python floats, which overflow to inf with no numpy warning.
+    if values.size < SPLIT:
+        squares = values.dot(values)
+    else:
+        parts = [values[lo:hi] for lo, hi in runs(values.size)]
+        squares = sum(map(float, spread([(part.dot, part) for part in parts])))
+    return math.isfinite(squares) or bool(np.logical_and.reduce(np.isfinite(values)))
+
+
+def dots(vectors: tuple[np.ndarray, ...], other: np.ndarray) -> list:
+    """[v.dot(other) for v in vectors], each the call it is on one thread;
+    from SPLIT entries on, side by side."""
+    if other.size < SPLIT:
+        return [v.dot(other) for v in vectors]
+    return spread([(v.dot, other) for v in vectors])
 
 
 def blockwise(kernel, *arrays: np.ndarray) -> None:
@@ -524,9 +546,9 @@ def _run(kernel, arrays: tuple[np.ndarray, ...], lo: int, hi: int) -> None:
 
 def runs(n: int) -> list[tuple[int, int]]:
     """The [lo, hi) runs that n entries are cut into: contiguous, of whole
-    blocks but the last, each of at least MIN_RUN blocks and at most WORKERS
-    of them (read at each call); one run if two would not fit."""
-    blocks = -(-n // BLOCK)
+    blocks but the last, each of at least MIN_RUN whole blocks and at most
+    WORKERS of them (read at each call); one run below SPLIT entries."""
+    blocks = n // BLOCK
     count = max(1, min(WORKERS, blocks // MIN_RUN))
     cuts = [BLOCK * (blocks * k // count) for k in range(count)] + [n]
     return list(zip(cuts, cuts[1:]))
@@ -578,13 +600,13 @@ def zscore_map(
     # np.std's own steps (mean, deviations, mean square, sqrt), with its
     # deviations reused for the z-score: the same bits as np.std and np.mean;
     # on a large map each unit's deviations and their squares are one pass
-    split = out.flat.size > BLOCK
+    split = out.flat.size > BLOCK  # on a small map, whole-buffer ops beat a blockwise call per unit
     if split:
         squares = np.empty(out.flat.size) if scratch is None else scratch
     for s, v, dest in zip(slices, values, dests):
         if not v.size:
             continue
-        mean = (np.add.reduce(v) if v.size < SPLIT else add_reduce(v)) / v.size
+        mean = add_reduce(v) / v.size
         if split:
             blockwise(partial(_deviations, mean), dest, squares[s], v)
         else:
@@ -593,8 +615,7 @@ def zscore_map(
         squares = np.square(out.flat, out=scratch)
     for s, dest in zip(slices, dests):
         unit = squares[s]
-        total = np.add.reduce(unit) if unit.size < SPLIT else add_reduce(unit)
-        std = math.sqrt(total / unit.size) if unit.size else 0.0
+        std = math.sqrt(add_reduce(unit) / unit.size) if unit.size else 0.0
         if std < STD_EPS:
             dest.fill(0.0)
         elif split:

@@ -45,12 +45,11 @@ held map.  The SGD step consumes it (it holds the step afterwards), so the
 mask chain (whose other buffers MaskRule and blockwise hold) and then the
 pid trace (|w_pre|, its norm taken once before the loop) use it as scratch.
 Every step checks the loss, the gradient and the updated weights once and
-raises DivergenceError on the first non-finite value.  On a tail larger than
-BLOCK the elementwise passes run on every usable CPU (tensors.blockwise), and
-from tensors.SPLIT entries on so do the sums, the rescale's gather and the
-dot products of the checks and of pid, with the same bits.  A masked run ends by
-checking that every changed weight lies in the final mask's support (else
-InvariantError), and its RunLog records both counts.
+raises DivergenceError on the first non-finite value.  The step's passes,
+sums, gather and dot products are tensors' primitives, which alone decide
+when to split them over the usable CPUs, with the same bits.  A masked run
+ends by checking that every changed weight lies in the final mask's support
+(else InvariantError), and its RunLog records both counts.
 
 A sweep-model step is about 40 numpy calls on 16-row arrays, so forward and
 backward read the model's layer views once per call, through no property.
@@ -82,8 +81,8 @@ from .importance import GradAccumulator, accumulate_gradient, pid_of_magnitudes
 from .masking import MaskRule, UpdateMask, dare_merge, merge, random_half_blocks
 from .methods import (BASELINE_METHODS, MASK_OF_METHOD, METHOD_CHOICES, NORMALIZATION_SCOPES,
                       SPIDER_METHODS)
-from .tensors import (BLOCK, SPLIT, FlatTensor, Layout, TensorMap, blockwise, check_fields,
-                      fraction, int_at_least, norm, require_int, runs, spread)
+from .tensors import (BLOCK, FlatTensor, Layout, TensorMap, all_finite, blockwise, check_fields,
+                      fraction, int_at_least, norm, require_int)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +316,7 @@ def backward(model: ToyModel, cache: ForwardCache, out: TensorMap | None = None)
     for k in range(len(layers) - 1, lowest - 1, -1):
         w, a_in = layers[k][0], cache.layer_inputs[k]
         j = 2 * (k - lowest)
-        if grads[j].size > BLOCK:  # matmul skips dot's zero fill of its output; same bits
+        if grads[j].size > BLOCK:  # no zero fill in matmul, less fixed cost in dot; same bits
             np.matmul(dz.T, a_in, out=grads[j])
         else:
             dz.T.dot(a_in, out=grads[j])
@@ -336,11 +335,7 @@ def sgd_step(model: ToyModel, grads: TensorMap, lr: float) -> ToyModel:
     """
     trainables = model._tail
     trainables.require_aligned(grads, "sgd_step")
-    if grads.flat.size > BLOCK:
-        blockwise(partial(_sgd_kernel, lr), trainables.flat, grads.flat)
-    else:
-        grads.flat *= lr
-        trainables.flat -= grads.flat
+    blockwise(partial(_sgd_kernel, lr), trainables.flat, grads.flat)
     model.version += 1
     return model
 
@@ -443,17 +438,7 @@ def _iterations(data: Sequence[Batch], epochs: int) -> Iterator[tuple[int, Batch
 
 
 def _require_finite(it: int, what: str, tm: TensorMap) -> None:
-    # a nan or an inf entry makes the sum of squares (a dot, half a sum's cost) non-finite, so
-    # a finite one clears the map with no trainable-sized mask; an overflow is checked per
-    # entry.  Only the sum's finiteness is read, so a large map takes one dot per run, and
-    # adds them as Python floats, which overflow to inf with no numpy warning.
-    flat = tm.flat
-    if flat.size < SPLIT:
-        squares = flat.dot(flat)
-    else:
-        parts = [flat[lo:hi] for lo, hi in runs(flat.size)]
-        squares = sum(map(float, spread([(part.dot, part) for part in parts])))
-    if math.isfinite(squares) or np.logical_and.reduce(np.isfinite(flat)):
+    if all_finite(tm.flat):
         return
     name = next(t.name for t in tm if not np.isfinite(t.data).all())
     raise DivergenceError(f"training diverged at iteration {it}: non-finite {what} in {name!r}")
@@ -581,10 +566,7 @@ def _finetune(
         # pid(pretrained, acc), with |w_pre| in the spent gradient buffer
         # (the accumulator is its own magnitude); a zero norm raises here
         w_mag = grads.flat
-        if w_mag.size > BLOCK:
-            blockwise(_abs_kernel, w_mag, pretrained.flat)
-        else:
-            np.abs(pretrained.flat, out=w_mag)
+        blockwise(_abs_kernel, w_mag, pretrained.flat)
         log.pid.append(pid_of_magnitudes(w_mag, w_norm, accumulator.acc.flat))
 
     if rule is not None and accumulator.initialized:  # i.e. after a step

@@ -1,11 +1,13 @@
-"""The step's reductions, gather and dot products split across the usable CPUs.
+"""The step's passes, reductions, gather and dot products split across the
+usable CPUs.
 
-From tensors.SPLIT entries on, add_reduce cuts a sum where numpy's pairwise
-sum cuts it, gather compresses each run at its own offset, the finiteness
-check takes one dot product per run, and pid takes its two dot products
-side by side.  Each gives the bits of the one-thread call, whatever the
-worker count.  backward writes a weight gradient larger than BLOCK with
-np.matmul, which gives ndarray.dot's bits.
+From tensors.SPLIT entries on, and only then, blockwise cuts a pass into
+runs, add_reduce cuts a sum where numpy's pairwise sum cuts it, gather
+compresses each run at its own offset, the finiteness check takes one dot
+product per run, and pid takes its two dot products side by side.  Each
+gives the bits of the one-thread call, whatever the worker count.  backward
+writes a weight gradient larger than BLOCK with np.matmul, which gives
+ndarray.dot's bits.
 """
 
 from __future__ import annotations
@@ -49,10 +51,14 @@ def at_workers(workers: int, call, *args):
 
 @SETTINGS
 @given(size=st.one_of(st.integers(129, LONGEST),
-                      st.sampled_from([129, SPLIT - 1, SPLIT, SPLIT + 7, 2 * SPLIT + 8])),
+                      st.sampled_from([0, 1, 128, 129, SPLIT - 1, SPLIT, SPLIT + 7,
+                                       2 * SPLIT + 8])),
        offset=st.integers(0, 1025), scale=st.sampled_from([1.0, 1e-300, 3.5e7, -2.0**600]),
        workers=st.integers(1, 4))
 @example(size=LONGEST, offset=1, scale=1.0, workers=4)
+@example(size=0, offset=0, scale=1.0, workers=2)
+@example(size=1, offset=5, scale=-2.0**600, workers=2)
+@example(size=128, offset=3, scale=1.0, workers=4)
 def test_add_reduce_gives_the_bits_of_np_add_reduce(size, offset, scale, workers):
     values = base()[offset : offset + size] * scale
     assert at_workers(workers, add_reduce, values).tobytes() == np.add.reduce(values).tobytes()
@@ -75,6 +81,15 @@ def test_add_reduce_of_negative_zeros_is_numpys_positive_zero():
 def test_add_reduce_below_the_split_is_one_call():
     leaves = []
     assert tensors._pairwise(0, SPLIT - 1, 8, leaves) == 0 and leaves == [(0, SPLIT - 1)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_blockwise_runs_split_from_split_entries_as_the_reductions_do(workers):
+    for n in (7 * BLOCK, 7 * BLOCK + 1, SPLIT - 1, SPLIT, SPLIT + 1):
+        parts = at_workers(workers, tensors.runs, n)
+        assert (len(parts) > 1) == (n >= SPLIT and workers > 1), n
+        assert parts[0][0] == 0 and parts[-1][1] == n
+        assert all(hi == lo for (_, hi), (lo, _) in zip(parts, parts[1:]))
 
 
 # -- gather ----------------------------------------------------------------------
@@ -103,13 +118,13 @@ def one_tensor_map(values: np.ndarray) -> TensorMap:
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_the_finiteness_check_finds_a_bad_entry_in_any_run(workers, bad):
-    size = 3 * MIN_RUN * BLOCK + 11
-    for lo, hi in at_workers(workers, tensors.runs, size):
-        for where in (lo, hi - 1):
-            values = np.ones(size)
-            values[where] = bad
-            with pytest.raises(DivergenceError, match="non-finite weights in 'layer1.weight'"):
-                at_workers(workers, _require_finite, 7, "weights", one_tensor_map(values))
+    for size in (323, 3 * MIN_RUN * BLOCK + 11):  # the sweep tail, and three runs
+        for lo, hi in at_workers(workers, tensors.runs, size):
+            for where in (lo, hi - 1):
+                values = np.ones(size)
+                values[where] = bad
+                with pytest.raises(DivergenceError, match="non-finite weights in 'layer1.weight'"):
+                    at_workers(workers, _require_finite, 7, "weights", one_tensor_map(values))
 
 
 @pytest.mark.parametrize("entry", [1e200, 10**151.5], ids=["each-run", "only-the-total"])
@@ -132,7 +147,7 @@ def pid_on_one_thread(w: np.ndarray, g: np.ndarray) -> float:
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("size", [SPLIT - 1, SPLIT, 1_048_576 + 4099])
+@pytest.mark.parametrize("size", [323, SPLIT - 1, SPLIT, 1_048_576 + 4099])
 def test_pid_of_magnitudes_keeps_pids_bits(workers, size):
     rng = np.random.default_rng(size)
     w, g = np.abs(rng.standard_normal(size)), np.abs(rng.standard_normal(size)) ** 3
