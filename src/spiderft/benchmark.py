@@ -107,13 +107,14 @@ class TaskSpec:
             raise ConfigError(f"{self.task_id}: class means {order[k]} and {order[k + 1]} coincide")
 
 
-def require_distinct(seeds: Sequence[int], suite: Sequence[TaskSpec], target: TaskSpec) -> None:
-    """ConfigError unless the seeds are distinct, and so are the ids of the
-    suite's tasks and the target: a repeated seed would run its cells twice
-    and count them twice in a mean over seeds, and results are keyed by task
-    id, so a repeated id would drop a task."""
+def require_distinct(seeds: Sequence[int], suite: Sequence[TaskSpec], target: TaskSpec,
+                     methods: Sequence[str] = ()) -> None:
+    """ConfigError unless the seeds are distinct, and so are the methods and
+    the ids of the suite's tasks and the target: a repeated seed or method
+    would run its cells twice and count them twice in a mean, and results
+    are keyed by task id, so a repeated id would drop a task."""
     ids = [spec.task_id for spec in (*suite, target)]
-    for values, rule in ((seeds, "seeds must be distinct"),
+    for values, rule in ((seeds, "seeds must be distinct"), (methods, "methods must be distinct"),
                          (ids, "task ids must be distinct across suite and target")):
         repeated = sorted(value for value, n in Counter(values).items() if n > 1)
         if repeated:
@@ -379,7 +380,7 @@ def run_experiment(
     # TrainConfig checks each seed and method name, before anything is pretrained
     seeds = [replace(cfg, seed=seed).seed for seed in seeds]
     method_cfgs = [replace(cfg, method=method) for method in methods]
-    require_distinct(seeds, suite, target)
+    require_distinct(seeds, suite, target, methods)
 
     target_data = generate_task(target, n_per_task)
     # the held-out splits are checked before anything is pretrained too

@@ -19,14 +19,13 @@ larger the value.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UninitializedError
-from .tensors import (TensorMap, blockwise, cosine_from_norms, dots, fraction, norm,
-                      require_string, sigmoid_array, zscore_map)
+from .tensors import (TensorMap, blockwise, cosine_from_norms, fraction, norm, require_string,
+                      sigmoid_array, zscore_map)
 
 # cos of two nonnegative vectors is >= 0 but can be exactly 0; the clamp
 # keeps the inverse-square diagnostic finite (0 maps to 1e12).
@@ -117,10 +116,10 @@ def pid_of_magnitudes(w_mag: np.ndarray, w_norm: float, g_mag: np.ndarray) -> fl
     For a caller that holds the magnitudes already, such as the fine-tuning
     loop: its accumulator is its own magnitude, and the snapshot's norm is
     fixed for the run.  The result is bit for bit pid()'s: its two dot
-    products are g.g, for |g|'s norm, and w.g (see tensors.dots).
+    products, w.g and |g|'s norm, run on the calling thread.
     """
-    gg, wg = dots((g_mag, w_mag), g_mag)
-    cos = cosine_from_norms(wg, w_norm, math.sqrt(gg), "weight_magnitude", "gradient_magnitude")
+    cos = cosine_from_norms(w_mag.dot(g_mag), w_norm, norm(g_mag), "weight_magnitude",
+                            "gradient_magnitude")
     return max(cos, PID_COS_FLOOR) ** -2
 
 

@@ -14,10 +14,10 @@ TensorMap.units): the z-score by zscore_map alone, a lone tensor's as a
 one-tensor map's.  Transforms are pure unless given an ``out`` map of their
 input's layout (TensorMap.result).  This module alone decides when work
 splits over the usable CPUs: each primitive takes any size and tests it.
-blockwise splits an elementwise pass of more than BLOCK entries; from SPLIT
-entries on, add_reduce cuts a sum at numpy's own pairwise cut, gather
-compresses each run at its offset, and all_finite and dots take their dot
-products side by side.  Each keeps numpy's bits; all hand runs to spread.
+From SPLIT entries on, blockwise cuts an elementwise pass into runs,
+add_reduce cuts a sum at numpy's own pairwise cut, gather compresses each
+run at its offset, and all_finite takes one dot product per run: work
+splits only by cutting one array into runs (see spread), with numpy's bits.
 """
 
 from __future__ import annotations
@@ -149,6 +149,15 @@ def check_fields(obj, prefix: str = "") -> None:
         setattr(obj, f.name, check(getattr(obj, f.name), prefix + f.name))
 
 
+def require_shape(shape, name: str) -> tuple[int, ...]:
+    """Tensor `name`'s shape as a tuple of ints, by the int rule;
+    DimensionError if it is not a sequence."""
+    try:
+        return tuple(require_int(d, f"tensor {name!r}: shape") for d in shape)
+    except TypeError as exc:
+        raise DimensionError(f"tensor {name!r}: shape is not a sequence: {exc}") from exc
+
+
 @dataclass
 class FlatTensor:
     """A named 1-D float64 vector with the shape it represents."""
@@ -158,12 +167,11 @@ class FlatTensor:
     data: np.ndarray
 
     def __post_init__(self):
-        require_string(self.name, "tensor name")
+        self.shape = require_shape(self.shape, require_string(self.name, "tensor name"))
         try:  # as Batch: text, ragged rows and a huge int are not float64 data
-            self.shape = tuple(require_int(d, f"tensor {self.name!r}: shape") for d in self.shape)
             self.data = np.ascontiguousarray(self.data, dtype=np.float64).reshape(-1)
-        except (TypeError, ValueError, OverflowError) as exc:  # the shape may not be iterable
-            raise DimensionError(f"tensor {self.name!r}: non-numeric shape or data: {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DimensionError(f"tensor {self.name!r}: non-numeric data: {exc}") from exc
         if self.data.size != self.size or min(self.shape, default=0) < 0:
             raise DimensionError(
                 f"tensor {self.name!r}: data length {self.data.size} does not "
@@ -203,7 +211,8 @@ class FlatTensor:
 @dataclass(frozen=True)
 class Layout:
     """Names and shapes of a map's tensors in buffer order; tensor k is the
-    segment slices[k].  Equal when names and shapes are."""
+    segment slices[k].  Equal when names and shapes are.  Each name and
+    shape is checked by FlatTensor's rules, and there is one shape per name."""
 
     names: tuple[str, ...]
     shapes: tuple[tuple[int, ...], ...]
@@ -212,10 +221,22 @@ class Layout:
     largest: int = field(init=False, repr=False, compare=False)  # the first longest tensor, or 0
 
     def __post_init__(self):
-        index = {name: k for k, name in enumerate(self.names)}
-        if len(index) != len(self.names):
-            raise AlignmentError(f"duplicate tensor names in {self.names}")
-        sizes = tuple(map(math.prod, self.shapes))
+        try:
+            names, shapes = tuple(self.names), tuple(self.shapes)
+        except TypeError as exc:
+            raise DimensionError(f"layout: names and shapes must be sequences: {exc}") from exc
+        if len(names) != len(shapes):
+            raise DimensionError(f"layout: {len(names)} names for {len(shapes)} shapes")
+        shapes = tuple(require_shape(shape, require_string(name, "tensor name"))
+                       for name, shape in zip(names, shapes))
+        if any(d < 0 for shape in shapes for d in shape):
+            raise DimensionError(f"layout: a negative dimension in {shapes}")
+        index = {name: k for k, name in enumerate(names)}
+        if len(index) != len(names):
+            raise AlignmentError(f"duplicate tensor names in {names}")
+        sizes = tuple(map(math.prod, shapes))
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "shapes", shapes)
         stops = (0, *accumulate(sizes))
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "slices", tuple(map(slice, stops, stops[1:])))
@@ -248,7 +269,12 @@ class TensorMap:
 
     @classmethod
     def over(cls, layout: Layout, flat: np.ndarray) -> "TensorMap":
-        """A map over `flat`, which is neither copied nor scanned."""
+        """A map over `flat`, a C-contiguous 1-D float64 ndarray, which is
+        neither copied nor scanned."""
+        if not (isinstance(flat, np.ndarray) and flat.ndim == 1 and flat.dtype == np.float64
+                and flat.flags.c_contiguous):
+            raise DimensionError(f"a map's buffer must be a C-contiguous 1-D float64 ndarray, got "
+                                 f"{getattr(flat, 'dtype', type(flat))} {getattr(flat, 'shape', '')}")
         if flat.size != layout.size:
             raise DimensionError(f"layout covers {layout.size} entries, buffer has {flat.size}")
         return cls(layout, flat)
@@ -509,14 +535,6 @@ def all_finite(values: np.ndarray) -> bool:
     return math.isfinite(squares) or bool(np.logical_and.reduce(np.isfinite(values)))
 
 
-def dots(vectors: tuple[np.ndarray, ...], other: np.ndarray) -> list:
-    """[v.dot(other) for v in vectors], each the call it is on one thread;
-    from SPLIT entries on, side by side."""
-    if other.size < SPLIT:
-        return [v.dot(other) for v in vectors]
-    return spread([(v.dot, other) for v in vectors])
-
-
 def blockwise(kernel, *arrays: np.ndarray) -> None:
     """kernel(scratch, *views) over equal-length 1-D arrays, one BLOCK at a time.
 
@@ -563,7 +581,8 @@ def spread(calls: list[tuple]) -> list:
     np.errstate holds in every call.  It returns, or raises the first
     call's error (in call order), once every call has finished.  Otherwise
     the calling thread makes the calls in turn.  The pool is started on the
-    first split, so only a large map pays the import.  No call may itself
+    first split, so only a large map pays the import.  Each call is one run
+    of one array's pass, sum, gather or dot product, and none may itself
     split: a pool thread that waits on the pool could wait forever.
     """
     global _pool

@@ -380,6 +380,16 @@ def test_run_experiment_rejects_repeated_seeds_before_pretraining(monkeypatch):
     assert pretrained == []
 
 
+def test_run_experiment_rejects_a_repeated_method_before_pretraining(monkeypatch):
+    # a method given twice would run its cells twice and be counted twice in a mean
+    pretrained = []
+    monkeypatch.setattr(benchmark, "pretrain", lambda *args, **kwargs: pretrained.append(args))
+    with pytest.raises(ConfigError, match=r"methods must be distinct, repeated: \['full_ft'\]"):
+        run_experiment(default_suite(), default_target(), ["full_ft", "spider", "full_ft"],
+                       TrainConfig(epochs=1), [0], pretrain_epochs=1)
+    assert pretrained == []
+
+
 def test_an_empty_heldout_split_is_rejected_before_pretraining(monkeypatch):
     # 4 samples put none at the stride's fifth place, so no test split
     pretrained = []

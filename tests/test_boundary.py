@@ -1,7 +1,8 @@
 """The Python API's scalar boundary: one table, one property.
 
 Scalar arguments (seeds, rates, probabilities, counts, scope and variant
-names, paths) are a boundary: a bad value raises a SpiderftError.  Object
+names, paths, and a tensor's name, shape and data, in a FlatTensor, a Layout
+or TensorMap.over's buffer) are a boundary: a bad value raises a SpiderftError.  Object
 arguments (TensorMap, ToyModel, Batch, TaskSpec, GradAccumulator) are
 trusted, and a wrong one raises what Python raises.  Each row of ROWS is a
 public function, one valid call of it, and the scalar parameter that the
@@ -69,6 +70,9 @@ ROWS = [
     *((masking.dare_merge, _dare_merge, p) for p in ("drop_p", "rng_seed")),
     (importance.GradAccumulator.empty, lambda tmp: {"like": _map(), "beta": 0.9}, "beta"),
     (tensors.FlatTensor, lambda tmp: {"name": "t", "shape": (2,), "data": [0.5, 1.0]}, "name"),
+    *((tensors.Layout, lambda tmp: {"names": ("a", "b"), "shapes": ((3,), (2,))}, p)
+      for p in ("names", "shapes")),
+    (TensorMap.over, lambda tmp: {"layout": _map().layout, "flat": np.zeros(5)}, "flat"),
     (tensors.zscore_map, lambda tmp: {"tm": _map(), "scope": "global"}, "scope"),
     (importance.specialization_importance, lambda tmp: {"state": _accumulator(), "scope": "global"},
      "scope"),

@@ -1,13 +1,13 @@
-"""The step's passes, reductions, gather and dot products split across the
-usable CPUs.
+"""The step's passes, reductions, gather and finiteness checks split across
+the usable CPUs, and pid, which does not split.
 
 From tensors.SPLIT entries on, and only then, blockwise cuts a pass into
 runs, add_reduce cuts a sum where numpy's pairwise sum cuts it, gather
-compresses each run at its own offset, the finiteness check takes one dot
-product per run, and pid takes its two dot products side by side.  Each
-gives the bits of the one-thread call, whatever the worker count.  backward
-writes a weight gradient larger than BLOCK with np.matmul, which gives
-ndarray.dot's bits.
+compresses each run at its own offset, and the finiteness check takes one
+dot product per run.  pid takes its two dot products on the calling thread.
+Each gives the bits of the one-thread call, whatever the worker count.
+backward writes a weight gradient larger than BLOCK with np.matmul, which
+gives ndarray.dot's bits.
 """
 
 from __future__ import annotations
